@@ -1,7 +1,9 @@
-// Microbenchmarks (google-benchmark): sigma evaluation throughput with the
-// sample-realization cache (SigmaEngine) against the legacy re-simulation
-// path, per diffusion model. items_processed counts single-sample
-// evaluations, so items_per_second is directly "sigma evals/sec".
+// Microbenchmarks (google-benchmark): sigma evaluation throughput per
+// diffusion model with every sample replayed from the realization cache
+// (Cached), with none cached so every sample re-runs the forward kernel
+// (Forward, max_cache_bytes = 1), and with a cap that fits half the samples
+// (Partial). items_processed counts single-sample evaluations, so
+// items_per_second is directly "sigma evals/sec".
 #include <benchmark/benchmark.h>
 
 #include "build_guard.h"
@@ -13,25 +15,33 @@ namespace {
 
 using namespace lcrb;
 
+/// How many samples the byte cap lets the engine materialize.
+enum class Budget { kNone, kHalf, kAll };
+
 DiGraph bench_graph(NodeId n, std::uint64_t seed) {
   Rng rng(seed);
   return erdos_renyi_m(n, static_cast<EdgeId>(n) * 8, true, rng);
 }
 
-SigmaConfig sigma_cfg(DiffusionModel model, std::size_t samples,
-                      bool use_cache) {
+SigmaConfig sigma_cfg(const DiGraph& g, DiffusionModel model,
+                      std::size_t samples, Budget budget) {
   SigmaConfig cfg;
   cfg.samples = samples;
   cfg.seed = 13;
   cfg.max_hops = 31;
   cfg.model = model;
-  cfg.use_realization_cache = use_cache;
   cfg.max_cache_bytes = 0;
+  if (budget == Budget::kNone) cfg.max_cache_bytes = 1;
+  if (budget == Budget::kHalf) {
+    SigmaConfig half = cfg;
+    half.samples = samples / 2;
+    cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+  }
   return cfg;
 }
 
 void run_sigma_bench(benchmark::State& state, DiffusionModel model,
-                     bool use_cache) {
+                     Budget budget) {
   const auto n = static_cast<NodeId>(state.range(0));
   const auto samples = static_cast<std::size_t>(state.range(1));
   const DiGraph g = bench_graph(n, 6);
@@ -39,10 +49,15 @@ void run_sigma_bench(benchmark::State& state, DiffusionModel model,
   std::vector<NodeId> targets;
   for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
 
-  const SigmaEstimator est(g, rumors, targets,
-                           sigma_cfg(model, samples, use_cache));
-  if (est.uses_engine() != use_cache) {
-    state.SkipWithError("unexpected evaluation path");
+  const SigmaConfig cfg = sigma_cfg(g, model, samples, budget);
+  const SigmaEstimator est(g, rumors, targets, cfg);
+  const std::size_t bytes = est.realization_bytes();
+  const bool as_asked = budget == Budget::kNone ? bytes == 0
+                        : budget == Budget::kAll
+                            ? bytes > 0
+                            : bytes > 0 && bytes <= cfg.max_cache_bytes;
+  if (!as_asked) {
+    state.SkipWithError("realization cache not sized as asked");
     return;
   }
   const NodeId protectors[] = {10, 11, 12};
@@ -53,33 +68,37 @@ void run_sigma_bench(benchmark::State& state, DiffusionModel model,
                           static_cast<std::int64_t>(samples));
 }
 
-void BM_SigmaLegacy_Opoao(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kOpoao, false);
+void BM_SigmaForward_Opoao(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kNone);
 }
 void BM_SigmaCached_Opoao(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kOpoao, true);
+  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kAll);
 }
-void BM_SigmaLegacy_Ic(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kIc, false);
+void BM_SigmaPartial_Opoao(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kHalf);
+}
+void BM_SigmaForward_Ic(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kIc, Budget::kNone);
 }
 void BM_SigmaCached_Ic(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kIc, true);
+  run_sigma_bench(state, DiffusionModel::kIc, Budget::kAll);
 }
-void BM_SigmaLegacy_Lt(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kLt, false);
+void BM_SigmaForward_Lt(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kLt, Budget::kNone);
 }
 void BM_SigmaCached_Lt(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kLt, true);
+  run_sigma_bench(state, DiffusionModel::kLt, Budget::kAll);
 }
 
 #define SIGMA_ARGS \
   Args({2000, 50})->Args({10000, 50})->Unit(benchmark::kMillisecond)
 
-BENCHMARK(BM_SigmaLegacy_Opoao)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaForward_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Opoao)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaLegacy_Ic)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaPartial_Opoao)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaForward_Ic)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Ic)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaLegacy_Lt)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaForward_Lt)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Lt)->SIGMA_ARGS;
 
 // Construction cost of the realization cache (what greedy pays once before
@@ -92,7 +111,7 @@ void BM_SigmaEngineBuild(benchmark::State& state) {
   for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
   for (auto _ : state) {
     SigmaEstimator est(g, rumors, targets,
-                       sigma_cfg(DiffusionModel::kOpoao, 50, true));
+                       sigma_cfg(g, DiffusionModel::kOpoao, 50, Budget::kAll));
     benchmark::DoNotOptimize(est.baseline_infected());
   }
 }

@@ -1,7 +1,7 @@
 // DOAM model traits (paper §III-B): the frontier family with every arc
 // live — a deterministic synchronized two-source BFS. No realization cache
-// (the model has no randomness to materialize; the legacy path already
-// collapses it to one run) but a reverse sampler: v saves root iff
+// (the model has no randomness to materialize; SigmaEngine re-runs the
+// forward kernel per sample) but a reverse sampler: v saves root iff
 // dist(v, root) <= dist_R(root), the §6.4 distance rule.
 #pragma once
 

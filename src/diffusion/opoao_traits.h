@@ -191,8 +191,15 @@ struct OpoaoTraits {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (g.out_degree(v) > 0) ++rows;
     }
-    return samples * (rows * hops * sizeof(NodeId) +
-                      g.num_nodes() * (2 * sizeof(std::uint32_t)));
+    // Upper bound by contract: the shared pick_row, then per sample the
+    // pick table, base_step and sched (each at most one entry per node) and
+    // step_off.
+    const std::size_t n = g.num_nodes();
+    return n * sizeof(std::uint32_t) +
+           samples * (rows * hops * sizeof(NodeId) +
+                      n * (sizeof(std::uint32_t) + sizeof(NodeId)) +
+                      (static_cast<std::size_t>(hops) + 2) *
+                          sizeof(std::uint32_t));
   }
 
   template <class G>

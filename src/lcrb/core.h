@@ -5,7 +5,7 @@
 //
 // The experiment-harness layer (pipeline, baselines, source detection,
 // CLI/CSV/table utilities) lives in lcrb/experiments.h, which includes this
-// header. (lcrb/lcrb.h is a deprecated shim for the old single-header API.)
+// header.
 #pragma once
 
 #include "community/detect.h"

@@ -287,8 +287,6 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
   out.sigma_evaluations = sigma_calls * cfg.sigma.samples;
   // nodes_visited stays 0 here: the shared estimator's visit counter mixes
   // concurrent queries. greedy_lcrbp_from_bridges overwrites it.
-  out.sigma_path = estimator.served_by();
-  out.sigma_fallback = estimator.fallback_reason();
   return out;
 }
 
@@ -343,8 +341,6 @@ MultiGreedyResult greedy_multi_with_estimator(
                                        r.gain_history.end());
       out.combined.candidate_count =
           std::max(out.combined.candidate_count, r.candidate_count);
-      out.combined.sigma_path = r.sigma_path;
-      out.combined.sigma_fallback = r.sigma_fallback;
       out.deployed.insert(out.deployed.end(), r.protectors.begin(),
                           r.protectors.end());
     }

@@ -69,10 +69,6 @@ struct GreedyResult {
   /// stopped. True for kMonteCarlo (no adaptive rule to miss).
   bool ris_guarantee_met = true;
   RisStopReason ris_stop_reason = RisStopReason::kNone;
-  /// kMonteCarlo only: which machinery served sigma and, when it is the
-  /// legacy path despite the cache being requested, why.
-  SigmaPath sigma_path = SigmaPath::kLegacySimulate;
-  SigmaFallbackReason sigma_fallback = SigmaFallbackReason::kNone;
 };
 
 /// Runs the LCRB-P greedy end to end (bridge ends computed internally).

@@ -202,7 +202,6 @@ SigmaConfig LcrbOptions::sigma_config() const {
   sc.max_hops = max_hops;
   sc.model = model;
   sc.ic_edge_prob = ic_edge_prob;
-  sc.use_realization_cache = use_realization_cache;
   sc.max_cache_bytes = max_cache_bytes;
   return sc;
 }
@@ -264,7 +263,6 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
   o.max_hops = static_cast<std::uint32_t>(
       args.get_int("hops", static_cast<std::int64_t>(o.max_hops)));
   o.ic_edge_prob = args.get_double("ic-prob", o.ic_edge_prob);
-  if (args.get_bool("no-sigma-cache")) o.use_realization_cache = false;
   o.max_cache_bytes = static_cast<std::size_t>(args.get_int(
       "sigma-cache-bytes", static_cast<std::int64_t>(o.max_cache_bytes)));
   o.ris_epsilon = args.get_double("ris-eps", o.ris_epsilon);
@@ -317,7 +315,6 @@ JsonValue LcrbOptions::to_json() const {
   v.set("sigma_seed", sigma_seed);
   v.set("max_hops", static_cast<std::uint64_t>(max_hops));
   v.set("ic_edge_prob", ic_edge_prob);
-  v.set("use_realization_cache", use_realization_cache);
   v.set("max_cache_bytes", static_cast<std::uint64_t>(max_cache_bytes));
   v.set("ris_epsilon", ris_epsilon);
   v.set("ris_delta", ris_delta);
@@ -384,8 +381,6 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
       o.max_hops = static_cast<std::uint32_t>(non_negative_option(val, "max_hops"));
     } else if (key == "ic_edge_prob") {
       o.ic_edge_prob = val.as_double();
-    } else if (key == "use_realization_cache") {
-      o.use_realization_cache = val.as_bool();
     } else if (key == "max_cache_bytes") {
       o.max_cache_bytes = static_cast<std::size_t>(non_negative_option(val, "max_cache_bytes"));
     } else if (key == "ris_epsilon") {

@@ -1,14 +1,9 @@
 // LcrbOptions — the single documented knob aggregate of the library's
 // protector-selection API.
 //
-// Historically every entry point took its own nest of structs
-// (SelectorConfig wrapping GreedyConfig wrapping SigmaConfig and RisConfig,
-// with GvsConfig on the side). LcrbOptions collapses that nesting into one
-// flat, validated aggregate with a canonical JSON round-trip; the legacy
-// structs survive as thin engine-level configs that LcrbOptions converts
-// into (deprecated as *entry-point* types — new code should pass
-// LcrbOptions; the nested structs will stop appearing in public signatures
-// after one release).
+// One flat, validated aggregate with a canonical JSON round-trip. The
+// engine-level configs (GreedyConfig wrapping SigmaConfig and RisConfig,
+// GvsConfig on the side) are produced from it by the *_config() accessors.
 //
 // The budget rule (previously enforced inconsistently — kGvs silently
 // overrode its own budget, kScbg silently ignored one):
@@ -58,8 +53,8 @@ SigmaMode sigma_mode_from_string(const std::string& name);
 CandidateStrategy candidate_strategy_from_string(const std::string& name);
 MultiCascadeMode multi_cascade_mode_from_string(const std::string& name);
 
-/// Every knob of protector selection, flat. Field groups mirror the legacy
-/// structs they replace; the *_config() accessors produce those structs for
+/// Every knob of protector selection, flat. Field groups mirror the
+/// engine-level configs; the *_config() accessors produce those structs for
 /// the engine entry points.
 struct LcrbOptions {
   // --- selection -----------------------------------------------------------
@@ -82,7 +77,6 @@ struct LcrbOptions {
   std::uint64_t sigma_seed = 7;
   std::uint32_t max_hops = 31;
   double ic_edge_prob = 0.1;
-  bool use_realization_cache = true;
   std::size_t max_cache_bytes = std::size_t{1} << 30;
 
   // --- ris accuracy knobs --------------------------------------------------
@@ -127,7 +121,7 @@ struct LcrbOptions {
     return budget == 0 ? num_rumors : budget;
   }
 
-  // Engine-level views (the legacy structs, populated from these fields).
+  // Engine-level views, populated from these fields.
   GreedyConfig greedy_config() const;
   SigmaConfig sigma_config() const;
   RisConfig ris_config() const;

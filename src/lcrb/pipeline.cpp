@@ -169,57 +169,6 @@ MultiGreedyResult select_protector_groups(const ExperimentSetup& setup,
   });
 }
 
-std::vector<NodeId> select_protectors(SelectorKind kind,
-                                      const ExperimentSetup& setup,
-                                      const SelectorConfig& cfg,
-                                      ThreadPool* pool) {
-  // Legacy shim: translate the nested structs into the flat aggregate,
-  // preserving the historical lenient budget handling (a nonzero budget is
-  // simply dropped for the self-sizing selectors instead of rejected).
-  LcrbOptions o;
-  o.selector = kind;
-  if (kind != SelectorKind::kScbg && kind != SelectorKind::kNoBlocking) {
-    o.budget = cfg.budget;
-  }
-  o.selector_seed = cfg.seed;
-  o.alpha = cfg.greedy.alpha;
-  o.candidates = cfg.greedy.candidates;
-  o.max_candidates = cfg.greedy.max_candidates;
-  o.use_celf = cfg.greedy.use_celf;
-  o.sigma_mode = cfg.greedy.sigma_mode;
-  o.model = cfg.greedy.sigma.model;
-  o.sigma_samples = cfg.greedy.sigma.samples;
-  o.sigma_seed = cfg.greedy.sigma.seed;
-  o.max_hops = cfg.greedy.sigma.max_hops;
-  o.ic_edge_prob = cfg.greedy.sigma.ic_edge_prob;
-  o.use_realization_cache = cfg.greedy.sigma.use_realization_cache;
-  o.max_cache_bytes = cfg.greedy.sigma.max_cache_bytes;
-  o.ris_epsilon = cfg.greedy.ris.epsilon;
-  o.ris_delta = cfg.greedy.ris.delta;
-  o.ris_initial_sets = cfg.greedy.ris.initial_sets;
-  o.ris_max_sets = cfg.greedy.ris.max_sets;
-  o.ris_estimator_sets = cfg.greedy.ris.estimator_sets;
-  o.gvs_samples = cfg.gvs.samples;
-  o.gvs_max_candidates = cfg.gvs.max_candidates;
-
-  if (kind == SelectorKind::kGreedy && cfg.greedy.max_protectors != 0) {
-    // The old API let max_protectors override the selector budget.
-    o.budget = cfg.greedy.max_protectors;
-  }
-  if (kind == SelectorKind::kGvs) {
-    // Historical behavior: GvsConfig::seed drove GVS sampling (not the
-    // sigma seed) and the selector budget won over GvsConfig::budget.
-    const std::size_t budget = o.resolved_budget(setup.rumors.size());
-    GvsConfig gc = cfg.gvs;
-    gc.budget = budget;
-    LCRB_REQUIRE(setup.graph.valid(), "setup not prepared");
-    return setup.graph.visit([&](const auto& g) {
-      return gvs_protectors(g, setup.rumors, gc, pool).protectors;
-    });
-  }
-  return select_protectors(setup, o, pool);
-}
-
 HopSeries evaluate_protectors(const ExperimentSetup& setup,
                               std::span<const NodeId> protectors,
                               const MonteCarloConfig& mc, ThreadPool* pool) {

@@ -3,8 +3,7 @@
 // examples, every bench binary, and the src/service/ query engine.
 //
 // The selection entry point is select_protectors(setup, LcrbOptions) — one
-// validated aggregate instead of the legacy SelectorConfig nest (kept below
-// as a deprecated thin shim for one release).
+// validated aggregate of every selection knob.
 #pragma once
 
 #include <cstdint>
@@ -59,18 +58,6 @@ ExperimentSetup prepare_experiment(GraphRef g, const Partition& p,
 ExperimentSetup prepare_experiment_with_rumors(GraphRef g, const Partition& p,
                                                std::vector<NodeId> rumors);
 
-/// DEPRECATED entry-point config (use LcrbOptions): the legacy nest of
-/// selector knobs. Note the historical budget semantics this carried:
-/// budget == 0 meant |rumors| for budgeted selectors, kGvs silently
-/// overrode GvsConfig::budget, and kScbg silently ignored the budget.
-/// LcrbOptions::validate() now rejects the meaningless combinations.
-struct SelectorConfig {
-  std::size_t budget = 0;       ///< |S_P| for budgeted heuristics (0: |rumors|)
-  std::uint64_t seed = 99;      ///< randomized selectors (Proximity/Random)
-  GreedyConfig greedy;          ///< kGreedy parameters
-  GvsConfig gvs;                ///< kGvs parameters (budget overridden)
-};
-
 /// Runs one selector per the budget rule documented in lcrb/options.h.
 /// Validates `opts` (throws lcrb::Error on meaningless combinations). When
 /// opts.multi_mode is on, returns the deployed union of the per-campaign
@@ -85,14 +72,6 @@ std::vector<NodeId> select_protectors(const ExperimentSetup& setup,
 MultiGreedyResult select_protector_groups(const ExperimentSetup& setup,
                                           const LcrbOptions& opts,
                                           ThreadPool* pool = nullptr);
-
-/// DEPRECATED shim over the LcrbOptions overload, kept for one release.
-/// For kScbg the budget is ignored (SCBG sizes itself); for kGreedy the
-/// budget caps max_protectors.
-std::vector<NodeId> select_protectors(SelectorKind kind,
-                                      const ExperimentSetup& setup,
-                                      const SelectorConfig& cfg,
-                                      ThreadPool* pool = nullptr);
 
 /// Evaluates a protector set: Monte-Carlo hop series of infected counts plus
 /// the saved fraction of bridge ends (the paper's Figs. 4-9 measurement).

@@ -8,12 +8,13 @@
 // graphs G_R/G_P. That keeps greedy marginal gains low-variance and
 // per-sample monotone/submodular (Lemma 4).
 //
-// Evaluations are served by the sample-realization cache (SigmaEngine) when
-// the model supports it: the per-sample randomness is materialized once at
-// construction and every sigma(A) call is a cheap deterministic replay —
-// same results as the legacy simulate()-based path, bit for bit. Per-sample
-// outcomes are integer counts and cross-sample reductions run in fixed
-// sample order, so results are bit-identical across thread counts.
+// Evaluations are served by SigmaEngine: the per-sample randomness of as
+// many samples as fit SigmaConfig::max_cache_bytes is materialized once at
+// construction, so a sigma(A) call replays those samples and re-runs the
+// forward kernel only for the rest — the same results either way, bit for
+// bit. Per-sample outcomes are integer counts and cross-sample reductions
+// run in fixed sample order, so results are bit-identical across thread
+// counts.
 #pragma once
 
 #include <atomic>
@@ -31,37 +32,16 @@ namespace lcrb {
 
 class SigmaEngine;
 
-/// Which machinery actually serves sigma evaluations (tests and benches
-/// assert on this instead of inferring it from timings).
-enum class SigmaPath : std::uint8_t {
-  kRealizationCache,  ///< SigmaEngine replay
-  kLegacySimulate,    ///< per-sample simulate() re-runs
-};
-
-/// Why the estimator is NOT on the realization cache.
-enum class SigmaFallbackReason : std::uint8_t {
-  kNone,              ///< not a fallback: the cache is serving
-  kDisabled,          ///< use_realization_cache = false
-  kUnsupportedModel,  ///< DOAM (deterministic, never cached)
-  kByteCap,           ///< estimated cache size exceeds max_cache_bytes
-};
-
-std::string to_string(SigmaPath p);
-std::string to_string(SigmaFallbackReason r);
-
 struct SigmaConfig {
   std::size_t samples = 50;
   std::uint64_t seed = 7;
   std::uint32_t max_hops = 31;
   DiffusionModel model = DiffusionModel::kOpoao;
   double ic_edge_prob = 0.1;
-  /// Serve evaluations from the per-sample realization cache (SigmaEngine)
-  /// when the model supports it. false forces the legacy re-simulation path
-  /// (kept as the reference implementation; results are identical).
-  bool use_realization_cache = true;
-  /// Fall back to the legacy path when the realization cache would exceed
-  /// this many bytes (dominant term: OPOAO pick tables at
-  /// 4B x nodes x max_hops x samples). 0 disables the cap.
+  /// Byte budget of the realization cache: only the longest prefix of
+  /// samples whose estimated cache fits is materialized, the rest are
+  /// re-simulated on every evaluation (dominant term: OPOAO pick tables at
+  /// 4B x nodes x max_hops per sample). 0 disables the cap.
   std::size_t max_cache_bytes = std::size_t{1} << 30;
 };
 
@@ -90,65 +70,41 @@ class SigmaEstimator {
   const std::vector<NodeId>& bridge_ends() const { return bridge_ends_; }
   std::size_t samples() const { return cfg_.samples; }
 
-  /// True when evaluations are served by the realization cache rather than
-  /// by re-running simulate() per sample.
-  bool uses_engine() const { return engine_ != nullptr; }
-
-  /// The path serving sigma evaluations. When it is kLegacySimulate despite
-  /// use_realization_cache = true, fallback_reason() says why (the byte-cap
-  /// case additionally logs a one-time warning).
-  SigmaPath served_by() const {
-    return uses_engine() ? SigmaPath::kRealizationCache
-                         : SigmaPath::kLegacySimulate;
-  }
-  SigmaFallbackReason fallback_reason() const { return fallback_reason_; }
-
   /// Number of single-sample evaluations performed so far (for the CELF
   /// ablation bench). Approximate under concurrency.
   std::size_t evaluations() const { return evals_; }
 
-  /// Cumulative elementary node-touch operations spent on evaluations (engine
-  /// replay ops, or activated-node counts on the legacy path) — the common
-  /// cost currency of the MC-vs-RIS ablation. Exact once concurrent
+  /// Cumulative elementary node-touch operations spent on evaluations
+  /// (replay ops, or activated-node counts on re-simulated samples) — the
+  /// common cost currency of the MC-vs-RIS ablation. Exact once concurrent
   /// evaluations have finished.
   std::uint64_t nodes_visited() const;
 
-  /// Heap footprint of the warm state (realization cache or legacy baseline
-  /// bitsets), for the session registry's byte accounting.
+  /// Bytes held by the realization cache; never more than a nonzero
+  /// SigmaConfig::max_cache_bytes.
+  std::size_t realization_bytes() const;
+
+  /// Heap footprint of the warm state, for the session registry's byte
+  /// accounting.
   std::size_t memory_bytes() const;
 
  private:
-  struct SampleOutcome {
-    double saved_vs_baseline;  ///< |PB(A)| in this sample
-    double uninfected;         ///< |B| - infected(A) in this sample
-  };
   struct Totals {
-    double saved = 0.0;
-    double uninfected = 0.0;
+    double saved = 0.0;       ///< sum over samples of |PB(A)|
+    double uninfected = 0.0;  ///< sum over samples of |B| - infected(A)
   };
-  SampleOutcome evaluate_sample(std::size_t i,
-                                std::span<const NodeId> protectors) const;
   /// Evaluates every sample (in parallel when a pool is attached) and
   /// reduces the per-sample outcomes in fixed sample order, so the result
   /// does not depend on thread scheduling.
   Totals evaluate_all(std::span<const NodeId> protectors) const;
 
-  GraphRef g_;
-  std::vector<NodeId> rumors_;
   std::vector<NodeId> bridge_ends_;
   SigmaConfig cfg_;
   ThreadPool* pool_;
 
-  std::vector<std::uint64_t> sample_seeds_;
-  std::unique_ptr<SigmaEngine> engine_;  ///< null = legacy path
-  /// Legacy path only: baseline_infected_[i] = bridge-end indices infected
-  /// in sample i with A = {} (bitset over bridge_ends_).
-  std::vector<std::vector<bool>> baseline_infected_;
+  std::unique_ptr<SigmaEngine> engine_;
   double baseline_infected_mean_ = 0.0;
-  SigmaFallbackReason fallback_reason_ = SigmaFallbackReason::kNone;
   mutable std::atomic<std::size_t> evals_{0};
-  /// Legacy path's visit counter; the engine path reads SigmaEngine's.
-  mutable std::atomic<std::uint64_t> legacy_visits_{0};
 };
 
 }  // namespace lcrb

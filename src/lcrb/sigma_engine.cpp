@@ -6,26 +6,90 @@
 #include <utility>
 
 #include "diffusion/kernel.h"
+#include "diffusion/montecarlo.h"
 #include "diffusion/model_traits.h"
+#include "util/bitset.h"
 #include "util/error.h"
+#include "util/log.h"
 
 namespace lcrb {
 
 // The model-generic implementation interface. One virtual hop per public
-// call; everything inside an evaluation — the replay loop, the bridge-end
-// verdicts — is resolved against the traits at compile time.
+// call; everything inside an evaluation — the replay or forward run, the
+// bridge-end verdicts — is resolved against the traits at compile time.
 class SigmaEngine::Base {
  public:
   virtual ~Base() = default;
   virtual Outcome evaluate(std::size_t sample,
                            std::span<const NodeId> protectors) const = 0;
   virtual std::uint32_t baseline_infected(std::size_t sample) const = 0;
-  virtual const DynamicBitset& baseline_bits(std::size_t sample) const = 0;
   virtual std::size_t realization_bytes() const = 0;
   virtual std::uint64_t nodes_visited() const = 0;
 };
 
 namespace {
+
+/// A model's cache types, or empty stand-ins for a model without a cache
+/// (DOAM), whose engine materializes no sample.
+template <class Traits, bool = Traits::kSupportsCache>
+struct CacheTypes {
+  using Shared = typename Traits::CacheShared;
+  using Sample = typename Traits::CacheSample;
+  using ReplayScratch = typename Traits::ReplayScratch;
+};
+template <class Traits>
+struct CacheTypes<Traits, false> {
+  struct Shared {};
+  struct Sample {};
+  struct ReplayScratch {
+    explicit ReplayScratch(NodeId) {}
+    void on_epoch_wrap() {}
+  };
+};
+
+/// The sample budget k: the largest prefix of samples whose traits byte
+/// estimate fits cfg.max_cache_bytes (0 = no cap). Depends only on the
+/// graph and the config, never on thread scheduling.
+template <class Traits, class G>
+std::size_t sample_budget(const G& g, const SigmaConfig& cfg) {
+  if constexpr (!Traits::kSupportsCache) {
+    return 0;
+  } else {
+    if (cfg.max_cache_bytes == 0) return cfg.samples;
+    // The estimate grows with the prefix length: binary-search the largest
+    // prefix that fits.
+    std::size_t lo = 0;
+    std::size_t hi = cfg.samples;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo + 1) / 2;
+      if (Traits::estimated_cache_bytes(g, mid, cfg.max_hops) <=
+          cfg.max_cache_bytes) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    return lo;
+  }
+}
+
+/// The byte cap left samples to forward evaluation: a real perf cliff, so
+/// say so (once per process; repeats at debug level).
+void warn_partial(std::size_t k, std::size_t samples, std::size_t estimated,
+                  std::size_t cap) {
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true, std::memory_order_relaxed)) {
+    LCRB_LOG_WARN << "sigma: " << k << " of " << samples
+                  << " samples materialised (all " << samples
+                  << " would take an estimated " << estimated
+                  << " bytes; max_cache_bytes " << cap
+                  << "); the rest re-run the forward kernel per evaluation";
+  } else {
+    LCRB_LOG_DEBUG << "sigma: " << k << " of " << samples
+                   << " samples materialised (estimated " << estimated
+                   << " > cap " << cap << ")";
+  }
+}
 
 template <class Traits, class G>
 class EngineImpl final : public SigmaEngine::Base {
@@ -53,11 +117,18 @@ class EngineImpl final : public SigmaEngine::Base {
     const std::size_t samples = cfg_.samples;
     baseline_bits_.assign(samples, DynamicBitset(bridge_ends_.size()));
     baseline_count_.assign(samples, 0);
-    shared_ = Traits::build_cache_shared(g_);
-    samples_.resize(samples);
+    samples_.resize(sample_budget<Traits>(g_, cfg_));
+    if constexpr (Traits::kSupportsCache) {
+      if (!samples_.empty()) shared_ = Traits::build_cache_shared(g_);
+      if (samples_.size() < samples) {
+        warn_partial(samples_.size(), samples,
+                     Traits::estimated_cache_bytes(g_, samples, cfg_.max_hops),
+                     cfg_.max_cache_bytes);
+      }
+    }
 
-    // Every per-sample cache writes only its own slots, so parallel
-    // construction yields identical data to serial.
+    // Every sample writes only its own slots, so parallel construction
+    // yields identical data to serial.
     auto build = [this](std::size_t i) { build_sample(i); };
     if (pool != nullptr && samples > 1) {
       pool->parallel_for(samples, build);
@@ -69,43 +140,25 @@ class EngineImpl final : public SigmaEngine::Base {
   Outcome evaluate(std::size_t sample,
                    std::span<const NodeId> protectors) const override {
     LCRB_REQUIRE(sample < cfg_.samples, "sample index out of range");
-    ScratchLease lease(*this);
-    Scratch& s = *lease.scratch;
-    s.bump();
-    // Shared protector-seed validation + P stamping; the model replay then
-    // derives its own seeding structures from `protectors` in this order.
-    for (NodeId v : protectors) seed_protector(v, s.color);
-    const std::uint64_t ops =
-        Traits::replay(g_, shared_, samples_[sample], rumors_, protectors,
-                       s.color, s.model, params_);
-    visits_.fetch_add(ops, std::memory_order_relaxed);
-
-    Outcome o;
-    const DynamicBitset& base = baseline_bits_[sample];
-    for (std::size_t b = 0; b < bridge_ends_.size(); ++b) {
-      const bool infected = Traits::replay_infected(
-          samples_[sample], s.color, s.model, bridge_ends_[b], base.test(b));
-      if (!infected) {
-        ++o.uninfected;
-        if (base.test(b)) ++o.saved;
-      }
+    if constexpr (Traits::kSupportsCache) {
+      if (sample < samples_.size()) return replay(sample, protectors);
     }
-    return o;
+    return forward(sample, protectors);
   }
 
   std::uint32_t baseline_infected(std::size_t sample) const override {
     return baseline_count_[sample];
   }
-  const DynamicBitset& baseline_bits(std::size_t sample) const override {
-    return baseline_bits_[sample];
-  }
 
   std::size_t realization_bytes() const override {
-    std::size_t total = Traits::cache_shared_bytes(shared_);
-    for (const typename Traits::CacheSample& sp : samples_) {
-      total += Traits::cache_sample_bytes(sp);
+    if constexpr (Traits::kSupportsCache) {
+      if (samples_.empty()) return 0;
+      std::size_t total = Traits::cache_shared_bytes(shared_);
+      for (const Sample& sp : samples_) total += Traits::cache_sample_bytes(sp);
+      return total;
+    } else {
+      return 0;
     }
-    return total;
   }
 
   std::uint64_t nodes_visited() const override {
@@ -113,6 +166,9 @@ class EngineImpl final : public SigmaEngine::Base {
   }
 
  private:
+  using Shared = typename CacheTypes<Traits>::Shared;
+  using Sample = typename CacheTypes<Traits>::Sample;
+
   /// Epoch-stamped scratch for one in-flight replay: the shared color state
   /// plus the model's own working memory, advanced in lockstep.
   struct Scratch {
@@ -121,7 +177,7 @@ class EngineImpl final : public SigmaEngine::Base {
       if (color.bump()) model.on_epoch_wrap();
     }
     EpochColorScratch color;
-    typename Traits::ReplayScratch model;
+    typename CacheTypes<Traits>::ReplayScratch model;
   };
 
   /// RAII lease of a scratch buffer from the engine's free list.
@@ -150,7 +206,7 @@ class EngineImpl final : public SigmaEngine::Base {
   void build_sample(std::size_t i) {
     const std::uint64_t seed = sample_seeds_[i];
 
-    // Rumor-only baseline through the reference kernel: the cache must
+    // Rumor-only baseline through the reference kernel: a replay must
     // reproduce exactly what simulate() realizes for this sample seed.
     SeedSets seeds;
     seeds.rumors = rumors_;
@@ -168,8 +224,68 @@ class EngineImpl final : public SigmaEngine::Base {
     }
     baseline_count_[i] = count;
 
-    Traits::build_cache_sample(g_, shared_, seed, std::move(base),
-                               infected_targets, params_, samples_[i]);
+    if constexpr (Traits::kSupportsCache) {
+      if (i < samples_.size()) {
+        Traits::build_cache_sample(g_, shared_, seed, std::move(base),
+                                   infected_targets, params_, samples_[i]);
+      }
+    }
+  }
+
+  /// Counts sample i's bridge-end verdicts against its baseline;
+  /// `infected(b, base_infected)` says whether bridge end b ends infected.
+  template <class Infected>
+  Outcome tally(std::size_t sample, Infected infected) const {
+    Outcome o;
+    const DynamicBitset& base = baseline_bits_[sample];
+    for (std::size_t b = 0; b < bridge_ends_.size(); ++b) {
+      if (!infected(b, base.test(b))) {
+        ++o.uninfected;
+        if (base.test(b)) ++o.saved;
+      }
+    }
+    return o;
+  }
+
+  Outcome replay(std::size_t sample,
+                 std::span<const NodeId> protectors) const {
+    ScratchLease lease(*this);
+    Scratch& s = *lease.scratch;
+    s.bump();
+    // Shared protector-seed validation + P stamping; the model replay then
+    // derives its own seeding structures from `protectors` in this order.
+    for (NodeId v : protectors) seed_protector(v, s.color);
+    const Sample& sp = samples_[sample];
+    const std::uint64_t ops = Traits::replay(g_, shared_, sp, rumors_,
+                                             protectors, s.color, s.model,
+                                             params_);
+    visits_.fetch_add(ops, std::memory_order_relaxed);
+    return tally(sample, [&](std::size_t b, bool base_infected) {
+      return Traits::replay_infected(sp, s.color, s.model, bridge_ends_[b],
+                                     base_infected);
+    });
+  }
+
+  /// A sample past the budget: one simulate() run (run_cascade<Traits>)
+  /// with the protectors seeded. The out-of-line instantiation in
+  /// montecarlo.cpp beats inlining run_cascade here by about 15% on
+  /// BM_SigmaForward_Opoao (release build, 4-vCPU VM).
+  Outcome forward(std::size_t sample,
+                  std::span<const NodeId> protectors) const {
+    SeedSets seeds;
+    seeds.rumors = rumors_;
+    seeds.protectors.assign(protectors.begin(), protectors.end());
+    MonteCarloConfig mc;
+    mc.max_hops = cfg_.max_hops;
+    mc.model = cfg_.model;
+    mc.ic_edge_prob = cfg_.ic_edge_prob;
+    const DiffusionResult r = simulate(g_, seeds, sample_seeds_[sample], mc);
+    // Visit proxy for a full simulation: every node the run activated.
+    visits_.fetch_add(r.infected_count() + r.protected_count(),
+                      std::memory_order_relaxed);
+    return tally(sample, [&](std::size_t b, bool) {
+      return r.state[bridge_ends_[b]] == NodeState::kInfected;
+    });
   }
 
   void seed_protector(NodeId v, EpochColorScratch& color) const {
@@ -188,8 +304,8 @@ class EngineImpl final : public SigmaEngine::Base {
   std::vector<std::uint64_t> sample_seeds_;
   DynamicBitset is_rumor_;
 
-  typename Traits::CacheShared shared_;
-  std::vector<typename Traits::CacheSample> samples_;
+  Shared shared_;
+  std::vector<Sample> samples_;  ///< the materialized prefix 0..k-1
 
   std::vector<DynamicBitset> baseline_bits_;
   std::vector<std::uint32_t> baseline_count_;
@@ -228,15 +344,11 @@ SigmaEngine::SigmaEngine(GraphRef g, std::span<const NodeId> rumors,
   // fully concrete EngineImpl; replays then run template-specialized code.
   impl_ = dispatch_model(cfg.model, [&](auto t) -> std::unique_ptr<Base> {
     using T = decltype(t);
-    if constexpr (T::kSupportsCache) {
-      return g.visit([&](const auto& gr) -> std::unique_ptr<Base> {
-        using Gr = std::decay_t<decltype(gr)>;
-        return std::make_unique<EngineImpl<T, Gr>>(gr, rumors, bridge_ends,
-                                                   sample_seeds, cfg, pool);
-      });
-    } else {
-      throw Error("model has no realization cache");
-    }
+    return g.visit([&](const auto& gr) -> std::unique_ptr<Base> {
+      using Gr = std::decay_t<decltype(gr)>;
+      return std::make_unique<EngineImpl<T, Gr>>(gr, rumors, bridge_ends,
+                                                 sample_seeds, cfg, pool);
+    });
   });
 }
 
@@ -249,10 +361,6 @@ SigmaEngine::Outcome SigmaEngine::evaluate(
 
 std::uint32_t SigmaEngine::baseline_infected(std::size_t sample) const {
   return impl_->baseline_infected(sample);
-}
-
-const DynamicBitset& SigmaEngine::baseline_bits(std::size_t sample) const {
-  return impl_->baseline_bits(sample);
 }
 
 std::size_t SigmaEngine::realization_bytes() const {

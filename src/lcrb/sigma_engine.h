@@ -1,13 +1,16 @@
-// Sample-realization evaluation engine behind SigmaEstimator.
+// Sample evaluation engine behind SigmaEstimator — the only code that
+// produces a per-sample sigma outcome.
 //
 // The estimator's common-random-number coupling (paper §V-A, Lemma 4) fixes
 // ALL randomness of sample i the moment the sample seed is drawn: OPOAO's
 // pick stream, the IC family's live-edge coins, LT's node thresholds. The
-// legacy path re-derives that randomness by hashing inside every end-to-end
-// simulation — O(rounds x candidates x samples) full simulations in the
-// greedy. This engine materializes each sample's realization once at
-// construction and turns every subsequent sigma evaluation into a cheap
-// deterministic replay.
+// engine materializes the realizations of samples 0..k-1 once at
+// construction and turns every sigma evaluation on them into a cheap
+// deterministic replay. k is the sample budget: the largest prefix whose
+// traits byte estimate fits SigmaConfig::max_cache_bytes (0 = every sample).
+// Samples k..N-1 are evaluated by re-running simulate() (the forward
+// kernel, run_cascade<Traits>) with the protectors; both kinds of sample
+// give the same outcome bit for bit, so the cap costs only time.
 //
 // The engine itself is model-generic: everything model-specific — what a
 // cached sample IS (pick tables, live subgraphs, thresholds), how a replay
@@ -18,11 +21,11 @@
 // scratch leasing (no per-evaluation allocation, no O(n) clearing), the
 // bridge-end counting loop, and byte accounting. A model compiled against
 // the cache contract is cross-checked against its forward simulator in
-// tests/lcrb/sigma_engine_test.cpp — same outcomes, bit for bit.
+// tests/diffusion/model_conformance_test.cpp — same outcomes, bit for bit.
 //
-// DOAM is not cached here (kSupportsCache = false: it is deterministic and
-// the legacy path already collapses it) — SigmaEstimator falls back to
-// simulate() for it.
+// DOAM has no cache (kSupportsCache = false: it is deterministic, so one
+// forward run per sample is already cheap); its engine is simply the k = 0
+// case.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,6 @@
 #include <vector>
 
 #include "lcrb/sigma.h"
-#include "util/bitset.h"
 
 namespace lcrb {
 
@@ -48,15 +50,14 @@ class SigmaEngine {
   /// (Traits::kSupportsCache — OPOAO, IC, LT, WC).
   static bool supports(DiffusionModel model);
 
-  /// Upper-bound estimate of the realization-cache footprint, used by
-  /// SigmaEstimator to fall back to the legacy path on oversized requests
-  /// (SigmaConfig::max_cache_bytes).
+  /// Upper-bound estimate of the bytes needed to materialize all
+  /// cfg.samples samples (0 for models without a cache).
   static std::size_t estimated_bytes(GraphRef g, const SigmaConfig& cfg);
 
-  /// Builds every sample's realization (and the rumor-only baselines) up
-  /// front; `sample_seeds` must be the estimator's per-sample seeds.
-  /// Construction parallelizes over samples when `pool` is given; the cached
-  /// data is identical regardless.
+  /// Runs every sample's rumor-only baseline and materializes the samples
+  /// that fit the byte budget; `sample_seeds` must be the estimator's
+  /// per-sample seeds. Construction parallelizes over samples when `pool`
+  /// is given; the data built is identical regardless.
   SigmaEngine(GraphRef g, std::span<const NodeId> rumors,
               std::span<const NodeId> bridge_ends,
               std::span<const std::uint64_t> sample_seeds,
@@ -66,8 +67,8 @@ class SigmaEngine {
   SigmaEngine(const SigmaEngine&) = delete;
   SigmaEngine& operator=(const SigmaEngine&) = delete;
 
-  /// Replays sample i with cascade P seeded at `protectors`. Thread-safe:
-  /// concurrent evaluations lease independent scratch buffers. Throws
+  /// Evaluates sample i with cascade P seeded at `protectors`. Thread-safe:
+  /// concurrent replays lease independent scratch buffers. Throws
   /// lcrb::Error if a protector seed is out of range, duplicated, or
   /// collides with a rumor seed (matching simulate()'s validation).
   Outcome evaluate(std::size_t sample,
@@ -75,16 +76,16 @@ class SigmaEngine {
 
   /// Bridge ends infected in sample i with no protectors at all.
   std::uint32_t baseline_infected(std::size_t sample) const;
-  /// Bit b set iff bridge_ends[b] is infected in sample i's baseline.
-  const DynamicBitset& baseline_bits(std::size_t sample) const;
 
-  /// Actual bytes held by the realization caches (for logging/benchmarks).
+  /// Actual bytes held by the realization caches; never more than a
+  /// nonzero max_cache_bytes.
   std::size_t realization_bytes() const;
 
   /// Cumulative elementary node-touch operations across all evaluations
-  /// (table lookups / arcs scanned / weight updates) — the common cost
-  /// currency the MC-vs-RIS ablation compares. Relaxed counter: exact once
-  /// concurrent evaluations have finished.
+  /// (table lookups / arcs scanned / weight updates on replays, activated
+  /// nodes on forward runs) — the common cost currency the MC-vs-RIS
+  /// ablation compares. Relaxed counter: exact once concurrent evaluations
+  /// have finished.
   std::uint64_t nodes_visited() const;
 
   /// Model-generic interface the per-traits implementation fulfills

@@ -281,8 +281,6 @@ QueryResult QueryService::execute_select(const QueryRequest& req,
     result.gain_history = r.gain_history;
     result.candidate_count = r.candidate_count;
     result.sigma_evaluations = r.sigma_evaluations;
-    meta.set("sigma_path", to_string(r.sigma_path));
-    meta.set("sigma_fallback", to_string(r.sigma_fallback));
   } else if (opts.selector == SelectorKind::kGreedy) {
     // RIS mode: shared warm RR pools, evaluated over the first-theta prefix.
     bool ris_hit = false;

@@ -7,6 +7,8 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 
+#include <ostream>
+
 namespace lcrb {
 namespace {
 
@@ -60,6 +62,16 @@ struct PlantedCase {
   double intra, inter;
   std::uint64_t seed;
 };
+
+// Discovered ctest names embed the printed parameter. gtest's default printout
+// of PlantedCase dumps its raw bytes, including the vector's heap pointer, so
+// the names changed from run to run; print the fields instead.
+void PrintTo(const PlantedCase& pc, std::ostream* os) {
+  *os << "sizes=";
+  for (std::size_t i = 0; i < pc.sizes.size(); ++i)
+    *os << (i ? "," : "") << pc.sizes[i];
+  *os << " intra=" << pc.intra << " inter=" << pc.inter << " seed=" << pc.seed;
+}
 
 class LouvainRecoveryTest : public ::testing::TestWithParam<PlantedCase> {};
 

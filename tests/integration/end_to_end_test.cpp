@@ -70,12 +70,12 @@ TEST(EndToEnd, GreedyReducesInfectionsOnSubstitute) {
       13);
   if (s.bridges.bridge_ends.empty()) GTEST_SKIP();
 
-  SelectorConfig cfg;
-  cfg.greedy.alpha = 0.7;
-  cfg.greedy.sigma.samples = 10;
-  cfg.greedy.max_protectors = s.rumors.size() * 3;
+  LcrbOptions opts;
+  opts.alpha = 0.7;
+  opts.sigma_samples = 10;
+  opts.budget = s.rumors.size() * 3;
   ThreadPool pool(2);
-  const auto greedy = select_protectors(SelectorKind::kGreedy, s, cfg, &pool);
+  const auto greedy = select_protectors(s, opts, &pool);
 
   MonteCarloConfig mc;
   mc.runs = 30;

@@ -200,7 +200,7 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcLegacyOpoao) {
   cfg.sigma.samples = 12;
   cfg.sigma.seed = 9;
   cfg.sigma.model = DiffusionModel::kOpoao;
-  cfg.sigma.use_realization_cache = false;
+  cfg.sigma.max_cache_bytes = 1;  // no sample cached: simulate() per sample
   this->check_greedy("greedy_mc_legacy_opoao", cfg);
 }
 
@@ -221,7 +221,7 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcLegacyIc) {
   cfg.sigma.seed = 13;
   cfg.sigma.model = DiffusionModel::kIc;
   cfg.sigma.ic_edge_prob = 0.3;
-  cfg.sigma.use_realization_cache = false;
+  cfg.sigma.max_cache_bytes = 1;  // no sample cached: simulate() per sample
   this->check_greedy("greedy_mc_legacy_ic", cfg);
 }
 

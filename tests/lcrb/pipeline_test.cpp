@@ -49,13 +49,14 @@ TEST_F(PipelineFixture, PrepareRejectsBadCounts) {
 
 TEST_F(PipelineFixture, SelectorsRespectBudgetAndExcludeRumors) {
   const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 4, 21);
-  SelectorConfig cfg;
-  cfg.budget = 6;
+  LcrbOptions opts;
+  opts.budget = 6;
   const std::set<NodeId> rumor_set(s.rumors.begin(), s.rumors.end());
   for (SelectorKind kind :
        {SelectorKind::kMaxDegree, SelectorKind::kProximity,
         SelectorKind::kRandom, SelectorKind::kPageRank}) {
-    const auto picks = select_protectors(kind, s, cfg);
+    opts.selector = kind;
+    const auto picks = select_protectors(s, opts);
     EXPECT_LE(picks.size(), 6u) << to_string(kind);
     for (NodeId v : picks) {
       EXPECT_EQ(rumor_set.count(v), 0u) << to_string(kind);
@@ -65,10 +66,11 @@ TEST_F(PipelineFixture, SelectorsRespectBudgetAndExcludeRumors) {
 
 TEST_F(PipelineFixture, GvsSelectorReducesInfections) {
   const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 4, 31);
-  SelectorConfig cfg;
-  cfg.budget = 6;
-  cfg.gvs.samples = 10;
-  const auto picks = select_protectors(SelectorKind::kGvs, s, cfg);
+  LcrbOptions opts;
+  opts.selector = SelectorKind::kGvs;
+  opts.budget = 6;
+  opts.gvs_samples = 10;
+  const auto picks = select_protectors(s, opts);
   EXPECT_EQ(picks.size(), 6u);
   MonteCarloConfig mc;
   mc.runs = 30;
@@ -79,12 +81,16 @@ TEST_F(PipelineFixture, GvsSelectorReducesInfections) {
 
 TEST_F(PipelineFixture, NoBlockingIsEmpty) {
   const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 3, 21);
-  EXPECT_TRUE(select_protectors(SelectorKind::kNoBlocking, s, {}).empty());
+  LcrbOptions opts;
+  opts.selector = SelectorKind::kNoBlocking;
+  EXPECT_TRUE(select_protectors(s, opts).empty());
 }
 
 TEST_F(PipelineFixture, ScbgSelectorProtectsEverything) {
   const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 4, 23);
-  const auto picks = select_protectors(SelectorKind::kScbg, s, {});
+  LcrbOptions opts;
+  opts.selector = SelectorKind::kScbg;
+  const auto picks = select_protectors(s, opts);
   MonteCarloConfig mc;
   mc.model = DiffusionModel::kDoam;
   mc.max_hops = 40;
@@ -96,11 +102,11 @@ TEST_F(PipelineFixture, GreedySelectorImprovesOverNoBlocking) {
   const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 4, 25);
   if (s.bridges.bridge_ends.empty()) GTEST_SKIP();
 
-  SelectorConfig cfg;
-  cfg.greedy.alpha = 0.6;
-  cfg.greedy.sigma.samples = 15;
-  cfg.greedy.max_protectors = 20;
-  const auto picks = select_protectors(SelectorKind::kGreedy, s, cfg);
+  LcrbOptions opts;
+  opts.alpha = 0.6;
+  opts.sigma_samples = 15;
+  opts.budget = 20;
+  const auto picks = select_protectors(s, opts);
 
   MonteCarloConfig mc;
   mc.runs = 40;

@@ -1,7 +1,9 @@
-// Cross-checks of the sample-realization engine against the legacy
-// simulate()-based estimator path. The two paths share the per-sample seeds,
-// so every statistic must agree EXACTLY (not approximately): the engine is a
-// replay of the same realizations, not a re-estimate.
+// Cross-checks of the sample-realization cache against the legacy
+// simulate() reference. A cache cap of one byte materializes no sample, so
+// every evaluation re-runs the forward kernel (run_cascade, what simulate()
+// runs) — the reference. Both share the per-sample seeds, so every statistic
+// must agree EXACTLY (not approximately): a replay is the same realization,
+// not a re-estimate. A partial cap mixes the two within one estimator.
 #include "lcrb/sigma_engine.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/sigma.h"
 #include "util/rng.h"
@@ -25,12 +28,12 @@ SigmaConfig engine_cfg(DiffusionModel model, std::size_t samples = 24,
   cfg.seed = seed;
   cfg.max_hops = 32;
   cfg.model = model;
-  cfg.use_realization_cache = true;
   return cfg;
 }
 
+/// No sample fits: every evaluation is a forward simulate() run.
 SigmaConfig legacy_cfg(SigmaConfig cfg) {
-  cfg.use_realization_cache = false;
+  cfg.max_cache_bytes = 1;
   return cfg;
 }
 
@@ -52,22 +55,25 @@ const DiffusionModel kCachedModels[] = {
     DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kLt};
 
 TEST(SigmaEngine, EngineOnByDefaultLegacyOnRequest) {
+  // The default cap materializes every sample; a one-byte cap none.
   const DiGraph g = path_graph(6);
   for (DiffusionModel m : kCachedModels) {
     SigmaEstimator cached(g, {0}, {3, 4}, engine_cfg(m));
-    EXPECT_TRUE(cached.uses_engine()) << to_string(m);
+    EXPECT_GT(cached.realization_bytes(), 0u) << to_string(m);
     SigmaEstimator legacy(g, {0}, {3, 4}, legacy_cfg(engine_cfg(m)));
-    EXPECT_FALSE(legacy.uses_engine()) << to_string(m);
+    EXPECT_EQ(legacy.realization_bytes(), 0u) << to_string(m);
   }
 }
 
 TEST(SigmaEngine, DoamAlwaysUsesLegacyPath) {
+  // DOAM has no cache: the engine re-runs the forward kernel per sample.
   const DiGraph g = path_graph(6);
   SigmaConfig cfg = engine_cfg(DiffusionModel::kDoam, 1);
   SigmaEstimator est(g, {0}, {3, 4}, cfg);
-  EXPECT_FALSE(est.uses_engine());
+  EXPECT_EQ(est.realization_bytes(), 0u);
   const NodeId a[] = {2};
   EXPECT_DOUBLE_EQ(est.sigma(a), 2.0);  // DOAM on a path: 2 blocks 3 and 4
+  EXPECT_GT(est.nodes_visited(), 0u);
 }
 
 TEST(SigmaEngine, CacheByteCapForcesLegacyPath) {
@@ -75,12 +81,97 @@ TEST(SigmaEngine, CacheByteCapForcesLegacyPath) {
   SigmaConfig cfg = engine_cfg(DiffusionModel::kOpoao);
   cfg.max_cache_bytes = 1;  // nothing fits
   SigmaEstimator est(g, {0}, {3, 4}, cfg);
-  EXPECT_FALSE(est.uses_engine());
+  EXPECT_EQ(est.realization_bytes(), 0u);
   cfg.max_cache_bytes = 0;  // 0 disables the cap
   SigmaEstimator uncapped(g, {0}, {3, 4}, cfg);
-  EXPECT_TRUE(uncapped.uses_engine());
+  EXPECT_GT(uncapped.realization_bytes(), 0u);
   const NodeId a[] = {2};
   EXPECT_EQ(est.sigma(a), uncapped.sigma(a));
+}
+
+TEST(SigmaEngine, PartialCapMaterializesAPrefixAndMatches) {
+  // A cap sized for half the samples: the first half replays, the rest
+  // re-run forward, and every statistic matches cap 0 (all replayed) and
+  // cap 1 (none) bit for bit.
+  CommunityGraphConfig cg_cfg;
+  cg_cfg.community_sizes = {40, 40, 40};
+  cg_cfg.avg_inter_degree = 1.2;
+  cg_cfg.seed = 23;
+  const CommunityGraph cg = make_community_graph(cg_cfg);
+  const Partition p(cg.membership);
+  const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
+  const std::vector<NodeId> ends =
+      find_bridge_ends(cg.graph, p, 0, rumors).bridge_ends;
+  ASSERT_FALSE(ends.empty());
+  Rng rng(41);
+
+  for (DiffusionModel m : kCachedModels) {
+    SigmaConfig uncapped = engine_cfg(m, 12);
+    uncapped.max_cache_bytes = 0;
+    SigmaConfig half = uncapped;
+    half.samples = 6;
+    SigmaConfig partial = uncapped;
+    partial.max_cache_bytes = SigmaEngine::estimated_bytes(cg.graph, half);
+    const SigmaConfig none = legacy_cfg(uncapped);
+
+    SigmaEstimator all(cg.graph, rumors, ends, uncapped);
+    SigmaEstimator some(cg.graph, rumors, ends, partial);
+    SigmaEstimator forward(cg.graph, rumors, ends, none);
+    EXPECT_LE(all.realization_bytes(),
+              SigmaEngine::estimated_bytes(cg.graph, uncapped))
+        << to_string(m);
+    EXPECT_GT(some.realization_bytes(), 0u) << to_string(m);
+    EXPECT_LE(some.realization_bytes(), partial.max_cache_bytes)
+        << to_string(m);
+    EXPECT_LT(some.realization_bytes(), all.realization_bytes())
+        << to_string(m);
+    EXPECT_EQ(forward.realization_bytes(), 0u) << to_string(m);
+
+    EXPECT_EQ(some.baseline_infected(), all.baseline_infected());
+
+    // Every cap, just at and just below each prefix's estimate.
+    const std::vector<NodeId> probe =
+        random_protectors(rng, cg.graph.num_nodes(), rumors, 3);
+    for (std::size_t k = 1; k <= uncapped.samples; ++k) {
+      SigmaConfig prefix = uncapped;
+      prefix.samples = k;
+      const std::size_t fits = SigmaEngine::estimated_bytes(cg.graph, prefix);
+      for (std::size_t cap : {fits - 1, fits}) {
+        SigmaConfig c = uncapped;
+        c.max_cache_bytes = cap;
+        SigmaEstimator e(cg.graph, rumors, ends, c);
+        EXPECT_LE(e.realization_bytes(), cap) << to_string(m) << " k " << k;
+        EXPECT_EQ(e.sigma(probe), all.sigma(probe))
+            << to_string(m) << " k " << k;
+      }
+    }
+    for (std::size_t k = 0; k <= 4; ++k) {
+      const std::vector<NodeId> a =
+          random_protectors(rng, cg.graph.num_nodes(), rumors, k);
+      EXPECT_EQ(some.sigma(a), all.sigma(a)) << to_string(m) << " k " << k;
+      EXPECT_EQ(some.sigma(a), forward.sigma(a)) << to_string(m);
+      EXPECT_EQ(some.protected_fraction(a), all.protected_fraction(a))
+          << to_string(m);
+      EXPECT_EQ(some.protected_fraction(a), forward.protected_fraction(a))
+          << to_string(m);
+    }
+
+    GreedyConfig gc;
+    gc.alpha = 0.9;
+    gc.use_celf = true;
+    gc.sigma = partial;
+    const GreedyResult r_some = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+    gc.sigma = uncapped;
+    const GreedyResult r_all = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+    gc.sigma = none;
+    const GreedyResult r_none = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+    EXPECT_EQ(r_some.protectors, r_all.protectors) << to_string(m);
+    EXPECT_EQ(r_some.gain_history, r_all.gain_history) << to_string(m);
+    EXPECT_EQ(r_some.achieved_fraction, r_all.achieved_fraction);
+    EXPECT_EQ(r_some.protectors, r_none.protectors) << to_string(m);
+    EXPECT_EQ(r_some.gain_history, r_none.gain_history) << to_string(m);
+    EXPECT_EQ(r_some.achieved_fraction, r_none.achieved_fraction);
+  }
 }
 
 TEST(SigmaEngine, PathBlockingIsExact) {
@@ -88,7 +179,7 @@ TEST(SigmaEngine, PathBlockingIsExact) {
   const DiGraph g = path_graph(6);
   for (DiffusionModel m : kCachedModels) {
     SigmaEstimator est(g, {0}, {3, 4, 5}, engine_cfg(m));
-    ASSERT_TRUE(est.uses_engine());
+    ASSERT_GT(est.realization_bytes(), 0u);
     const NodeId a[] = {2};
     EXPECT_DOUBLE_EQ(est.sigma(a), est.baseline_infected()) << to_string(m);
     EXPECT_DOUBLE_EQ(est.protected_fraction(a), 1.0) << to_string(m);
@@ -109,8 +200,8 @@ TEST(SigmaEngine, MatchesLegacyOnFixedSets) {
       const SigmaConfig cfg = engine_cfg(m);
       SigmaEstimator cached(g, {0, 1}, targets, cfg);
       SigmaEstimator legacy(g, {0, 1}, targets, legacy_cfg(cfg));
-      ASSERT_TRUE(cached.uses_engine());
-      ASSERT_FALSE(legacy.uses_engine());
+      ASSERT_GT(cached.realization_bytes(), 0u);
+      ASSERT_EQ(legacy.realization_bytes(), 0u);
       EXPECT_EQ(cached.baseline_infected(), legacy.baseline_infected())
           << to_string(m);
       const std::vector<std::vector<NodeId>> sets = {
@@ -135,7 +226,7 @@ TEST(SigmaEngine, MatchesLegacyRandomizedSweep) {
       const SigmaConfig cfg = engine_cfg(m, 16, 7 + trial);
       SigmaEstimator cached(g, rumors, targets, cfg);
       SigmaEstimator legacy(g, rumors, targets, legacy_cfg(cfg));
-      ASSERT_TRUE(cached.uses_engine());
+      ASSERT_GT(cached.realization_bytes(), 0u);
       for (std::size_t k = 1; k <= 6; ++k) {
         const std::vector<NodeId> a =
             random_protectors(rng, g.num_nodes(), rumors, k);
@@ -157,8 +248,8 @@ TEST(SigmaEngine, ParallelBitIdenticalToSerial) {
     const SigmaConfig cfg = engine_cfg(m, 20);
     SigmaEstimator serial(g, {0}, targets, cfg);
     SigmaEstimator parallel(g, {0}, targets, cfg, &pool);
-    ASSERT_TRUE(serial.uses_engine());
-    ASSERT_TRUE(parallel.uses_engine());
+    ASSERT_GT(serial.realization_bytes(), 0u);
+    ASSERT_GT(parallel.realization_bytes(), 0u);
     // Bit-identical, not just near: same slots, same fixed reduction order.
     EXPECT_EQ(serial.baseline_infected(), parallel.baseline_infected())
         << to_string(m);
@@ -173,7 +264,7 @@ TEST(SigmaEngine, ParallelBitIdenticalToSerial) {
 }
 
 TEST(SigmaEngine, LegacyParallelBitIdenticalToSerial) {
-  // The ordered reduction also covers the legacy path.
+  // The ordered reduction also covers forward-evaluated samples.
   Rng rng(6);
   const DiGraph g = erdos_renyi(80, 0.06, true, rng);
   std::vector<NodeId> targets{30, 31, 32, 33};
@@ -188,21 +279,23 @@ TEST(SigmaEngine, LegacyParallelBitIdenticalToSerial) {
 
 TEST(SigmaEngine, CountsEvaluationsLikeLegacy) {
   const DiGraph g = path_graph(5);
-  SigmaEstimator est(g, {0}, {4}, engine_cfg(DiffusionModel::kOpoao, 8));
-  ASSERT_TRUE(est.uses_engine());
-  EXPECT_EQ(est.evaluations(), 0u);
-  (void)est.sigma({});
-  EXPECT_EQ(est.evaluations(), 8u);
-  const NodeId a[] = {2};
-  (void)est.protected_fraction(a);
-  EXPECT_EQ(est.evaluations(), 16u);
+  const SigmaConfig cfg = engine_cfg(DiffusionModel::kOpoao, 8);
+  for (const SigmaConfig& c : {cfg, legacy_cfg(cfg)}) {
+    SigmaEstimator est(g, {0}, {4}, c);
+    EXPECT_EQ(est.evaluations(), 0u);
+    (void)est.sigma({});
+    EXPECT_EQ(est.evaluations(), 8u);
+    const NodeId a[] = {2};
+    (void)est.protected_fraction(a);
+    EXPECT_EQ(est.evaluations(), 16u);
+  }
 }
 
 TEST(SigmaEngine, RejectsInvalidProtectors) {
   const DiGraph g = path_graph(6);
   for (DiffusionModel m : kCachedModels) {
     SigmaEstimator est(g, {0}, {3, 4}, engine_cfg(m, 4));
-    ASSERT_TRUE(est.uses_engine());
+    ASSERT_GT(est.realization_bytes(), 0u);
     const NodeId out_of_range[] = {99};
     EXPECT_THROW((void)est.sigma(out_of_range), Error) << to_string(m);
     const NodeId collides[] = {0};
@@ -228,7 +321,7 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
       on.use_celf = celf;
       on.sigma = engine_cfg(m, 12);
       GreedyConfig off = on;
-      off.sigma.use_realization_cache = false;
+      off.sigma.max_cache_bytes = 1;  // every sample re-simulated
       const GreedyResult a = greedy_lcrbp(cg.graph, p, 0, rumors, on);
       const GreedyResult b = greedy_lcrbp(cg.graph, p, 0, rumors, off);
       // Same picks in the same order, same gains, same achieved fraction.

@@ -101,15 +101,16 @@ TEST_F(ThreadDeterminismTest, McGreedyOpoaoIsThreadCountInvariant) {
 }
 
 TEST_F(ThreadDeterminismTest, McGreedyIcLegacyPathIsThreadCountInvariant) {
-  // The legacy simulate()-based path is the reference implementation; it
-  // must honor the same contract as the realization cache.
+  // With no sample cached every evaluation re-runs simulate(), the
+  // reference implementation; it must honor the same contract as the
+  // realization cache.
   GreedyConfig cfg;
   cfg.alpha = 0.8;
   cfg.sigma.samples = 10;
   cfg.sigma.seed = 13;
   cfg.sigma.model = DiffusionModel::kIc;
   cfg.sigma.ic_edge_prob = 0.3;
-  cfg.sigma.use_realization_cache = false;
+  cfg.sigma.max_cache_bytes = 1;
   check(cfg);
 }
 

@@ -1,6 +1,6 @@
 """lcrb_analyze — semantic determinism analyzer for the LCRB codebase.
 
-Replaces the regex-only determinism linter with a front-end/rules split:
+A front-end/rules split:
 
   * a libclang front end (used when the `clang` Python bindings and a
     matching libclang shared library are available — the CI analyzer job

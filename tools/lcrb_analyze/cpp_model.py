@@ -18,8 +18,8 @@ type-tracking token analyzer. What it actually resolves:
   * a repo-wide index of class members and file-scope globals, consulted
     when a name (conventionally `foo_`) has no in-file declaration.
 
-Unlike the old regex linter, a member declared `std::unordered_map` in one
-header and iterated in another file resolves correctly, as does
+Unlike a same-file regex heuristic, a member declared `std::unordered_map`
+in one header and iterated in another file resolves correctly, as does
 `auto& m = map_;` followed by `for (auto& kv : m)`.
 """
 
@@ -78,7 +78,8 @@ class Lambda:
     by_ref: bool        # captures anything by reference ('&' in capture list)
     captures: set[str] = field(default_factory=set)  # explicitly named
     params: set[str] = field(default_factory=set)
-    parallel: bool = False  # argument of parallel_for(...) / submit(...)
+    parallel: bool = False  # argument of parallel_for(...) / submit(...),
+                            # inline or bound to a name passed there
     line: int = 0
     col: int = 0
 
@@ -485,6 +486,15 @@ def build_model(path: str, text: str) -> FileModel:
                 continue
             body_close = match.get(body_open, n - 1)
             par = any(open_ < i < close for open_, close in parallel_spans)
+            # A named task: `auto body = [&](...) {...};` later handed to
+            # parallel_for(n, body) / submit(body) by name.
+            if not par and i >= 2 and tokens[i - 1].text == "=" \
+                    and tokens[i - 2].kind == "ident":
+                bound = tokens[i - 2].text
+                par = any(tokens[k].kind == "ident" and tokens[k].text == bound
+                          for open_, close in parallel_spans
+                          if open_ > body_close
+                          for k in range(open_ + 1, close))
             lambdas.append(Lambda(
                 intro=i, body_open=body_open, body_close=body_close,
                 by_ref=by_ref, captures=captures, params=params,

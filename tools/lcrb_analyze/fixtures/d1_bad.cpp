@@ -49,4 +49,17 @@ int auto_ref_iteration(std::unordered_set<int>& live) {
   return s;
 }
 
+int structured_binding_iteration(const std::unordered_map<int, double>& acc) {
+  int s = 0;
+  // expect-next-line[D1]
+  for (const auto& [k, v] : acc) s += k;
+  return s;
+}
+
+bool begin_walk(const std::unordered_set<unsigned>& seen) {
+  // expect-next-line[D1]
+  auto it = seen.begin();
+  return it == seen.end();
+}
+
 }  // namespace fx

@@ -18,6 +18,14 @@ double racy_parallel_sum(ThreadPool& pool, const std::vector<double>& w) {
   return total;
 }
 
+double named_task_sum(ThreadPool& pool, const std::vector<double>& w) {
+  double total = 0.0;
+  // expect-next-line[D2]
+  auto body = [&](unsigned long i) { total += w[i]; };
+  pool.parallel_for(w.size(), body);
+  return total;
+}
+
 // expect-next-line[D2]
 std::atomic<double> g_cas_accumulator{0.0};
 

@@ -17,6 +17,8 @@ int unseeded_sources() {
   // expect-next-line[D3]
   int r = std::rand();
   // expect-next-line[D3]
+  r += rand();
+  // expect-next-line[D3]
   auto t = time(nullptr);
   // expect-next-line[D3]
   auto tick = std::chrono::steady_clock::now();

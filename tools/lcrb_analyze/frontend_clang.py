@@ -161,9 +161,17 @@ def analyze_file(path: str, repo_root: Path,
             if c.kind == CursorKind.CALL_EXPR and c.spelling in (
                     "parallel_for", "submit"):
                 for sub in c.walk_preorder():
-                    if sub.kind == CursorKind.LAMBDA_EXPR and in_this_file(sub):
-                        s, e = extent_range(sub)
-                        parallel_lambdas.append((s, e, sub))
+                    # A named task (`auto body = [&](...) {...};` passed as
+                    # `body`) reaches the call as a reference to its VarDecl.
+                    ref = sub.referenced if sub.kind == CursorKind.DECL_REF_EXPR \
+                        else None
+                    lams = ref.walk_preorder() if ref is not None \
+                        and ref.kind == CursorKind.VAR_DECL else [sub]
+                    for lam in lams:
+                        if lam.kind == CursorKind.LAMBDA_EXPR \
+                                and in_this_file(lam):
+                            s, e = extent_range(lam)
+                            parallel_lambdas.append((s, e, lam))
 
     find_parallel_lambdas(tu.cursor)
 

@@ -195,6 +195,10 @@ def analyze_model(m: FileModel, repo: RepoIndex | None,
             subscripted = False
             if nxt is not None and nxt.text == "[":
                 close = m.match.get(j + 1)
+                if close == j + 2:
+                    # `T name[] = {...}`: an array declarator, not a write.
+                    j += 1
+                    continue
                 if close is not None:
                     subscripted = True
                     slot = _subscript_is_slot(m, lam, j + 1)

@@ -1,20 +1,15 @@
 """det-ok waiver handling.
 
-Two accepted spellings, both on the same line as the flagged construct:
+One accepted spelling, on the same line as the flagged construct:
 
     // det-ok[D1]: sink is a max-by-key, order-insensitive
-    // det-ok: legacy reason text
 
-The rule-scoped form suppresses exactly one rule and is checked for
-staleness (a scoped waiver whose rule no longer fires on that line is
-itself a finding, W2). The bare form is the legacy spelling shared with
-tools/lint_determinism.py; it suppresses every D-rule on the line and is
-not staleness-checked, because the regex linter's rules overlap but do
-not coincide with the analyzer's.
-
-Every waiver — either form — must carry a non-empty justification string
-after the colon (W1 otherwise). Justifications shorter than 10 characters
-count as empty: "ok" and "safe" do not explain anything.
+A waiver suppresses exactly the rule it names and is checked for staleness
+(a waiver whose rule no longer fires on that line is itself a finding,
+W2). It must carry a justification string after the colon; one shorter
+than 10 characters counts as empty ("ok" and "safe" do not explain
+anything). A waiver without a justification, or without a rule (a bare
+`det-ok:`), waives nothing and is a W1 finding.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ class Waiver:
     path: str
     line: int
     col: int
-    rule: str | None       # None = bare/legacy form, waives all D rules
+    rule: str | None       # None = bare form: a W1 finding, waives nothing
     justification: str
     used: bool = False
 
@@ -64,16 +59,16 @@ def apply_waivers(findings: list[Finding],
         ws = by_line.get((f.path, f.line), [])
         suppressed = False
         for w in ws:
-            if w.rule is None or w.rule == f.rule:
+            if w.rule is not None and w.rule == f.rule:
                 w.used = True
                 suppressed = True
         if not suppressed:
             kept.append(f)
 
     for w in waivers:
-        if len(w.justification) < MIN_JUSTIFICATION:
+        if w.rule is None or len(w.justification) < MIN_JUSTIFICATION:
             kept.append(Finding(w.path, w.line, w.col, "W1",
                                 w.rule or "D<rule>"))
-        elif w.rule is not None and not w.used:
+        elif not w.used:
             kept.append(Finding(w.path, w.line, w.col, "W2", w.rule))
     return kept

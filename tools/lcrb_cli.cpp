@@ -265,13 +265,6 @@ int cmd_greedy(const Args& args) {
               << "certified sigma bounds: ["
               << fixed(r.meta.get_double("ris_sigma_lower", 0.0), 2) << ", "
               << fixed(r.meta.get_double("ris_sigma_upper", 0.0), 2) << "]\n";
-  } else {
-    std::cout << "sigma served by: "
-              << r.meta.get_string("sigma_path", "unknown");
-    const std::string fallback =
-        r.meta.get_string("sigma_fallback", "none");
-    if (fallback != "none") std::cout << " (fallback: " << fallback << ")";
-    std::cout << "\n";
   }
   std::cout << "sigma single-run evaluations: " << r.sigma_evaluations << "\n";
   return 0;
