@@ -3,7 +3,8 @@
 // (Cached), with none cached so every sample re-runs the forward kernel
 // (Forward, max_cache_bytes = 1), and with a cap that fits half the samples
 // (Partial). items_processed counts single-sample evaluations, so
-// items_per_second is directly "sigma evals/sec".
+// items_per_second is directly "sigma evals/sec". DOAM is deterministic:
+// its Cached run replays one realization for all samples.
 #include <benchmark/benchmark.h>
 
 #include "build_guard.h"
@@ -77,6 +78,12 @@ void BM_SigmaCached_Opoao(benchmark::State& state) {
 void BM_SigmaPartial_Opoao(benchmark::State& state) {
   run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kHalf);
 }
+void BM_SigmaForward_Doam(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kDoam, Budget::kNone);
+}
+void BM_SigmaCached_Doam(benchmark::State& state) {
+  run_sigma_bench(state, DiffusionModel::kDoam, Budget::kAll);
+}
 void BM_SigmaForward_Ic(benchmark::State& state) {
   run_sigma_bench(state, DiffusionModel::kIc, Budget::kNone);
 }
@@ -96,6 +103,8 @@ void BM_SigmaCached_Lt(benchmark::State& state) {
 BENCHMARK(BM_SigmaForward_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaPartial_Opoao)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaForward_Doam)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaCached_Doam)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaForward_Ic)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Ic)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaForward_Lt)->SIGMA_ARGS;

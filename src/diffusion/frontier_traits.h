@@ -7,14 +7,16 @@
 // is parameterized on that coin:
 //
 //  * FrontierForward<Coin>   — the Forward runner run_cascade instantiates.
-//  * LiveEdgeSample + replay — the realization cache: the live subgraph in
-//    CSR form plus baseline rumor BFS distances d_R. With arc liveness
-//    independent of the cascades, the winner at any node is
-//    argmin(d_R, d_P) with P on ties (docs/algorithms.md gives the
-//    induction), so an evaluation is one protector-side BFS over cached
-//    live arcs.
-//  * live_reverse_set<Coin>  — the RIS reverse sampler: reverse BFS over
-//    the transposed live subgraph, truncated at the rumor arrival level.
+//  * LiveEdgeTraits<Traits> — the cache and reverse members of the traits
+//    contract, parameterized on the traits' coin:
+//    - the realization cache: the live subgraph in CSR form plus baseline
+//      rumor BFS distances d_R. With arc liveness independent of the
+//      cascades, the winner at any node is argmin(d_R, d_P) with P on ties
+//      (docs/algorithms.md gives the induction), so an evaluation is one
+//      protector-side BFS over cached live arcs. For DOAM every arc is live
+//      and this is the dist(S_P, v) <= dist(S_R, v) rule of paper §III-B.
+//    - the RIS reverse sampler: reverse BFS over the transposed live
+//      subgraph, truncated at the rumor arrival level.
 //
 // doam_traits.h, ic_traits.h and wc_traits.h bind these to their coins.
 #pragma once
@@ -22,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "diffusion/kernel.h"
@@ -110,122 +113,160 @@ struct LiveEdgeReplayScratch {
   std::vector<NodeId> queue;
 };
 
-/// Materializes one live-edge sample: the coin is flipped once per arc, and
-/// the baseline activation steps ARE the live-subgraph BFS distances from
-/// the rumor seeds (no competition in the baseline run). `reserve_hint`
-/// presizes live_tgt (expected live-arc count; purely a perf knob).
-/// `infected_targets` are the baseline-infected bridge ends — arrivals
-/// deeper than the deepest of them can never save anything, which caps every
-/// replay's BFS.
-template <class Coin, class G>
-void build_live_sample(const G& g, const Coin& coin,
-                       std::size_t reserve_hint, DiffusionResult&& base,
-                       std::span<const NodeId> infected_targets,
-                       LiveEdgeSample& sp) {
-  sp.live_off.assign(g.num_nodes() + 1, 0);
-  sp.live_tgt.reserve(reserve_hint);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.out_neighbors(u)) {
-      if (coin(g, u, v)) sp.live_tgt.push_back(v);
-    }
-    sp.live_off[u + 1] = static_cast<std::uint32_t>(sp.live_tgt.size());
-  }
-  sp.live_tgt.shrink_to_fit();
-  sp.dist_r = std::move(base.activation_step);
-  sp.max_needed = 0;
-  for (NodeId v : infected_targets) {
-    sp.max_needed = std::max(sp.max_needed, sp.dist_r[v]);
-  }
-}
+/// The realization-cache and reverse members of the traits contract, written
+/// once for the whole family. A traits struct derives from
+/// LiveEdgeTraits<itself> and supplies
+///
+///   static Coin coin(std::uint64_t seed, const RealizationParams& p);
+///   static std::size_t live_arc_hint(const G& g, const RealizationParams& p);
+///
+/// — the sample's arc coin and the expected live-arc count (a reserve hint
+/// for the cached CSR; purely a perf knob).
+template <class Traits>
+struct LiveEdgeTraits {
+  struct CacheShared {};
+  using CacheSample = LiveEdgeSample;
+  using ReplayScratch = LiveEdgeReplayScratch;
 
-/// Replays one live-edge sample: a single protector-side BFS over the cached
-/// live arcs (protectors are already stamped kColorP by the caller),
-/// truncated at min(hops, max_needed). Returns the elementary-op count.
-inline std::uint64_t replay_live(const LiveEdgeSample& sp,
-                                 std::span<const NodeId> protectors,
-                                 EpochColorScratch& color,
-                                 LiveEdgeReplayScratch& rs,
-                                 std::uint32_t hops) {
-  const std::uint32_t e = color.epoch;
-  rs.queue.clear();
-  for (NodeId v : protectors) {
-    rs.dist[v] = 0;
-    rs.queue.push_back(v);
+  /// Upper bound by contract: every arc live.
+  template <class G>
+  static std::size_t estimated_cache_bytes(const G& g, std::size_t samples,
+                                           std::uint32_t /*hops*/) {
+    const std::size_t n = g.num_nodes();
+    return samples * (static_cast<std::size_t>(g.num_edges()) * sizeof(NodeId) +
+                      (n + 1) * sizeof(std::uint32_t) +
+                      n * sizeof(std::uint32_t));
   }
-  const std::uint32_t depth_cap = std::min(hops, sp.max_needed);
-  std::uint64_t ops = 0;
-  for (std::size_t head = 0; head < rs.queue.size(); ++head) {
-    const NodeId u = rs.queue[head];
-    const std::uint32_t du = rs.dist[u];
-    ++ops;
-    if (du >= depth_cap) continue;
-    const std::uint32_t begin = sp.live_off[u], end = sp.live_off[u + 1];
-    ops += end - begin;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const NodeId v = sp.live_tgt[k];
-      if (color.color_epoch[v] != e) {
-        color.color_epoch[v] = e;
-        color.color[v] = kColorP;
-        rs.dist[v] = du + 1;
-        rs.queue.push_back(v);
+
+  template <class G>
+  static CacheShared build_cache_shared(const G&) { return {}; }
+
+  /// Materializes one sample: the coin is flipped once per arc, and the
+  /// baseline activation steps ARE the live-subgraph BFS distances from the
+  /// rumor seeds (no competition in the baseline run). `infected_targets`
+  /// are the baseline-infected bridge ends — arrivals deeper than the
+  /// deepest of them can never save anything, which caps every replay's BFS.
+  template <class G>
+  static void build_cache_sample(const G& g, const CacheShared&,
+                                 std::uint64_t seed, DiffusionResult&& base,
+                                 std::span<const NodeId> infected_targets,
+                                 const RealizationParams& p, CacheSample& sp) {
+    const auto coin = Traits::coin(seed, p);
+    sp.live_off.assign(g.num_nodes() + 1, 0);
+    sp.live_tgt.reserve(Traits::live_arc_hint(g, p));
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : g.out_neighbors(u)) {
+        if (coin(g, u, v)) sp.live_tgt.push_back(v);
       }
+      sp.live_off[u + 1] = static_cast<std::uint32_t>(sp.live_tgt.size());
+    }
+    sp.live_tgt.shrink_to_fit();
+    sp.dist_r = std::move(base.activation_step);
+    sp.max_needed = 0;
+    for (NodeId v : infected_targets) {
+      sp.max_needed = std::max(sp.max_needed, sp.dist_r[v]);
     }
   }
-  return ops;
-}
 
-/// Bridge-end verdict after replay_live: a baseline-uninfected end cannot be
-/// hurt by protectors; a baseline-infected end is saved iff the protector
-/// BFS reached it no later than the rumor (P wins ties).
-inline bool live_replay_infected(const LiveEdgeSample& sp,
-                                 const EpochColorScratch& color,
-                                 const LiveEdgeReplayScratch& rs, NodeId v,
-                                 bool base_infected) {
-  if (!base_infected) return false;
-  return !(color.colored(v) && rs.dist[v] <= sp.dist_r[v]);
-}
+  static std::size_t cache_shared_bytes(const CacheShared&) { return 0; }
 
-/// Reverse BFS over the TRANSPOSED live arcs. The first level that contains
-/// a rumor seed is the realized rumor arrival d_R(root); it truncates the
-/// search, and by the live-subgraph distance rule every non-rumor node
-/// within that depth saves root. Null (empty out) when the rumor never
-/// reaches root within max_hops.
-template <class Coin, class G>
-void live_reverse_set(const G& g, const Coin& coin,
-                      const std::vector<bool>& is_rumor, NodeId root,
-                      std::uint32_t max_hops, ReverseScratch& sc,
-                      std::vector<NodeId>& out, std::uint64_t& visits) {
-  sc.frontier.clear();
-  sc.collected.clear();
-  sc.t0_epoch[root] = sc.epoch;
-  sc.frontier.push_back(root);
-  sc.collected.push_back(root);
-  ++visits;
-  std::uint32_t rumor_level = is_rumor[root] ? 0 : kUnreached;
-  std::uint32_t limit = max_hops;
-  for (std::uint32_t d = 0; d < limit && !sc.frontier.empty(); ++d) {
-    sc.next.clear();
-    for (NodeId w : sc.frontier) {
-      for (NodeId u : g.in_neighbors(w)) {
-        ++visits;
-        if (sc.t0_epoch[u] == sc.epoch) continue;
-        if (!coin(g, u, w)) continue;
-        sc.t0_epoch[u] = sc.epoch;
-        sc.next.push_back(u);
-        sc.collected.push_back(u);
-        if (is_rumor[u] && rumor_level == kUnreached) {
-          rumor_level = d + 1;
-          limit = std::min(limit, rumor_level);
+  static std::size_t cache_sample_bytes(const CacheSample& sp) {
+    return sp.live_off.capacity() * sizeof(std::uint32_t) +
+           sp.live_tgt.capacity() * sizeof(NodeId) +
+           sp.dist_r.capacity() * sizeof(std::uint32_t);
+  }
+
+  /// Replays one sample: a single protector-side BFS over the cached live
+  /// arcs (protectors are already stamped kColorP by the caller), truncated
+  /// at min(hops, max_needed). Returns the elementary-op count.
+  template <class G>
+  static std::uint64_t replay(const G&, const CacheShared&,
+                              const CacheSample& sp,
+                              std::span<const NodeId> /*rumors*/,
+                              std::span<const NodeId> protectors,
+                              EpochColorScratch& color, ReplayScratch& rs,
+                              const RealizationParams& p) {
+    const std::uint32_t e = color.epoch;
+    rs.queue.clear();
+    for (NodeId v : protectors) {
+      rs.dist[v] = 0;
+      rs.queue.push_back(v);
+    }
+    const std::uint32_t depth_cap = std::min(p.max_hops, sp.max_needed);
+    std::uint64_t ops = 0;
+    for (std::size_t head = 0; head < rs.queue.size(); ++head) {
+      const NodeId u = rs.queue[head];
+      const std::uint32_t du = rs.dist[u];
+      ++ops;
+      if (du >= depth_cap) continue;
+      const std::uint32_t begin = sp.live_off[u], end = sp.live_off[u + 1];
+      ops += end - begin;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const NodeId v = sp.live_tgt[k];
+        if (color.color_epoch[v] != e) {
+          color.color_epoch[v] = e;
+          color.color[v] = kColorP;
+          rs.dist[v] = du + 1;
+          rs.queue.push_back(v);
         }
       }
     }
-    sc.frontier.swap(sc.next);
+    return ops;
   }
-  if (rumor_level == kUnreached) return;  // null set
-  out.reserve(sc.collected.size());
-  for (NodeId v : sc.collected) {
-    if (!is_rumor[v]) out.push_back(v);
+
+  /// Bridge-end verdict after replay: a baseline-uninfected end cannot be
+  /// hurt by protectors; a baseline-infected end is saved iff the protector
+  /// BFS reached it no later than the rumor (P wins ties).
+  static bool replay_infected(const CacheSample& sp,
+                              const EpochColorScratch& color,
+                              const ReplayScratch& rs, NodeId v,
+                              bool base_infected) {
+    if (!base_infected) return false;
+    return !(color.colored(v) && rs.dist[v] <= sp.dist_r[v]);
   }
-}
+
+  /// Reverse BFS over the TRANSPOSED live arcs. The first level that
+  /// contains a rumor seed is the realized rumor arrival d_R(root); it
+  /// truncates the search, and by the live-subgraph distance rule every
+  /// non-rumor node within that depth saves root. Null (nothing appended to
+  /// out) when the rumor never reaches root within max_hops. `root` is never
+  /// a rumor seed (RrSampler rejects such bridge ends).
+  template <class G>
+  static void reverse_set(const G& g, const std::vector<bool>& is_rumor,
+                          std::span<const NodeId> /*rumors*/, NodeId root,
+                          std::uint64_t seed, const RealizationParams& p,
+                          ReverseScratch& sc, std::vector<NodeId>& out,
+                          std::uint64_t& visits) {
+    const auto coin = Traits::coin(seed, p);
+    const std::size_t start = out.size();
+    sc.frontier.clear();
+    sc.t0_epoch[root] = sc.epoch;
+    sc.frontier.push_back(root);
+    out.push_back(root);
+    ++visits;
+    std::uint32_t limit = p.max_hops;
+    bool reached = false;
+    for (std::uint32_t d = 0; d < limit && !sc.frontier.empty(); ++d) {
+      sc.next.clear();
+      for (NodeId w : sc.frontier) {
+        for (NodeId u : g.in_neighbors(w)) {
+          ++visits;
+          if (sc.t0_epoch[u] == sc.epoch) continue;
+          if (!coin(g, u, w)) continue;
+          sc.t0_epoch[u] = sc.epoch;
+          sc.next.push_back(u);
+          if (!is_rumor[u]) {
+            out.push_back(u);
+          } else if (!reached) {
+            reached = true;
+            limit = d + 1;
+          }
+        }
+      }
+      sc.frontier.swap(sc.next);
+    }
+    if (!reached) out.resize(start);  // null set
+  }
+};
 
 }  // namespace lcrb

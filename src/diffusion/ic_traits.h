@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "diffusion/frontier_traits.h"
 #include "diffusion/ic.h"
@@ -16,11 +14,10 @@
 
 namespace lcrb {
 
-struct IcTraits {
+struct IcTraits : LiveEdgeTraits<IcTraits> {
   static constexpr DiffusionModel kModel = DiffusionModel::kIc;
   static constexpr const char* kName = "IC";
   static constexpr bool kDeterministic = false;
-  static constexpr bool kSupportsCache = true;
   static constexpr bool kSupportsReverse = true;
 
   using Config = IcConfig;
@@ -42,6 +39,16 @@ struct IcTraits {
     }
   };
 
+  static Coin coin(std::uint64_t seed, const RealizationParams& p) {
+    return {seed, p.ic_edge_prob};
+  }
+
+  template <class G>
+  static std::size_t live_arc_hint(const G& g, const RealizationParams& p) {
+    return static_cast<std::size_t>(static_cast<double>(g.num_edges()) *
+                                    p.ic_edge_prob * 1.1);
+  }
+
   template <class G>
   class Forward : public FrontierForward<Coin, G> {
    public:
@@ -52,80 +59,6 @@ struct IcTraits {
                    "edge_prob must be in [0,1]");
     }
   };
-
-  // --- realization cache (live subgraph + baseline distances) -------------
-  struct CacheShared {};
-  using CacheSample = LiveEdgeSample;
-  using ReplayScratch = LiveEdgeReplayScratch;
-
-  template <class G>
-  static std::size_t estimated_cache_bytes(const G& g,
-                                           std::size_t samples,
-                                           std::uint32_t /*hops*/) {
-    const std::size_t n = g.num_nodes();
-    return samples * (static_cast<std::size_t>(g.num_edges()) * sizeof(NodeId) +
-                      (n + 1) * sizeof(std::uint32_t) +
-                      n * sizeof(std::uint32_t));
-  }
-
-  template <class G>
-  static CacheShared build_cache_shared(const G&) { return {}; }
-
-  template <class G>
-  static void build_cache_sample(const G& g, const CacheShared&,
-                                 std::uint64_t seed, DiffusionResult&& base,
-                                 std::span<const NodeId> infected_targets,
-                                 const RealizationParams& p, CacheSample& sp) {
-    build_live_sample(g, Coin{seed, p.ic_edge_prob},
-                      static_cast<std::size_t>(
-                          static_cast<double>(g.num_edges()) *
-                          p.ic_edge_prob * 1.1),
-                      std::move(base), infected_targets, sp);
-  }
-
-  static std::size_t cache_shared_bytes(const CacheShared&) { return 0; }
-
-  static std::size_t cache_sample_bytes(const CacheSample& sp) {
-    return sp.live_off.capacity() * sizeof(std::uint32_t) +
-           sp.live_tgt.capacity() * sizeof(NodeId) +
-           sp.dist_r.capacity() * sizeof(std::uint32_t);
-  }
-
-  template <class G>
-  static std::uint64_t replay(const G&, const CacheShared&,
-                              const CacheSample& sp,
-                              std::span<const NodeId> /*rumors*/,
-                              std::span<const NodeId> protectors,
-                              EpochColorScratch& color, ReplayScratch& rs,
-                              const RealizationParams& p) {
-    return replay_live(sp, protectors, color, rs, p.max_hops);
-  }
-
-  static bool replay_infected(const CacheSample& sp,
-                              const EpochColorScratch& color,
-                              const ReplayScratch& rs, NodeId v,
-                              bool base_infected) {
-    return live_replay_infected(sp, color, rs, v, base_infected);
-  }
-
-  // --- reverse reachability (RIS) ------------------------------------------
-  template <class G>
-  static ReverseShared build_reverse_shared(const G&,
-                                            std::span<const NodeId>,
-                                            const RealizationParams&) {
-    return {};
-  }
-
-  template <class G>
-  static void reverse_set(const G& g, const std::vector<bool>& is_rumor,
-                          std::span<const NodeId> /*rumors*/,
-                          const ReverseShared&, NodeId root,
-                          std::uint64_t seed, const RealizationParams& p,
-                          ReverseScratch& sc, std::vector<NodeId>& out,
-                          std::uint64_t& visits) {
-    live_reverse_set(g, Coin{seed, p.ic_edge_prob}, is_rumor, root,
-                     p.max_hops, sc, out, visits);
-  }
 };
 
 }  // namespace lcrb

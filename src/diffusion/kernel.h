@@ -195,14 +195,6 @@ struct EpochColorScratch {
   }
 };
 
-/// Precomputed rumor-side state shared by every reverse draw of one sampler
-/// (built once per RrSampler). Only DOAM populates it — its realization is
-/// deterministic, so the rumor arrival times can be computed up front; the
-/// stochastic models re-derive arrivals per realization seed.
-struct ReverseShared {
-  std::vector<std::uint32_t> rumor_dist;
-};
-
 /// Per-draw working memory for the reverse-reachability samplers, reused
 /// across RR sets via epoch stamping so a fresh draw costs O(touched), not
 /// O(n). Leased under a mutex by RrSampler; concurrent draws each hold one.
@@ -225,12 +217,12 @@ struct ReverseScratch {
   }
 
   std::uint32_t epoch = 0;
-  /// OPOAO: rumor-only baseline activation step. IC/DOAM: reverse distance.
+  /// OPOAO: rumor-only baseline activation step. Live-edge: visited stamp.
   std::vector<std::uint32_t> t0_epoch, t0;
   /// OPOAO reverse search: latest admissible claim step.
   std::vector<std::uint32_t> lat_epoch, lat;
   std::vector<std::uint32_t> done_epoch;
-  std::vector<NodeId> frontier, next, active, collected;
+  std::vector<NodeId> frontier, next, active;
   /// OPOAO bucket queue over claim steps; always drained back to empty.
   std::vector<std::vector<NodeId>> buckets;
 };

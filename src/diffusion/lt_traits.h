@@ -25,7 +25,6 @@ struct LtTraits {
   static constexpr DiffusionModel kModel = DiffusionModel::kLt;
   static constexpr const char* kName = "LT";
   static constexpr bool kDeterministic = false;
-  static constexpr bool kSupportsCache = true;
   static constexpr bool kSupportsReverse = false;
 
   using Config = LtConfig;

@@ -4,24 +4,26 @@
 // A traits struct (OpoaoTraits, DoamTraits, IcTraits, LtTraits, WcTraits)
 // is the single place its model's semantics live. The contract:
 //
-//   flags     kModel, kName, kDeterministic (one sample suffices),
-//             kSupportsCache (realization cache), kSupportsReverse (RIS)
+//   flags     kModel, kName, kDeterministic (one realization: Monte-Carlo
+//             runs once, SigmaEngine materializes one sample for all),
+//             kSupportsReverse (RIS)
 //   forward   Config, Trace, config_from(RealizationParams),
 //             Forward(g, seed, cfg, trace) with seed(plan, r) / active() /
 //             step(plan, step, r) over a CascadePlan (K cascades in priority
 //             order) — consumed by run_cascade<Traits> (kernel.h)
-//   cache     [kSupportsCache] CacheShared/CacheSample/ReplayScratch,
+//   cache     CacheShared/CacheSample/ReplayScratch,
 //             build_cache_shared/build_cache_sample, replay,
 //             replay_infected, *_bytes — consumed by SigmaEngine
-//   reverse   [kSupportsReverse] build_reverse_shared, reverse_set —
-//             consumed by RrSampler
+//   reverse   [kSupportsReverse] reverse_set — consumed by RrSampler
 //
-// Capability flags are checked with `if constexpr`, so a model without a
-// capability simply omits those members. Everything downstream — simulate(),
-// Monte-Carlo, the sigma engines, RIS, the query service, the CLI — is
-// generic over this contract: adding a model is one traits file plus a
-// DiffusionModel enum entry (wc_traits.h is the worked example; the recipe
-// is in docs/architecture.md).
+// Every model implements the cache. The live-edge family (DOAM, IC, WC)
+// inherits its cache and reverse members from LiveEdgeTraits
+// (frontier_traits.h) and binds only a coin. The reverse capability is
+// checked with `if constexpr`, so LT simply omits reverse_set. Everything
+// downstream — simulate(), Monte-Carlo, the sigma engine, RIS, the query
+// service, the CLI — is generic over this contract: adding a model is one
+// traits file plus a DiffusionModel enum entry (wc_traits.h is the worked
+// example; the recipe is in docs/architecture.md).
 #pragma once
 
 #include "diffusion/doam_traits.h"

@@ -20,7 +20,6 @@ struct OpoaoTraits {
   static constexpr DiffusionModel kModel = DiffusionModel::kOpoao;
   static constexpr const char* kName = "OPOAO";
   static constexpr bool kDeterministic = false;
-  static constexpr bool kSupportsCache = true;
   static constexpr bool kSupportsReverse = true;
 
   using Config = OpoaoConfig;
@@ -420,16 +419,8 @@ struct OpoaoTraits {
   // -------------------------------------------------------------------------
 
   template <class G>
-  static ReverseShared build_reverse_shared(const G& /*g*/,
-                                            std::span<const NodeId> /*rumors*/,
-                                            const RealizationParams& /*p*/) {
-    return {};
-  }
-
-  template <class G>
   static void reverse_set(const G& g, const std::vector<bool>& is_rumor,
-                          std::span<const NodeId> rumors,
-                          const ReverseShared& /*shared*/, NodeId root,
+                          std::span<const NodeId> rumors, NodeId root,
                           std::uint64_t seed, const RealizationParams& p,
                           ReverseScratch& sc, std::vector<NodeId>& out,
                           std::uint64_t& visits) {

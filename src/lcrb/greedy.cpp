@@ -141,10 +141,8 @@ GreedyResult greedy_lcrbp_from_bridges(const G& g,
   SigmaEstimator estimator(g, {rumors.begin(), rumors.end()},
                            bridges.bridge_ends, cfg.sigma, pool);
   out = greedy_lcrbp_with_estimator(g, rumors, bridges, cfg, estimator, pool);
-  // With a private estimator the raw counters are race-free; report them so
-  // the legacy fields keep their historical meanings (nodes_visited includes
-  // the estimator's internal work, not just call counts).
-  out.sigma_evaluations = estimator.evaluations();
+  // With a private estimator the visit counter is race-free: report the
+  // estimator's internal work, not just call counts.
   out.nodes_visited = estimator.nodes_visited();
   return out;
 }
@@ -348,11 +346,13 @@ MultiGreedyResult greedy_multi_with_estimator(
     out.deployed.erase(std::unique(out.deployed.begin(), out.deployed.end()),
                        out.deployed.end());
     out.combined.protectors = out.deployed;
-    out.combined.achieved_fraction =
-        bridges.bridge_ends.empty()
-            ? 1.0
-            : estimator.protected_fraction(out.deployed);
-    ++out.combined.sigma_evaluations;
+    if (bridges.bridge_ends.empty()) {
+      out.combined.achieved_fraction = 1.0;
+    } else {
+      out.combined.achieved_fraction =
+          estimator.protected_fraction(out.deployed);
+      out.combined.sigma_evaluations += cfg.sigma.samples;
+    }
   }
   std::sort(out.deployed.begin(), out.deployed.end());
   out.deployed.erase(std::unique(out.deployed.begin(), out.deployed.end()),
@@ -378,7 +378,6 @@ MultiGreedyResult greedy_multi_from_bridges(
                            bridges.bridge_ends, cfg.sigma, pool);
   MultiGreedyResult out = greedy_multi_with_estimator(
       g, rumors, bridges, cfg, budgets, mode, estimator, pool);
-  out.combined.sigma_evaluations = estimator.evaluations();
   out.combined.nodes_visited = estimator.nodes_visited();
   return out;
 }

@@ -131,9 +131,6 @@ void LcrbOptions::validate() const {
   if (ris_initial_sets == 0 || ris_max_sets < ris_initial_sets) {
     throw Error("options: need 1 <= ris_initial_sets <= ris_max_sets");
   }
-  if (ris_estimator_sets == 0) {
-    throw Error("options: ris_estimator_sets must be >= 1");
-  }
   // ris_max_pool_bytes: any value is valid (0 = unlimited; a tiny budget
   // degrades to a one-set pool rather than failing).
   if (gvs_samples == 0) {
@@ -212,7 +209,6 @@ RisConfig LcrbOptions::ris_config() const {
   rc.delta = ris_delta;
   rc.initial_sets = ris_initial_sets;
   rc.max_sets = ris_max_sets;
-  rc.estimator_sets = ris_estimator_sets;
   rc.max_pool_bytes = ris_max_pool_bytes;
   rc.seed = sigma_seed;
   rc.max_hops = max_hops;
@@ -271,8 +267,6 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
       "ris-initial-sets", static_cast<std::int64_t>(o.ris_initial_sets)));
   o.ris_max_sets = static_cast<std::size_t>(args.get_int(
       "ris-max-sets", static_cast<std::int64_t>(o.ris_max_sets)));
-  o.ris_estimator_sets = static_cast<std::size_t>(args.get_int(
-      "ris-estimator-sets", static_cast<std::int64_t>(o.ris_estimator_sets)));
   o.ris_max_pool_bytes = static_cast<std::size_t>(args.get_int(
       "ris-pool-bytes", static_cast<std::int64_t>(o.ris_max_pool_bytes)));
   o.gvs_samples = static_cast<std::size_t>(args.get_int(
@@ -320,7 +314,6 @@ JsonValue LcrbOptions::to_json() const {
   v.set("ris_delta", ris_delta);
   v.set("ris_initial_sets", static_cast<std::uint64_t>(ris_initial_sets));
   v.set("ris_max_sets", static_cast<std::uint64_t>(ris_max_sets));
-  v.set("ris_estimator_sets", static_cast<std::uint64_t>(ris_estimator_sets));
   v.set("ris_max_pool_bytes", static_cast<std::uint64_t>(ris_max_pool_bytes));
   v.set("gvs_samples", static_cast<std::uint64_t>(gvs_samples));
   v.set("gvs_max_candidates", static_cast<std::uint64_t>(gvs_max_candidates));
@@ -391,8 +384,6 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
       o.ris_initial_sets = static_cast<std::size_t>(non_negative_option(val, "ris_initial_sets"));
     } else if (key == "ris_max_sets") {
       o.ris_max_sets = static_cast<std::size_t>(non_negative_option(val, "ris_max_sets"));
-    } else if (key == "ris_estimator_sets") {
-      o.ris_estimator_sets = static_cast<std::size_t>(non_negative_option(val, "ris_estimator_sets"));
     } else if (key == "ris_max_pool_bytes") {
       o.ris_max_pool_bytes = static_cast<std::size_t>(non_negative_option(val, "ris_max_pool_bytes"));
     } else if (key == "gvs_samples") {

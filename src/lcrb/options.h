@@ -84,7 +84,6 @@ struct LcrbOptions {
   double ris_delta = 0.01;
   std::size_t ris_initial_sets = 512;
   std::size_t ris_max_sets = std::size_t{1} << 18;
-  std::size_t ris_estimator_sets = 4096;
   /// Content-byte budget per RR pool (0 = unlimited); see
   /// RisConfig::max_pool_bytes for the retirement semantics.
   std::size_t ris_max_pool_bytes = 0;

@@ -283,18 +283,10 @@ RrSampler::RrSampler(GraphRef g, std::vector<NodeId> rumors,
   }
   for (NodeId v : bridge_ends_) {
     LCRB_REQUIRE(v < g_.num_nodes(), "bridge end out of range");
+    // A rumor seed is infected at step 0: nothing can save it, so its RR
+    // set would have to be null.
+    LCRB_REQUIRE(!is_rumor_[v], "bridge end is a rumor seed");
   }
-  const RealizationParams params{cfg_.max_hops, cfg_.ic_edge_prob};
-  reverse_shared_ = dispatch_model(cfg_.model, [&](auto t) -> ReverseShared {
-    using T = decltype(t);
-    if constexpr (T::kSupportsReverse) {
-      return g_.visit([&](const auto& gr) {
-        return T::build_reverse_shared(gr, rumors_, params);
-      });
-    } else {
-      return {};
-    }
-  });
 }
 
 RrSampler::~RrSampler() = default;
@@ -325,8 +317,8 @@ std::uint32_t RrSampler::rr_set_into(std::size_t root_idx,
     using T = decltype(t);
     if constexpr (T::kSupportsReverse) {
       g_.visit([&](const auto& gr) {
-        T::reverse_set(gr, is_rumor_, rumors_, reverse_shared_, root,
-                       realization_seed, params, sc, nodes, visits);
+        T::reverse_set(gr, is_rumor_, rumors_, root, realization_seed, params,
+                       sc, nodes, visits);
       });
     } else {
       throw Error("RIS does not support " + std::string(T::kName));

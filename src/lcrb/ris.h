@@ -8,15 +8,15 @@
 // set of nodes that, seeded alone as a protector at step 0, save b in that
 // realization. The per-model reverse searches live in the model traits
 // (src/diffusion/model_traits.h, capability kSupportsReverse with
-// build_reverse_shared + reverse_set); the sampler here owns the generic
-// machinery — root/realization draws, scratch leasing, pool growth:
+// reverse_set); the sampler here owns the generic machinery —
+// root/realization draws, scratch leasing, pool growth. A bridge end that
+// is a rumor seed is rejected at construction (it can never be saved):
 //
-//  * DOAM   — reverse BFS truncated at dist_R(b): v saves b iff
-//             dist(v, b) <= dist_R(b) (the §6.4 distance rule). Exact.
-//  * IC/WC  — reverse BFS over the TRANSPOSED live-edge subgraph; the rumor
-//             arrival d_R(b) is discovered by the same search (first level
-//             containing a rumor seed) and truncates it. Exact by the
-//             live-subgraph distance rule.
+//  * DOAM/IC/WC — reverse BFS over the TRANSPOSED live-edge subgraph (DOAM:
+//             every arc live); the rumor arrival d_R(b) is discovered by
+//             the same search (first level containing a rumor seed) and
+//             truncates it. Exact by the live-subgraph distance rule: v
+//             saves b iff dist(v, b) <= d_R(b) (DESIGN §6.4).
 //  * OPOAO  — reverse temporal search over the pick stream: v is collected
 //             iff a pick path v -> w1 -> ... -> b exists with strictly
 //             increasing steps t_i where every intermediate claim lands no
@@ -256,9 +256,6 @@ class RrSampler {
   std::vector<NodeId> rumors_;
   std::vector<NodeId> bridge_ends_;
   std::vector<bool> is_rumor_;
-  /// Traits::build_reverse_shared output, shared by every draw (only DOAM
-  /// populates it — its realization is deterministic).
-  ReverseShared reverse_shared_;
 
   mutable std::mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<ReverseScratch>> scratch_free_;

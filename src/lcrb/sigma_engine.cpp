@@ -1,5 +1,6 @@
 #include "lcrb/sigma_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <type_traits>
@@ -29,64 +30,50 @@ class SigmaEngine::Base {
 
 namespace {
 
-/// A model's cache types, or empty stand-ins for a model without a cache
-/// (DOAM), whose engine materializes no sample.
-template <class Traits, bool = Traits::kSupportsCache>
-struct CacheTypes {
-  using Shared = typename Traits::CacheShared;
-  using Sample = typename Traits::CacheSample;
-  using ReplayScratch = typename Traits::ReplayScratch;
-};
+/// Distinct realizations behind `samples` samples: every sample of a
+/// deterministic model (DOAM) realizes the same cascade, so it has one.
 template <class Traits>
-struct CacheTypes<Traits, false> {
-  struct Shared {};
-  struct Sample {};
-  struct ReplayScratch {
-    explicit ReplayScratch(NodeId) {}
-    void on_epoch_wrap() {}
-  };
-};
+std::size_t realizations(std::size_t samples) {
+  return Traits::kDeterministic ? std::min<std::size_t>(samples, 1) : samples;
+}
 
-/// The sample budget k: the largest prefix of samples whose traits byte
-/// estimate fits cfg.max_cache_bytes (0 = no cap). Depends only on the
+/// The sample budget k: the largest prefix of realizations whose traits
+/// byte estimate fits cfg.max_cache_bytes (0 = no cap). Depends only on the
 /// graph and the config, never on thread scheduling.
 template <class Traits, class G>
 std::size_t sample_budget(const G& g, const SigmaConfig& cfg) {
-  if constexpr (!Traits::kSupportsCache) {
-    return 0;
-  } else {
-    if (cfg.max_cache_bytes == 0) return cfg.samples;
-    // The estimate grows with the prefix length: binary-search the largest
-    // prefix that fits.
-    std::size_t lo = 0;
-    std::size_t hi = cfg.samples;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (Traits::estimated_cache_bytes(g, mid, cfg.max_hops) <=
-          cfg.max_cache_bytes) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
+  const std::size_t n = realizations<Traits>(cfg.samples);
+  if (cfg.max_cache_bytes == 0) return n;
+  // The estimate grows with the prefix length: binary-search the largest
+  // prefix that fits.
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (Traits::estimated_cache_bytes(g, mid, cfg.max_hops) <=
+        cfg.max_cache_bytes) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
     }
-    return lo;
   }
+  return lo;
 }
 
-/// The byte cap left samples to forward evaluation: a real perf cliff, so
-/// say so (once per process; repeats at debug level).
-void warn_partial(std::size_t k, std::size_t samples, std::size_t estimated,
+/// The byte cap left realizations to forward evaluation: a real perf cliff,
+/// so say so (once per process; repeats at debug level).
+void warn_partial(std::size_t k, std::size_t n, std::size_t estimated,
                   std::size_t cap) {
   static std::atomic<bool> warned{false};
   if (!warned.exchange(true, std::memory_order_relaxed)) {
-    LCRB_LOG_WARN << "sigma: " << k << " of " << samples
-                  << " samples materialised (all " << samples
+    LCRB_LOG_WARN << "sigma: " << k << " of " << n
+                  << " realizations materialised (all " << n
                   << " would take an estimated " << estimated
                   << " bytes; max_cache_bytes " << cap
                   << "); the rest re-run the forward kernel per evaluation";
   } else {
-    LCRB_LOG_DEBUG << "sigma: " << k << " of " << samples
-                   << " samples materialised (estimated " << estimated
+    LCRB_LOG_DEBUG << "sigma: " << k << " of " << n
+                   << " realizations materialised (estimated " << estimated
                    << " > cap " << cap << ")";
   }
 }
@@ -114,51 +101,43 @@ class EngineImpl final : public SigmaEngine::Base {
       is_rumor_.set(r);
     }
 
-    const std::size_t samples = cfg_.samples;
-    baseline_bits_.assign(samples, DynamicBitset(bridge_ends_.size()));
-    baseline_count_.assign(samples, 0);
+    const std::size_t n = realizations<Traits>(cfg_.samples);
+    baseline_bits_.assign(n, DynamicBitset(bridge_ends_.size()));
+    baseline_count_.assign(n, 0);
     samples_.resize(sample_budget<Traits>(g_, cfg_));
-    if constexpr (Traits::kSupportsCache) {
-      if (!samples_.empty()) shared_ = Traits::build_cache_shared(g_);
-      if (samples_.size() < samples) {
-        warn_partial(samples_.size(), samples,
-                     Traits::estimated_cache_bytes(g_, samples, cfg_.max_hops),
-                     cfg_.max_cache_bytes);
-      }
+    if (!samples_.empty()) shared_ = Traits::build_cache_shared(g_);
+    if (samples_.size() < n) {
+      warn_partial(samples_.size(), n,
+                   Traits::estimated_cache_bytes(g_, n, cfg_.max_hops),
+                   cfg_.max_cache_bytes);
     }
 
-    // Every sample writes only its own slots, so parallel construction
+    // Every realization writes only its own slots, so parallel construction
     // yields identical data to serial.
-    auto build = [this](std::size_t i) { build_sample(i); };
-    if (pool != nullptr && samples > 1) {
-      pool->parallel_for(samples, build);
+    auto build = [this](std::size_t r) { build_sample(r); };
+    if (pool != nullptr && n > 1) {
+      pool->parallel_for(n, build);
     } else {
-      for (std::size_t i = 0; i < samples; ++i) build(i);
+      for (std::size_t r = 0; r < n; ++r) build(r);
     }
   }
 
   Outcome evaluate(std::size_t sample,
                    std::span<const NodeId> protectors) const override {
     LCRB_REQUIRE(sample < cfg_.samples, "sample index out of range");
-    if constexpr (Traits::kSupportsCache) {
-      if (sample < samples_.size()) return replay(sample, protectors);
-    }
-    return forward(sample, protectors);
+    const std::size_t r = slot(sample);
+    return r < samples_.size() ? replay(r, protectors) : forward(r, protectors);
   }
 
   std::uint32_t baseline_infected(std::size_t sample) const override {
-    return baseline_count_[sample];
+    return baseline_count_[slot(sample)];
   }
 
   std::size_t realization_bytes() const override {
-    if constexpr (Traits::kSupportsCache) {
-      if (samples_.empty()) return 0;
-      std::size_t total = Traits::cache_shared_bytes(shared_);
-      for (const Sample& sp : samples_) total += Traits::cache_sample_bytes(sp);
-      return total;
-    } else {
-      return 0;
-    }
+    if (samples_.empty()) return 0;
+    std::size_t total = Traits::cache_shared_bytes(shared_);
+    for (const Sample& sp : samples_) total += Traits::cache_sample_bytes(sp);
+    return total;
   }
 
   std::uint64_t nodes_visited() const override {
@@ -166,8 +145,13 @@ class EngineImpl final : public SigmaEngine::Base {
   }
 
  private:
-  using Shared = typename CacheTypes<Traits>::Shared;
-  using Sample = typename CacheTypes<Traits>::Sample;
+  using Shared = typename Traits::CacheShared;
+  using Sample = typename Traits::CacheSample;
+
+  /// The realization sample i evaluates on.
+  static std::size_t slot(std::size_t i) {
+    return Traits::kDeterministic ? 0 : i;
+  }
 
   /// Epoch-stamped scratch for one in-flight replay: the shared color state
   /// plus the model's own working memory, advanced in lockstep.
@@ -177,7 +161,7 @@ class EngineImpl final : public SigmaEngine::Base {
       if (color.bump()) model.on_epoch_wrap();
     }
     EpochColorScratch color;
-    typename CacheTypes<Traits>::ReplayScratch model;
+    typename Traits::ReplayScratch model;
   };
 
   /// RAII lease of a scratch buffer from the engine's free list.
@@ -224,15 +208,13 @@ class EngineImpl final : public SigmaEngine::Base {
     }
     baseline_count_[i] = count;
 
-    if constexpr (Traits::kSupportsCache) {
-      if (i < samples_.size()) {
-        Traits::build_cache_sample(g_, shared_, seed, std::move(base),
-                                   infected_targets, params_, samples_[i]);
-      }
+    if (i < samples_.size()) {
+      Traits::build_cache_sample(g_, shared_, seed, std::move(base),
+                                 infected_targets, params_, samples_[i]);
     }
   }
 
-  /// Counts sample i's bridge-end verdicts against its baseline;
+  /// Counts realization i's bridge-end verdicts against its baseline;
   /// `infected(b, base_infected)` says whether bridge end b ends infected.
   template <class Infected>
   Outcome tally(std::size_t sample, Infected infected) const {
@@ -266,7 +248,7 @@ class EngineImpl final : public SigmaEngine::Base {
     });
   }
 
-  /// A sample past the budget: one simulate() run (run_cascade<Traits>)
+  /// A realization past the budget: one simulate() run (run_cascade<Traits>)
   /// with the protectors seeded. The out-of-line instantiation in
   /// montecarlo.cpp beats inlining run_cascade here by about 15% on
   /// BM_SigmaForward_Opoao (release build, 4-vCPU VM).
@@ -317,22 +299,14 @@ class EngineImpl final : public SigmaEngine::Base {
 
 }  // namespace
 
-bool SigmaEngine::supports(DiffusionModel model) {
-  return dispatch_model(model,
-                        [](auto t) { return decltype(t)::kSupportsCache; });
-}
-
 std::size_t SigmaEngine::estimated_bytes(GraphRef g,
                                          const SigmaConfig& cfg) {
   return dispatch_model(cfg.model, [&](auto t) -> std::size_t {
     using T = decltype(t);
-    if constexpr (T::kSupportsCache) {
-      return g.visit([&](const auto& gr) {
-        return T::estimated_cache_bytes(gr, cfg.samples, cfg.max_hops);
-      });
-    } else {
-      return 0;
-    }
+    return g.visit([&](const auto& gr) {
+      return T::estimated_cache_bytes(gr, realizations<T>(cfg.samples),
+                                      cfg.max_hops);
+    });
   });
 }
 

@@ -15,7 +15,7 @@
 // The engine itself is model-generic: everything model-specific — what a
 // cached sample IS (pick tables, live subgraphs, thresholds), how a replay
 // runs, and how a bridge end's verdict is read — comes from the model's
-// traits (src/diffusion/model_traits.h, capability kSupportsCache). The
+// traits (src/diffusion/model_traits.h, the cache members). The
 // engine contributes the shared machinery: per-sample baselines via
 // run_cascade, protector-seed validation and color stamping, epoch-stamped
 // scratch leasing (no per-evaluation allocation, no O(n) clearing), the
@@ -23,9 +23,10 @@
 // the cache contract is cross-checked against its forward simulator in
 // tests/diffusion/model_conformance_test.cpp — same outcomes, bit for bit.
 //
-// DOAM has no cache (kSupportsCache = false: it is deterministic, so one
-// forward run per sample is already cheap); its engine is simply the k = 0
-// case.
+// Every model has a cache. A deterministic model (DOAM, kDeterministic)
+// realizes the same cascade in every sample, so the engine materializes at
+// most one realization, every sample index replays it, and the budget and
+// the byte estimate count that one realization.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,8 @@ class SigmaEngine {
     std::uint32_t uninfected = 0;  ///< bridge ends ending uninfected
   };
 
-  /// True for models whose traits implement the cache contract
-  /// (Traits::kSupportsCache — OPOAO, IC, LT, WC).
-  static bool supports(DiffusionModel model);
-
   /// Upper-bound estimate of the bytes needed to materialize all
-  /// cfg.samples samples (0 for models without a cache).
+  /// cfg.samples samples (one realization for a deterministic model).
   static std::size_t estimated_bytes(GraphRef g, const SigmaConfig& cfg);
 
   /// Runs every sample's rumor-only baseline and materializes the samples

@@ -45,11 +45,6 @@ TEST_P(ModelConformanceTest, TraitsIdentityMatchesEnum) {
   const DiffusionModel roundtrip =
       dispatch_model(model(), [](auto t) { return decltype(t)::kModel; });
   EXPECT_EQ(roundtrip, model());
-  // The capability flags the subsystems branch on must agree with the
-  // entry points that consume them.
-  const bool cache = dispatch_model(
-      model(), [](auto t) { return decltype(t)::kSupportsCache; });
-  EXPECT_EQ(cache, SigmaEngine::supports(model()));
 }
 
 TEST_P(ModelConformanceTest, RejectsInvalidSeedSets) {
@@ -159,10 +154,10 @@ TEST_P(ModelConformanceTest, CacheReplayMatchesForwardSimulation) {
   for (std::uint64_t i = 0; i < cfg.samples; ++i) {
     sample_seeds.push_back(1000 + i * 77);
   }
-  // A model without a cache (DOAM) materializes no sample: its engine
-  // re-runs the forward kernel, which must agree just the same.
+  // Every model materializes its samples (DOAM: one realization that every
+  // sample replays).
   const SigmaEngine engine(g, rumors, bridge_ends, sample_seeds, cfg, nullptr);
-  EXPECT_EQ(engine.realization_bytes() > 0, SigmaEngine::supports(model()));
+  EXPECT_GT(engine.realization_bytes(), 0u);
   const MonteCarloConfig mc = mc_config();
   const std::vector<std::vector<NodeId>> protector_sets = {
       {}, {10}, {10, 11, 12}, {33, 47}};
@@ -347,9 +342,8 @@ TEST_P(KWayConformanceTest, RoleSeparableCollapseMatchesTwoCascadeRun) {
 }
 
 TEST_P(KWayConformanceTest, CacheReplayMatchesKWayForward) {
-  // For cache-capable models the SigmaEngine replay over the role unions
-  // must reproduce the K-way forward outcome bridge end by bridge end.
-  if (!SigmaEngine::supports(model())) return;
+  // The SigmaEngine replay over the role unions must reproduce the K-way
+  // forward outcome bridge end by bridge end.
   Rng rng(29);
   const DiGraph g = erdos_renyi(80, 0.07, true, rng);
   const std::vector<NodeId> rumors{0, 1, 2, 3};

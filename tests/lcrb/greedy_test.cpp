@@ -5,7 +5,9 @@
 #include "diffusion/doam.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "lcrb/bridge.h"
 #include "lcrb/scbg.h"
+#include "lcrb/sigma.h"
 
 namespace lcrb {
 namespace {
@@ -182,6 +184,48 @@ TEST(GreedyLcrbp, MaxCandidatesZeroMeansUnlimited) {
   const GreedyResult b =
       greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
   EXPECT_EQ(a.candidate_count, b.candidate_count);
+}
+
+TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
+  // sigma_evaluations counts single-sample evaluations: a caller-owned
+  // (shared) estimator must report exactly what a private one counts, for
+  // the single-campaign greedy and both multi-campaign modes.
+  CommunityGraphConfig cg_cfg;
+  cg_cfg.community_sizes = {40, 40, 40};
+  cg_cfg.avg_inter_degree = 1.2;
+  cg_cfg.seed = 23;
+  const CommunityGraph cg = make_community_graph(cg_cfg);
+  const Partition p(cg.membership);
+  const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
+  const BridgeEndResult bridges = find_bridge_ends(cg.graph, p, 0, rumors);
+  ASSERT_FALSE(bridges.bridge_ends.empty());
+  GreedyConfig cfg = fast_cfg(0.9);
+  cfg.sigma.samples = 5;
+  cfg.use_celf = true;
+  const std::size_t budgets[] = {2, 1};
+
+  {
+    const SigmaEstimator est(cg.graph, rumors, bridges.bridge_ends, cfg.sigma);
+    const GreedyResult shared =
+        greedy_lcrbp_with_estimator(cg.graph, rumors, bridges, cfg, est);
+    EXPECT_EQ(shared.sigma_evaluations, est.evaluations());
+    const GreedyResult priv =
+        greedy_lcrbp_from_bridges(cg.graph, rumors, bridges, cfg);
+    EXPECT_EQ(priv.sigma_evaluations, shared.sigma_evaluations);
+  }
+  for (MultiCascadeMode mode :
+       {MultiCascadeMode::kCoordinated, MultiCascadeMode::kUncoordinated}) {
+    const SigmaEstimator est(cg.graph, rumors, bridges.bridge_ends, cfg.sigma);
+    const MultiGreedyResult shared = greedy_multi_with_estimator(
+        cg.graph, rumors, bridges, cfg, budgets, mode, est);
+    EXPECT_EQ(shared.combined.sigma_evaluations, est.evaluations())
+        << to_string(mode);
+    const MultiGreedyResult priv = greedy_multi_from_bridges(
+        cg.graph, rumors, bridges, cfg, budgets, mode);
+    EXPECT_EQ(priv.combined.sigma_evaluations,
+              shared.combined.sigma_evaluations)
+        << to_string(mode);
+  }
 }
 
 TEST(GreedyLcrbp, StrategyNames) {

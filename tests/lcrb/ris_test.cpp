@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -148,6 +149,28 @@ TEST(RrSamplerTest, DrawsAreDeterministicAndStreamSeparated) {
   EXPECT_NE(d0.realization_seed, sampler.draw(1, 5).realization_seed);
   EXPECT_NE(d0.realization_seed, sampler.draw(2, 5).realization_seed);
   EXPECT_LT(d0.root_idx, sampler.bridge_ends().size());
+}
+
+TEST(RrSamplerTest, RejectsRumorSeedBridgeEnds) {
+  // A rumor seed is infected at step 0, so nothing can save it: a bridge end
+  // that is a rumor seed has no RR set. Every entry point that takes
+  // caller-supplied bridge ends rejects it, for every reverse-capable model.
+  const DiGraph g = make_graph(3, {{0, 1}, {1, 2}, {2, 0}});
+  const std::vector<NodeId> rumors{0};
+  for (DiffusionModel m : {DiffusionModel::kOpoao, DiffusionModel::kDoam,
+                           DiffusionModel::kIc, DiffusionModel::kWc}) {
+    RisConfig cfg;
+    cfg.model = m;
+    cfg.ic_edge_prob = 1.0;
+    cfg.estimator_sets = 16;
+    EXPECT_THROW(RrSampler(g, rumors, {1, 0}, cfg), Error) << to_string(m);
+    EXPECT_THROW(RisEstimator(g, rumors, {0}, cfg), Error) << to_string(m);
+    EXPECT_THROW((void)ris_greedy_from_bridges(
+                     g, rumors, bridges_on(g, rumors, {0}), 0.5, 0, cfg),
+                 Error)
+        << to_string(m);
+    EXPECT_NO_THROW(RrSampler(g, rumors, {1, 2}, cfg)) << to_string(m);
+  }
 }
 
 TEST(RrPoolTest, InvertedIndexMatchesSetsExactly) {

@@ -52,7 +52,8 @@ std::vector<NodeId> random_protectors(Rng& rng, NodeId n,
 }
 
 const DiffusionModel kCachedModels[] = {
-    DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kLt};
+    DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
+    DiffusionModel::kLt, DiffusionModel::kWc};
 
 TEST(SigmaEngine, EngineOnByDefaultLegacyOnRequest) {
   // The default cap materializes every sample; a one-byte cap none.
@@ -65,15 +66,57 @@ TEST(SigmaEngine, EngineOnByDefaultLegacyOnRequest) {
   }
 }
 
-TEST(SigmaEngine, DoamAlwaysUsesLegacyPath) {
-  // DOAM has no cache: the engine re-runs the forward kernel per sample.
+TEST(SigmaEngine, DoamMaterializesOneRealization) {
+  // DOAM is deterministic: one realization serves every sample, so the
+  // cache does not grow with the sample count.
   const DiGraph g = path_graph(6);
-  SigmaConfig cfg = engine_cfg(DiffusionModel::kDoam, 1);
-  SigmaEstimator est(g, {0}, {3, 4}, cfg);
-  EXPECT_EQ(est.realization_bytes(), 0u);
+  SigmaEstimator one(g, {0}, {3, 4}, engine_cfg(DiffusionModel::kDoam, 1));
+  SigmaEstimator eight(g, {0}, {3, 4}, engine_cfg(DiffusionModel::kDoam, 8));
+  SigmaEstimator fifty(g, {0}, {3, 4}, engine_cfg(DiffusionModel::kDoam, 50));
+  EXPECT_GT(one.realization_bytes(), 0u);
+  EXPECT_EQ(one.realization_bytes(), eight.realization_bytes());
+  EXPECT_EQ(one.realization_bytes(), fifty.realization_bytes());
   const NodeId a[] = {2};
-  EXPECT_DOUBLE_EQ(est.sigma(a), 2.0);  // DOAM on a path: 2 blocks 3 and 4
-  EXPECT_GT(est.nodes_visited(), 0u);
+  EXPECT_DOUBLE_EQ(eight.sigma(a), 2.0);  // DOAM on a path: 2 blocks 3 and 4
+  EXPECT_GT(eight.nodes_visited(), 0u);
+
+  // The replayed realization matches the forward kernel (cap 1) bit for bit:
+  // sigma, protected fraction and the CELF greedy result.
+  CommunityGraphConfig cg_cfg;
+  cg_cfg.community_sizes = {40, 40, 40};
+  cg_cfg.avg_inter_degree = 1.2;
+  cg_cfg.seed = 23;
+  const CommunityGraph cg = make_community_graph(cg_cfg);
+  const Partition p(cg.membership);
+  const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
+  const std::vector<NodeId> ends =
+      find_bridge_ends(cg.graph, p, 0, rumors).bridge_ends;
+  ASSERT_FALSE(ends.empty());
+  const SigmaConfig cfg = engine_cfg(DiffusionModel::kDoam, 8);
+  SigmaEstimator cached(cg.graph, rumors, ends, cfg);
+  SigmaEstimator forward(cg.graph, rumors, ends, legacy_cfg(cfg));
+  EXPECT_GT(cached.realization_bytes(), 0u);
+  EXPECT_EQ(forward.realization_bytes(), 0u);
+  Rng rng(43);
+  for (std::size_t k = 0; k <= 4; ++k) {
+    const std::vector<NodeId> s =
+        random_protectors(rng, cg.graph.num_nodes(), rumors, k);
+    EXPECT_EQ(cached.sigma(s), forward.sigma(s)) << "k " << k;
+    EXPECT_EQ(cached.protected_fraction(s), forward.protected_fraction(s))
+        << "k " << k;
+  }
+  GreedyConfig gc;
+  gc.alpha = 0.9;
+  gc.use_celf = true;
+  gc.sigma = cfg;
+  const GreedyResult r_cached = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+  gc.sigma = legacy_cfg(cfg);
+  const GreedyResult r_forward = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+  EXPECT_FALSE(r_cached.protectors.empty());
+  EXPECT_EQ(r_cached.protectors, r_forward.protectors);
+  EXPECT_EQ(r_cached.gain_history, r_forward.gain_history);
+  EXPECT_EQ(r_cached.achieved_fraction, r_forward.achieved_fraction);
+  EXPECT_EQ(r_cached.sigma_evaluations, r_forward.sigma_evaluations);
 }
 
 TEST(SigmaEngine, CacheByteCapForcesLegacyPath) {
@@ -123,8 +166,13 @@ TEST(SigmaEngine, PartialCapMaterializesAPrefixAndMatches) {
     EXPECT_GT(some.realization_bytes(), 0u) << to_string(m);
     EXPECT_LE(some.realization_bytes(), partial.max_cache_bytes)
         << to_string(m);
-    EXPECT_LT(some.realization_bytes(), all.realization_bytes())
-        << to_string(m);
+    if (m == DiffusionModel::kDoam) {
+      // One realization serves every sample, and half the budget holds it.
+      EXPECT_EQ(some.realization_bytes(), all.realization_bytes());
+    } else {
+      EXPECT_LT(some.realization_bytes(), all.realization_bytes())
+          << to_string(m);
+    }
     EXPECT_EQ(forward.realization_bytes(), 0u) << to_string(m);
 
     EXPECT_EQ(some.baseline_infected(), all.baseline_infected());
@@ -336,15 +384,14 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
 }
 
 TEST(SigmaEngine, SupportsAndSizing) {
-  EXPECT_TRUE(SigmaEngine::supports(DiffusionModel::kOpoao));
-  EXPECT_TRUE(SigmaEngine::supports(DiffusionModel::kIc));
-  EXPECT_TRUE(SigmaEngine::supports(DiffusionModel::kLt));
-  EXPECT_FALSE(SigmaEngine::supports(DiffusionModel::kDoam));
-
   const DiGraph g = path_graph(100);
   for (DiffusionModel m : kCachedModels) {
     EXPECT_GT(SigmaEngine::estimated_bytes(g, engine_cfg(m)), 0u);
   }
+  // A deterministic model's estimate counts one realization.
+  const DiffusionModel doam = DiffusionModel::kDoam;
+  EXPECT_EQ(SigmaEngine::estimated_bytes(g, engine_cfg(doam, 1)),
+            SigmaEngine::estimated_bytes(g, engine_cfg(doam, 50)));
 }
 
 }  // namespace

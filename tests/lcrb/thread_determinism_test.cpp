@@ -114,6 +114,17 @@ TEST_F(ThreadDeterminismTest, McGreedyIcLegacyPathIsThreadCountInvariant) {
   check(cfg);
 }
 
+TEST_F(ThreadDeterminismTest, McGreedyDoamIsThreadCountInvariant) {
+  // DOAM materializes one realization that every sample replays, so the
+  // pooled runs replay it concurrently.
+  GreedyConfig cfg;
+  cfg.alpha = 0.8;
+  cfg.sigma.samples = 12;
+  cfg.sigma.seed = 9;
+  cfg.sigma.model = DiffusionModel::kDoam;
+  check(cfg);
+}
+
 TEST_F(ThreadDeterminismTest, RisGreedyOpoaoIsThreadCountInvariant) {
   GreedyConfig cfg;
   cfg.alpha = 0.8;

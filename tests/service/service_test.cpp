@@ -102,7 +102,6 @@ TEST_F(ServiceFixture, RisWarmRepeatIsByteIdentical) {
   req.options.sigma_mode = SigmaMode::kRis;
   req.options.ris_initial_sets = 64;
   req.options.ris_max_sets = 4096;
-  req.options.ris_estimator_sets = 512;
   const QueryResult cold = svc->run(req);
   ASSERT_TRUE(cold.ok) << cold.error;
   ASSERT_FALSE(cold.protectors.empty());
