@@ -4,7 +4,8 @@
 // (Forward, max_cache_bytes = 1), and with a cap that fits half the samples
 // (Partial). items_processed counts single-sample evaluations, so
 // items_per_second is directly "sigma evals/sec". DOAM is deterministic:
-// its Cached run replays one realization for all samples.
+// its Cached run replays one realization for all samples. Lanes scores 64
+// OPOAO sets per replay pass (SigmaEstimator::sigma_batch).
 #include <benchmark/benchmark.h>
 
 #include "build_guard.h"
@@ -97,11 +98,36 @@ void BM_SigmaCached_Lt(benchmark::State& state) {
   run_sigma_bench(state, DiffusionModel::kLt, Budget::kAll);
 }
 
+// The batched form of BM_SigmaCached_Opoao: 64 gains per iteration, each
+// base {10, 11} plus one candidate, all replayed in one lane-word pass per
+// sample. items_processed counts single-sample evaluations (64 per sample),
+// so items_per_second compares directly with the one-set-per-pass rows.
+void BM_SigmaLanes_Opoao(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const auto samples = static_cast<std::size_t>(state.range(1));
+  const DiGraph g = bench_graph(n, 6);
+  const std::vector<NodeId> rumors{0, 1, 2, 3};
+  std::vector<NodeId> targets;
+  for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
+  const SigmaEstimator est(
+      g, rumors, targets,
+      sigma_cfg(g, DiffusionModel::kOpoao, samples, Budget::kAll));
+  const NodeId base[] = {10, 11};
+  std::vector<NodeId> candidates;
+  for (NodeId v = 12; v < 12 + kSigmaLanes; ++v) candidates.push_back(v);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(est.sigma_batch(base, candidates).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(samples * kSigmaLanes));
+}
+
 #define SIGMA_ARGS \
   Args({2000, 50})->Args({10000, 50})->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_SigmaForward_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Opoao)->SIGMA_ARGS;
+BENCHMARK(BM_SigmaLanes_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaPartial_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaForward_Doam)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Doam)->SIGMA_ARGS;

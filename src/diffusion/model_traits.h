@@ -14,12 +14,19 @@
 //   cache     CacheShared/CacheSample/ReplayScratch,
 //             build_cache_shared/build_cache_sample, replay,
 //             replay_infected, *_bytes — consumed by SigmaEngine
+//   lanes     [optional] replay_lanes(g, shared, sp, rumors, base, extras,
+//             targets, infected, params) -> ops: replays one sample for up
+//             to 64 sets (lane l seeds base + extras[l]) and writes, per
+//             target, the word of lanes in which it ends infected —
+//             consumed by SigmaEngine::evaluate_lanes, which otherwise runs
+//             `replay` lane by lane
 //   reverse   [kSupportsReverse] reverse_set — consumed by RrSampler
 //
 // Every model implements the cache. The live-edge family (DOAM, IC, WC)
 // inherits its cache and reverse members from LiveEdgeTraits
-// (frontier_traits.h) and binds only a coin. The reverse capability is
-// checked with `if constexpr`, so LT simply omits reverse_set. Everything
+// (frontier_traits.h) and binds only a coin. The optional capabilities are
+// detected at compile time (`if constexpr`, a `requires` check for lanes),
+// so LT simply omits reverse_set and only OPOAO has a lane kernel. Everything
 // downstream — simulate(), Monte-Carlo, the sigma engine, RIS, the query
 // service, the CLI — is generic over this contract: adding a model is one
 // traits file plus a DiffusionModel enum entry (wc_traits.h is the worked

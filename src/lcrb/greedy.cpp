@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "lcrb/bbst.h"
 #include "util/error.h"
@@ -153,7 +152,7 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          const BridgeEndResult& bridges,
                                          const GreedyConfig& cfg,
                                          const SigmaEstimator& estimator,
-                                         ThreadPool* pool) {
+                                         ThreadPool* /*pool*/) {
   LCRB_REQUIRE(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha must be in (0,1]");
   LCRB_REQUIRE(cfg.sigma_mode == SigmaMode::kMonteCarlo,
                "greedy_lcrbp_with_estimator is Monte-Carlo only");
@@ -169,69 +168,119 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
   out.candidate_count = candidates.size();
 
   // The estimator may be shared across concurrent queries, so its internal
-  // counters mix work from other callers. Count sigma calls at the (serial)
-  // call sites instead: one call = cfg.sigma.samples single-run evaluations,
-  // matching SigmaEstimator::evaluations() for a private estimator.
+  // counters mix work from other callers. Count the sigma-oracle calls the
+  // greedy consumes at the (serial) call sites instead: one call =
+  // cfg.sigma.samples single-run evaluations. The counts are those of the
+  // paper's loop (one call per gain and per protected fraction), even where
+  // a batch scores speculative lanes or a fraction is read off a score:
+  // those show only in SigmaEstimator::evaluations() and nodes_visited.
   std::size_t sigma_calls = 0;
 
   std::vector<NodeId> current;  // S_P so far
   double current_sigma = 0.0;
-  double current_fraction = estimator.protected_fraction(current);
+  double current_fraction = estimator.baseline_protected_fraction();
   ++sigma_calls;
 
-  auto gain_of = [&](NodeId v) {
-    std::vector<NodeId> with = current;
-    with.push_back(v);
-    return estimator.sigma(with) - current_sigma;
+  // Scores of current + {candidates[i]}: scores[i] is valid while
+  // scored_round[i] == current.size(). A pick's protected fraction is read
+  // off the score that picked it, so accepting costs no replay.
+  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  std::vector<SigmaEstimator::Score> scores(candidates.size());
+  std::vector<std::size_t> scored_round(candidates.size(), kNever);
+  std::vector<NodeId> batch;
+  auto score = [&](std::span<const std::uint32_t> idx) {
+    batch.clear();
+    for (std::uint32_t i : idx) batch.push_back(candidates[i]);
+    const std::vector<SigmaEstimator::Score> s =
+        estimator.sigma_batch(current, batch);
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      scores[idx[j]] = s[j];
+      scored_round[idx[j]] = current.size();
+    }
   };
+  std::vector<std::uint32_t> all(candidates.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<std::uint32_t>(i);
+  }
 
   const std::size_t cap =
       cfg.max_protectors == 0 ? candidates.size() : cfg.max_protectors;
 
   if (cfg.use_celf) {
-    // CELF: (stale gain, node, round when evaluated).
+    // CELF: (stale gain, candidate index, round when evaluated). The heap is
+    // a vector under std::push_heap/pop_heap — what std::priority_queue
+    // runs — so ties break exactly as they always have.
     struct Entry {
       double gain;
-      NodeId node;
+      std::uint32_t idx;
       std::size_t round;
       bool operator<(const Entry& o) const { return gain < o.gain; }
     };
-    std::priority_queue<Entry> heap;
+    std::vector<Entry> heap;
+    auto push = [&heap](const Entry& e) {
+      heap.push_back(e);
+      std::push_heap(heap.begin(), heap.end());
+    };
 
-    // Round-0 gains, evaluated in parallel across candidates.
-    {
-      std::vector<double> gains(candidates.size());
-      auto eval = [&](std::size_t i) { gains[i] = gain_of(candidates[i]); };
-      if (pool != nullptr && candidates.size() > 1) {
-        pool->parallel_for(candidates.size(), eval);
-      } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) eval(i);
+    score(all);
+    sigma_calls += candidates.size();
+    for (std::uint32_t i : all) push({scores[i].sigma - current_sigma, i, 0});
+
+    // A lazy re-evaluation scores the popped entry together with the next
+    // stale entries in gain order — the ones the loop is likeliest to pop
+    // next — filling one replay pass (one entry where a pass scores a
+    // single set). Only the popped entry is an oracle call the loop
+    // consumes; the rest wait in `scores` until popped, so the heap makes
+    // exactly the decisions of one-at-a-time re-evaluation.
+    const std::size_t width = estimator.lanes_per_pass();
+    std::vector<std::uint32_t> lanes;
+    std::vector<std::size_t> frontier;  // heap positions, best-first
+    auto by_gain = [&heap](std::size_t a, std::size_t b) {
+      return heap[a].gain < heap[b].gain;
+    };
+    auto rescore = [&](std::uint32_t first) {
+      const std::size_t round = current.size();
+      lanes.assign(1, first);
+      frontier.clear();
+      if (!heap.empty()) frontier.push_back(0);
+      while (!frontier.empty() && lanes.size() < width) {
+        std::pop_heap(frontier.begin(), frontier.end(), by_gain);
+        const std::size_t k = frontier.back();
+        frontier.pop_back();
+        const Entry& e = heap[k];
+        if (e.round != round && scored_round[e.idx] != round) {
+          lanes.push_back(e.idx);
+        }
+        for (std::size_t c = 2 * k + 1; c <= 2 * k + 2 && c < heap.size();
+             ++c) {
+          frontier.push_back(c);
+          std::push_heap(frontier.begin(), frontier.end(), by_gain);
+        }
       }
-      sigma_calls += candidates.size();
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        heap.push({gains[i], candidates[i], 0});
-      }
-    }
+      score(lanes);
+    };
 
     while (current_fraction < cfg.alpha && current.size() < cap &&
            !heap.empty()) {
-      Entry top = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end());
+      Entry top = heap.back();
+      heap.pop_back();
       if (top.round != current.size()) {
-        top.gain = gain_of(top.node);
+        if (scored_round[top.idx] != current.size()) rescore(top.idx);
+        top.gain = scores[top.idx].sigma - current_sigma;
         ++sigma_calls;
         top.round = current.size();
-        if (!heap.empty() && top.gain < heap.top().gain) {
-          heap.push(top);
+        if (!heap.empty() && top.gain < heap.front().gain) {
+          push(top);
           continue;
         }
       }
       // Accept (even zero-gain picks: alpha may still be unreachable and the
       // caller's cap bounds the loop).
-      current.push_back(top.node);
+      current.push_back(candidates[top.idx]);
       current_sigma += top.gain;
       out.gain_history.push_back(top.gain);
-      current_fraction = estimator.protected_fraction(current);
+      current_fraction = scores[top.idx].protected_fraction;
       ++sigma_calls;
       if (top.gain <= 0.0 && current_fraction < cfg.alpha) {
         LCRB_LOG_WARN << "greedy: zero marginal gain with fraction "
@@ -241,40 +290,36 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
       }
     }
   } else {
-    // Paper's plain greedy: re-evaluate every candidate each round. Gains
-    // land in per-candidate slots and the argmax scans them in candidate
-    // order afterwards — no mutex, and the pick (ties go to the lowest node
-    // id) cannot depend on thread scheduling.
-    std::vector<bool> used(g.num_nodes(), false);
-    std::vector<double> gains(candidates.size());
+    // Paper's plain greedy: re-score every unused candidate each round, in
+    // one batch. The argmax scans the gains in candidate order (ties go to
+    // the lowest node id), so the pick cannot depend on thread scheduling.
+    std::vector<bool> used(candidates.size(), false);
+    std::vector<std::uint32_t> unused;
     while (current_fraction < cfg.alpha && current.size() < cap) {
-      auto eval = [&](std::size_t i) {
-        const NodeId v = candidates[i];
-        // NaN never compares greater-or-equal: used slots can't win below.
-        gains[i] = used[v] ? std::numeric_limits<double>::quiet_NaN()
-                           : gain_of(v);
-      };
-      if (pool != nullptr && candidates.size() > 1) {
-        pool->parallel_for(candidates.size(), eval);
-      } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) eval(i);
+      unused.clear();
+      for (std::uint32_t i : all) {
+        if (!used[i]) unused.push_back(i);
       }
-      sigma_calls += candidates.size() - current.size();  // used slots skip
+      score(unused);
+      sigma_calls += unused.size();
       double best_gain = -1.0;
       NodeId best_node = kInvalidNode;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (gains[i] > best_gain ||
-            (gains[i] == best_gain && candidates[i] < best_node)) {
-          best_gain = gains[i];
+      std::size_t best = kNever;
+      for (std::uint32_t i : unused) {
+        const double gain = scores[i].sigma - current_sigma;
+        if (gain > best_gain ||
+            (gain == best_gain && candidates[i] < best_node)) {
+          best_gain = gain;
           best_node = candidates[i];
+          best = i;
         }
       }
-      if (best_node == kInvalidNode) break;
-      used[best_node] = true;
-      current.push_back(best_node);
+      if (best == kNever) break;
+      used[best] = true;
+      current.push_back(candidates[best]);
       current_sigma += best_gain;
       out.gain_history.push_back(best_gain);
-      current_fraction = estimator.protected_fraction(current);
+      current_fraction = scores[best].protected_fraction;
       ++sigma_calls;
       if (best_gain <= 0.0 && current_fraction < cfg.alpha) break;
     }

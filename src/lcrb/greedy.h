@@ -140,7 +140,9 @@ MultiGreedyResult greedy_multi_from_bridges(
 /// the same graph/rumors/bridge ends and with cfg.sigma, or results are
 /// meaningless. Because the shared counters mix concurrent queries,
 /// sigma_evaluations is derived from this call's own (serial) call count and
-/// nodes_visited is reported as 0.
+/// nodes_visited is reported as 0. Gains are scored in batches of up to
+/// kSigmaLanes sets per replay pass (SigmaEstimator::sigma_batch), on the
+/// estimator's own pool; `pool` is not used.
 template <GraphView G>
 GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          std::span<const NodeId> rumors,

@@ -32,6 +32,10 @@ namespace lcrb {
 
 class SigmaEngine;
 
+/// Protector sets scored per replay pass by SigmaEstimator::sigma_batch:
+/// one per bit of a machine word.
+inline constexpr std::size_t kSigmaLanes = 64;
+
 struct SigmaConfig {
   std::size_t samples = 50;
   std::uint64_t seed = 7;
@@ -63,6 +67,30 @@ class SigmaEstimator {
   /// Mean fraction of bridge ends ending uninfected when A seeds cascade P.
   /// (The greedy's stopping rule: protect alpha |B| in expectation.)
   double protected_fraction(std::span<const NodeId> protectors) const;
+
+  /// sigma-hat and protected fraction of one protector set.
+  struct Score {
+    double sigma = 0.0;
+    double protected_fraction = 0.0;
+  };
+
+  /// Scores base + {c} for every candidate c: element j is
+  /// {sigma(with), protected_fraction(with)} for with = base followed by
+  /// candidates[j], bit for bit. Runs one task per (sample, block of
+  /// lanes_per_pass() candidates), in parallel when a pool is attached, and
+  /// reduces each candidate in sample order. Counts one evaluation per
+  /// (sample, candidate).
+  std::vector<Score> sigma_batch(std::span<const NodeId> base,
+                                 std::span<const NodeId> candidates) const;
+
+  /// Candidates one sigma_batch block scores for about the cost of one:
+  /// kSigmaLanes when the model replays 64 lanes per pass (OPOAO) and every
+  /// sample is materialized, otherwise 1.
+  std::size_t lanes_per_pass() const;
+
+  /// protected_fraction({}), read off the per-sample baselines: no replay,
+  /// no evaluation counted.
+  double baseline_protected_fraction() const;
 
   /// Mean number of bridge ends infected with no protectors at all.
   double baseline_infected() const { return baseline_infected_mean_; }
@@ -97,6 +125,7 @@ class SigmaEstimator {
   /// reduces the per-sample outcomes in fixed sample order, so the result
   /// does not depend on thread scheduling.
   Totals evaluate_all(std::span<const NodeId> protectors) const;
+  Score score(const Totals& t) const;
 
   std::vector<NodeId> bridge_ends_;
   SigmaConfig cfg_;

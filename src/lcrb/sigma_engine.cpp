@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <concepts>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -23,12 +25,31 @@ class SigmaEngine::Base {
   virtual ~Base() = default;
   virtual Outcome evaluate(std::size_t sample,
                            std::span<const NodeId> protectors) const = 0;
+  virtual void evaluate_lanes(std::size_t sample,
+                              std::span<const NodeId> base,
+                              std::span<const NodeId> extras,
+                              std::span<Outcome> out) const = 0;
+  virtual std::size_t lanes_per_pass() const = 0;
   virtual std::uint32_t baseline_infected(std::size_t sample) const = 0;
   virtual std::size_t realization_bytes() const = 0;
   virtual std::uint64_t nodes_visited() const = 0;
 };
 
 namespace {
+
+/// A model whose cache also replays up to kSigmaLanes protector sets per
+/// pass (OPOAO). Every model replays one set per pass (`replay`).
+template <class Traits, class G>
+concept LaneReplay = requires(const G& g,
+                              const typename Traits::CacheShared& shared,
+                              const typename Traits::CacheSample& sp,
+                              std::span<const NodeId> ids,
+                              std::span<std::uint64_t> words,
+                              const RealizationParams& p) {
+  {
+    Traits::replay_lanes(g, shared, sp, ids, ids, ids, ids, words, p)
+  } -> std::same_as<std::uint64_t>;
+};
 
 /// Distinct realizations behind `samples` samples: every sample of a
 /// deterministic model (DOAM) realizes the same cascade, so it has one.
@@ -129,6 +150,37 @@ class EngineImpl final : public SigmaEngine::Base {
     return r < samples_.size() ? replay(r, protectors) : forward(r, protectors);
   }
 
+  void evaluate_lanes(std::size_t sample, std::span<const NodeId> base,
+                      std::span<const NodeId> extras,
+                      std::span<Outcome> out) const override {
+    LCRB_REQUIRE(sample < cfg_.samples, "sample index out of range");
+    LCRB_REQUIRE(!extras.empty() && extras.size() <= kSigmaLanes,
+                 "evaluate_lanes takes 1 to 64 extra seeds");
+    LCRB_REQUIRE(out.size() == extras.size(), "one outcome slot per lane");
+    const std::size_t r = slot(sample);
+    if constexpr (kLanes) {
+      // A lone set keeps the one-set replay, which beats a one-lane pass.
+      if (r < samples_.size() && extras.size() > 1) {
+        replay_lanes(r, base, extras, out);
+        return;
+      }
+    }
+    // Lane by lane: the model's one-set replay, or simulate() past the
+    // budget.
+    std::vector<NodeId> with(base.begin(), base.end());
+    with.push_back(kInvalidNode);
+    for (std::size_t l = 0; l < extras.size(); ++l) {
+      with.back() = extras[l];
+      out[l] = evaluate(sample, with);
+    }
+  }
+
+  std::size_t lanes_per_pass() const override {
+    return kLanes && samples_.size() == realizations<Traits>(cfg_.samples)
+               ? kSigmaLanes
+               : 1;
+  }
+
   std::uint32_t baseline_infected(std::size_t sample) const override {
     return baseline_count_[slot(sample)];
   }
@@ -147,6 +199,7 @@ class EngineImpl final : public SigmaEngine::Base {
  private:
   using Shared = typename Traits::CacheShared;
   using Sample = typename Traits::CacheSample;
+  static constexpr bool kLanes = LaneReplay<Traits, G>;
 
   /// The realization sample i evaluates on.
   static std::size_t slot(std::size_t i) {
@@ -248,6 +301,44 @@ class EngineImpl final : public SigmaEngine::Base {
     });
   }
 
+  /// Lane replay: lane l seeds base plus extras[l]. Seeds are validated
+  /// exactly as evaluate() validates base followed by the lane's extra.
+  void replay_lanes(std::size_t sample, std::span<const NodeId> base,
+                    std::span<const NodeId> extras,
+                    std::span<Outcome> out) const
+    requires kLanes
+  {
+    std::vector<std::uint64_t> infected(bridge_ends_.size());
+    {
+      // The leased color scratch only validates: the lane kernel keeps its
+      // own per-pass working memory.
+      ScratchLease lease(*this);
+      lease.scratch->bump();
+      EpochColorScratch& color = lease.scratch->color;
+      for (NodeId v : base) seed_protector(v, color);
+      for (NodeId v : extras) check_protector(v, color);
+    }
+    const std::uint64_t ops =
+        Traits::replay_lanes(g_, shared_, samples_[sample], rumors_, base,
+                             extras, bridge_ends_, infected, params_);
+    visits_.fetch_add(ops, std::memory_order_relaxed);
+
+    const std::uint64_t all = out.size() == 64
+                                  ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << out.size()) - 1;
+    std::fill(out.begin(), out.end(), Outcome{});
+    const DynamicBitset& base_bits = baseline_bits_[sample];
+    for (std::size_t b = 0; b < bridge_ends_.size(); ++b) {
+      const std::uint32_t was_infected = base_bits.test(b) ? 1 : 0;
+      for (std::uint64_t clean = ~infected[b] & all; clean != 0;
+           clean &= clean - 1) {
+        Outcome& o = out[static_cast<std::size_t>(std::countr_zero(clean))];
+        ++o.uninfected;
+        o.saved += was_infected;
+      }
+    }
+  }
+
   /// A realization past the budget: one simulate() run (run_cascade<Traits>)
   /// with the protectors seeded. The out-of-line instantiation in
   /// montecarlo.cpp beats inlining run_cascade here by about 15% on
@@ -270,11 +361,16 @@ class EngineImpl final : public SigmaEngine::Base {
     });
   }
 
-  void seed_protector(NodeId v, EpochColorScratch& color) const {
+  /// Rejects a protector seed that is out of range, a rumor seed, or
+  /// already seeded in `color`.
+  void check_protector(NodeId v, const EpochColorScratch& color) const {
     LCRB_REQUIRE(v < g_.num_nodes(), "protector id out of range");
     LCRB_REQUIRE(!is_rumor_.test(v), "protector seed collides with a rumor");
-    LCRB_REQUIRE(color.color_epoch[v] != color.epoch,
-                 "duplicate protector seed");
+    LCRB_REQUIRE(!color.colored(v), "duplicate protector seed");
+  }
+
+  void seed_protector(NodeId v, EpochColorScratch& color) const {
+    check_protector(v, color);
     color.set(v, kColorP);
   }
 
@@ -331,6 +427,17 @@ SigmaEngine::~SigmaEngine() = default;
 SigmaEngine::Outcome SigmaEngine::evaluate(
     std::size_t sample, std::span<const NodeId> protectors) const {
   return impl_->evaluate(sample, protectors);
+}
+
+void SigmaEngine::evaluate_lanes(std::size_t sample,
+                                 std::span<const NodeId> base,
+                                 std::span<const NodeId> extras,
+                                 std::span<Outcome> out) const {
+  impl_->evaluate_lanes(sample, base, extras, out);
+}
+
+std::size_t SigmaEngine::lanes_per_pass() const {
+  return impl_->lanes_per_pass();
 }
 
 std::uint32_t SigmaEngine::baseline_infected(std::size_t sample) const {

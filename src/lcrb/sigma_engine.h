@@ -12,6 +12,12 @@
 // kernel, run_cascade<Traits>) with the protectors; both kinds of sample
 // give the same outcome bit for bit, so the cap costs only time.
 //
+// OPOAO's pick table does not depend on colors, so the engine evaluates up
+// to kSigmaLanes (64) protector sets that share a base in one pass over it
+// (evaluate_lanes over OpoaoTraits::replay_lanes, which keeps one lane word
+// per cascade per node). A single set keeps the model's one-set replay.
+// Models without a lane kernel evaluate a batch lane by lane.
+//
 // The engine itself is model-generic: everything model-specific — what a
 // cached sample IS (pick tables, live subgraphs, thresholds), how a replay
 // runs, and how a bridge end's verdict is read — comes from the model's
@@ -71,6 +77,23 @@ class SigmaEngine {
   Outcome evaluate(std::size_t sample,
                    std::span<const NodeId> protectors) const;
 
+  /// Evaluates sample i once per lane: out[l] = evaluate(sample, base
+  /// followed by extras[l]), bit for bit, and any lane evaluate() would
+  /// reject throws the same lcrb::Error. 1 <= extras.size() <= kSigmaLanes
+  /// and out.size() == extras.size(). A model with a lane kernel (OPOAO)
+  /// settles two or more lanes of a materialized sample in one replay pass;
+  /// a single lane, other models and samples past the budget run lane by
+  /// lane.
+  void evaluate_lanes(std::size_t sample, std::span<const NodeId> base,
+                      std::span<const NodeId> extras,
+                      std::span<Outcome> out) const;
+
+  /// Sets one evaluate_lanes call on every sample scores for about the
+  /// cost of one set: kSigmaLanes when the model has a lane kernel and
+  /// every realization is materialized, otherwise 1 (lanes then run one by
+  /// one, so extra lanes cost in full).
+  std::size_t lanes_per_pass() const;
+
   /// Bridge ends infected in sample i with no protectors at all.
   std::uint32_t baseline_infected(std::size_t sample) const;
 
@@ -80,7 +103,8 @@ class SigmaEngine {
 
   /// Cumulative elementary node-touch operations across all evaluations
   /// (table lookups / arcs scanned / weight updates on replays, activated
-  /// nodes on forward runs) — the common cost currency the MC-vs-RIS
+  /// nodes on forward runs; an OPOAO lane-word pick, which settles up to 64
+  /// sets at once, counts one) — the common cost currency the MC-vs-RIS
   /// ablation compares. Relaxed counter: exact once concurrent evaluations
   /// have finished.
   std::uint64_t nodes_visited() const;

@@ -29,6 +29,7 @@
 #include "lcrb/cldag.h"
 #include "lcrb/greedy.h"
 #include "lcrb/scbg.h"
+#include "lcrb/sigma_engine.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -162,19 +163,24 @@ class GoldenDeterminismTest : public ::testing::Test {
 
   /// Runs the greedy serially and on 1- and 4-thread pools; all three must
   /// produce the same bytes, and those bytes must match the pinned hash.
-  void check_greedy(const std::string& name, const GreedyConfig& cfg) {
-    const std::uint64_t serial =
-        hash_greedy(greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg,
-                                              nullptr));
+  /// Returns the serial run's sigma_evaluations, which every run must share.
+  std::size_t check_greedy(const std::string& name, const GreedyConfig& cfg) {
+    const GreedyResult serial =
+        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, nullptr);
     ThreadPool one(1);
-    const std::uint64_t t1 = hash_greedy(
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &one));
+    const GreedyResult t1 =
+        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &one);
     ThreadPool four(4);
-    const std::uint64_t t4 = hash_greedy(
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &four));
-    EXPECT_EQ(serial, t1) << name << ": 1-thread run drifted from serial";
-    EXPECT_EQ(serial, t4) << name << ": 4-thread run drifted from serial";
-    check_golden(name, serial);
+    const GreedyResult t4 =
+        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &four);
+    EXPECT_EQ(hash_greedy(serial), hash_greedy(t1))
+        << name << ": 1-thread run drifted from serial";
+    EXPECT_EQ(hash_greedy(serial), hash_greedy(t4))
+        << name << ": 4-thread run drifted from serial";
+    EXPECT_EQ(serial.sigma_evaluations, t1.sigma_evaluations) << name;
+    EXPECT_EQ(serial.sigma_evaluations, t4.sigma_evaluations) << name;
+    check_golden(name, hash_greedy(serial));
+    return serial.sigma_evaluations;
   }
 
   G g_;
@@ -191,7 +197,34 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcCacheOpoao) {
   cfg.sigma.samples = 12;
   cfg.sigma.seed = 9;
   cfg.sigma.model = DiffusionModel::kOpoao;
-  this->check_greedy("greedy_mc_cache_opoao", cfg);
+  // The oracle calls CELF consumes, pinned: batching the lazy
+  // re-evaluations must not change how many the greedy counts.
+  EXPECT_EQ(this->check_greedy("greedy_mc_cache_opoao", cfg), 5196u);
+}
+
+TYPED_TEST(GoldenDeterminismTest, GreedyMcPlainOpoao) {
+  // The paper's plain greedy: every candidate re-scored every round.
+  GreedyConfig cfg;
+  cfg.alpha = 0.8;
+  cfg.use_celf = false;
+  cfg.sigma.samples = 12;
+  cfg.sigma.seed = 9;
+  cfg.sigma.model = DiffusionModel::kOpoao;
+  this->check_greedy("greedy_mc_plain_opoao", cfg);
+}
+
+TYPED_TEST(GoldenDeterminismTest, GreedyMcPartialOpoao) {
+  // A byte cap that materializes half the samples: every batch of gains
+  // mixes replayed and forward-simulated samples.
+  GreedyConfig cfg;
+  cfg.alpha = 0.8;
+  cfg.sigma.samples = 12;
+  cfg.sigma.seed = 9;
+  cfg.sigma.model = DiffusionModel::kOpoao;
+  SigmaConfig half = cfg.sigma;
+  half.samples = cfg.sigma.samples / 2;
+  cfg.sigma.max_cache_bytes = SigmaEngine::estimated_bytes(this->g_, half);
+  this->check_greedy("greedy_mc_partial_opoao", cfg);
 }
 
 TYPED_TEST(GoldenDeterminismTest, GreedyMcLegacyOpoao) {

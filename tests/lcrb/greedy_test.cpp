@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+
 #include "diffusion/doam.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -187,9 +189,12 @@ TEST(GreedyLcrbp, MaxCandidatesZeroMeansUnlimited) {
 }
 
 TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
-  // sigma_evaluations counts single-sample evaluations: a caller-owned
-  // (shared) estimator must report exactly what a private one counts, for
-  // the single-campaign greedy and both multi-campaign modes.
+  // sigma_evaluations counts the sigma-oracle calls the greedy consumes, in
+  // single-sample evaluations: a caller-owned (shared) estimator must report
+  // exactly what a private one counts, for the single-campaign greedy and
+  // both multi-campaign modes. The counts are pinned to those of the
+  // one-set-per-call greedy; the estimator's own evaluations() also counts
+  // speculative batch lanes, so it is not compared.
   CommunityGraphConfig cg_cfg;
   cg_cfg.community_sizes = {40, 40, 40};
   cg_cfg.avg_inter_degree = 1.2;
@@ -208,7 +213,8 @@ TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
     const SigmaEstimator est(cg.graph, rumors, bridges.bridge_ends, cfg.sigma);
     const GreedyResult shared =
         greedy_lcrbp_with_estimator(cg.graph, rumors, bridges, cfg, est);
-    EXPECT_EQ(shared.sigma_evaluations, est.evaluations());
+    EXPECT_EQ(shared.sigma_evaluations, 1560u);
+    EXPECT_GT(est.evaluations(), 0u);
     const GreedyResult priv =
         greedy_lcrbp_from_bridges(cg.graph, rumors, bridges, cfg);
     EXPECT_EQ(priv.sigma_evaluations, shared.sigma_evaluations);
@@ -218,13 +224,106 @@ TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
     const SigmaEstimator est(cg.graph, rumors, bridges.bridge_ends, cfg.sigma);
     const MultiGreedyResult shared = greedy_multi_with_estimator(
         cg.graph, rumors, bridges, cfg, budgets, mode, est);
-    EXPECT_EQ(shared.combined.sigma_evaluations, est.evaluations())
+    EXPECT_EQ(shared.combined.sigma_evaluations,
+              mode == MultiCascadeMode::kCoordinated ? 1560u : 1775u)
         << to_string(mode);
     const MultiGreedyResult priv = greedy_multi_from_bridges(
         cg.graph, rumors, bridges, cfg, budgets, mode);
     EXPECT_EQ(priv.combined.sigma_evaluations,
               shared.combined.sigma_evaluations)
         << to_string(mode);
+  }
+}
+
+/// Reference CELF with one oracle call per question: one sigma() per
+/// re-evaluation and one protected_fraction() per pick, over every
+/// non-rumor node (CandidateStrategy::kAllNodes) in ascending order.
+GreedyResult one_at_a_time_celf(NodeId n, const std::vector<NodeId>& rumors,
+                                const SigmaEstimator& est, double alpha) {
+  struct Entry {
+    double gain;
+    NodeId node;
+    std::size_t round;
+    bool operator<(const Entry& o) const { return gain < o.gain; }
+  };
+  GreedyResult out;
+  std::size_t calls = 0;
+  std::vector<NodeId> current;
+  double current_sigma = 0.0;
+  double fraction = est.protected_fraction(current);
+  ++calls;
+  auto gain_of = [&](NodeId v) {
+    std::vector<NodeId> with = current;
+    with.push_back(v);
+    ++calls;
+    return est.sigma(with) - current_sigma;
+  };
+  std::priority_queue<Entry> heap;
+  for (NodeId v = 0; v < n; ++v) {
+    if (std::find(rumors.begin(), rumors.end(), v) != rumors.end()) continue;
+    heap.push({gain_of(v), v, 0});
+  }
+  while (fraction < alpha && !heap.empty()) {
+    Entry top = heap.top();
+    heap.pop();
+    if (top.round != current.size()) {
+      top.gain = gain_of(top.node);
+      top.round = current.size();
+      if (!heap.empty() && top.gain < heap.top().gain) {
+        heap.push(top);
+        continue;
+      }
+    }
+    current.push_back(top.node);
+    current_sigma += top.gain;
+    out.gain_history.push_back(top.gain);
+    fraction = est.protected_fraction(current);
+    ++calls;
+    if (top.gain <= 0.0 && fraction < alpha) break;
+  }
+  out.protectors = current;
+  out.achieved_fraction = fraction;
+  out.sigma_evaluations = calls * est.samples();
+  return out;
+}
+
+TEST(GreedyLcrbp, BatchedCelfMatchesOneAtATimeCelf) {
+  // Batched lazy re-evaluation (speculative lanes, cached fresh gains,
+  // fractions read off the picking score) makes exactly the decisions of
+  // the one-set-per-call CELF loop: same picks, gains bit for bit, same
+  // fraction and oracle-call count. OPOAO runs the lane kernel, IC the
+  // lane-by-lane fallback.
+  for (DiffusionModel m : {DiffusionModel::kOpoao, DiffusionModel::kIc}) {
+    for (std::uint64_t seed : {31, 32, 33}) {
+      CommunityGraphConfig cg_cfg;
+      cg_cfg.community_sizes = {40, 40, 40};
+      cg_cfg.avg_inter_degree = 1.2;
+      cg_cfg.seed = seed;
+      const CommunityGraph cg = make_community_graph(cg_cfg);
+      const Partition p(cg.membership);
+      const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
+      const BridgeEndResult bridges = find_bridge_ends(cg.graph, p, 0, rumors);
+      ASSERT_FALSE(bridges.bridge_ends.empty());
+      GreedyConfig cfg = fast_cfg(0.95);
+      cfg.candidates = CandidateStrategy::kAllNodes;
+      cfg.sigma.samples = 8;
+      cfg.sigma.seed = seed;
+      cfg.sigma.model = m;
+      cfg.sigma.ic_edge_prob = 0.3;
+      const SigmaEstimator est(cg.graph, rumors, bridges.bridge_ends,
+                               cfg.sigma);
+      const GreedyResult batched =
+          greedy_lcrbp_with_estimator(cg.graph, rumors, bridges, cfg, est);
+      const GreedyResult ref =
+          one_at_a_time_celf(cg.graph.num_nodes(), rumors, est, cfg.alpha);
+      EXPECT_FALSE(ref.protectors.empty());
+      EXPECT_EQ(batched.protectors, ref.protectors) << to_string(m) << seed;
+      EXPECT_EQ(batched.gain_history, ref.gain_history) << to_string(m) << seed;
+      EXPECT_EQ(batched.achieved_fraction, ref.achieved_fraction)
+          << to_string(m) << seed;
+      EXPECT_EQ(batched.sigma_evaluations, ref.sigma_evaluations)
+          << to_string(m) << seed;
+    }
   }
 }
 

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/builder.h"
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
@@ -54,6 +56,35 @@ std::vector<NodeId> random_protectors(Rng& rng, NodeId n,
 const DiffusionModel kCachedModels[] = {
     DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
     DiffusionModel::kLt, DiffusionModel::kWc};
+
+/// The estimator's per-sample seeds for `cfg`, for building a SigmaEngine
+/// directly.
+std::vector<std::uint64_t> sample_seeds(const SigmaConfig& cfg) {
+  Rng master(cfg.seed);
+  std::vector<std::uint64_t> seeds(cfg.samples);
+  for (std::size_t i = 0; i < cfg.samples; ++i) {
+    seeds[i] = master.fork(i).next();
+  }
+  return seeds;
+}
+
+/// `base` followed by `extra`: the set lane `extra` evaluates.
+std::vector<NodeId> with_extra(std::span<const NodeId> base, NodeId extra) {
+  std::vector<NodeId> with(base.begin(), base.end());
+  with.push_back(extra);
+  return with;
+}
+
+/// The lcrb::Error message `f` throws, or "no error".
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
 
 TEST(SigmaEngine, EngineOnByDefaultLegacyOnRequest) {
   // The default cap materializes every sample; a one-byte cap none.
@@ -379,6 +410,139 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
           << to_string(m) << (celf ? " celf" : " plain");
       EXPECT_EQ(a.achieved_fraction, b.achieved_fraction)
           << to_string(m) << (celf ? " celf" : " plain");
+    }
+  }
+}
+
+TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
+  // evaluate_lanes is evaluate() once per lane, bit for bit: on replayed
+  // samples (OPOAO's lane kernel, lane by lane for the other models) and on
+  // samples past a partial cap (simulate() per lane).
+  Rng rng(71);
+  const DiGraph g = erdos_renyi(150, 0.04, true, rng);
+  const std::vector<NodeId> rumors{0, 1, 2};
+  std::vector<NodeId> ends;
+  for (NodeId v = 60; v < 90; ++v) ends.push_back(v);
+  std::vector<NodeId> extras;
+  for (NodeId v = 3; v < 3 + kSigmaLanes; ++v) extras.push_back(v);
+  for (DiffusionModel m : kCachedModels) {
+    SigmaConfig all = engine_cfg(m, 6);
+    SigmaConfig half = all;
+    half.samples = 3;
+    SigmaConfig partial = all;
+    partial.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+    for (const SigmaConfig& cfg : {all, partial}) {
+      const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg,
+                               nullptr);
+      // Only a lane kernel with every sample materialized scores a full
+      // lane word for about the price of one set.
+      const bool cheap_lanes = m == DiffusionModel::kOpoao &&
+                               cfg.max_cache_bytes == all.max_cache_bytes;
+      EXPECT_EQ(engine.lanes_per_pass(), cheap_lanes ? kSigmaLanes : 1u)
+          << to_string(m);
+      for (const std::vector<NodeId>& base :
+           {std::vector<NodeId>{}, std::vector<NodeId>{120, 121}}) {
+        for (std::size_t lanes : {std::size_t{1}, std::size_t{5},
+                                  std::size_t{kSigmaLanes}}) {
+          const std::span<const NodeId> lane_extras(extras.data(), lanes);
+          for (std::size_t i = 0; i < cfg.samples; ++i) {
+            std::vector<SigmaEngine::Outcome> out(lanes);
+            engine.evaluate_lanes(i, base, lane_extras, out);
+            for (std::size_t l = 0; l < lanes; ++l) {
+              const SigmaEngine::Outcome o =
+                  engine.evaluate(i, with_extra(base, lane_extras[l]));
+              EXPECT_EQ(out[l].saved, o.saved)
+                  << to_string(m) << " sample " << i << " lane " << l;
+              EXPECT_EQ(out[l].uninfected, o.uninfected)
+                  << to_string(m) << " sample " << i << " lane " << l;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+template <class G>
+void check_batch_sizes(const G& g, DiffusionModel m, bool capped) {
+  const std::vector<NodeId> rumors{0, 1, 2};
+  std::vector<NodeId> ends;
+  for (NodeId v = 100; v < 140; ++v) ends.push_back(v);
+  const NodeId base[] = {150, 151};
+  std::vector<NodeId> candidates;
+  for (NodeId v = 3; v < 3 + 130; ++v) candidates.push_back(v);
+  SigmaConfig cfg = engine_cfg(m, 8);
+  SigmaConfig half = cfg;
+  half.samples = 4;
+  if (capped) cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+  const SigmaEstimator est(g, rumors, ends, cfg);
+  for (std::size_t size : {1, 63, 64, 65, 130}) {
+    const std::span<const NodeId> batch(candidates.data(), size);
+    const std::size_t before = est.evaluations();
+    const std::vector<SigmaEstimator::Score> scores =
+        est.sigma_batch(base, batch);
+    EXPECT_EQ(est.evaluations() - before, size * cfg.samples);
+    ASSERT_EQ(scores.size(), size);
+    for (std::size_t j = 0; j < size; ++j) {
+      const std::vector<NodeId> with = with_extra(base, batch[j]);
+      EXPECT_EQ(scores[j].sigma, est.sigma(with))
+          << to_string(m) << " size " << size << " lane " << j;
+      EXPECT_EQ(scores[j].protected_fraction, est.protected_fraction(with))
+          << to_string(m) << " size " << size << " lane " << j;
+    }
+  }
+  EXPECT_TRUE(est.sigma_batch(base, {}).empty());
+  EXPECT_EQ(est.baseline_protected_fraction(), est.protected_fraction({}))
+      << to_string(m);
+}
+
+TEST(SigmaEngine, BatchSizesMatchPerSetOnBothBackends) {
+  // sigma_batch == per-set sigma()/protected_fraction() for every batch
+  // size around the lane word: uncapped (OPOAO: 64-lane passes) and with a
+  // cap that replays half the samples and re-simulates the rest.
+  Rng rng(73);
+  const DiGraph csr = erdos_renyi(220, 0.03, true, rng);
+  const EfGraph ef = EfGraph::from_csr(csr);
+  for (DiffusionModel m : kCachedModels) {
+    for (bool capped : {false, true}) {
+      check_batch_sizes(csr, m, capped);
+      check_batch_sizes(ef, m, capped);
+    }
+  }
+}
+
+TEST(SigmaEngine, LaneSeedsRejectedLikeEvaluate) {
+  // A bad extra in the middle of a batch throws exactly what evaluate()
+  // throws for base + that extra, on replayed and forward samples alike.
+  Rng rng(79);
+  const DiGraph g = erdos_renyi(90, 0.05, true, rng);
+  const std::vector<NodeId> rumors{0, 1};
+  const std::vector<NodeId> ends{40, 41, 42, 43};
+  const std::vector<NodeId> base{20, 21};
+  const NodeId bad_extras[] = {21, 0, 500};  // duplicate, rumor, range
+  for (DiffusionModel m : kCachedModels) {
+    SigmaConfig cfg = engine_cfg(m, 4);
+    SigmaConfig half = cfg;
+    half.samples = 2;
+    cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+    const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg,
+                             nullptr);
+    const SigmaEstimator est(g, rumors, ends, cfg);
+    for (NodeId bad : bad_extras) {
+      const std::vector<NodeId> with = with_extra(base, bad);
+      const NodeId extras[] = {30, bad, 31};
+      for (std::size_t i = 0; i < cfg.samples; ++i) {
+        const std::string expected =
+            error_of([&] { (void)engine.evaluate(i, with); });
+        EXPECT_NE(expected, "no error") << to_string(m) << " extra " << bad;
+        std::vector<SigmaEngine::Outcome> out(3);
+        EXPECT_EQ(error_of([&] { engine.evaluate_lanes(i, base, extras, out); }),
+                  expected)
+            << to_string(m) << " sample " << i << " extra " << bad;
+      }
+      EXPECT_EQ(error_of([&] { (void)est.sigma_batch(base, extras); }),
+                error_of([&] { (void)est.sigma(with); }))
+          << to_string(m) << " extra " << bad;
     }
   }
 }

@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "lcrb/sigma.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -123,6 +124,42 @@ TEST_F(ThreadDeterminismTest, McGreedyDoamIsThreadCountInvariant) {
   cfg.sigma.seed = 9;
   cfg.sigma.model = DiffusionModel::kDoam;
   check(cfg);
+}
+
+TEST_F(ThreadDeterminismTest, SigmaBatchAndCelfAreThreadCountInvariant) {
+  // Batched gains run one task per (sample, 64-lane block) on the pool and
+  // reduce per candidate in sample order: every score, and the CELF result
+  // built on them, is the same with no pool, 1 thread and 4 threads. All
+  // nodes are candidates, so batches span two lane blocks.
+  GreedyConfig cfg;
+  cfg.alpha = 0.9;
+  cfg.candidates = CandidateStrategy::kAllNodes;
+  cfg.sigma.samples = 12;
+  cfg.sigma.seed = 9;
+  cfg.sigma.model = DiffusionModel::kOpoao;
+  check(cfg);
+
+  const NodeId base[] = {8};
+  std::vector<NodeId> candidates;
+  for (NodeId v = 2; v < g_.num_nodes(); ++v) {
+    if (v != base[0]) candidates.push_back(v);
+  }
+  ASSERT_GT(candidates.size(), kSigmaLanes);
+  auto flat = [&](ThreadPool* pool) {
+    const SigmaEstimator est(g_, rumors_, bridges_.bridge_ends, cfg.sigma,
+                             pool);
+    std::vector<double> out;
+    for (const SigmaEstimator::Score& s : est.sigma_batch(base, candidates)) {
+      out.push_back(s.sigma);
+      out.push_back(s.protected_fraction);
+    }
+    return out;
+  };
+  const std::vector<double> serial = flat(nullptr);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  expect_bitwise_equal(serial, flat(&one), "1-thread batch scores");
+  expect_bitwise_equal(serial, flat(&four), "4-thread batch scores");
 }
 
 TEST_F(ThreadDeterminismTest, RisGreedyOpoaoIsThreadCountInvariant) {

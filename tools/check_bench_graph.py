@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
-"""Regression gate over bench_micro_graph's recorded JSON.
+"""Regression gates over recorded google-benchmark JSON.
 
-Reads a google-benchmark JSON file (bench/BENCH_graph.json in the repo, or
-the freshly recorded build/BENCH_graph.json in CI) and enforces the two
-compressed-backend acceptance bounds:
+Graph record (default): reads bench_micro_graph's JSON (bench/BENCH_graph.json
+in the repo, or the freshly recorded build/BENCH_graph.json in CI) and
+enforces the two compressed-backend acceptance bounds:
 
   * space   — BM_EfCompress's ef_bytes_per_arc counter stays at or under
               6 bytes/arc AND at least 2.5x smaller than csr_bytes_per_arc
               on the largest recorded graph;
   * kernel  — BM_KernelTraversal on the EfGraph backend (/1 rows) runs
               within 2x of the CSR backend (/0 rows) by cpu_time, compared
-              at equal graph size. Median aggregates are used when the run
-              recorded repetitions; raw rows otherwise.
+              at equal graph size.
 
-Exits non-zero with a per-bound report on any violation, so CI fails when a
-change to the Elias-Fano decode path regresses past the budget.
+Sigma record (--sigma): reads bench_micro_sigma's JSON and enforces the
+lane-fusion bound:
+
+  * lanes   — per gain scored, BM_SigmaLanes_Opoao (64 sets per replay
+              pass) costs at most 1/3 of BM_SigmaCached_Opoao (one set per
+              pass), at every recorded graph size. A ratio of two timings
+              from the same run, so it does not depend on the hardware.
+
+Median aggregates are used when the run recorded repetitions; raw rows
+otherwise. Exits non-zero with a per-bound report on any violation, so CI
+fails when a change regresses past the budget.
 
 Usage: check_bench_graph.py [path/to/BENCH_graph.json]
+       check_bench_graph.py --sigma [path/to/BENCH_sigma.json]
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import sys
 MAX_EF_BYTES_PER_ARC = 6.0
 MIN_COMPRESSION_RATIO = 2.5
 MAX_KERNEL_SLOWDOWN = 2.0
+MIN_LANE_SPEEDUP = 3.0
+LANES = 64  # gains per BM_SigmaLanes_Opoao iteration
 
 
 def load_rows(path: str) -> list[dict]:
@@ -100,17 +111,53 @@ def check_kernel(rows: list[dict], failures: list[str]) -> None:
             f"(budget {MAX_KERNEL_SLOWDOWN}x)")
 
 
+def check_sigma_lanes(rows: list[dict], failures: list[str]) -> None:
+    # run_name covers records of raw repetitions and of aggregates alike.
+    runs = sorted({
+        r.get("run_name", r["name"]).split("/", 1)[1]
+        for r in rows
+        if r["name"].startswith("BM_SigmaLanes_Opoao/")
+    })
+    if not runs:
+        failures.append("BM_SigmaLanes_Opoao rows missing from the record")
+        return
+    for args in runs:
+        lanes = pick(rows, f"BM_SigmaLanes_Opoao/{args}")
+        scalar = pick(rows, f"BM_SigmaCached_Opoao/{args}")
+        if lanes is None or scalar is None:
+            failures.append(f"BM_SigmaLanes_Opoao/{args} needs a "
+                            f"BM_SigmaCached_Opoao/{args} row")
+            continue
+        per_gain = lanes["cpu_time"] / LANES
+        speedup = scalar["cpu_time"] / per_gain
+        print(f"lanes/{args}: scalar={scalar['cpu_time']:.3f} "
+              f"lane={per_gain:.3f} {scalar['time_unit']} per gain "
+              f"({speedup:.2f}x)")
+        if speedup < MIN_LANE_SPEEDUP:
+            failures.append(
+                f"lane replay {speedup:.2f}x faster per gain at {args} "
+                f"(required {MIN_LANE_SPEEDUP}x)")
+
+
 def main(argv: list[str]) -> int:
-    path = argv[1] if len(argv) > 1 else "bench/BENCH_graph.json"
+    args = argv[1:]
+    if args and args[0] == "--sigma":
+        path = args[1] if len(args) > 1 else "bench/BENCH_sigma.json"
+        checks = [check_sigma_lanes]
+        ok = "ok: lane-fusion bound holds"
+    else:
+        path = args[0] if args else "bench/BENCH_graph.json"
+        checks = [check_space, check_kernel]
+        ok = "ok: compressed-backend bounds hold"
     rows = load_rows(path)
     failures: list[str] = []
-    check_space(rows, failures)
-    check_kernel(rows, failures)
+    for check in checks:
+        check(rows, failures)
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
-    print("ok: compressed-backend bounds hold")
+    print(ok)
     return 0
 
 
