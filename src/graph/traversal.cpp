@@ -37,31 +37,6 @@ BfsResult bfs_impl(const G& g, std::span<const NodeId> sources,
   return r;
 }
 
-template <class G, typename NeighborFn>
-BoundedBfsResult bounded_impl(const G& g, NodeId root, std::uint32_t max_depth,
-                              NeighborFn neighbors) {
-  LCRB_REQUIRE(root < g.num_nodes(), "BFS root out of range");
-  BoundedBfsResult r;
-  std::vector<bool> seen(g.num_nodes(), false);
-  r.nodes.push_back(root);
-  r.depth.push_back(0);
-  seen[root] = true;
-  // r.nodes doubles as the frontier: process it index-by-index.
-  for (std::size_t i = 0; i < r.nodes.size(); ++i) {
-    const NodeId u = r.nodes[i];
-    const std::uint32_t d = r.depth[i];
-    if (d >= max_depth) continue;
-    for (NodeId v : neighbors(u)) {
-      if (!seen[v]) {
-        seen[v] = true;
-        r.nodes.push_back(v);
-        r.depth.push_back(d + 1);
-      }
-    }
-  }
-  return r;
-}
-
 }  // namespace
 
 template <GraphView G>
@@ -72,20 +47,6 @@ BfsResult bfs_forward(const G& g, std::span<const NodeId> sources) {
 template <GraphView G>
 BfsResult bfs_backward(const G& g, std::span<const NodeId> sources) {
   return bfs_impl(g, sources, [&g](NodeId u) { return g.in_neighbors(u); });
-}
-
-template <GraphView G>
-BoundedBfsResult bfs_backward_bounded(const G& g, NodeId root,
-                                      std::uint32_t max_depth) {
-  return bounded_impl(g, root, max_depth,
-                      [&g](NodeId u) { return g.in_neighbors(u); });
-}
-
-template <GraphView G>
-BoundedBfsResult bfs_forward_bounded(const G& g, NodeId root,
-                                     std::uint32_t max_depth) {
-  return bounded_impl(g, root, max_depth,
-                      [&g](NodeId u) { return g.out_neighbors(u); });
 }
 
 template <GraphView G>
@@ -102,10 +63,6 @@ std::vector<NodeId> reachable_from(const G& g,
 #define LCRB_INSTANTIATE_TRAVERSAL(G)                                         \
   template BfsResult bfs_forward<G>(const G&, std::span<const NodeId>);       \
   template BfsResult bfs_backward<G>(const G&, std::span<const NodeId>);      \
-  template BoundedBfsResult bfs_backward_bounded<G>(const G&, NodeId,         \
-                                                    std::uint32_t);           \
-  template BoundedBfsResult bfs_forward_bounded<G>(const G&, NodeId,          \
-                                                   std::uint32_t);            \
   template std::vector<NodeId> reachable_from<G>(const G&,                    \
                                                  std::span<const NodeId>);
 

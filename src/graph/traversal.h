@@ -1,5 +1,5 @@
-// BFS primitives shared by bridge-end detection (RFST), SCBG's backward
-// search trees (BBST), and the DOAM protection test.
+// BFS primitives shared by bridge-end detection (RFST) and the DOAM
+// protection test.
 //
 // All entry points are templates over the GraphView concept; definitions
 // live in traversal.cpp with explicit instantiations for DiGraph and
@@ -31,21 +31,6 @@ BfsResult bfs_forward(const G& g, std::span<const NodeId> sources);
 /// Multi-source BFS along in-edges ("who can reach me, and how fast").
 template <GraphView G>
 BfsResult bfs_backward(const G& g, std::span<const NodeId> sources);
-
-/// Backward BFS from a single node truncated at `max_depth` hops. Returns
-/// only the visited nodes and their depths (dist[i] pairs with nodes[i]).
-struct BoundedBfsResult {
-  std::vector<NodeId> nodes;          ///< visited nodes, BFS order (root first)
-  std::vector<std::uint32_t> depth;   ///< depth[i] = hops from root to nodes[i]
-};
-template <GraphView G>
-BoundedBfsResult bfs_backward_bounded(const G& g, NodeId root,
-                                      std::uint32_t max_depth);
-
-/// Forward variant of the bounded BFS.
-template <GraphView G>
-BoundedBfsResult bfs_forward_bounded(const G& g, NodeId root,
-                                     std::uint32_t max_depth);
 
 /// Nodes reachable from `sources` along out-edges (including the sources).
 template <GraphView G>

@@ -1,6 +1,6 @@
 // Core API: everything needed to state and solve an LCRB instance — the
 // graph/community/diffusion substrate plus the paper's algorithms (bridge
-// ends, RFST/BBST, set cover, LCRB-P greedy, SCBG) and the unified
+// ends, RFST, RR sets, LCRB-P greedy, SCBG) and the unified
 // LcrbOptions knob aggregate.
 //
 // The experiment-harness layer (pipeline, baselines, source detection,
@@ -32,14 +32,12 @@
 #include "graph/subgraph.h"
 #include "graph/transform.h"
 #include "graph/traversal.h"
-#include "lcrb/bbst.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/options.h"
 #include "lcrb/rfst.h"
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
-#include "lcrb/setcover.h"
 #include "lcrb/sigma.h"
 #include "util/bitset.h"
 #include "util/error.h"

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "lcrb/bbst.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -37,7 +36,8 @@ std::vector<NodeId> make_candidates(const G& g,
                                     std::span<const NodeId> rumors,
                                     const BridgeEndResult& bridges,
                                     CandidateStrategy strategy,
-                                    std::size_t max_candidates) {
+                                    std::size_t max_candidates,
+                                    ThreadPool* pool) {
   std::vector<bool> excluded(g.num_nodes(), false);
   for (NodeId r : rumors) excluded[r] = true;
 
@@ -59,14 +59,11 @@ std::vector<NodeId> make_candidates(const G& g,
       }
       break;
     case CandidateStrategy::kBbstUnion: {
-      const std::vector<Bbst> bbsts = build_all_bbsts(
-          g, bridges.bridge_ends, bridges.rumor_dist, rumors);
-      for (const Bbst& q : bbsts) {
-        for (NodeId u : q.nodes) ++rank[u];
-      }
+      const RrPool bbsts = doam_bridge_end_pool(g, rumors, bridges, pool);
       have_rank = true;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (rank[v] > 0 && !excluded[v]) out.push_back(v);
+        rank[v] = static_cast<std::uint32_t>(bbsts.sets_containing(v).size());
+        if (rank[v] > 0) out.push_back(v);
       }
       break;
     }
@@ -152,7 +149,7 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          const BridgeEndResult& bridges,
                                          const GreedyConfig& cfg,
                                          const SigmaEstimator& estimator,
-                                         ThreadPool* /*pool*/) {
+                                         ThreadPool* pool) {
   LCRB_REQUIRE(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha must be in (0,1]");
   LCRB_REQUIRE(cfg.sigma_mode == SigmaMode::kMonteCarlo,
                "greedy_lcrbp_with_estimator is Monte-Carlo only");
@@ -164,7 +161,7 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
   }
 
   std::vector<NodeId> candidates = make_candidates(
-      g, rumors, bridges, cfg.candidates, cfg.max_candidates);
+      g, rumors, bridges, cfg.candidates, cfg.max_candidates, pool);
   out.candidate_count = candidates.size();
 
   // The estimator may be shared across concurrent queries, so its internal

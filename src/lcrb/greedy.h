@@ -25,7 +25,7 @@
 namespace lcrb {
 
 enum class CandidateStrategy : std::uint8_t {
-  kBbstUnion,   ///< nodes of any bridge end's BBST (default)
+  kBbstUnion,   ///< nodes of any bridge end's DOAM RR set (default)
   kAllNodes,    ///< every non-rumor node (the paper's literal V \ S_R)
   kBridgeEnds,  ///< only the bridge ends themselves (cheap lower bound)
 };
@@ -37,9 +37,10 @@ struct GreedyConfig {
   std::size_t max_protectors = 0;  ///< hard cap; 0 = until alpha reached
   CandidateStrategy candidates = CandidateStrategy::kBbstUnion;
   /// Cap on the candidate pool (0 = unlimited). When capped, candidates are
-  /// ranked by how many bridge ends' BBSTs contain them (kBbstUnion) or by
-  /// out-degree (other strategies) before truncation — a cheap, analytic
-  /// proxy for sigma that keeps the Monte-Carlo budget on plausible seeds.
+  /// ranked by how many bridge ends' DOAM RR sets contain them (kBbstUnion,
+  /// see doam_bridge_end_pool) or by out-degree (other strategies) before
+  /// truncation — a cheap, analytic proxy for sigma that keeps the
+  /// Monte-Carlo budget on plausible seeds.
   std::size_t max_candidates = 0;
   bool use_celf = true;            ///< false = paper's plain re-evaluation
   SigmaConfig sigma;

@@ -66,6 +66,7 @@ struct LcrbOptions {
 
   // --- greedy (LCRB-P) -----------------------------------------------------
   double alpha = 0.8;              ///< fraction of bridge ends to protect
+  /// "bbst_union" (default): nodes of any bridge end's DOAM RR set.
   CandidateStrategy candidates = CandidateStrategy::kBbstUnion;
   std::size_t max_candidates = 0;  ///< candidate-pool cap (0 = unlimited)
   bool use_celf = true;            ///< false = paper's plain re-evaluation

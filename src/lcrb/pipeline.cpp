@@ -129,9 +129,8 @@ std::vector<NodeId> select_protectors(const ExperimentSetup& setup,
     case SelectorKind::kDegreeDiscount:
       return degree_discount(g, budget, 0.05, setup.rumors);
     case SelectorKind::kScbg: {
-      const ScbgResult r =
-          scbg_from_bridges(g, setup.rumors, setup.bridges, {});
-      return r.protectors;
+      return scbg_from_bridges(g, setup.rumors, setup.bridges, pool)
+          .protectors;
     }
     case SelectorKind::kCldag: {
       const CldagResult r =

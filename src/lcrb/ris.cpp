@@ -147,9 +147,16 @@ void RrPool::rebuild_inverted_index(NodeId num_graph_nodes) {
       inv_sets_[cursor[nodes_[i]]++] = static_cast<std::uint32_t>(s);
     }
   }
+  // Transpose back: appending v to every set that holds it, for v
+  // ascending, rewrites each set in ascending order — one counting sort of
+  // the whole pool instead of a comparison sort per set.
+  cursor.assign(set_off_.begin(), set_off_.end() - 1);
   num_covered_nodes_ = 0;
   for (NodeId v = 0; v < num_graph_nodes; ++v) {
     if (inv_off_[v + 1] > inv_off_[v]) ++num_covered_nodes_;
+    for (std::uint32_t i = inv_off_[v]; i < inv_off_[v + 1]; ++i) {
+      nodes_[cursor[inv_sets_[i]]++] = v;
+    }
   }
 }
 
@@ -164,7 +171,7 @@ void RrPool::append_shards(std::vector<RrShard>&& shards,
   }
   nodes_.reserve(nodes_.size() + add_entries);
   set_off_.reserve(set_off_.size() + add_sets);
-  for (const RrShard& sh : shards) {
+  for (RrShard& sh : shards) {
     std::size_t pos = 0;
     for (std::uint32_t size : sh.sizes) {
       if (byte_budget_ != 0 &&
@@ -180,8 +187,10 @@ void RrPool::append_shards(std::vector<RrShard>&& shards,
       set_off_.push_back(static_cast<std::uint32_t>(nodes_.size()));
       pos += size;
     }
+    std::vector<NodeId>().swap(sh.nodes);  // merged: release it now
     if (byte_capped_) break;
   }
+  shards.clear();
   rebuild_inverted_index(num_graph_nodes);
   LCRB_INVARIANT(validate());
 }
@@ -324,7 +333,6 @@ std::uint32_t RrSampler::rr_set_into(std::size_t root_idx,
       throw Error("RIS does not support " + std::string(T::kName));
     }
   });
-  std::sort(nodes.begin() + static_cast<std::ptrdiff_t>(start), nodes.end());
   return static_cast<std::uint32_t>(nodes.size() - start);
 }
 
@@ -337,6 +345,7 @@ std::vector<NodeId> RrSampler::rr_set(std::size_t root_idx,
     ScratchLease lease(*this);
     rr_set_into(root_idx, realization_seed, *lease.scratch, out, local);
   }
+  std::sort(out.begin(), out.end());
   if (visits != nullptr) *visits += local;
   return out;
 }
@@ -346,11 +355,22 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
   const std::size_t from = pool.num_sets();
   if (target_sets <= from) return;
   if (pool.byte_budget() != 0 && pool.byte_capped()) return;  // already full
-  const std::size_t count = target_sets - from;
+  fill(pool, target_sets - from,
+       [&](std::size_t i) { return draw(stream, from + i); }, tp);
+}
 
-  // Contiguous index shards: shard s owns draws [from + s*chunk,
-  // from + min((s+1)*chunk, count)). The shard count depends only on the
-  // pool's thread count (a few shards per thread evens out skewed reverse
+void RrSampler::extend_fixed_roots(RrPool& pool, ThreadPool* tp) const {
+  fill(pool, bridge_ends_.size(),
+       [&](std::size_t i) { return Draw{i, cfg_.seed}; }, tp);
+}
+
+template <class DrawAt>
+void RrSampler::fill(RrPool& pool, std::size_t count, DrawAt draw_at,
+                     ThreadPool* tp) const {
+  if (count == 0) return;
+  // Contiguous index shards: shard s owns block indices [s*chunk,
+  // min((s+1)*chunk, count)). The shard count depends only on the pool's
+  // thread count (a few shards per thread evens out skewed reverse
   // searches); merging in shard order makes the result independent of it.
   const std::size_t threads = tp != nullptr ? tp->thread_count() : 0;
   const std::size_t num_shards =
@@ -370,7 +390,7 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
     }
     ScratchLease lease(*this);
     for (std::size_t i = lo; i < hi; ++i) {
-      const Draw d = draw(stream, from + i);
+      const Draw d = draw_at(i);
       sh.sizes.push_back(rr_set_into(d.root_idx, d.realization_seed,
                                      *lease.scratch, sh.nodes, sh.visits));
     }
@@ -383,31 +403,35 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
   pool.append_shards(std::move(shards), g_.num_nodes());
 }
 
+RrPool doam_bridge_end_pool(GraphRef g, std::span<const NodeId> rumors,
+                            const BridgeEndResult& bridges, ThreadPool* tp) {
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kDoam;
+  cfg.max_hops = 0;
+  for (NodeId b : bridges.bridge_ends) {
+    LCRB_REQUIRE(b < bridges.rumor_dist.size(), "bridge end out of range");
+    const std::uint32_t d = bridges.rumor_dist[b];
+    LCRB_REQUIRE(d != kUnreached,
+                 "bridge end must be reachable from the rumors");
+    cfg.max_hops = std::max(cfg.max_hops, d);
+  }
+  RrPool pool;
+  RrSampler(g, {rumors.begin(), rumors.end()}, bridges.bridge_ends, cfg)
+      .extend_fixed_roots(pool, tp);
+  return pool;
+}
+
 // ---------------------------------------------------------------------------
 // Max-coverage greedy + two-pool stopping rule
 
-namespace {
-
-struct CoverageGreedyOutcome {
-  std::vector<NodeId> picks;
-  std::vector<std::size_t> gains;  ///< newly covered sets per pick
-  std::size_t covered = 0;
-  std::uint64_t ops = 0;
-};
-
-/// Max-coverage greedy over the first `theta` sets of the pool (its
-/// identity-keeping prefix), lowest node id on ties, stopping once
-/// (covered + null) / theta reaches alpha or the pick cap is hit.
-///
 /// CELF-style lazy argmax: cnt[] holds every node's EXACT residual coverage
 /// (maintained by decrements when a pick's sets are covered), and the heap
 /// holds stale upper bounds of it. A popped entry whose bound is stale is
 /// reinserted at the current count; a fresh top is the exact argmax, because
 /// counts only decrease and every other heap bound dominates its node's
-/// count. The comparator breaks count ties toward the LOWEST node id — the
-/// exact pick sequence of the linear scan this replaces, so golden hashes
-/// are unchanged. ops counts cnt[] decrements only (the work measure the
-/// linear scan reported), so nodes_visited is unchanged too.
+/// count. The comparator breaks count ties toward the LOWEST node id, so a
+/// pick is always the exact lowest-id argmax (the pick sequence of a linear
+/// scan). ops counts cnt[] decrements only.
 CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
                                       double alpha, std::size_t max_protectors,
                                       std::size_t theta) {
@@ -467,6 +491,8 @@ CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
   }
   return out;
 }
+
+namespace {
 
 /// Satellite guard: sampling hit a cap without certifying the (eps, delta)
 /// guarantee. Warn once per process; every affected result carries

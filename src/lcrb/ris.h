@@ -97,12 +97,12 @@ struct RisConfig {
 };
 
 /// One worker's batch of freshly drawn RR sets in CSR-lite form (per-set
-/// sizes + concatenated ascending nodes) — the unit RrSampler::extend fills
+/// sizes + concatenated nodes in search order) — the unit RrSampler fills
 /// in parallel and RrPool merges in fixed shard order, so pool contents are
 /// a pure function of draw indices whatever the thread count.
 struct RrShard {
   std::vector<std::uint32_t> sizes;  ///< nodes per set, in draw-index order
-  std::vector<NodeId> nodes;         ///< concatenated sets, each ascending
+  std::vector<NodeId> nodes;         ///< concatenated sets, unsorted
   std::uint64_t visits = 0;          ///< node-touch ops spent on this shard
 };
 
@@ -182,6 +182,9 @@ class RrPool {
   /// dropped (all-or-nothing per set, scanning in index order, so the kept
   /// prefix is exactly what an identically-budgeted cold pool would hold).
   void append_shards(std::vector<RrShard>&& shards, NodeId num_graph_nodes);
+  /// Rebuilds the node -> set index by counting, then transposes it back
+  /// into the sets, which leaves every set ascending whatever order its
+  /// nodes were appended in.
   void rebuild_inverted_index(NodeId num_graph_nodes);
   /// Content bytes of a pool holding `sets` sets and `entries` entries.
   static std::size_t content_bytes_for(std::size_t sets, std::size_t entries,
@@ -236,6 +239,13 @@ class RrSampler {
   void extend(RrPool& pool, std::uint64_t stream, std::size_t target_sets,
               ThreadPool* tp = nullptr) const;
 
+  /// Appends one RR set per bridge end, in bridge-end order, all drawn in
+  /// the realization of cfg.seed: set i of the appended block is rooted at
+  /// bridge_ends()[i]. Sharded and merged like extend. Meant for DOAM, whose
+  /// one realization is the graph itself, so set i is exactly the bridge
+  /// end's BBST (see doam_bridge_end_pool).
+  void extend_fixed_roots(RrPool& pool, ThreadPool* tp = nullptr) const;
+
   const std::vector<NodeId>& bridge_ends() const { return bridge_ends_; }
   GraphRef graph() const { return g_; }
   const RisConfig& config() const { return cfg_; }
@@ -243,9 +253,15 @@ class RrSampler {
  private:
   struct ScratchLease;
 
-  /// Appends the RR set of one (root, realization) pair to `nodes` (its
-  /// freshly written tail sorted ascending) and returns its size; the shard
-  /// fill loop shares one scratch across all its draws.
+  /// Appends `count` sets to `pool`; set i of the block is the RR set of
+  /// draw_at(i). The shared shard-and-merge core of both entries above.
+  template <class DrawAt>
+  void fill(RrPool& pool, std::size_t count, DrawAt draw_at,
+            ThreadPool* tp) const;
+
+  /// Appends the RR set of one (root, realization) pair to `nodes`, in
+  /// search order, and returns its size; the shard fill loop shares one
+  /// scratch across all its draws.
   std::uint32_t rr_set_into(std::size_t root_idx,
                             std::uint64_t realization_seed, ReverseScratch& sc,
                             std::vector<NodeId>& nodes,
@@ -260,6 +276,34 @@ class RrSampler {
   mutable std::mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<ReverseScratch>> scratch_free_;
 };
+
+/// The DOAM cover pool of SCBG (paper Algorithm 3): set i holds every
+/// node that saves bridges.bridge_ends[i] under DOAM, i.e.
+/// {w not in S_R : dist(w, b_i) <= d_R(b_i)} — the paper's BBST of b_i, and
+/// for DOAM also the RR set of root b_i — so sets_containing(v) is v's SW
+/// set. The reverse searches run to max d_R(b) hops. Throws unless every
+/// bridge end is reachable from the rumors.
+RrPool doam_bridge_end_pool(GraphRef g, std::span<const NodeId> rumors,
+                            const BridgeEndResult& bridges,
+                            ThreadPool* tp = nullptr);
+
+/// Outcome of coverage_greedy.
+struct CoverageGreedyOutcome {
+  std::vector<NodeId> picks;
+  std::vector<std::size_t> gains;  ///< newly covered sets per pick
+  std::size_t covered = 0;
+  std::uint64_t ops = 0;
+};
+
+/// Max-coverage greedy over the first `theta` sets of `pool` (its
+/// identity-keeping prefix): picks the node covering the most uncovered
+/// sets, lowest node id on ties, until (covered + null) / theta reaches
+/// `alpha`, `max_protectors` (0 = unlimited) is hit, or no node covers an
+/// uncovered set. With alpha = 1 and no cap it is the H_n greedy set cover
+/// SCBG runs. `ops` counts residual-count decrements.
+CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
+                                      double alpha, std::size_t max_protectors,
+                                      std::size_t theta);
 
 /// Why the adaptive sampling loop stopped.
 enum class RisStopReason : std::uint8_t {

@@ -4,8 +4,7 @@
 #include "graph/graph.h"
 
 #include "diffusion/doam.h"
-#include "lcrb/bbst.h"
-#include "lcrb/setcover.h"
+#include "lcrb/ris.h"
 #include "util/error.h"
 
 namespace lcrb {
@@ -13,60 +12,50 @@ namespace lcrb {
 template <GraphView G>
 ScbgResult scbg(const G& g, const Partition& p,
                 CommunityId rumor_community, std::span<const NodeId> rumors,
-                const ScbgConfig& cfg) {
+                ThreadPool* pool) {
   const BridgeEndResult bridges =
       find_bridge_ends(g, p, rumor_community, rumors);
-  return scbg_from_bridges(g, rumors, bridges, cfg);
+  return scbg_from_bridges(g, rumors, bridges, pool);
 }
 
 template <GraphView G>
 ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
                              const BridgeEndResult& bridges,
-                             const ScbgConfig& cfg) {
+                             ThreadPool* pool) {
   ScbgResult out;
   out.bridge_ends = bridges.bridge_ends;
   if (out.bridge_ends.empty()) return out;
 
-  const std::vector<Bbst> bbsts =
-      build_all_bbsts(g, out.bridge_ends, bridges.rumor_dist, rumors);
-  const SwSets sw = invert_bbsts(bbsts, g.num_nodes());
-  out.candidate_count = sw.candidates.size();
-
-  SetCoverInstance inst;
-  inst.universe_size = static_cast<std::uint32_t>(out.bridge_ends.size());
-  inst.sets = sw.sets;
-  const SetCoverResult cover = greedy_set_cover(inst);
+  const RrPool bbsts = doam_bridge_end_pool(g, rumors, bridges, pool);
+  out.candidate_count = bbsts.num_covered_nodes();
+  CoverageGreedyOutcome cover =
+      coverage_greedy(bbsts, g.num_nodes(), 1.0, 0, bbsts.num_sets());
   out.covered = cover.covered;
   // Every bridge end sits in its own BBST (N^0(v) = v), so a complete cover
   // always exists; failure indicates a bug, not an infeasible instance.
-  LCRB_REQUIRE(cover.complete, "SCBG: set cover unexpectedly incomplete");
+  LCRB_REQUIRE(out.covered == out.bridge_ends.size(),
+               "SCBG: set cover unexpectedly incomplete");
+  out.protectors = std::move(cover.picks);
 
-  out.protectors.reserve(cover.chosen.size());
-  for (std::uint32_t idx : cover.chosen) {
-    out.protectors.push_back(sw.candidates[idx]);
-  }
-
-  if (cfg.verify_coverage) {
-    SeedSets seeds;
-    seeds.rumors.assign(rumors.begin(), rumors.end());
-    seeds.protectors = out.protectors;
-    const std::vector<bool> saved = doam_saved(g, seeds, out.bridge_ends);
-    for (std::size_t i = 0; i < saved.size(); ++i) {
-      LCRB_REQUIRE(saved[i], "SCBG verification failed: bridge end " +
-                                 std::to_string(out.bridge_ends[i]) +
-                                 " still infected under DOAM");
-    }
+  SeedSets seeds;
+  seeds.rumors.assign(rumors.begin(), rumors.end());
+  seeds.protectors = out.protectors;
+  const std::vector<bool> saved = doam_saved(g, seeds, out.bridge_ends);
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    LCRB_REQUIRE(saved[i], "SCBG verification failed: bridge end " +
+                               std::to_string(out.bridge_ends[i]) +
+                               " still infected under DOAM");
   }
   return out;
 }
 
 #define LCRB_INSTANTIATE_SCBG(G)                                              \
   template ScbgResult scbg<G>(const G&, const Partition&, CommunityId,        \
-                              std::span<const NodeId>, const ScbgConfig&);    \
+                              std::span<const NodeId>, ThreadPool*);          \
   template ScbgResult scbg_from_bridges<G>(const G&,                          \
                                            std::span<const NodeId>,           \
                                            const BridgeEndResult&,            \
-                                           const ScbgConfig&);
+                                           ThreadPool*);
 
 LCRB_INSTANTIATE_SCBG(DiGraph)
 LCRB_INSTANTIATE_SCBG(EfGraph)

@@ -1,9 +1,13 @@
 // Set Cover Based Greedy (SCBG) — the paper's Algorithm 3 for LCRB-D.
 //
-// Pipeline: RFST -> bridge ends B -> one BBST per bridge end -> invert into
-// SW sets -> greedy set cover -> protector seed set W. The output provably
-// protects every bridge end under DOAM (each bridge end is in its own BBST,
-// so a complete cover always exists), within O(ln |B|) of the optimum.
+// Pipeline: RFST -> bridge ends B -> one BBST per bridge end -> greedy set
+// cover -> protector seed set W. Under DOAM a bridge end's BBST is its
+// reverse-reachable set (v saves b iff dist(v, b) <= d_R(b)), so the BBSTs
+// are drawn by the RIS reverse sampler into one CSR pool whose inverted
+// index is the SW map (doam_bridge_end_pool), and the cover is RIS's
+// coverage greedy run to completion. The output provably protects every
+// bridge end under DOAM (each bridge end is in its own BBST, so a complete
+// cover always exists), within H(max |SW|) of the optimum.
 #pragma once
 
 #include <span>
@@ -12,16 +16,10 @@
 #include "community/partition.h"
 #include "graph/graph_view.h"
 #include "lcrb/bridge.h"
+#include "util/threadpool.h"
 #include "util/types.h"
 
 namespace lcrb {
-
-struct ScbgConfig {
-  /// Re-check the cover with an actual DOAM protection test (cheap, O(V+E))
-  /// and throw if the guarantee is ever violated. Keep on; it is the
-  /// paper's central claim.
-  bool verify_coverage = true;
-};
 
 struct ScbgResult {
   std::vector<NodeId> protectors;   ///< W, in pick order
@@ -30,16 +28,19 @@ struct ScbgResult {
   std::size_t candidate_count = 0;  ///< |union of BBSTs| (set-cover width)
 };
 
-/// Runs SCBG end to end.
+/// Runs SCBG end to end. The BBSTs are drawn in parallel on `pool` when
+/// given; the result is identical at any thread count. The cover is always
+/// re-checked with a DOAM protection test (the paper's central claim), and
+/// a violation throws lcrb::Error.
 template <GraphView G>
 ScbgResult scbg(const G& g, const Partition& p,
                 CommunityId rumor_community, std::span<const NodeId> rumors,
-                const ScbgConfig& cfg = {});
+                ThreadPool* pool = nullptr);
 
 /// Variant when bridge ends were already computed (shared with benches).
 template <GraphView G>
 ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
                              const BridgeEndResult& bridges,
-                             const ScbgConfig& cfg = {});
+                             ThreadPool* pool = nullptr);
 
 }  // namespace lcrb

@@ -59,29 +59,6 @@ TEST(BfsBackward, ReversesDirection) {
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(r.dist[v], 4 - v);
 }
 
-TEST(BoundedBfs, RespectsDepthLimit) {
-  const DiGraph g = path_graph(10);
-  const auto r = bfs_forward_bounded(g, 0, 3);
-  EXPECT_EQ(r.nodes.size(), 4u);  // 0,1,2,3
-  EXPECT_EQ(r.depth.back(), 3u);
-}
-
-TEST(BoundedBfs, BackwardWalksInEdges) {
-  const DiGraph g = path_graph(10);
-  const auto r = bfs_backward_bounded(g, 5, 2);
-  ASSERT_EQ(r.nodes.size(), 3u);
-  EXPECT_EQ(r.nodes[0], 5u);
-  EXPECT_EQ(r.nodes[1], 4u);
-  EXPECT_EQ(r.nodes[2], 3u);
-}
-
-TEST(BoundedBfs, DepthZeroIsJustRoot) {
-  const DiGraph g = complete_graph(5);
-  const auto r = bfs_forward_bounded(g, 2, 0);
-  ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_EQ(r.nodes[0], 2u);
-}
-
 TEST(ReachableFrom, IncludesSourcesAndClosure) {
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}});
   const NodeId src[] = {0};

@@ -312,6 +312,14 @@ TYPED_TEST(GoldenDeterminismTest, GreedyRisDoam) {
 
 TYPED_TEST(GoldenDeterminismTest, ScbgSeedSet) {
   const ScbgResult r = scbg_from_bridges(this->g_, this->rumors_, this->bridges_);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* tp : {&one, &four}) {
+    EXPECT_EQ(hash_scbg(scbg_from_bridges(this->g_, this->rumors_,
+                                          this->bridges_, tp)),
+              hash_scbg(r))
+        << tp->thread_count() << "-thread run drifted from serial";
+  }
   check_golden("scbg_seed_set", hash_scbg(r));
 }
 

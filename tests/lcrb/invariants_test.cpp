@@ -3,12 +3,13 @@
 
 #include <set>
 
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
-#include "lcrb/bbst.h"
 #include "lcrb/bridge.h"
 #include "lcrb/rfst.h"
-#include "lcrb/setcover.h"
+#include "lcrb/ris.h"
+#include "lcrb/scbg.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -57,50 +58,75 @@ TEST_P(CoreInvariantTest, RfstPathLengthsEqualDistances) {
   }
 }
 
-TEST_P(CoreInvariantTest, BbstMembershipIsExactlyTimelyReachability) {
-  const auto bbsts =
-      build_all_bbsts(cg.graph, bridges.bridge_ends, bridges.rumor_dist,
-                      rumors);
-  std::set<NodeId> rumor_set(rumors.begin(), rumors.end());
-  for (const Bbst& q : bbsts) {
-    // Membership <=> dist(w, root) <= depth_limit, w not a rumor.
-    const BfsResult back =
-        bfs_backward(cg.graph, std::vector<NodeId>{q.root});
-    std::set<NodeId> members(q.nodes.begin(), q.nodes.end());
-    for (NodeId w = 0; w < cg.graph.num_nodes(); ++w) {
-      const bool expected = back.dist[w] != kUnreached &&
-                            back.dist[w] <= q.depth_limit &&
-                            rumor_set.count(w) == 0;
-      EXPECT_EQ(members.count(w) == 1, expected)
-          << "root " << q.root << " node " << w;
+// Test-local reference: hop distance from every node to `root`.
+template <class G>
+std::vector<std::uint32_t> dist_to(const G& g, NodeId root) {
+  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreached);
+  std::vector<NodeId> queue{root};
+  dist[root] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId w = queue[head];
+    for (NodeId u : g.in_neighbors(w)) {
+      if (dist[u] == kUnreached) {
+        dist[u] = dist[w] + 1;
+        queue.push_back(u);
+      }
     }
+  }
+  return dist;
+}
+
+template <class G>
+void expect_pool_is_timely_reachability(const G& g,
+                                        const std::vector<NodeId>& rumors,
+                                        const BridgeEndResult& bridges) {
+  const RrPool pool = doam_bridge_end_pool(g, rumors, bridges);
+  EXPECT_NO_THROW(pool.validate());
+  ASSERT_EQ(pool.num_sets(), bridges.bridge_ends.size());
+  const std::set<NodeId> rumor_set(rumors.begin(), rumors.end());
+  for (std::size_t i = 0; i < pool.num_sets(); ++i) {
+    // Membership <=> dist(w, b_i) <= d_R(b_i), w not a rumor.
+    const NodeId root = bridges.bridge_ends[i];
+    const std::vector<std::uint32_t> back = dist_to(g, root);
+    std::vector<NodeId> want;
+    for (NodeId w = 0; w < g.num_nodes(); ++w) {
+      if (back[w] <= bridges.rumor_dist[root] && rumor_set.count(w) == 0) {
+        want.push_back(w);
+      }
+    }
+    const auto got = pool.set_nodes(i);
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+        << "root " << root;
   }
 }
 
-TEST_P(CoreInvariantTest, GreedyCoverPicksAlwaysAddCoverage) {
-  const auto bbsts =
-      build_all_bbsts(cg.graph, bridges.bridge_ends, bridges.rumor_dist,
-                      rumors);
-  if (bridges.bridge_ends.empty()) GTEST_SKIP();
-  const SwSets sw = invert_bbsts(bbsts, cg.graph.num_nodes());
-  SetCoverInstance inst;
-  inst.universe_size = static_cast<std::uint32_t>(bridges.bridge_ends.size());
-  inst.sets = sw.sets;
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_TRUE(r.complete);
+TEST_P(CoreInvariantTest, BbstMembershipIsExactlyTimelyReachability) {
+  ASSERT_FALSE(bridges.bridge_ends.empty());
+  expect_pool_is_timely_reachability(cg.graph, rumors, bridges);
+  expect_pool_is_timely_reachability(EfGraph::from_csr(cg.graph), rumors,
+                                     bridges);
+}
 
-  // Replay: every chosen set must add at least one new element, and the
-  // marginal coverage sequence must be non-increasing (greedy order).
+TEST_P(CoreInvariantTest, GreedyCoverPicksAlwaysAddCoverage) {
+  if (bridges.bridge_ends.empty()) GTEST_SKIP();
+  const RrPool pool = doam_bridge_end_pool(cg.graph, rumors, bridges);
+  const ScbgResult r = scbg_from_bridges(cg.graph, rumors, bridges);
+  EXPECT_EQ(r.covered, bridges.bridge_ends.size());
+
+  // Replay: every pick must add at least one newly covered bridge end, and
+  // the marginal coverage sequence must be non-increasing (greedy order).
   std::set<std::uint32_t> covered;
-  std::size_t prev_gain = inst.universe_size + 1;
-  for (std::uint32_t idx : r.chosen) {
+  std::size_t prev_gain = pool.num_sets() + 1;
+  for (NodeId v : r.protectors) {
     std::size_t gain = 0;
-    for (std::uint32_t e : inst.sets[idx]) gain += covered.insert(e).second;
+    for (std::uint32_t e : pool.sets_containing(v)) {
+      gain += covered.insert(e).second;
+    }
     EXPECT_GT(gain, 0u);
     EXPECT_LE(gain, prev_gain);
     prev_gain = gain;
   }
-  EXPECT_EQ(covered.size(), inst.universe_size);
+  EXPECT_EQ(covered.size(), pool.num_sets());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreInvariantTest,

@@ -3,8 +3,9 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
-#include "lcrb/bbst.h"
+#include "lcrb/bridge.h"
 #include "lcrb/rfst.h"
+#include "lcrb/ris.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -43,25 +44,50 @@ TEST(Rfst, EmptyRumorsThrow) {
 }
 
 // ------------------------------ BBST ------------------------------
+//
+// Under DOAM the BBST of bridge end b is the RR set of root b; SCBG draws
+// them with doam_bridge_end_pool, one set per bridge end, in bridge-end
+// order. Set i must be exactly {w not a rumor : dist(w, b_i) <= d_R(b_i)}.
+
+BridgeEndResult ends_with_rumor_dist(const DiGraph& g,
+                                     std::vector<NodeId> ends,
+                                     const std::vector<NodeId>& rumors) {
+  BridgeEndResult b;
+  b.bridge_ends = std::move(ends);
+  b.rumor_dist = bfs_forward(g, rumors).dist;
+  return b;
+}
+
+std::vector<NodeId> set_of(const RrPool& pool, std::size_t i) {
+  const auto s = pool.set_nodes(i);
+  return {s.begin(), s.end()};
+}
 
 TEST(Bbst, DepthLimitIsRumorDistance) {
   // 0 -> 1 -> 2 -> v(3); side protector chain 5 -> 4 -> 3.
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {2, 3}, {4, 3}, {5, 4}});
-  const Bbst q = build_bbst(g, 3, 3, std::vector<NodeId>{0});
-  EXPECT_EQ(q.root, 3u);
-  EXPECT_EQ(q.depth_limit, 3u);
+  const std::vector<NodeId> rumors{0};
+  const BridgeEndResult b = ends_with_rumor_dist(g, {3}, rumors);
+  ASSERT_EQ(b.rumor_dist[3], 3u);
+  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  ASSERT_EQ(pool.num_sets(), 1u);
   // Backward BFS from 3 within 3 hops: {3, 2, 4, 1, 5} minus rumor {0}.
-  std::vector<NodeId> sorted = q.nodes;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(set_of(pool, 0), (std::vector<NodeId>{1, 2, 3, 4, 5}));
 }
 
 TEST(Bbst, RumorsExcluded) {
-  const DiGraph g = path_graph(4);
-  const Bbst q = build_bbst(g, 3, 3, std::vector<NodeId>{0});
-  EXPECT_EQ(std::find(q.nodes.begin(), q.nodes.end(), 0u), q.nodes.end());
-  // Root itself always present (N^0(v) = v).
-  EXPECT_EQ(q.nodes.front(), 3u);
+  // Rumors never join a set; the root itself is always present
+  // (N^0(v) = v).
+  const DiGraph g = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {4, 3}});
+  const std::vector<NodeId> one{0};
+  const RrPool p1 =
+      doam_bridge_end_pool(g, one, ends_with_rumor_dist(g, {3}, one));
+  EXPECT_EQ(set_of(p1, 0), (std::vector<NodeId>{1, 2, 3, 4}));
+  // A second rumor next to the root cuts the depth limit to one hop.
+  const std::vector<NodeId> two{0, 4};
+  const RrPool p2 =
+      doam_bridge_end_pool(g, two, ends_with_rumor_dist(g, {3}, two));
+  EXPECT_EQ(set_of(p2, 0), (std::vector<NodeId>{2, 3}));
 }
 
 TEST(Bbst, EveryMemberCanReachRootInTime) {
@@ -69,69 +95,72 @@ TEST(Bbst, EveryMemberCanReachRootInTime) {
   const DiGraph g = erdos_renyi(100, 0.05, true, rng);
   const std::vector<NodeId> rumors{0, 1};
   const BfsResult rd = bfs_forward(g, rumors);
-  // Pick a reachable node as a pseudo bridge end.
-  NodeId root = kInvalidNode;
-  for (NodeId v = 10; v < g.num_nodes(); ++v) {
-    if (rd.dist[v] != kUnreached && rd.dist[v] >= 2) {
-      root = v;
-      break;
-    }
+  // Pick reachable nodes as pseudo bridge ends.
+  std::vector<NodeId> ends;
+  for (NodeId v = 10; v < g.num_nodes() && ends.size() < 5; ++v) {
+    if (rd.dist[v] != kUnreached && rd.dist[v] >= 2) ends.push_back(v);
   }
-  ASSERT_NE(root, kInvalidNode);
+  ASSERT_FALSE(ends.empty());
 
-  const Bbst q = build_bbst(g, root, rd.dist[root], rumors);
-  const BfsResult to_root = bfs_backward(g, std::vector<NodeId>{root});
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    EXPECT_EQ(q.depth[i], to_root.dist[q.nodes[i]]);
-    EXPECT_LE(q.depth[i], q.depth_limit);
+  const BridgeEndResult b = ends_with_rumor_dist(g, ends, rumors);
+  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  ASSERT_EQ(pool.num_sets(), ends.size());
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    const BfsResult to_root = bfs_backward(g, std::vector<NodeId>{ends[i]});
+    for (NodeId w : pool.set_nodes(i)) {
+      EXPECT_LE(to_root.dist[w], rd.dist[ends[i]]) << "node " << w;
+    }
   }
 }
 
 TEST(Bbst, UnreachableRootRejected) {
   const DiGraph g = path_graph(3);
-  EXPECT_THROW(build_bbst(g, 2, kUnreached, std::vector<NodeId>{0}), Error);
+  BridgeEndResult b;
+  b.bridge_ends = {2};
+  b.rumor_dist = {0, 1, kUnreached};
+  EXPECT_THROW(doam_bridge_end_pool(g, std::vector<NodeId>{0}, b), Error);
 }
 
 TEST(BuildAllBbsts, OnePerBridgeEnd) {
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {0, 3}, {3, 4}, {4, 5}});
-  const std::vector<NodeId> bridge_ends{2, 5};
-  const BfsResult rd = bfs_forward(g, std::vector<NodeId>{0});
-  const auto bbsts =
-      build_all_bbsts(g, bridge_ends, rd.dist, std::vector<NodeId>{0});
-  ASSERT_EQ(bbsts.size(), 2u);
-  EXPECT_EQ(bbsts[0].root, 2u);
-  EXPECT_EQ(bbsts[1].root, 5u);
+  const std::vector<NodeId> rumors{0};
+  const BridgeEndResult b = ends_with_rumor_dist(g, {5, 2}, rumors);
+  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  // Bridge-end order, not node order: set 0 is rooted at 5, set 1 at 2.
+  ASSERT_EQ(pool.num_sets(), 2u);
+  EXPECT_EQ(pool.num_null(), 0u);
+  EXPECT_EQ(set_of(pool, 0), (std::vector<NodeId>{3, 4, 5}));
+  EXPECT_EQ(set_of(pool, 1), (std::vector<NodeId>{1, 2}));
+  EXPECT_NO_THROW(pool.validate());
 }
 
 TEST(InvertBbsts, SwSetsAreExactMembership) {
-  // Candidate u protects exactly the bridge ends whose BBST contains it.
+  // Candidate u protects exactly the bridge ends whose BBST contains it:
+  // the pool's inverted index is the SW map of Algorithm 3 step 5.
   const DiGraph g = make_graph(7, {{0, 1}, {1, 2}, {1, 3}, {4, 2}, {4, 3},
                                    {5, 4}, {6, 5}});
-  const std::vector<NodeId> bridge_ends{2, 3};
-  const BfsResult rd = bfs_forward(g, std::vector<NodeId>{0});
-  const auto bbsts =
-      build_all_bbsts(g, bridge_ends, rd.dist, std::vector<NodeId>{0});
-  const SwSets sw = invert_bbsts(bbsts, g.num_nodes());
+  const std::vector<NodeId> rumors{0};
+  const BridgeEndResult b = ends_with_rumor_dist(g, {2, 3}, rumors);
+  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
 
   // Node 4 reaches both 2 and 3 in one hop (rumor distance 2): in both sets.
-  const auto it = std::find(sw.candidates.begin(), sw.candidates.end(), 4u);
-  ASSERT_NE(it, sw.candidates.end());
-  const auto& set4 = sw.sets[static_cast<std::size_t>(it - sw.candidates.begin())];
-  EXPECT_EQ(set4.size(), 2u);
+  const auto sw4 = pool.sets_containing(4);
+  EXPECT_EQ(std::vector<std::uint32_t>(sw4.begin(), sw4.end()),
+            (std::vector<std::uint32_t>{0, 1}));
+  // Node 6 is 3 hops away from both: in neither.
+  EXPECT_TRUE(pool.sets_containing(6).empty());
 
-  // Cross-check every (candidate, set) pair against the BBST contents.
-  for (std::size_t i = 0; i < sw.candidates.size(); ++i) {
-    const NodeId u = sw.candidates[i];
-    for (std::uint32_t b : sw.sets[i]) {
-      const auto& nodes = bbsts[b].nodes;
+  // Cross-check every (candidate, set) pair both ways.
+  std::size_t total_sw = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (std::uint32_t s : pool.sets_containing(u)) {
+      const auto nodes = pool.set_nodes(s);
       EXPECT_NE(std::find(nodes.begin(), nodes.end(), u), nodes.end());
+      ++total_sw;
     }
   }
-  // Total SW memberships == total BBST node count.
-  std::size_t total_sw = 0, total_bbst = 0;
-  for (const auto& s : sw.sets) total_sw += s.size();
-  for (const auto& q : bbsts) total_bbst += q.nodes.size();
-  EXPECT_EQ(total_sw, total_bbst);
+  EXPECT_EQ(total_sw, pool.total_entries());
+  EXPECT_EQ(pool.num_covered_nodes(), 5u);  // {1, 2, 3, 4, 5}
 }
 
 }  // namespace

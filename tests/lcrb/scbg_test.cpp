@@ -74,9 +74,9 @@ TEST_P(ScbgGuaranteeTest, AllBridgeEndsProtectedUnderDoam) {
     }
   }
 
-  // verify_coverage=true re-checks internally and throws on violation; also
+  // SCBG re-checks its cover internally and throws on violation; also
   // assert the simulated cascade here for belt and braces.
-  const ScbgResult r = scbg(cg.graph, p, 0, rumors, {.verify_coverage = true});
+  const ScbgResult r = scbg(cg.graph, p, 0, rumors);
   SeedSets seeds;
   seeds.rumors = rumors;
   seeds.protectors = r.protectors;
@@ -109,8 +109,30 @@ TEST(Scbg, WorksWithDetectedCommunities) {
   const std::vector<NodeId> rumors{members[0], members[1]};
 
   const ScbgResult r = scbg(cg.graph, detected, biggest, rumors);
-  // verify_coverage enforced internally; just confirm it ran end to end.
+  // The cover is verified internally; just confirm it ran end to end.
   EXPECT_EQ(r.covered, r.bridge_ends.size());
+}
+
+TEST(Scbg, TiesGoToTheLowestNodeId) {
+  // Rumor 0 reaches bridge ends 4..11 over private two-hop paths (feeders
+  // 12..19), so each end has rumor distance 2. Node 1 saves {4, 9, 10, 11},
+  // node 3 saves {4, 5, 6} and node 2 saves {7, 8}. After node 1, nodes 2
+  // and 3 tie at two new ends each; node 3's stale bound (3) tops the lazy
+  // heap, but the pick is the exact argmax with the lowest id: node 2.
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (NodeId e = 4; e < 12; ++e) {
+    arcs.emplace_back(0, e + 8);
+    arcs.emplace_back(e + 8, e);
+  }
+  for (NodeId e : {4u, 9u, 10u, 11u}) arcs.emplace_back(1, e);
+  for (NodeId e : {4u, 5u, 6u}) arcs.emplace_back(3, e);
+  for (NodeId e : {7u, 8u}) arcs.emplace_back(2, e);
+  const DiGraph g = make_graph(20, arcs);
+  Partition p(std::vector<CommunityId>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1,
+                                       1, 1, 0, 0, 0, 0, 0, 0, 0, 0});
+  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  EXPECT_EQ(r.bridge_ends, (std::vector<NodeId>{4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(r.protectors, (std::vector<NodeId>{1, 2, 3}));
 }
 
 TEST(Scbg, CandidateCountReported) {

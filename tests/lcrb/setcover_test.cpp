@@ -1,142 +1,164 @@
-#include "lcrb/setcover.h"
-
+// SCBG's set cover: the coverage greedy over the DOAM bridge-end pool, on
+// graphs built so the cover instance is a chosen family of sets, plus the
+// exact oracle the approximation tests compare against.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
+#include "graph/builder.h"
+#include "graph/traversal.h"
+#include "lcrb/ris.h"
+#include "lcrb/scbg.h"
+#include "support/set_cover_oracle.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace lcrb {
 namespace {
 
+using statcheck::CoverInstance;
+using statcheck::CoverResult;
+using statcheck::exact_set_cover;
+
+// A graph whose SCBG cover instance is `sets` over `universe` bridge ends,
+// plus the singletons every bridge end and its feeder provide. Node 0 is
+// the rumor, which reaches bridge end e over a private two-hop path
+// (0 -> feeder -> end), so every end has rumor distance 2. Set s is node
+// 1 + s, with an arc to each of its ends: lower set index, lower node id.
+struct CoverGraph {
+  DiGraph g;
+  std::vector<NodeId> rumors{0};
+  BridgeEndResult bridges;
+
+  NodeId node_of_set(std::size_t s) const {
+    return static_cast<NodeId>(1 + s);
+  }
+};
+
+CoverGraph cover_graph(std::uint32_t universe,
+                       const std::vector<std::vector<std::uint32_t>>& sets) {
+  const auto m = static_cast<NodeId>(sets.size());
+  const NodeId first_end = 1 + m;
+  const NodeId first_feeder = first_end + universe;
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (std::uint32_t e = 0; e < universe; ++e) {
+    arcs.emplace_back(0, first_feeder + e);
+    arcs.emplace_back(first_feeder + e, first_end + e);
+  }
+  for (NodeId s = 0; s < m; ++s) {
+    for (std::uint32_t e : sets[s]) arcs.emplace_back(1 + s, first_end + e);
+  }
+  CoverGraph out;
+  out.g = make_graph(first_feeder + universe, arcs);
+  for (std::uint32_t e = 0; e < universe; ++e) {
+    out.bridges.bridge_ends.push_back(first_end + e);
+  }
+  out.bridges.rumor_dist = bfs_forward(out.g, out.rumors).dist;
+  return out;
+}
+
+std::vector<NodeId> scbg_picks(const CoverGraph& c) {
+  return scbg_from_bridges(c.g, c.rumors, c.bridges).protectors;
+}
+
 TEST(GreedySetCover, EmptyUniverseTriviallyComplete) {
-  SetCoverInstance inst;
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_TRUE(r.complete);
-  EXPECT_TRUE(r.chosen.empty());
+  const CoverGraph c = cover_graph(0, {{}});
+  const ScbgResult r = scbg_from_bridges(c.g, c.rumors, c.bridges);
+  EXPECT_TRUE(r.protectors.empty());
+  EXPECT_EQ(r.covered, 0u);
+  const RrPool empty = doam_bridge_end_pool(c.g, c.rumors, c.bridges);
+  EXPECT_TRUE(coverage_greedy(empty, c.g.num_nodes(), 1.0, 0, 0).picks.empty());
 }
 
 TEST(GreedySetCover, SingleSetCoversAll) {
-  SetCoverInstance inst;
-  inst.universe_size = 3;
-  inst.sets = {{0, 1, 2}, {0}, {1}};
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{0}));
+  const CoverGraph c = cover_graph(3, {{0, 1, 2}, {0}, {1}});
+  EXPECT_EQ(scbg_picks(c), (std::vector<NodeId>{c.node_of_set(0)}));
 }
 
 TEST(GreedySetCover, PicksLargestFirst) {
-  SetCoverInstance inst;
-  inst.universe_size = 5;
-  inst.sets = {{0, 1}, {2, 3, 4}, {0, 4}};
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_TRUE(r.complete);
-  ASSERT_EQ(r.chosen.size(), 2u);
-  EXPECT_EQ(r.chosen[0], 1u);  // the 3-element set first
-  EXPECT_EQ(r.chosen[1], 0u);
+  const CoverGraph c = cover_graph(5, {{0, 1}, {2, 3, 4}, {0, 4}});
+  // The 3-element set first, then the pair that finishes the cover.
+  EXPECT_EQ(scbg_picks(c),
+            (std::vector<NodeId>{c.node_of_set(1), c.node_of_set(0)}));
 }
 
 TEST(GreedySetCover, PartialCoverageReported) {
-  SetCoverInstance inst;
-  inst.universe_size = 4;
-  inst.sets = {{0, 1}, {1}};
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_FALSE(r.complete);
+  // A pick cap stops the greedy short; it reports what it covered.
+  const CoverGraph c = cover_graph(4, {{0, 1}, {1}});
+  const RrPool pool = doam_bridge_end_pool(c.g, c.rumors, c.bridges);
+  const CoverageGreedyOutcome r =
+      coverage_greedy(pool, c.g.num_nodes(), 1.0, 1, pool.num_sets());
   EXPECT_EQ(r.covered, 2u);
-  EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(r.picks, (std::vector<NodeId>{c.node_of_set(0)}));
+  EXPECT_EQ(r.gains, (std::vector<std::size_t>{2}));
 }
 
 TEST(GreedySetCover, DuplicateElementsDoNotInflate) {
-  SetCoverInstance inst;
-  inst.universe_size = 2;
-  inst.sets = {{0, 0, 0}, {0, 1}};
-  const SetCoverResult r = greedy_set_cover(inst);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{1}));
+  // Node 1 reaches bridge end 2 over two paths (1 -> 2, 1 -> 5 -> 2) but
+  // saves it once: its count is 1, not 2, so node 3, which saves both
+  // ends, wins outright instead of losing a tie to the lower id.
+  const DiGraph g = make_graph(
+      7, {{0, 5}, {5, 2}, {0, 6}, {6, 4}, {1, 2}, {1, 5}, {3, 2}, {3, 4}});
+  const std::vector<NodeId> rumors{0};
+  BridgeEndResult b;
+  b.bridge_ends = {2, 4};
+  b.rumor_dist = bfs_forward(g, rumors).dist;
+  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  EXPECT_EQ(pool.sets_containing(1).size(), 1u);
+  const auto set0 = pool.set_nodes(0);
+  EXPECT_EQ(std::count(set0.begin(), set0.end(), NodeId{1}), 1);
+  EXPECT_EQ(scbg_from_bridges(g, rumors, b).protectors,
+            (std::vector<NodeId>{3}));
 }
 
 TEST(GreedySetCover, ElementOutOfUniverseThrows) {
-  SetCoverInstance inst;
-  inst.universe_size = 2;
-  inst.sets = {{0, 5}};
-  EXPECT_THROW(greedy_set_cover(inst), Error);
+  // A bridge end that is not a node of the graph is rejected.
+  CoverGraph c = cover_graph(2, {{0, 1}});
+  c.bridges.bridge_ends.push_back(c.g.num_nodes());
+  c.bridges.rumor_dist.push_back(2);
+  EXPECT_THROW(scbg_from_bridges(c.g, c.rumors, c.bridges), Error);
 }
 
 TEST(GreedySetCover, ClassicLogFactorExample) {
-  // The standard bad instance: greedy picks the big "half" sets instead of
+  // The standard bad instance: greedy picks the geometric ladder instead of
   // the two-set optimum. Checks the H_n bound, not optimality.
-  SetCoverInstance inst;
-  inst.universe_size = 14;
-  // Optimal pair: odds and evens.
-  inst.sets = {{0, 2, 4, 6, 8, 10, 12}, {1, 3, 5, 7, 9, 11, 13},
-               // Geometric ladders greedy prefers.
-               {6, 7, 8, 9, 10, 11, 12, 13},
-               {2, 3, 4, 5},
-               {0, 1}};
-  const SetCoverResult greedy = greedy_set_cover(inst);
-  const SetCoverResult exact = exact_set_cover(inst);
-  EXPECT_TRUE(greedy.complete);
+  const std::vector<std::vector<std::uint32_t>> sets = {
+      {0, 2, 4, 6, 8, 10, 12}, {1, 3, 5, 7, 9, 11, 13},  // optimal pair
+      {6, 7, 8, 9, 10, 11, 12, 13}, {2, 3, 4, 5}, {0, 1}};
+  const CoverGraph c = cover_graph(14, sets);
+  const std::vector<NodeId> greedy = scbg_picks(c);
+  EXPECT_EQ(greedy, (std::vector<NodeId>{c.node_of_set(2), c.node_of_set(3),
+                                         c.node_of_set(4)}));
+  // No single node covers all 14 ends, and two do: OPT = 2.
+  const CoverResult exact = exact_set_cover({14, sets});
   EXPECT_EQ(exact.chosen.size(), 2u);
-  const double hn = std::log(14.0) + 1.0;
-  EXPECT_LE(static_cast<double>(greedy.chosen.size()),
-            hn * static_cast<double>(exact.chosen.size()));
+  EXPECT_LE(static_cast<double>(greedy.size()),
+            statcheck::harmonic(8) * static_cast<double>(exact.chosen.size()));
 }
 
 TEST(ExactSetCover, FindsMinimum) {
-  SetCoverInstance inst;
+  CoverInstance inst;
   inst.universe_size = 4;
   inst.sets = {{0}, {1}, {2}, {3}, {0, 1}, {2, 3}};
-  const SetCoverResult r = exact_set_cover(inst);
+  const CoverResult r = exact_set_cover(inst);
   EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.chosen.size(), 2u);
+  EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{4, 5}));
 }
 
 TEST(ExactSetCover, ReportsInfeasible) {
-  SetCoverInstance inst;
+  CoverInstance inst;
   inst.universe_size = 3;
   inst.sets = {{0}, {1}};
-  const SetCoverResult r = exact_set_cover(inst);
+  const CoverResult r = exact_set_cover(inst);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.covered, 2u);
 }
 
 TEST(ExactSetCover, TooLargeThrows) {
-  SetCoverInstance inst;
+  CoverInstance inst;
   inst.universe_size = 1;
   inst.sets.assign(30, {0});
   EXPECT_THROW(exact_set_cover(inst, 24), Error);
 }
-
-// Property: on random instances, greedy is complete whenever exact is, and
-// within the H_n guarantee.
-class SetCoverPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SetCoverPropertyTest, GreedyWithinHnOfOptimal) {
-  Rng rng(GetParam());
-  SetCoverInstance inst;
-  inst.universe_size = 12;
-  const std::size_t m = 10;
-  inst.sets.resize(m);
-  for (auto& s : inst.sets) {
-    for (std::uint32_t e = 0; e < inst.universe_size; ++e) {
-      if (rng.next_bool(0.3)) s.push_back(e);
-    }
-  }
-  const SetCoverResult greedy = greedy_set_cover(inst);
-  const SetCoverResult exact = exact_set_cover(inst);
-  EXPECT_EQ(greedy.complete, exact.complete);
-  EXPECT_EQ(greedy.covered >= exact.covered, true);
-  if (exact.complete) {
-    double hn = 0.0;
-    for (std::uint32_t i = 1; i <= inst.universe_size; ++i) hn += 1.0 / i;
-    EXPECT_LE(static_cast<double>(greedy.chosen.size()),
-              hn * static_cast<double>(exact.chosen.size()) + 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SetCoverPropertyTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 }  // namespace
 }  // namespace lcrb

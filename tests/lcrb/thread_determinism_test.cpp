@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "lcrb/scbg.h"
 #include "lcrb/sigma.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -237,6 +238,33 @@ TEST_F(ThreadDeterminismTest, RisPoolGenerationIsThreadCountInvariant) {
             << "set " << i << " differs bitwise";
       }
     }
+  }
+}
+
+TEST_F(ThreadDeterminismTest, ScbgIsThreadCountInvariant) {
+  // SCBG's bridge-end pool is drawn in shards: the pool bytes and the cover
+  // picked from it are identical with no pool, 1 thread and 4 threads.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const RrPool serial = doam_bridge_end_pool(g_, rumors_, bridges_);
+  const ScbgResult want = scbg_from_bridges(g_, rumors_, bridges_);
+  ASSERT_EQ(serial.num_sets(), bridges_.bridge_ends.size());
+  EXPECT_FALSE(want.protectors.empty());
+  for (ThreadPool* tp : {&one, &four}) {
+    const RrPool pool = doam_bridge_end_pool(g_, rumors_, bridges_, tp);
+    ASSERT_EQ(pool.total_entries(), serial.total_entries());
+    EXPECT_EQ(pool.content_bytes(), serial.content_bytes());
+    EXPECT_EQ(pool.nodes_visited(), serial.nodes_visited());
+    for (std::size_t i = 0; i < serial.num_sets(); ++i) {
+      const auto a = serial.set_nodes(i);
+      const auto b = pool.set_nodes(i);
+      ASSERT_EQ(a.size(), b.size()) << "set " << i;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)), 0)
+          << "set " << i << " differs bitwise";
+    }
+    const ScbgResult got = scbg_from_bridges(g_, rumors_, bridges_, tp);
+    EXPECT_EQ(got.protectors, want.protectors);
+    EXPECT_EQ(got.candidate_count, want.candidate_count);
   }
 }
 

@@ -1,19 +1,12 @@
 """lcrb_analyze — semantic determinism analyzer for the LCRB codebase.
 
-A front-end/rules split:
-
-  * a libclang front end (used when the `clang` Python bindings and a
-    matching libclang shared library are available — the CI analyzer job
-    pins clang-15) resolves real types from a CMake-exported
-    compile_commands.json;
-  * a self-contained internal front end (no dependencies beyond the
-    standard library) tokenizes the sources, tracks scopes, declarations,
-    typedef/using aliases, lambda captures and ThreadPool parallel regions,
-    and resolves types through a repo-wide declaration index.
-
-Both front ends emit the same event stream; the rule layer (rules.py)
-turns events into findings, and the waiver layer (waivers.py) applies
-`det-ok` suppressions with mandatory justification strings.
+A front-end/rules split: a self-contained front end (no dependencies
+beyond the standard library) tokenizes the sources, tracks scopes,
+declarations, typedef/using aliases, lambda captures and ThreadPool
+parallel regions, and resolves types through a repo-wide declaration
+index. The rule layer (rules.py) turns its events into findings, and the
+waiver layer (waivers.py) applies `det-ok` suppressions with mandatory
+justification strings.
 
 Rules enforced repo-wide by default (docs/development.md has examples):
 

@@ -2,8 +2,6 @@
 
     python3 tools/lcrb_analyze [paths...]        # default: src tools tests
     python3 tools/lcrb_analyze --json
-    python3 tools/lcrb_analyze --frontend internal|clang|auto
-    python3 tools/lcrb_analyze --compile-commands build/compile_commands.json
     python3 tools/lcrb_analyze --self-test
     python3 tools/lcrb_analyze --list-waivers
 
@@ -17,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import frontend_clang
 import frontend_internal
 from cpp_model import RepoIndex, build_model
 from rules import Finding, sort_findings
@@ -60,11 +57,7 @@ def is_rng_home(path: Path) -> bool:
     return any(p.endswith(s) for s in RNG_HOME_SUFFIXES)
 
 
-def analyze_paths(paths: list[str], frontend: str = "auto",
-                  compile_commands: str | None = None,
-                  root: Path | None = None) -> tuple[list[Finding], str]:
-    """Returns (findings, frontend_used). frontend_used is 'clang',
-    'internal', or 'clang+internal' when clang fell back on some files."""
+def analyze_paths(paths: list[str], root: Path | None = None) -> list[Finding]:
     root = root or repo_root()
     files = collect_files(paths, root)
 
@@ -77,55 +70,26 @@ def analyze_paths(paths: list[str], frontend: str = "auto",
     for m in models.values():
         repo.add_model(m)
 
-    want_clang = frontend in ("auto", "clang")
-    clang_ok = want_clang and frontend_clang.available()
-    if frontend == "clang" and not clang_ok:
-        print("lcrb_analyze: --frontend clang requested but libclang is "
-              "not available", file=sys.stderr)
-        sys.exit(2)
-
-    used = {"internal": False, "clang": False}
     findings: list[Finding] = []
     for f, m in models.items():
-        rng_home = is_rng_home(f)
-        file_findings: list[Finding] | None = None
-        if clang_ok:
-            try:
-                file_findings = frontend_clang.analyze_file(
-                    str(f), root, compile_commands, rng_home=rng_home)
-                # Rebase paths to repo-relative for stable output.
-                file_findings = [
-                    Finding(m.path, x.line, x.col, x.rule, x.detail)
-                    for x in file_findings]
-                used["clang"] = True
-            except frontend_clang.FrontendUnavailable as e:
-                print(f"lcrb_analyze: clang front end failed on {m.path} "
-                      f"({e}); falling back to internal", file=sys.stderr)
-        if file_findings is None:
-            file_findings = frontend_internal.analyze_model(
-                m, repo, rng_home=rng_home)
-            used["internal"] = True
+        file_findings = frontend_internal.analyze_model(
+            m, repo, rng_home=is_rng_home(f))
         ws = collect_waivers(m.path, m.comments)
         findings.extend(apply_waivers(file_findings, ws))
-
-    which = "+".join(k for k in ("clang", "internal") if used[k]) or "none"
-    return sort_findings(findings), which
+    return sort_findings(findings)
 
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(prog="lcrb_analyze", add_help=True)
     ap.add_argument("paths", nargs="*", default=[])
     ap.add_argument("--json", action="store_true", dest="as_json")
-    ap.add_argument("--frontend", choices=("auto", "clang", "internal"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None)
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--list-waivers", action="store_true")
     args = ap.parse_args(argv[1:])
 
     if args.self_test:
         import selftest
-        return selftest.run(frontend=args.frontend)
+        return selftest.run()
 
     root = repo_root()
     paths = args.paths or list(DEFAULT_PATHS)
@@ -139,19 +103,16 @@ def main(argv: list[str]) -> int:
                 print(f"{w.path}:{w.line}: det-ok{scope} {w.justification}")
         return 0
 
-    findings, which = analyze_paths(
-        paths, frontend=args.frontend,
-        compile_commands=args.compile_commands, root=root)
+    findings = analyze_paths(paths, root=root)
 
     if args.as_json:
         print(json.dumps({
-            "frontend": which,
             "findings": [f.to_json() for f in findings],
         }, indent=2))
     else:
         for f in findings:
             print(f.text())
         if findings:
-            print(f"lcrb_analyze: {len(findings)} finding(s) "
-                  f"[frontend: {which}]", file=sys.stderr)
+            print(f"lcrb_analyze: {len(findings)} finding(s)",
+                  file=sys.stderr)
     return 1 if findings else 0

@@ -3,7 +3,7 @@
 Resolution is deliberately conservative: a finding requires the iterated /
 written name to *resolve* — to an in-scope declaration, a categorized
 alias, or an unambiguous repo-index entry. Unresolvable names produce no
-finding (a silent miss is recoverable by the libclang front end or TSan;
+finding (a silent miss is recoverable by TSan;
 a false positive erodes trust in the gate).
 """
 

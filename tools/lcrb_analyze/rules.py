@@ -1,7 +1,7 @@
 """Finding type, rule metadata, and diagnostic messages.
 
-Both front ends emit Finding objects; formatting (clang-style text or JSON)
-lives here so diagnostics are identical regardless of front end.
+The front end emits Finding objects; formatting (clang-style text or JSON)
+lives here.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import re
 import sys
 from pathlib import Path
 
-import frontend_clang
 import frontend_internal
 from cpp_model import RepoIndex, build_model
 from waivers import apply_waivers, collect_waivers
@@ -35,14 +34,7 @@ def expected_findings(text: str) -> set[tuple[int, str]]:
     return out
 
 
-def run(frontend: str = "auto") -> int:
-    use_clang = frontend in ("auto", "clang") and frontend_clang.available()
-    if frontend == "clang" and not use_clang:
-        print("lcrb_analyze --self-test: --frontend clang requested but "
-              "libclang is not available", file=sys.stderr)
-        return 2
-    which = "clang" if use_clang else "internal"
-
+def run() -> int:
     fixtures = sorted(FIXTURE_DIR.glob("*.cpp"))
     if not fixtures:
         print(f"lcrb_analyze --self-test: no fixtures in {FIXTURE_DIR}",
@@ -51,7 +43,6 @@ def run(frontend: str = "auto") -> int:
 
     failures = 0
     covered: set[str] = set()
-    repo_root = FIXTURE_DIR.parent.parent.parent
     for f in fixtures:
         text = f.read_text(encoding="utf-8")
         expected = expected_findings(text)
@@ -59,17 +50,8 @@ def run(frontend: str = "auto") -> int:
         repo = RepoIndex()
         repo.add_model(model)
 
-        findings = None
-        if use_clang:
-            try:
-                findings = frontend_clang.analyze_file(
-                    str(f), repo_root, None, rng_home=False)
-            except frontend_clang.FrontendUnavailable as e:
-                print(f"  {f.name}: clang front end failed ({e}); "
-                      "falling back to internal", file=sys.stderr)
-        if findings is None:
-            findings = frontend_internal.analyze_model(
-                model, repo, rng_home=False)
+        findings = frontend_internal.analyze_model(
+            model, repo, rng_home=False)
         findings = apply_waivers(
             findings, collect_waivers(str(f), model.comments))
 
@@ -95,5 +77,5 @@ def run(frontend: str = "auto") -> int:
 
     verdict = "passed" if failures == 0 else f"FAILED ({failures})"
     print(f"lcrb_analyze self-test {verdict} "
-          f"[{len(fixtures)} fixtures, frontend: {which}]")
+          f"[{len(fixtures)} fixtures]")
     return 0 if failures == 0 else 1
