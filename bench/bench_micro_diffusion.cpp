@@ -25,11 +25,11 @@ void BM_Opoao(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DiGraph g = bench_graph(n, 1);
   const SeedSets seeds = bench_seeds(n);
-  OpoaoConfig cfg;
-  cfg.max_steps = 31;
+  MonteCarloConfig cfg;
+  cfg.max_hops = 31;
   std::uint64_t s = 0;
   for (auto _ : state) {
-    DiffusionResult r = simulate_opoao(g, seeds, ++s, cfg);
+    DiffusionResult r = simulate(g, seeds, ++s, cfg);
     benchmark::DoNotOptimize(r.infected_count());
   }
 }
@@ -39,8 +39,11 @@ void BM_Doam(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DiGraph g = bench_graph(n, 2);
   const SeedSets seeds = bench_seeds(n);
+  MonteCarloConfig cfg;
+  cfg.model = DiffusionModel::kDoam;
+  cfg.max_hops = 0xffffffff;
   for (auto _ : state) {
-    DiffusionResult r = simulate_doam(g, seeds);
+    DiffusionResult r = simulate(g, seeds, 0, cfg);
     benchmark::DoNotOptimize(r.infected_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -68,11 +71,13 @@ void BM_CompetitiveIc(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DiGraph g = bench_graph(n, 4);
   const SeedSets seeds = bench_seeds(n);
-  IcConfig cfg;
-  cfg.edge_prob = 0.1;
+  MonteCarloConfig cfg;
+  cfg.model = DiffusionModel::kIc;
+  cfg.max_hops = 0xffffffff;
+  cfg.ic_edge_prob = 0.1;
   std::uint64_t s = 0;
   for (auto _ : state) {
-    DiffusionResult r = simulate_competitive_ic(g, seeds, ++s, cfg);
+    DiffusionResult r = simulate(g, seeds, ++s, cfg);
     benchmark::DoNotOptimize(r.infected_count());
   }
 }
@@ -82,11 +87,12 @@ void BM_CompetitiveLt(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DiGraph g = bench_graph(n, 7);
   const SeedSets seeds = bench_seeds(n);
-  LtConfig cfg;
-  cfg.max_steps = 31;
+  MonteCarloConfig cfg;
+  cfg.model = DiffusionModel::kLt;
+  cfg.max_hops = 31;
   std::uint64_t s = 0;
   for (auto _ : state) {
-    DiffusionResult r = simulate_competitive_lt(g, seeds, ++s, cfg);
+    DiffusionResult r = simulate(g, seeds, ++s, cfg);
     benchmark::DoNotOptimize(r.infected_count());
   }
 }

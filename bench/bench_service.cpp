@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
   service::QueryService lg_svc(lg_cfg);
   std::vector<std::string> sessions;
   for (std::size_t s = 0; s < lg_sessions; ++s) {
-    sessions.push_back("s" + std::to_string(s));
+    sessions.push_back(std::to_string(s).insert(0, 1, 's'));
     DiGraph g = load_edge_list(graph_path);
     Partition p = load_membership(membership_path);
     lg_svc.registry().open(sessions.back(), std::move(g), std::move(p));

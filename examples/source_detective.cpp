@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    DoamConfig dc;
-    dc.max_steps = hops;
-    const DiffusionResult r = simulate_doam(g, {truth, {}}, dc);
+    MonteCarloConfig dc;
+    dc.model = DiffusionModel::kDoam;
+    dc.max_hops = hops;
+    const DiffusionResult r = simulate(g, {truth, {}}, /*seed=*/0, dc);
     std::vector<NodeId> snapshot;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (r.state[v] == NodeState::kInfected) snapshot.push_back(v);

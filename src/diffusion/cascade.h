@@ -182,8 +182,8 @@ struct DiffusionResult {
   /// earlier (progressive propagation — holds for OPOAO, DOAM, IC, WC and
   /// LT alike). The cascade-level checks are skipped when `cascade` is
   /// empty (results assembled outside run_cascade). O(n + m). Called
-  /// automatically at the end of every simulate_* under
-  /// LCRB_ENABLE_INVARIANTS.
+  /// automatically at the end of every run_cascade (so every simulate())
+  /// under LCRB_ENABLE_INVARIANTS.
   template <GraphView G>
   void validate(const G& g, const SeedSets& seeds) const;
 };

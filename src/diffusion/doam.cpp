@@ -3,24 +3,10 @@
 #include "graph/ef_graph.h"
 #include "graph/graph.h"
 
-#include "diffusion/doam_traits.h"
-#include "diffusion/kernel.h"
 #include "graph/traversal.h"
-#include "util/check.h"
 #include "util/error.h"
 
 namespace lcrb {
-
-// Flatten the kernel instantiation into the wrapper: leaving it as a comdat
-// call costs ~10% on the small-cascade microbenchmarks.
-template <GraphView G>
-#if defined(__GNUC__)
-__attribute__((flatten))
-#endif
-DiffusionResult simulate_doam(const G& g, const SeedSets& seeds,
-                              const DoamConfig& cfg) {
-  return run_cascade<DoamTraits>(g, seeds, /*seed=*/0, cfg);
-}
 
 template <GraphView G>
 std::vector<bool> doam_saved(const G& g, const SeedSets& seeds,
@@ -38,15 +24,11 @@ std::vector<bool> doam_saved(const G& g, const SeedSets& seeds,
   return saved;
 }
 
-#define LCRB_INSTANTIATE_DOAM(G)                                              \
-  template DiffusionResult simulate_doam<G>(const G&, const SeedSets&,        \
-                                            const DoamConfig&);               \
-  template std::vector<bool> doam_saved<G>(const G&, const SeedSets&,         \
-                                           std::span<const NodeId>);
-
-LCRB_INSTANTIATE_DOAM(DiGraph)
-LCRB_INSTANTIATE_DOAM(EfGraph)
-
-#undef LCRB_INSTANTIATE_DOAM
+template std::vector<bool> doam_saved<DiGraph>(const DiGraph&,
+                                               const SeedSets&,
+                                               std::span<const NodeId>);
+template std::vector<bool> doam_saved<EfGraph>(const EfGraph&,
+                                               const SeedSets&,
+                                               std::span<const NodeId>);
 
 }  // namespace lcrb

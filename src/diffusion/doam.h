@@ -11,15 +11,6 @@
 
 namespace lcrb {
 
-struct DoamConfig {
-  std::uint32_t max_steps = 0xffffffff;  ///< hop cap (diffusion is finite anyway)
-};
-
-/// Simulates the (deterministic) DOAM diffusion.
-template <GraphView G>
-DiffusionResult simulate_doam(const G& g, const SeedSets& seeds,
-                              const DoamConfig& cfg = {});
-
 /// Analytic protection test (DESIGN.md §6.4): under DOAM, node v ends
 /// protected or untouched iff dist(S_P, v) <= dist(S_R, v) (plain multi-
 /// source BFS distances, unreachable = infinity). Returns, for each node of

@@ -1,9 +1,10 @@
 // DOAM model traits (paper §III-B): the frontier family with every arc
 // live — a deterministic synchronized two-source BFS. Forward, cache and
-// reverse all come from frontier_traits.h; with every arc live the cache's
-// distance rule is the paper's: v ends protected iff
-// dist(S_P, v) <= dist(S_R, v). The model is deterministic, so SigmaEngine
-// materializes one realization and every sample replays it.
+// reverse all come from frontier_traits.h; this file only binds the
+// AlwaysLive coin. With every arc live the cache's distance rule is the
+// paper's: v ends protected iff dist(S_P, v) <= dist(S_R, v). The model is
+// deterministic, so SigmaEngine materializes one realization and every
+// sample replays it.
 #pragma once
 
 #include <cstdint>
@@ -20,15 +21,6 @@ struct DoamTraits : LiveEdgeTraits<DoamTraits> {
   static constexpr bool kDeterministic = true;
   static constexpr bool kSupportsReverse = true;
 
-  using Config = DoamConfig;
-  using Trace = NoTrace;
-
-  static Config config_from(const RealizationParams& p) {
-    Config c;
-    c.max_steps = p.max_hops;
-    return c;
-  }
-
   struct AlwaysLive {
     template <class G>
     bool operator()(const G&, NodeId, NodeId) const { return true; }
@@ -42,14 +34,6 @@ struct DoamTraits : LiveEdgeTraits<DoamTraits> {
   static std::size_t live_arc_hint(const G& g, const RealizationParams&) {
     return g.num_edges();
   }
-
-  template <class G>
-  class Forward : public FrontierForward<AlwaysLive, G> {
-   public:
-    Forward(const G& g, std::uint64_t /*seed*/, const Config& /*cfg*/,
-            Trace* /*trace*/)
-        : FrontierForward<AlwaysLive, G>(g, AlwaysLive{}) {}
-  };
 };
 
 }  // namespace lcrb

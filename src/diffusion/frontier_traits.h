@@ -6,9 +6,11 @@
 // (DOAM: always; IC: probability p; WC: probability 1/d_in(v)). The family
 // is parameterized on that coin:
 //
-//  * FrontierForward<Coin>   — the Forward runner run_cascade instantiates.
-//  * LiveEdgeTraits<Traits> — the cache and reverse members of the traits
-//    contract, parameterized on the traits' coin:
+//  * FrontierForward<Traits> — the Forward runner run_cascade instantiates:
+//    the frontier race over the arcs Traits::coin(seed, params) declares
+//    live.
+//  * LiveEdgeTraits<Traits> — the forward, cache and reverse members of the
+//    traits contract, parameterized on the traits' coin:
 //    - the realization cache: the live subgraph in CSR form plus baseline
 //      rumor BFS distances d_R. With arc liveness independent of the
 //      cascades, the winner at any node is argmin(d_R, d_P) with P on ties
@@ -18,7 +20,8 @@
 //    - the RIS reverse sampler: reverse BFS over the transposed live
 //      subgraph, truncated at the rumor arrival level.
 //
-// doam_traits.h, ic_traits.h and wc_traits.h bind these to their coins.
+// doam_traits.h, ic_traits.h and wc_traits.h are each their identity flags
+// plus a coin.
 #pragma once
 
 #include <algorithm>
@@ -31,14 +34,16 @@
 
 namespace lcrb {
 
-/// Forward runner for the frontier family. `Coin(g, u, v)` decides arc
-/// liveness; it must be a pure function of the sample seed and the arc so
-/// that forward runs, cache builds and reverse draws all realize the same
-/// subgraph.
-template <class Coin, class G>
+/// Forward runner for the frontier family. The sample's coin,
+/// `Traits::coin(seed, params)`, decides arc liveness as `coin(g, u, v)`; it
+/// must be a pure function of the sample seed and the arc so that forward
+/// runs, cache builds and reverse draws all realize the same subgraph.
+template <class Traits, class G>
 class FrontierForward {
  public:
-  FrontierForward(const G& g, Coin coin) : g_(g), coin_(coin) {}
+  FrontierForward(const G& g, std::uint64_t seed, const RealizationParams& p,
+                  NoTrace* /*trace*/)
+      : g_(g), coin_(Traits::coin(seed, p)) {}
 
   void seed(const CascadePlan& plan, DiffusionResult& r) {
     frontier_.resize(plan.size());
@@ -91,7 +96,7 @@ class FrontierForward {
 
  private:
   const G& g_;
-  Coin coin_;
+  decltype(Traits::coin(0, RealizationParams{})) coin_;
   /// Per-cascade frontiers (indexed by cascade id).
   std::vector<std::vector<NodeId>> frontier_, next_;
 };
@@ -113,9 +118,9 @@ struct LiveEdgeReplayScratch {
   std::vector<NodeId> queue;
 };
 
-/// The realization-cache and reverse members of the traits contract, written
-/// once for the whole family. A traits struct derives from
-/// LiveEdgeTraits<itself> and supplies
+/// The forward, realization-cache and reverse members of the traits
+/// contract, written once for the whole family. A traits struct derives from
+/// LiveEdgeTraits<itself>, declares its identity flags and supplies
 ///
 ///   static Coin coin(std::uint64_t seed, const RealizationParams& p);
 ///   static std::size_t live_arc_hint(const G& g, const RealizationParams& p);
@@ -124,6 +129,10 @@ struct LiveEdgeReplayScratch {
 /// for the cached CSR; purely a perf knob).
 template <class Traits>
 struct LiveEdgeTraits {
+  using Trace = NoTrace;
+  template <class G>
+  using Forward = FrontierForward<Traits, G>;
+
   struct CacheShared {};
   using CacheSample = LiveEdgeSample;
   using ReplayScratch = LiveEdgeReplayScratch;

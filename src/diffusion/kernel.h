@@ -10,17 +10,18 @@
 //    the kernel owns the shared K-cascade state machine: the CascadePlan
 //    (cascade ids, roles, per-step priority order), step-0 seeding, the
 //    per-step newly_* and per-cascade series, the `steps` watermark, the
-//    max_steps cap, and the cross-model DiffusionResult invariant.
+//    max_hops cap, and the cross-model DiffusionResult invariant.
 //    Everything is resolved at compile time — no virtual dispatch anywhere
-//    on the hot path.
+//    on the hot path. simulate() (montecarlo.h) is the runtime-model entry
+//    point over it.
 //  * CascadePlan — the normalized view of SeedSets the Forward runners
 //    iterate: K cascades with roles and seed lists, plus cascade_at(step,
 //    idx), the priority policy resolved per step. With two cascades and the
 //    default policy the plan is exactly [protectors, rumors] every step —
 //    the paper's P-before-R rule, byte-identical to the historical kernel.
 //  * RealizationParams — the model-agnostic knobs (hop cap, IC edge
-//    probability) that shape one coupled realization. The sigma layer hands
-//    these to the traits' cache builders and reverse samplers so the
+//    probability) that shape one coupled realization: the only config the
+//    forward runners, cache builders and reverse samplers take, so the
 //    diffusion layer never depends on lcrb/ config types.
 //  * EpochColorScratch / ReverseScratch — epoch-stamped working memory for
 //    the realization-cache replays and the reverse-reachability samplers.
@@ -97,23 +98,23 @@ class CascadePlan {
 };
 
 /// Model-agnostic realization knobs: how deep one coupled sample runs and
-/// the IC family's arc probability. The lcrb layer's MonteCarloConfig /
-/// SigmaConfig / RisConfig all funnel into this when they cross into
+/// the IC family's arc probability. Every model's forward run, cache build
+/// and reverse draw takes these; the lcrb layer's MonteCarloConfig /
+/// SigmaConfig / RisConfig all funnel into them when they cross into
 /// diffusion code.
 struct RealizationParams {
   std::uint32_t max_hops = 31;
   double ic_edge_prob = 0.1;  ///< homogeneous-IC only; WC derives its own
 };
 
-/// One forward simulation of `Traits`' model. Deterministic in
-/// (g, seeds, seed); `trace` (model-specific, usually NoTrace) records the
-/// model's event log when non-null. This is the single cascade loop —
-/// simulate_opoao/simulate_doam/simulate_competitive_ic/... are one-line
-/// instantiations of it.
+/// One forward simulation of `Traits`' model, at most `params.max_hops`
+/// steps. Deterministic in (g, seeds, seed); `trace` (model-specific,
+/// usually NoTrace) records the model's event log when non-null. This is
+/// the single cascade loop; simulate() dispatches a runtime model onto it.
 template <class Traits, GraphView G>
 DiffusionResult run_cascade(const G& g, const SeedSets& seeds,
                             std::uint64_t seed,
-                            const typename Traits::Config& cfg,
+                            const RealizationParams& params,
                             typename Traits::Trace* trace = nullptr) {
   validate_seeds(g, seeds);
 
@@ -122,7 +123,7 @@ DiffusionResult run_cascade(const G& g, const SeedSets& seeds,
   r.activation_step.assign(g.num_nodes(), kUnreached);
   r.cascade.assign(g.num_nodes(), kNoCascade);
 
-  typename Traits::template Forward<G> fwd(g, seed, cfg, trace);
+  typename Traits::template Forward<G> fwd(g, seed, params, trace);
   const CascadePlan plan(seeds);
 
   std::uint32_t seed_p = 0, seed_r = 0;
@@ -139,7 +140,8 @@ DiffusionResult run_cascade(const G& g, const SeedSets& seeds,
   // plan, protector seeds before rumor seeds (the paper's P-priority rule).
   fwd.seed(plan, r);
 
-  for (std::uint32_t step = 1; step <= cfg.max_steps && fwd.active(); ++step) {
+  for (std::uint32_t step = 1; step <= params.max_hops && fwd.active();
+       ++step) {
     const StepDelta d = fwd.step(plan, step, r);
     r.newly_protected.push_back(d.newly_protected);
     r.newly_infected.push_back(d.newly_infected);

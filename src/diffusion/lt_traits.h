@@ -1,6 +1,8 @@
 // Competitive-LT model traits (extension model, after He et al.'s CLT [16]):
-// threshold theta_v ~ U(0,1) hashed from (seed, v), in-arc weight 1/d_in(v),
-// color by the larger contributing weight with P on ties. The realization
+// threshold theta_v ~ U(0,1) hashed from (seed, v), in-arc weight 1/d_in(v).
+// At each step an inactive node whose active in-neighbor weight reaches
+// theta_v activates and adopts the color with the larger contributing
+// weight (ties -> P, matching the paper's priority rule). The realization
 // cache serves the threshold draw and the arc weights; the replay mirrors
 // the Forward runner's iteration order exactly so every floating-point
 // weight sum is bit-identical.
@@ -17,9 +19,21 @@
 #include <vector>
 
 #include "diffusion/kernel.h"
-#include "diffusion/lt.h"
 
 namespace lcrb {
+
+/// The stateless threshold draw theta_v ~ U(0,1) for (sample seed, node),
+/// shared by the forward runner and the realization cache. Defined inline:
+/// it sits on their innermost loops.
+inline double lt_node_threshold(std::uint64_t seed, NodeId v) {
+  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (v + 0x1234567));
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
 
 struct LtTraits {
   static constexpr DiffusionModel kModel = DiffusionModel::kLt;
@@ -27,19 +41,12 @@ struct LtTraits {
   static constexpr bool kDeterministic = false;
   static constexpr bool kSupportsReverse = false;
 
-  using Config = LtConfig;
   using Trace = NoTrace;
-
-  static Config config_from(const RealizationParams& p) {
-    Config c;
-    c.max_steps = p.max_hops;
-    return c;
-  }
 
   template <class G>
   class Forward {
    public:
-    Forward(const G& g, std::uint64_t seed, const Config& /*cfg*/,
+    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/,
             Trace* /*trace*/)
         : g_(g), seed_(seed) {}
 

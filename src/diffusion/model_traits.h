@@ -7,10 +7,11 @@
 //   flags     kModel, kName, kDeterministic (one realization: Monte-Carlo
 //             runs once, SigmaEngine materializes one sample for all),
 //             kSupportsReverse (RIS)
-//   forward   Config, Trace, config_from(RealizationParams),
-//             Forward(g, seed, cfg, trace) with seed(plan, r) / active() /
-//             step(plan, step, r) over a CascadePlan (K cascades in priority
-//             order) — consumed by run_cascade<Traits> (kernel.h)
+//   forward   Trace, Forward(g, seed, params, trace) with seed(plan, r) /
+//             active() / step(plan, step, r) over a CascadePlan (K cascades
+//             in priority order) — consumed by run_cascade<Traits>
+//             (kernel.h), which takes the one forward config every model
+//             shares, RealizationParams (hop cap, IC edge probability)
 //   cache     CacheShared/CacheSample/ReplayScratch,
 //             build_cache_shared/build_cache_sample, replay,
 //             replay_infected, *_bytes — consumed by SigmaEngine
@@ -23,10 +24,11 @@
 //   reverse   [kSupportsReverse] reverse_set — consumed by RrSampler
 //
 // Every model implements the cache. The live-edge family (DOAM, IC, WC)
-// inherits its cache and reverse members from LiveEdgeTraits
-// (frontier_traits.h) and binds only a coin. The optional capabilities are
-// detected at compile time (`if constexpr`, a `requires` check for lanes),
-// so LT simply omits reverse_set and only OPOAO has a lane kernel. Everything
+// inherits its forward, cache and reverse members from LiveEdgeTraits
+// (frontier_traits.h): such a model is its flags plus a coin. The optional
+// capabilities are detected at compile time (`if constexpr`, a `requires`
+// check for lanes), so LT simply omits reverse_set and only OPOAO has a lane
+// kernel. Everything
 // downstream — simulate(), Monte-Carlo, the sigma engine, RIS, the query
 // service, the CLI — is generic over this contract: adding a model is one
 // traits file plus a DiffusionModel enum entry (wc_traits.h is the worked

@@ -21,8 +21,7 @@ DiffusionResult simulate(const G& g, const SeedSets& seeds,
                          std::uint64_t seed, const MonteCarloConfig& cfg) {
   const RealizationParams params{cfg.max_hops, cfg.ic_edge_prob};
   return dispatch_model(cfg.model, [&](auto t) {
-    using T = decltype(t);
-    return run_cascade<T>(g, seeds, seed, T::config_from(params));
+    return run_cascade<decltype(t)>(g, seeds, seed, params);
   });
 }
 
@@ -99,14 +98,6 @@ HopSeries monte_carlo_series(const G& g, const SeedSets& seeds,
   return out;
 }
 
-template <GraphView G>
-double expected_saved(const G& g, const SeedSets& seeds,
-                      std::span<const NodeId> targets,
-                      const MonteCarloConfig& cfg, ThreadPool* pool) {
-  const HopSeries s = monte_carlo_series(g, seeds, cfg, targets, pool);
-  return s.saved_fraction_mean * static_cast<double>(targets.size());
-}
-
 #define LCRB_INSTANTIATE_MONTECARLO(G)                                        \
   template DiffusionResult simulate<G>(const G&, const SeedSets&,             \
                                        std::uint64_t,                         \
@@ -114,10 +105,7 @@ double expected_saved(const G& g, const SeedSets& seeds,
   template HopSeries monte_carlo_series<G>(const G&, const SeedSets&,         \
                                            const MonteCarloConfig&,           \
                                            std::span<const NodeId>,           \
-                                           ThreadPool*);                      \
-  template double expected_saved<G>(const G&, const SeedSets&,                \
-                                    std::span<const NodeId>,                  \
-                                    const MonteCarloConfig&, ThreadPool*);
+                                           ThreadPool*);
 
 LCRB_INSTANTIATE_MONTECARLO(DiGraph)
 LCRB_INSTANTIATE_MONTECARLO(EfGraph)

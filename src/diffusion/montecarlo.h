@@ -16,12 +16,15 @@ namespace lcrb {
 struct MonteCarloConfig {
   std::size_t runs = 200;       ///< samples (DOAM is deterministic: 1 enough)
   std::uint64_t seed = 1;       ///< master seed; run i uses an forked stream
-  std::uint32_t max_hops = 31;  ///< series length (paper plots 31 hops)
+  std::uint32_t max_hops = 31;  ///< hop cap = series length (paper: 31)
   DiffusionModel model = DiffusionModel::kOpoao;
   double ic_edge_prob = 0.1;    ///< only for kIc
 };
 
-/// Dispatches one simulation of the configured model.
+/// One forward simulation of cfg.model, capped at cfg.max_hops steps
+/// (run_cascade<Traits> for the matching traits). Deterministic in
+/// (g, seeds, seed); cfg.runs and cfg.seed are Monte-Carlo knobs and unused
+/// here.
 template <GraphView G>
 DiffusionResult simulate(const G& g, const SeedSets& seeds,
                          std::uint64_t seed, const MonteCarloConfig& cfg);
@@ -48,11 +51,5 @@ HopSeries monte_carlo_series(const G& g, const SeedSets& seeds,
                              const MonteCarloConfig& cfg,
                              std::span<const NodeId> targets = {},
                              ThreadPool* pool = nullptr);
-
-/// Expected number of `targets` ending uninfected (the sigma-hat estimator).
-template <GraphView G>
-double expected_saved(const G& g, const SeedSets& seeds,
-                      std::span<const NodeId> targets,
-                      const MonteCarloConfig& cfg, ThreadPool* pool = nullptr);
 
 }  // namespace lcrb

@@ -1,14 +1,6 @@
 #include "diffusion/opoao.h"
 
-#include "graph/ef_graph.h"
-#include "graph/graph.h"
-
-#include <vector>
-
-#include "diffusion/kernel.h"
-#include "diffusion/opoao_traits.h"
-#include "util/check.h"
-#include "util/error.h"
+#include <algorithm>
 
 namespace lcrb {
 
@@ -57,28 +49,5 @@ std::uint32_t OpoaoTrace::first_pick_step(NodeId u, NodeId v,
       first_pick_.find((static_cast<std::uint64_t>(u) << 32) | v);
   return it == first_pick_.end() ? kUnreached : it->second[slot];
 }
-
-// Flatten the kernel instantiation into the wrapper: leaving it as a comdat
-// call costs ~10% on the small-cascade microbenchmarks.
-template <GraphView G>
-#if defined(__GNUC__)
-__attribute__((flatten))
-#endif
-DiffusionResult simulate_opoao(const G& g, const SeedSets& seeds,
-                               std::uint64_t seed, const OpoaoConfig& cfg,
-                               OpoaoTrace* trace) {
-  return run_cascade<OpoaoTraits>(g, seeds, seed, cfg, trace);
-}
-
-template DiffusionResult simulate_opoao<DiGraph>(const DiGraph&,
-                                                 const SeedSets&,
-                                                 std::uint64_t,
-                                                 const OpoaoConfig&,
-                                                 OpoaoTrace*);
-template DiffusionResult simulate_opoao<EfGraph>(const EfGraph&,
-                                                 const SeedSets&,
-                                                 std::uint64_t,
-                                                 const OpoaoConfig&,
-                                                 OpoaoTrace*);
 
 }  // namespace lcrb

@@ -23,12 +23,6 @@
 
 namespace lcrb {
 
-struct OpoaoConfig {
-  /// Hop cap; the simulation also stops exactly when no active node has an
-  /// inactive out-neighbor (nothing can ever activate after that).
-  std::uint32_t max_steps = 10000;
-};
-
 /// The stateless pick stream: which slot of v's out-neighbor list node v
 /// would target at absolute step `step`, as a raw 64-bit draw (take it mod
 /// out_degree(v)). A pure function of (sample seed, node, step) — this IS
@@ -63,7 +57,9 @@ struct OpoaoPick {
 };
 
 /// Full pick log of one simulation, in execution order (protector picks of a
-/// step precede rumor picks — exactly the priority rule).
+/// step precede rumor picks — exactly the priority rule). Captured by
+/// run_cascade<OpoaoTraits>(g, seeds, seed, params, &trace); costs memory
+/// proportional to active-nodes x steps.
 struct OpoaoTrace {
   std::vector<OpoaoPick> picks;
 
@@ -82,13 +78,5 @@ struct OpoaoTrace {
       first_pick_;
   mutable std::size_t indexed_picks_ = 0;  ///< picks.size() at index build
 };
-
-/// Simulates one OPOAO diffusion. Deterministic in (g, seeds, seed).
-/// Pass `trace` to capture the pick log (costs memory proportional to
-/// active-nodes x steps; leave null in Monte-Carlo loops).
-template <GraphView G>
-DiffusionResult simulate_opoao(const G& g, const SeedSets& seeds,
-                               std::uint64_t seed, const OpoaoConfig& cfg = {},
-                               OpoaoTrace* trace = nullptr);
 
 }  // namespace lcrb

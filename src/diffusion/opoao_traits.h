@@ -23,14 +23,7 @@ struct OpoaoTraits {
   static constexpr bool kDeterministic = false;
   static constexpr bool kSupportsReverse = true;
 
-  using Config = OpoaoConfig;
   using Trace = OpoaoTrace;
-
-  static Config config_from(const RealizationParams& p) {
-    Config c;
-    c.max_steps = p.max_hops;
-    return c;
-  }
 
   // -------------------------------------------------------------------------
   // Forward runner (run_cascade<OpoaoTraits>).
@@ -45,7 +38,7 @@ struct OpoaoTraits {
   template <class G>
   class Forward {
    public:
-    Forward(const G& g, std::uint64_t seed, const Config& /*cfg*/,
+    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/,
             Trace* trace)
         : g_(g), seed_(seed), trace_(trace), potential_(g.num_nodes(), 0) {}
 
@@ -538,8 +531,8 @@ struct OpoaoTraits {
 
     // Phase 1: rumor-only forward baseline T0 under this realization,
     // straight from the stateless pick hashes (no trace, no pick tables).
-    // Matches the Forward runner with empty protectors and
-    // max_steps = max_hops.
+    // Matches the Forward runner with empty protectors and the same
+    // max_hops.
     // The replay stops at the end of the step that infects `root`: phase 2's
     // deadlines start at T0(root) and strictly decrease, so it only ever
     // consults T0(u) < T0(root) - 1 — values already final by then. Nodes the

@@ -13,31 +13,16 @@
 #include <cstdint>
 
 #include "diffusion/frontier_traits.h"
-#include "diffusion/ic.h"
+#include "diffusion/ic_traits.h"
 #include "diffusion/kernel.h"
 
 namespace lcrb {
-
-/// WC has no knobs beyond the shared hop cap: arc probabilities are derived
-/// from the graph itself.
-struct WcConfig {
-  std::uint32_t max_steps = 0xffffffff;
-};
 
 struct WcTraits : LiveEdgeTraits<WcTraits> {
   static constexpr DiffusionModel kModel = DiffusionModel::kWc;
   static constexpr const char* kName = "WC";
   static constexpr bool kDeterministic = false;
   static constexpr bool kSupportsReverse = true;
-
-  using Config = WcConfig;
-  using Trace = NoTrace;
-
-  static Config config_from(const RealizationParams& p) {
-    Config c;
-    c.max_steps = p.max_hops;
-    return c;
-  }
 
   /// Arc (u, v) is live with probability 1/d_in(v); the target of an
   /// existing arc always has d_in >= 1.
@@ -60,14 +45,6 @@ struct WcTraits : LiveEdgeTraits<WcTraits> {
   static std::size_t live_arc_hint(const G& g, const RealizationParams&) {
     return g.num_nodes();
   }
-
-  template <class G>
-  class Forward : public FrontierForward<Coin, G> {
-   public:
-    Forward(const G& g, std::uint64_t seed, const Config& /*cfg*/,
-            Trace* /*trace*/)
-        : FrontierForward<Coin, G>(g, Coin{seed}) {}
-  };
 };
 
 }  // namespace lcrb

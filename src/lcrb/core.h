@@ -1,6 +1,6 @@
 // Core API: everything needed to state and solve an LCRB instance — the
 // graph/community/diffusion substrate plus the paper's algorithms (bridge
-// ends, RFST, RR sets, LCRB-P greedy, SCBG) and the unified
+// ends, RR sets, LCRB-P greedy, SCBG) and the unified
 // LcrbOptions knob aggregate.
 //
 // The experiment-harness layer (pipeline, baselines, source detection,
@@ -18,8 +18,6 @@
 #include "community/quality.h"
 #include "diffusion/cascade.h"
 #include "diffusion/doam.h"
-#include "diffusion/ic.h"
-#include "diffusion/lt.h"
 #include "diffusion/model_traits.h"
 #include "diffusion/montecarlo.h"
 #include "diffusion/opoao.h"
@@ -35,7 +33,6 @@
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/options.h"
-#include "lcrb/rfst.h"
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
 #include "lcrb/sigma.h"

@@ -654,24 +654,4 @@ RisGreedyResult ris_greedy_with_context(double alpha,
   throw Error("ris: stopping schedule ended without a cap checkpoint");
 }
 
-// ---------------------------------------------------------------------------
-// RisEstimator
-
-RisEstimator::RisEstimator(GraphRef g, std::vector<NodeId> rumors,
-                           std::vector<NodeId> bridge_ends,
-                           const RisConfig& cfg, ThreadPool* pool)
-    : sampler_(g, std::move(rumors), std::move(bridge_ends), cfg) {
-  sampler_.extend(pool_, 2, cfg.estimator_sets, pool);
-}
-
-double RisEstimator::sigma(std::span<const NodeId> protectors) const {
-  return pool_.coverage_fraction(protectors, false) *
-         static_cast<double>(sampler_.bridge_ends().size());
-}
-
-double RisEstimator::protected_fraction(
-    std::span<const NodeId> protectors) const {
-  return pool_.coverage_fraction(protectors, true);
-}
-
 }  // namespace lcrb

@@ -81,8 +81,6 @@ struct RisConfig {
   std::size_t initial_sets = 512;
   /// Hard cap per pool; sampling stops here even if the rule has not fired.
   std::size_t max_sets = std::size_t{1} << 18;
-  /// Fixed pool size used by RisEstimator (no adaptive rule there).
-  std::size_t estimator_sets = 4096;
   /// Content-byte budget per pool (0 = unlimited). A pool at its budget
   /// stops growing: appends beyond it are dropped deterministically (newest
   /// sets first, so the identity-keeping prefix survives) and the stopping
@@ -215,7 +213,8 @@ class RrSampler {
   RrSampler& operator=(const RrSampler&) = delete;
 
   /// Root index (into bridge_ends) and realization seed of draw `index` on
-  /// `stream` (0 = selection pool, 1 = validation pool, 2 = estimator).
+  /// `stream` (0 = selection pool, 1 = validation pool; every other stream
+  /// is a further independent draw sequence).
   struct Draw {
     std::size_t root_idx;
     std::uint64_t realization_seed;
@@ -392,28 +391,5 @@ RisGreedyResult ris_greedy_with_context(double alpha,
                                         std::size_t max_protectors,
                                         const RisConfig& cfg, RisContext& ctx,
                                         ThreadPool* pool = nullptr);
-
-/// Fixed-pool sigma estimator over cfg.estimator_sets RR sets — the RIS
-/// counterpart of SigmaEstimator for agreement tests and benches.
-class RisEstimator {
- public:
-  RisEstimator(GraphRef g, std::vector<NodeId> rumors,
-               std::vector<NodeId> bridge_ends, const RisConfig& cfg,
-               ThreadPool* pool = nullptr);
-
-  /// sigma-hat(A) = |B| * covered fraction. Exact-in-expectation for DOAM
-  /// and IC; a lower bound in expectation for OPOAO.
-  double sigma(std::span<const NodeId> protectors) const;
-  /// (null + covered) / num_sets — the protected-fraction reading.
-  double protected_fraction(std::span<const NodeId> protectors) const;
-
-  std::size_t num_sets() const { return pool_.num_sets(); }
-  const RrPool& pool() const { return pool_; }
-  std::uint64_t nodes_visited() const { return pool_.nodes_visited(); }
-
- private:
-  RrSampler sampler_;
-  RrPool pool_;
-};
 
 }  // namespace lcrb

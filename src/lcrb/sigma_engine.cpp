@@ -247,8 +247,7 @@ class EngineImpl final : public SigmaEngine::Base {
     // reproduce exactly what simulate() realizes for this sample seed.
     SeedSets seeds;
     seeds.rumors = rumors_;
-    DiffusionResult base =
-        run_cascade<Traits>(g_, seeds, seed, Traits::config_from(params_));
+    DiffusionResult base = run_cascade<Traits>(g_, seeds, seed, params_);
 
     std::uint32_t count = 0;
     std::vector<NodeId> infected_targets;

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "diffusion/doam.h"
-#include "diffusion/ic.h"
-#include "diffusion/lt.h"
+#include "diffusion/montecarlo.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -10,13 +8,22 @@
 namespace lcrb {
 namespace {
 
+// Competitive IC at arc probability p, LT and DOAM, all with no hop cap.
+MonteCarloConfig ic_at(double p) {
+  return {.max_hops = 0xffffffff,
+          .model = DiffusionModel::kIc,
+          .ic_edge_prob = p};
+}
+const MonteCarloConfig kLt{.max_hops = 0xffffffff,
+                           .model = DiffusionModel::kLt};
+const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
+                             .model = DiffusionModel::kDoam};
+
 // ------------------------------ IC ------------------------------
 
 TEST(CompetitiveIc, ProbabilityOneIsDoamLike) {
   const DiGraph g = path_graph(5);
-  IcConfig cfg;
-  cfg.edge_prob = 1.0;
-  const DiffusionResult r = simulate_competitive_ic(g, {{0}, {}}, 3, cfg);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 3, ic_at(1.0));
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(r.state[v], NodeState::kInfected);
     EXPECT_EQ(r.activation_step[v], v);
@@ -25,9 +32,7 @@ TEST(CompetitiveIc, ProbabilityOneIsDoamLike) {
 
 TEST(CompetitiveIc, ProbabilityZeroOnlySeeds) {
   const DiGraph g = complete_graph(6);
-  IcConfig cfg;
-  cfg.edge_prob = 0.0;
-  const DiffusionResult r = simulate_competitive_ic(g, {{0}, {1}}, 3, cfg);
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 3, ic_at(0.0));
   EXPECT_EQ(r.infected_count(), 1u);
   EXPECT_EQ(r.protected_count(), 1u);
 }
@@ -36,18 +41,14 @@ TEST(CompetitiveIc, DeterministicInSeed) {
   Rng rng(2);
   const DiGraph g = erdos_renyi(80, 0.06, true, rng);
   const SeedSets seeds{{0, 1}, {2}};
-  IcConfig cfg;
-  cfg.edge_prob = 0.4;
-  const DiffusionResult a = simulate_competitive_ic(g, seeds, 5, cfg);
-  const DiffusionResult b = simulate_competitive_ic(g, seeds, 5, cfg);
+  const DiffusionResult a = simulate(g, seeds, 5, ic_at(0.4));
+  const DiffusionResult b = simulate(g, seeds, 5, ic_at(0.4));
   EXPECT_EQ(a.state, b.state);
 }
 
 TEST(CompetitiveIc, ProtectorWinsTie) {
-  IcConfig cfg;
-  cfg.edge_prob = 1.0;
   const DiGraph g = make_graph(3, {{0, 2}, {1, 2}});
-  const DiffusionResult r = simulate_competitive_ic(g, {{0}, {1}}, 7, cfg);
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 7, ic_at(1.0));
   EXPECT_EQ(r.state[2], NodeState::kProtected);
 }
 
@@ -56,23 +57,17 @@ TEST(CompetitiveIc, SpreadGrowsWithProbability) {
   const DiGraph g = erdos_renyi(300, 0.02, true, rng);
   double low = 0, high = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    IcConfig cl;
-    cl.edge_prob = 0.05;
-    IcConfig ch;
-    ch.edge_prob = 0.5;
     low += static_cast<double>(
-        simulate_competitive_ic(g, {{0}, {}}, s, cl).infected_count());
+        simulate(g, {{0}, {}}, s, ic_at(0.05)).infected_count());
     high += static_cast<double>(
-        simulate_competitive_ic(g, {{0}, {}}, s, ch).infected_count());
+        simulate(g, {{0}, {}}, s, ic_at(0.5)).infected_count());
   }
   EXPECT_LT(low, high);
 }
 
 TEST(CompetitiveIc, InvalidProbabilityThrows) {
   const DiGraph g = path_graph(3);
-  IcConfig cfg;
-  cfg.edge_prob = 1.5;
-  EXPECT_THROW(simulate_competitive_ic(g, {{0}, {}}, 1, cfg), Error);
+  EXPECT_THROW(simulate(g, {{0}, {}}, 1, ic_at(1.5)), Error);
 }
 
 TEST(CompetitiveIc, LiveEdgeCouplingMonotoneInProtectors) {
@@ -80,11 +75,9 @@ TEST(CompetitiveIc, LiveEdgeCouplingMonotoneInProtectors) {
   // coupling (same seed -> same live edges; P only blocks R).
   Rng rng(6);
   const DiGraph g = erdos_renyi(150, 0.04, true, rng);
-  IcConfig cfg;
-  cfg.edge_prob = 0.35;
   for (std::uint64_t s = 0; s < 10; ++s) {
-    const auto no_p = simulate_competitive_ic(g, {{0, 1}, {}}, s, cfg);
-    const auto with_p = simulate_competitive_ic(g, {{0, 1}, {5, 6, 7}}, s, cfg);
+    const auto no_p = simulate(g, {{0, 1}, {}}, s, ic_at(0.35));
+    const auto with_p = simulate(g, {{0, 1}, {5, 6, 7}}, s, ic_at(0.35));
     EXPECT_LE(with_p.infected_count(), no_p.infected_count()) << "seed " << s;
   }
 }
@@ -96,10 +89,8 @@ TEST(CompetitiveIc, ProbabilityOneEqualsDoamEverywhere) {
   for (int trial = 0; trial < 5; ++trial) {
     const DiGraph g = erdos_renyi(100, 0.04, true, rng);
     const SeedSets seeds{{0, 1, 2}, {3, 4}};
-    IcConfig cfg;
-    cfg.edge_prob = 1.0;
-    const DiffusionResult ic = simulate_competitive_ic(g, seeds, trial, cfg);
-    const DiffusionResult doam = simulate_doam(g, seeds);
+    const DiffusionResult ic = simulate(g, seeds, trial, ic_at(1.0));
+    const DiffusionResult doam = simulate(g, seeds, 0, kDoam);
     EXPECT_EQ(ic.state, doam.state) << "trial " << trial;
     EXPECT_EQ(ic.activation_step, doam.activation_step);
   }
@@ -110,7 +101,7 @@ TEST(CompetitiveIc, ProbabilityOneEqualsDoamEverywhere) {
 TEST(CompetitiveLt, SingleInNeighborAlwaysActivates) {
   // d_in = 1 => weight 1 >= any threshold in [0,1).
   const DiGraph g = path_graph(5);
-  const DiffusionResult r = simulate_competitive_lt(g, {{0}, {}}, 3);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 3, kLt);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(r.state[v], NodeState::kInfected);
 }
 
@@ -118,8 +109,8 @@ TEST(CompetitiveLt, DeterministicInSeed) {
   Rng rng(8);
   const DiGraph g = erdos_renyi(80, 0.06, true, rng);
   const SeedSets seeds{{0, 1}, {2, 3}};
-  const DiffusionResult a = simulate_competitive_lt(g, seeds, 5);
-  const DiffusionResult b = simulate_competitive_lt(g, seeds, 5);
+  const DiffusionResult a = simulate(g, seeds, 5, kLt);
+  const DiffusionResult b = simulate(g, seeds, 5, kLt);
   EXPECT_EQ(a.state, b.state);
 }
 
@@ -129,7 +120,7 @@ TEST(CompetitiveLt, MajorityColorWinsProtectorTies) {
   GraphBuilder b;
   for (NodeId u = 0; u < 4; ++u) b.add_edge(u, 4);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate_competitive_lt(g, {{0, 1}, {2, 3}}, 9);
+  const DiffusionResult r = simulate(g, {{0, 1}, {2, 3}}, 9, kLt);
   if (r.state[4] != NodeState::kInactive) {
     EXPECT_EQ(r.state[4], NodeState::kProtected);
   }
@@ -140,7 +131,7 @@ TEST(CompetitiveLt, RumorMajorityInfects) {
   for (NodeId u = 0; u < 4; ++u) b.add_edge(u, 4);
   const DiGraph g = b.finalize();
   // 3 rumors vs 1 protector: if 4 activates it must be infected.
-  const DiffusionResult r = simulate_competitive_lt(g, {{0, 1, 2}, {3}}, 9);
+  const DiffusionResult r = simulate(g, {{0, 1, 2}, {3}}, 9, kLt);
   if (r.state[4] != NodeState::kInactive) {
     EXPECT_EQ(r.state[4], NodeState::kInfected);
   }
@@ -153,14 +144,14 @@ TEST(CompetitiveLt, ThresholdControlsActivation) {
   for (NodeId u = 0; u < 6; ++u) b.add_edge(u, 6);
   const DiGraph g = b.finalize();
   const DiffusionResult r =
-      simulate_competitive_lt(g, {{0, 1, 2, 3, 4, 5}, {}}, 123);
+      simulate(g, {{0, 1, 2, 3, 4, 5}, {}}, 123, kLt);
   EXPECT_EQ(r.state[6], NodeState::kInfected);
 }
 
 TEST(CompetitiveLt, ProgressiveAndConsistent) {
   Rng rng(10);
   const DiGraph g = erdos_renyi(100, 0.05, true, rng);
-  const DiffusionResult r = simulate_competitive_lt(g, {{0, 1, 2}, {3, 4}}, 77);
+  const DiffusionResult r = simulate(g, {{0, 1, 2}, {3, 4}}, 77, kLt);
   std::size_t inf = 0, prot = 0;
   for (auto c : r.newly_infected) inf += c;
   for (auto c : r.newly_protected) prot += c;

@@ -125,7 +125,8 @@ TEST(MonteCarlo, ExpectedSavedCountsTargets) {
   cfg.runs = 3;
   cfg.max_hops = 20;
   const NodeId targets[] = {6, 7, 8, 9};
-  EXPECT_DOUBLE_EQ(expected_saved(g, {{0}, {5}}, targets, cfg), 4.0);
+  const HopSeries s = monte_carlo_series(g, {{0}, {5}}, cfg, targets);
+  EXPECT_DOUBLE_EQ(s.saved_fraction_mean * std::size(targets), 4.0);
 }
 
 TEST(MonteCarlo, ZeroRunsRejected) {

@@ -4,7 +4,8 @@
 
 #include <map>
 
-#include "diffusion/opoao.h"
+#include "diffusion/montecarlo.h"
+#include "diffusion/opoao_traits.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -12,13 +13,15 @@
 namespace lcrb {
 namespace {
 
+// OPOAO's customary hop cap.
+constexpr RealizationParams kOpoao{.max_hops = 10000};
+
 TEST(OpoaoTrace, EveryActiveNodePicksOncePerStep) {
   Rng grng(1);
   const DiGraph g = erdos_renyi(60, 0.08, true, grng);
   OpoaoTrace trace;
-  OpoaoConfig cfg;
-  cfg.max_steps = 15;
-  const DiffusionResult r = simulate_opoao(g, {{0, 1}, {2}}, 5, cfg, &trace);
+  const DiffusionResult r = run_cascade<OpoaoTraits>(
+      g, {{0, 1}, {2}}, 5, {.max_hops = 15}, &trace);
 
   // Group picks by (step, from): exactly one pick per active node per step.
   std::map<std::pair<std::uint32_t, NodeId>, int> count;
@@ -37,9 +40,7 @@ TEST(OpoaoTrace, PicksAreAlwaysOutNeighbors) {
   Rng grng(2);
   const DiGraph g = erdos_renyi(50, 0.1, true, grng);
   OpoaoTrace trace;
-  OpoaoConfig cfg;
-  cfg.max_steps = 10;
-  simulate_opoao(g, {{0}, {1}}, 7, cfg, &trace);
+  run_cascade<OpoaoTraits>(g, {{0}, {1}}, 7, {.max_hops = 10}, &trace);
   for (const auto& p : trace.picks) {
     const auto nbrs = g.out_neighbors(p.from);
     EXPECT_TRUE(std::binary_search(nbrs.begin(), nbrs.end(), p.to));
@@ -50,9 +51,8 @@ TEST(OpoaoTrace, ActivatedPicksMatchActivationSteps) {
   Rng grng(3);
   const DiGraph g = erdos_renyi(80, 0.06, true, grng);
   OpoaoTrace trace;
-  OpoaoConfig cfg;
-  cfg.max_steps = 20;
-  const DiffusionResult r = simulate_opoao(g, {{0, 1}, {2, 3}}, 9, cfg, &trace);
+  const DiffusionResult r = run_cascade<OpoaoTraits>(
+      g, {{0, 1}, {2, 3}}, 9, {.max_hops = 20}, &trace);
 
   std::map<NodeId, const OpoaoPick*> first_activation;
   for (const auto& p : trace.picks) {
@@ -77,9 +77,8 @@ TEST(OpoaoTrace, ProtectorPicksPrecedeRumorPicksWithinStep) {
   Rng grng(4);
   const DiGraph g = erdos_renyi(50, 0.1, true, grng);
   OpoaoTrace trace;
-  OpoaoConfig cfg;
-  cfg.max_steps = 10;
-  simulate_opoao(g, {{0, 1}, {2, 3}}, 11, cfg, &trace);
+  run_cascade<OpoaoTraits>(g, {{0, 1}, {2, 3}}, 11, {.max_hops = 10},
+                           &trace);
   std::uint32_t current_step = 0;
   bool seen_rumor_this_step = false;
   for (const auto& p : trace.picks) {
@@ -102,7 +101,7 @@ TEST(OpoaoTrace, PaperFigureOneChains) {
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   OpoaoTrace trace;
   const DiffusionResult r =
-      simulate_opoao(g, {{0, 3}, {}}, 13, {}, &trace);
+      run_cascade<OpoaoTraits>(g, {{0, 3}, {}}, 13, kOpoao, &trace);
 
   // Timestamp 1_x on (x,u): x picks u at step 1 and keeps re-picking it.
   EXPECT_EQ(trace.first_pick_step(0, 1, NodeState::kInfected), 1u);
@@ -125,9 +124,8 @@ TEST(OpoaoTrace, FirstPickStepMatchesLinearScan) {
   Rng grng(6);
   const DiGraph g = erdos_renyi(70, 0.07, true, grng);
   OpoaoTrace trace;
-  OpoaoConfig cfg;
-  cfg.max_steps = 18;
-  simulate_opoao(g, {{0, 1}, {2, 3}}, 21, cfg, &trace);
+  run_cascade<OpoaoTraits>(g, {{0, 1}, {2, 3}}, 21, {.max_hops = 18},
+                           &trace);
   ASSERT_FALSE(trace.picks.empty());
 
   auto brute = [&](NodeId u, NodeId v, NodeState color) {
@@ -154,7 +152,7 @@ TEST(OpoaoTrace, FirstPickIndexRebuildsAfterAppend) {
   // simulation into the same log) must invalidate and rebuild it.
   const DiGraph g = make_graph(3, {{0, 1}, {1, 2}});
   OpoaoTrace trace;
-  simulate_opoao(g, {{0}, {}}, 3, {}, &trace);
+  run_cascade<OpoaoTraits>(g, {{0}, {}}, 3, kOpoao, &trace);
   EXPECT_EQ(trace.first_pick_step(0, 1, NodeState::kInfected), 1u);
   EXPECT_EQ(trace.first_pick_step(2, 0, NodeState::kProtected), kUnreached);
 
@@ -192,9 +190,10 @@ TEST(OpoaoTrace, FirstPickIndexExtendsIncrementallyAcrossAppends) {
 
 TEST(OpoaoTrace, NullTraceIsDefaultAndCheap) {
   const DiGraph g = path_graph(5);
-  const DiffusionResult a = simulate_opoao(g, {{0}, {}}, 3);
+  const DiffusionResult a = simulate(g, {{0}, {}}, 3, {.max_hops = 10000});
   OpoaoTrace trace;
-  const DiffusionResult b = simulate_opoao(g, {{0}, {}}, 3, {}, &trace);
+  const DiffusionResult b =
+      run_cascade<OpoaoTraits>(g, {{0}, {}}, 3, kOpoao, &trace);
   EXPECT_EQ(a.state, b.state);  // tracing must not perturb the simulation
   EXPECT_FALSE(trace.picks.empty());
 }

@@ -7,6 +7,10 @@
 namespace lcrb {
 namespace {
 
+// DOAM with no hop cap.
+const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
+                             .model = DiffusionModel::kDoam};
+
 TEST(EndToEnd, HepSubstituteScbgFullProtection) {
   const DatasetSubstitute ds = make_hep_like(3, 0.08);
   const Partition truth(ds.net.membership);
@@ -23,7 +27,7 @@ TEST(EndToEnd, HepSubstituteScbgFullProtection) {
 
   // Under DOAM the guarantee is exact.
   SeedSets seeds{s.rumors, r.protectors};
-  const DiffusionResult sim = simulate_doam(ds.net.graph, seeds);
+  const DiffusionResult sim = simulate(ds.net.graph, seeds, 0, kDoam);
   for (NodeId b : r.bridge_ends) {
     ASSERT_NE(sim.state[b], NodeState::kInfected);
   }
@@ -106,7 +110,7 @@ TEST(EndToEnd, UmbrellaHeaderExposesEverything) {
   const DiGraph g = erdos_renyi(30, 0.1, true, rng);
   const Partition p = louvain(g);
   EXPECT_EQ(p.num_nodes(), g.num_nodes());
-  const DiffusionResult r = simulate_doam(g, {{0}, {}});
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
   EXPECT_GE(r.infected_count(), 1u);
   TextTable t;
   t.add_values("ok", 1);

@@ -22,7 +22,7 @@
 #include <type_traits>
 
 #include "diffusion/montecarlo.h"
-#include "diffusion/opoao.h"
+#include "diffusion/opoao_traits.h"
 #include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
@@ -412,10 +412,9 @@ TYPED_TEST(GoldenDeterminismTest, OpoaoTracePins) {
   SeedSets seeds;
   seeds.rumors = this->rumors_;
   seeds.protectors = {50, 51};
-  OpoaoConfig cfg;
-  cfg.max_steps = 31;
   OpoaoTrace trace;
-  const DiffusionResult r = simulate_opoao(this->g_, seeds, 777, cfg, &trace);
+  const DiffusionResult r = run_cascade<OpoaoTraits>(
+      this->g_, seeds, 777, {.max_hops = 31}, &trace);
   Fnv h;
   h.u64(trace.picks.size());
   for (const OpoaoPick& p : trace.picks) {

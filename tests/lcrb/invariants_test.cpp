@@ -7,7 +7,6 @@
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "lcrb/bridge.h"
-#include "lcrb/rfst.h"
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
 #include "util/rng.h"
@@ -42,10 +41,16 @@ class CoreInvariantTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(CoreInvariantTest, RfstPathLengthsEqualDistances) {
-  const RumorForest f = build_rfst(cg.graph, rumors);
+  // The rumor forward search forest is bfs_forward from the originators;
+  // walk each reached node's parent chain up to its root.
+  const BfsResult f = bfs_forward(cg.graph, rumors);
   for (NodeId v = 0; v < cg.graph.num_nodes(); ++v) {
-    if (!f.reaches(v)) continue;
-    const auto path = f.path_to_root(v);
+    if (!f.reached(v)) continue;
+    std::vector<NodeId> path;
+    for (NodeId cur = v; cur != kInvalidNode; cur = f.parent[cur]) {
+      path.push_back(cur);
+      ASSERT_LE(path.size(), f.dist.size()) << "cycle in BFS forest";
+    }
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.size(), f.dist[v] + 1);
     // Path ends at a rumor originator and every hop is a real arc.

@@ -14,7 +14,7 @@
 
 #include <cmath>
 
-#include "diffusion/opoao.h"
+#include "diffusion/montecarlo.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "lcrb/sigma.h"
@@ -29,12 +29,10 @@ std::size_t pb_size(const DiGraph& g, const std::vector<NodeId>& rumors,
                     const std::vector<NodeId>& bridge_ends,
                     const std::vector<NodeId>& protectors,
                     std::uint64_t sample_seed) {
-  OpoaoConfig cfg;
-  cfg.max_steps = 64;
-  const DiffusionResult base =
-      simulate_opoao(g, {rumors, {}}, sample_seed, cfg);
+  const MonteCarloConfig cfg{.max_hops = 64};
+  const DiffusionResult base = simulate(g, {rumors, {}}, sample_seed, cfg);
   const DiffusionResult with =
-      simulate_opoao(g, {rumors, protectors}, sample_seed, cfg);
+      simulate(g, {rumors, protectors}, sample_seed, cfg);
   std::size_t saved = 0;
   for (NodeId b : bridge_ends) {
     if (base.state[b] == NodeState::kInfected &&

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
+#include "community/partition.h"
 #include "lcrb/bridge.h"
-#include "lcrb/rfst.h"
 #include "lcrb/ris.h"
 #include "util/rng.h"
 
@@ -12,35 +14,64 @@ namespace lcrb {
 namespace {
 
 // ------------------------------ RFST ------------------------------
+//
+// The rumor forward search trees (paper Algorithm 1/3 step 3, Fig. 3a) are
+// the BFS forest of a multi-source bfs_forward from the rumor originators:
+// `dist` is the hop count from the nearest root, `parent` the tree arc.
+
+// Test-local path walk: v up to its root (inclusive), v first; empty when
+// the forest does not reach v.
+std::vector<NodeId> path_to_root(const BfsResult& f, NodeId v) {
+  std::vector<NodeId> path;
+  if (!f.reached(v)) return path;
+  for (NodeId cur = v; cur != kInvalidNode; cur = f.parent[cur]) {
+    path.push_back(cur);
+    if (path.size() > f.dist.size()) {
+      ADD_FAILURE() << "cycle in BFS forest";
+      break;
+    }
+  }
+  return path;
+}
+
+std::size_t forest_size(const BfsResult& f) {
+  return static_cast<std::size_t>(
+      std::count_if(f.dist.begin(), f.dist.end(),
+                    [](std::uint32_t d) { return d != kUnreached; }));
+}
 
 TEST(Rfst, PathForest) {
   const DiGraph g = path_graph(5);
-  const RumorForest f = build_rfst(g, std::vector<NodeId>{0});
-  EXPECT_EQ(f.size(), 5u);
+  const BfsResult f = bfs_forward(g, std::vector<NodeId>{0});
+  EXPECT_EQ(forest_size(f), 5u);
   EXPECT_EQ(f.dist[4], 4u);
-  EXPECT_EQ(f.path_to_root(4), (std::vector<NodeId>{4, 3, 2, 1, 0}));
-  EXPECT_EQ(f.path_to_root(0), (std::vector<NodeId>{0}));
+  EXPECT_EQ(path_to_root(f, 4), (std::vector<NodeId>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(path_to_root(f, 0), (std::vector<NodeId>{0}));
 }
 
 TEST(Rfst, MultiRootForest) {
   const DiGraph g = make_graph(6, {{0, 2}, {1, 3}, {2, 4}, {3, 5}});
-  const RumorForest f = build_rfst(g, std::vector<NodeId>{0, 1});
-  EXPECT_EQ(f.roots, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(f.path_to_root(4).back(), 0u);
-  EXPECT_EQ(f.path_to_root(5).back(), 1u);
+  const BfsResult f = bfs_forward(g, std::vector<NodeId>{0, 1});
+  EXPECT_EQ(f.dist[0], 0u);
+  EXPECT_EQ(f.dist[1], 0u);
+  EXPECT_EQ(path_to_root(f, 4).back(), 0u);
+  EXPECT_EQ(path_to_root(f, 5).back(), 1u);
 }
 
 TEST(Rfst, UnreachedNodesHaveEmptyPath) {
   const DiGraph g = make_graph(4, {{0, 1}, {2, 3}});
-  const RumorForest f = build_rfst(g, std::vector<NodeId>{0});
-  EXPECT_FALSE(f.reaches(3));
-  EXPECT_TRUE(f.path_to_root(3).empty());
-  EXPECT_EQ(f.size(), 2u);
+  const BfsResult f = bfs_forward(g, std::vector<NodeId>{0});
+  EXPECT_FALSE(f.reached(3));
+  EXPECT_TRUE(path_to_root(f, 3).empty());
+  EXPECT_EQ(forest_size(f), 2u);
 }
 
 TEST(Rfst, EmptyRumorsThrow) {
+  // The forest's library consumer, the bridge-end search, refuses an empty
+  // originator set.
   const DiGraph g = path_graph(3);
-  EXPECT_THROW(build_rfst(g, std::vector<NodeId>{}), Error);
+  const Partition p({0, 0, 1});
+  EXPECT_THROW(find_bridge_ends(g, p, 0, std::vector<NodeId>{}), Error);
 }
 
 // ------------------------------ BBST ------------------------------

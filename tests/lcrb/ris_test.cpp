@@ -162,9 +162,7 @@ TEST(RrSamplerTest, RejectsRumorSeedBridgeEnds) {
     RisConfig cfg;
     cfg.model = m;
     cfg.ic_edge_prob = 1.0;
-    cfg.estimator_sets = 16;
     EXPECT_THROW(RrSampler(g, rumors, {1, 0}, cfg), Error) << to_string(m);
-    EXPECT_THROW(RisEstimator(g, rumors, {0}, cfg), Error) << to_string(m);
     EXPECT_THROW((void)ris_greedy_from_bridges(
                      g, rumors, bridges_on(g, rumors, {0}), 0.5, 0, cfg),
                  Error)
@@ -570,43 +568,45 @@ TEST(RisGreedyTest, BothModesAgreeOnTheForcedAnswer) {
   EXPECT_GT(r_ris.nodes_visited, 0u);
 }
 
-// --- RisEstimator ---
+// --- Fixed-pool RIS sigma-hat: |B| x the coverage fraction of a pool ---
 
-TEST(RisEstimatorTest, AllBridgeEndsAsProtectorsSaveEverything) {
+TEST(RisCoverageSigmaTest, AllBridgeEndsAsProtectorsSaveEverything) {
   Rng rng(41);
   const DiGraph g = erdos_renyi(30, 0.15, true, rng);
   std::vector<NodeId> ends;
   for (NodeId v = 2; v < 12; ++v) ends.push_back(v);
   RisConfig cfg;
   cfg.model = DiffusionModel::kDoam;
-  cfg.estimator_sets = 512;
-  RisEstimator est(g, {0, 1}, ends, cfg);
-  EXPECT_EQ(est.num_sets(), 512u);
-  EXPECT_DOUBLE_EQ(est.sigma({}), 0.0);
+  RrPool pool;
+  RrSampler(g, {0, 1}, ends, cfg).extend(pool, 2, 512);
+  const double num_ends = static_cast<double>(ends.size());
+  EXPECT_EQ(pool.num_sets(), 512u);
+  EXPECT_DOUBLE_EQ(pool.coverage_fraction({}, false) * num_ends, 0.0);
   // Each bridge end is in its own RR set whenever that set is non-null.
-  EXPECT_DOUBLE_EQ(est.protected_fraction(ends), 1.0);
+  EXPECT_DOUBLE_EQ(pool.coverage_fraction(ends, true), 1.0);
   const double expected_sigma =
-      static_cast<double>(ends.size()) *
-      (1.0 - static_cast<double>(est.pool().num_null()) /
-                 static_cast<double>(est.num_sets()));
-  EXPECT_DOUBLE_EQ(est.sigma(ends), expected_sigma);
-  EXPECT_GT(est.nodes_visited(), 0u);
+      num_ends * (1.0 - static_cast<double>(pool.num_null()) /
+                            static_cast<double>(pool.num_sets()));
+  EXPECT_DOUBLE_EQ(pool.coverage_fraction(ends, false) * num_ends,
+                   expected_sigma);
+  EXPECT_GT(pool.nodes_visited(), 0u);
 }
 
-TEST(RisEstimatorTest, SigmaIsMonotoneInTheProtectorSet) {
+TEST(RisCoverageSigmaTest, SigmaIsMonotoneInTheProtectorSet) {
   Rng rng(43);
   const DiGraph g = erdos_renyi(40, 0.1, true, rng);
   std::vector<NodeId> ends;
   for (NodeId v = 2; v < 16; ++v) ends.push_back(v);
   RisConfig cfg;
   cfg.model = DiffusionModel::kOpoao;
-  cfg.estimator_sets = 1024;
-  RisEstimator est(g, {0, 1}, ends, cfg);
+  RrPool pool;
+  RrSampler(g, {0, 1}, ends, cfg).extend(pool, 2, 1024);
   std::vector<NodeId> a;
   double prev = 0.0;
   for (NodeId v : {4u, 9u, 13u, 6u}) {
     a.push_back(v);
-    const double cur = est.sigma(a);
+    const double cur = pool.coverage_fraction(a, false) *
+                       static_cast<double>(ends.size());
     EXPECT_GE(cur, prev - 1e-12);
     prev = cur;
   }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "community/louvain.h"
-#include "diffusion/doam.h"
+#include "diffusion/montecarlo.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -80,7 +80,9 @@ TEST_P(ScbgGuaranteeTest, AllBridgeEndsProtectedUnderDoam) {
   SeedSets seeds;
   seeds.rumors = rumors;
   seeds.protectors = r.protectors;
-  const DiffusionResult sim = simulate_doam(cg.graph, seeds);
+  const DiffusionResult sim = simulate(
+      cg.graph, seeds, 0,
+      {.max_hops = 0xffffffff, .model = DiffusionModel::kDoam});
   for (NodeId b : r.bridge_ends) {
     EXPECT_NE(sim.state[b], NodeState::kInfected) << "bridge end " << b;
   }

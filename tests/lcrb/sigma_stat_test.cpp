@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "community/partition.h"
@@ -71,6 +72,23 @@ TEST(OpoaoPickStreamTest, NodesAndStepsDecorrelated) {
 // ---------------------------------------------------------------------------
 // MC vs RIS estimator agreement on a community graph.
 
+// A fixed pool of `sets` RR sets on draw stream 2, independent of the
+// selection (0) and validation (1) streams RIS selection grows.
+RrPool fixed_ris_pool(const DiGraph& g, const std::vector<NodeId>& rumors,
+                      const std::vector<NodeId>& ends, const RisConfig& cfg,
+                      std::size_t sets) {
+  RrPool pool;
+  RrSampler(g, rumors, ends, cfg).extend(pool, 2, sets);
+  return pool;
+}
+
+// The RIS sigma-hat: |B| times the fraction of RR sets `a` covers. Exact in
+// expectation for DOAM and IC; a lower bound in expectation for OPOAO.
+double ris_sigma(const RrPool& pool, std::size_t num_ends,
+                 std::span<const NodeId> a) {
+  return pool.coverage_fraction(a, false) * static_cast<double>(num_ends);
+}
+
 struct AgreementFixtureResult {
   DiGraph g;
   std::vector<NodeId> rumors;
@@ -109,17 +127,17 @@ TEST(SigmaAgreementTest, IcEstimatorsAgreeWithinHoeffding) {
   RisConfig rc;
   rc.model = DiffusionModel::kIc;
   rc.ic_edge_prob = 0.3;
-  rc.estimator_sets = 8192;
   rc.seed = 12;
-  RisEstimator ris(fx.g, fx.rumors, ends, rc);
+  const std::size_t ris_sets = 8192;
+  const RrPool ris = fixed_ris_pool(fx.g, fx.rumors, ends, rc, ris_sets);
 
   const double range = static_cast<double>(ends.size());
   for (const std::vector<NodeId>& a :
        {std::vector<NodeId>{ends[0], ends[1], ends[2]},
         std::vector<NodeId>(ends.begin(), ends.begin() + ends.size() / 2)}) {
-    const auto agree = hoeffding_agreement(mc.sigma(a), sc.samples,
-                                           ris.sigma(a), rc.estimator_sets,
-                                           range, /*delta=*/1e-6);
+    const auto agree = hoeffding_agreement(
+        mc.sigma(a), sc.samples, ris_sigma(ris, ends.size(), a), ris_sets,
+        range, /*delta=*/1e-6);
     EXPECT_TRUE(agree.ok) << "diff " << agree.diff << " tol " << agree.tol;
   }
 }
@@ -136,15 +154,15 @@ TEST(SigmaAgreementTest, DoamEstimatorsAgreeWithinHoeffding) {
 
   RisConfig rc;
   rc.model = DiffusionModel::kDoam;
-  rc.estimator_sets = 8192;
   rc.seed = 21;
-  RisEstimator ris(fx.g, fx.rumors, ends, rc);
+  const std::size_t ris_sets = 8192;
+  const RrPool ris = fixed_ris_pool(fx.g, fx.rumors, ends, rc, ris_sets);
 
   // The only RIS noise under DOAM is the uniform root draw.
   const double range = static_cast<double>(ends.size());
   const std::vector<NodeId> a(ends.begin(), ends.begin() + 3);
-  const double tol = range * hoeffding_halfwidth(rc.estimator_sets, 1e-6);
-  EXPECT_NEAR(ris.sigma(a), mc.sigma(a), tol);
+  const double tol = range * hoeffding_halfwidth(ris_sets, 1e-6);
+  EXPECT_NEAR(ris_sigma(ris, ends.size(), a), mc.sigma(a), tol);
 }
 
 TEST(SigmaAgreementTest, OpoaoRisLowerBoundsAndMatchesOnSelfCover) {
@@ -160,26 +178,27 @@ TEST(SigmaAgreementTest, OpoaoRisLowerBoundsAndMatchesOnSelfCover) {
 
   RisConfig rc;
   rc.model = DiffusionModel::kOpoao;
-  rc.estimator_sets = 8192;
   rc.seed = 32;
-  RisEstimator ris(fx.g, fx.rumors, ends, rc);
+  const std::size_t ris_sets = 8192;
+  const RrPool ris = fixed_ris_pool(fx.g, fx.rumors, ends, rc, ris_sets);
 
   const double range = static_cast<double>(ends.size());
   const double tol = range * (hoeffding_halfwidth(sc.samples, 1e-6) +
-                              hoeffding_halfwidth(rc.estimator_sets, 1e-6));
+                              hoeffding_halfwidth(ris_sets, 1e-6));
 
   // Partial protector sets: one-sided — RIS coverage is a lower bound.
   const std::vector<NodeId> a(ends.begin(), ends.begin() + 3);
-  EXPECT_LE(ris.sigma(a), mc.sigma(a) + tol);
-  EXPECT_GE(ris.sigma(a), 0.0);
+  EXPECT_LE(ris_sigma(ris, ends.size(), a), mc.sigma(a) + tol);
+  EXPECT_GE(ris_sigma(ris, ends.size(), a), 0.0);
 
   // Seeding ALL bridge ends: a root always saves itself, so the bound is
   // tight and the two-sided check must pass even under OPOAO. sigma(B) on
   // the MC side equals the baseline infected count (a protected seed is
   // never infected).
   const auto agree =
-      hoeffding_agreement(mc.baseline_infected(), sc.samples, ris.sigma(ends),
-                          rc.estimator_sets, range, 1e-6);
+      hoeffding_agreement(mc.baseline_infected(), sc.samples,
+                          ris_sigma(ris, ends.size(), ends), ris_sets, range,
+                          1e-6);
   EXPECT_TRUE(agree.ok) << "diff " << agree.diff << " tol " << agree.tol;
 }
 
@@ -213,12 +232,12 @@ TEST(ExactSigmaTest, IcEnumerationMatchesBothEstimators) {
     RisConfig rc;
     rc.model = DiffusionModel::kIc;
     rc.ic_edge_prob = p;
-    rc.estimator_sets = 16384;
     rc.seed = 4;
-    RisEstimator ris(g, rumors, ends, rc);
-    EXPECT_NEAR(ris.sigma(a), exact,
+    const std::size_t ris_sets = 16384;
+    const RrPool ris = fixed_ris_pool(g, rumors, ends, rc, ris_sets);
+    EXPECT_NEAR(ris_sigma(ris, ends.size(), a), exact,
                 static_cast<double>(ends.size()) *
-                    hoeffding_halfwidth(rc.estimator_sets, 1e-6))
+                    hoeffding_halfwidth(ris_sets, 1e-6))
         << "protectors " << a[0];
   }
 }
@@ -242,12 +261,12 @@ TEST(ExactSigmaTest, DoamEnumerationIsExactForMcAndTightForRis) {
 
     RisConfig rc;
     rc.model = DiffusionModel::kDoam;
-    rc.estimator_sets = 16384;
     rc.seed = 6;
-    RisEstimator ris(g, rumors, ends, rc);
-    EXPECT_NEAR(ris.sigma(a), exact,
+    const std::size_t ris_sets = 16384;
+    const RrPool ris = fixed_ris_pool(g, rumors, ends, rc, ris_sets);
+    EXPECT_NEAR(ris_sigma(ris, ends.size(), a), exact,
                 static_cast<double>(ends.size()) *
-                    hoeffding_halfwidth(rc.estimator_sets, 1e-6));
+                    hoeffding_halfwidth(ris_sets, 1e-6));
   }
 }
 

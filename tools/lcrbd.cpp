@@ -444,7 +444,7 @@ class DaemonLoop {
     // Existing clients keep their in-flight and already-buffered requests —
     // drain semantics — but nothing new is read from them.
     for (auto& [fd, conn] : by_fd_) {
-      epoll_.mod(fd, conn->wbuf.empty() ? 0 : EPOLLOUT);
+      epoll_.mod(fd, conn->wbuf.empty() ? 0u : std::uint32_t{EPOLLOUT});
       conn->rbuf.clear();
     }
   }
@@ -509,7 +509,8 @@ class DaemonLoop {
       return;
     }
     const std::uint32_t want =
-        (shutting_down_ ? 0 : EPOLLIN) | (conn.wbuf.empty() ? 0 : EPOLLOUT);
+        (shutting_down_ ? 0u : std::uint32_t{EPOLLIN}) |
+        (conn.wbuf.empty() ? 0u : std::uint32_t{EPOLLOUT});
     epoll_.mod(conn.fd, want);
   }
 
