@@ -21,36 +21,6 @@ SeedSets bench_seeds(NodeId n) {
   return s;
 }
 
-void BM_Opoao(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const DiGraph g = bench_graph(n, 1);
-  const SeedSets seeds = bench_seeds(n);
-  MonteCarloConfig cfg;
-  cfg.max_hops = 31;
-  std::uint64_t s = 0;
-  for (auto _ : state) {
-    DiffusionResult r = simulate(g, seeds, ++s, cfg);
-    benchmark::DoNotOptimize(r.infected_count());
-  }
-}
-BENCHMARK(BM_Opoao)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
-void BM_Doam(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const DiGraph g = bench_graph(n, 2);
-  const SeedSets seeds = bench_seeds(n);
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kDoam;
-  cfg.max_hops = 0xffffffff;
-  for (auto _ : state) {
-    DiffusionResult r = simulate(g, seeds, 0, cfg);
-    benchmark::DoNotOptimize(r.infected_count());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_Doam)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
 void BM_DoamAnalyticSavedTest(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DiGraph g = bench_graph(n, 3);
@@ -67,37 +37,6 @@ BENCHMARK(BM_DoamAnalyticSavedTest)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_CompetitiveIc(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const DiGraph g = bench_graph(n, 4);
-  const SeedSets seeds = bench_seeds(n);
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kIc;
-  cfg.max_hops = 0xffffffff;
-  cfg.ic_edge_prob = 0.1;
-  std::uint64_t s = 0;
-  for (auto _ : state) {
-    DiffusionResult r = simulate(g, seeds, ++s, cfg);
-    benchmark::DoNotOptimize(r.infected_count());
-  }
-}
-BENCHMARK(BM_CompetitiveIc)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
-void BM_CompetitiveLt(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const DiGraph g = bench_graph(n, 7);
-  const SeedSets seeds = bench_seeds(n);
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kLt;
-  cfg.max_hops = 31;
-  std::uint64_t s = 0;
-  for (auto _ : state) {
-    DiffusionResult r = simulate(g, seeds, ++s, cfg);
-    benchmark::DoNotOptimize(r.infected_count());
-  }
-}
-BENCHMARK(BM_CompetitiveLt)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
 // The unified run_cascade<Traits> kernel behind the model-generic simulate()
 // entry point (diffusion/kernel.h + model_traits.h), one benchmark per
 // model: what every subsystem that dispatches on DiffusionModel pays,
@@ -107,13 +46,10 @@ void BM_Kernel(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(1));
   const DiGraph g = bench_graph(n, 8);
   const SeedSets seeds = bench_seeds(n);
-  MonteCarloConfig cfg;
-  cfg.model = model;
-  cfg.max_hops = 31;
-  cfg.ic_edge_prob = 0.1;
+  const RealizationParams params{.max_hops = 31, .ic_edge_prob = 0.1};
   std::uint64_t s = 0;
   for (auto _ : state) {
-    DiffusionResult r = simulate(g, seeds, ++s, cfg);
+    DiffusionResult r = simulate(g, seeds, ++s, model, params);
     benchmark::DoNotOptimize(r.infected_count());
   }
   state.SetLabel(to_string(model));

@@ -125,12 +125,12 @@ void kernel_traversal(benchmark::State& state, const DiGraph& csr,
                       const G& g) {
   SeedSets seeds;
   seeds.rumors = {0, 1, 2, 3};
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kIc;
-  cfg.ic_edge_prob = 0.2;  // dense-enough cascades to walk most arcs
+  RealizationParams params;
+  params.ic_edge_prob = 0.2;  // dense-enough cascades to walk most arcs
   std::uint64_t run = 0;
   for (auto _ : state) {
-    const DiffusionResult r = simulate(g, seeds, 1000 + (run++ % 16), cfg);
+    const DiffusionResult r = simulate(g, seeds, 1000 + (run++ % 16),
+                                       DiffusionModel::kIc, params);
     benchmark::DoNotOptimize(r.steps);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,8 +1,6 @@
 // Microbenchmarks (google-benchmark): sigma evaluation throughput per
-// diffusion model with every sample replayed from the realization cache
-// (Cached), with none cached so every sample re-runs the forward kernel
-// (Forward, max_cache_bytes = 1), and with a cap that fits half the samples
-// (Partial). items_processed counts single-sample evaluations, so
+// diffusion model, every sample replayed from the realization cache
+// (Cached). items_processed counts single-sample evaluations, so
 // items_per_second is directly "sigma evals/sec". DOAM is deterministic:
 // its Cached run replays one realization for all samples. Lanes scores 64
 // OPOAO sets per replay pass (SigmaEstimator::sigma_batch).
@@ -11,39 +9,26 @@
 #include "build_guard.h"
 
 #include "lcrb/core.h"
-#include "lcrb/sigma_engine.h"
 
 namespace {
 
 using namespace lcrb;
-
-/// How many samples the byte cap lets the engine materialize.
-enum class Budget { kNone, kHalf, kAll };
 
 DiGraph bench_graph(NodeId n, std::uint64_t seed) {
   Rng rng(seed);
   return erdos_renyi_m(n, static_cast<EdgeId>(n) * 8, true, rng);
 }
 
-SigmaConfig sigma_cfg(const DiGraph& g, DiffusionModel model,
-                      std::size_t samples, Budget budget) {
+SigmaConfig sigma_cfg(DiffusionModel model, std::size_t samples) {
   SigmaConfig cfg;
   cfg.samples = samples;
   cfg.seed = 13;
   cfg.max_hops = 31;
   cfg.model = model;
-  cfg.max_cache_bytes = 0;
-  if (budget == Budget::kNone) cfg.max_cache_bytes = 1;
-  if (budget == Budget::kHalf) {
-    SigmaConfig half = cfg;
-    half.samples = samples / 2;
-    cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
-  }
   return cfg;
 }
 
-void run_sigma_bench(benchmark::State& state, DiffusionModel model,
-                     Budget budget) {
+void run_sigma_bench(benchmark::State& state, DiffusionModel model) {
   const auto n = static_cast<NodeId>(state.range(0));
   const auto samples = static_cast<std::size_t>(state.range(1));
   const DiGraph g = bench_graph(n, 6);
@@ -51,17 +36,7 @@ void run_sigma_bench(benchmark::State& state, DiffusionModel model,
   std::vector<NodeId> targets;
   for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
 
-  const SigmaConfig cfg = sigma_cfg(g, model, samples, budget);
-  const SigmaEstimator est(g, rumors, targets, cfg);
-  const std::size_t bytes = est.realization_bytes();
-  const bool as_asked = budget == Budget::kNone ? bytes == 0
-                        : budget == Budget::kAll
-                            ? bytes > 0
-                            : bytes > 0 && bytes <= cfg.max_cache_bytes;
-  if (!as_asked) {
-    state.SkipWithError("realization cache not sized as asked");
-    return;
-  }
+  const SigmaEstimator est(g, rumors, targets, sigma_cfg(model, samples));
   const NodeId protectors[] = {10, 11, 12};
   for (auto _ : state) {
     benchmark::DoNotOptimize(est.sigma(protectors));
@@ -70,32 +45,17 @@ void run_sigma_bench(benchmark::State& state, DiffusionModel model,
                           static_cast<std::int64_t>(samples));
 }
 
-void BM_SigmaForward_Opoao(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kNone);
-}
 void BM_SigmaCached_Opoao(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kAll);
-}
-void BM_SigmaPartial_Opoao(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kOpoao, Budget::kHalf);
-}
-void BM_SigmaForward_Doam(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kDoam, Budget::kNone);
+  run_sigma_bench(state, DiffusionModel::kOpoao);
 }
 void BM_SigmaCached_Doam(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kDoam, Budget::kAll);
-}
-void BM_SigmaForward_Ic(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kIc, Budget::kNone);
+  run_sigma_bench(state, DiffusionModel::kDoam);
 }
 void BM_SigmaCached_Ic(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kIc, Budget::kAll);
-}
-void BM_SigmaForward_Lt(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kLt, Budget::kNone);
+  run_sigma_bench(state, DiffusionModel::kIc);
 }
 void BM_SigmaCached_Lt(benchmark::State& state) {
-  run_sigma_bench(state, DiffusionModel::kLt, Budget::kAll);
+  run_sigma_bench(state, DiffusionModel::kLt);
 }
 
 // The batched form of BM_SigmaCached_Opoao: 64 gains per iteration, each
@@ -109,9 +69,8 @@ void BM_SigmaLanes_Opoao(benchmark::State& state) {
   const std::vector<NodeId> rumors{0, 1, 2, 3};
   std::vector<NodeId> targets;
   for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
-  const SigmaEstimator est(
-      g, rumors, targets,
-      sigma_cfg(g, DiffusionModel::kOpoao, samples, Budget::kAll));
+  const SigmaEstimator est(g, rumors, targets,
+                           sigma_cfg(DiffusionModel::kOpoao, samples));
   const NodeId base[] = {10, 11};
   std::vector<NodeId> candidates;
   for (NodeId v = 12; v < 12 + kSigmaLanes; ++v) candidates.push_back(v);
@@ -125,15 +84,10 @@ void BM_SigmaLanes_Opoao(benchmark::State& state) {
 #define SIGMA_ARGS \
   Args({2000, 50})->Args({10000, 50})->Unit(benchmark::kMillisecond)
 
-BENCHMARK(BM_SigmaForward_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Opoao)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaLanes_Opoao)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaPartial_Opoao)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaForward_Doam)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Doam)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaForward_Ic)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Ic)->SIGMA_ARGS;
-BENCHMARK(BM_SigmaForward_Lt)->SIGMA_ARGS;
 BENCHMARK(BM_SigmaCached_Lt)->SIGMA_ARGS;
 
 // Construction cost of the realization cache (what greedy pays once before
@@ -146,7 +100,7 @@ void BM_SigmaEngineBuild(benchmark::State& state) {
   for (NodeId v = n / 4; v < n / 4 + 40; ++v) targets.push_back(v);
   for (auto _ : state) {
     SigmaEstimator est(g, rumors, targets,
-                       sigma_cfg(g, DiffusionModel::kOpoao, 50, Budget::kAll));
+                       sigma_cfg(DiffusionModel::kOpoao, 50));
     benchmark::DoNotOptimize(est.baseline_infected());
   }
 }

@@ -267,11 +267,9 @@ void run_doam_figure(std::ostream& os, const Dataset& ds,
 
       auto record = [&](const std::vector<NodeId>& prot,
                         std::vector<RunningStats>& out) {
-        MonteCarloConfig dc;
-        dc.model = DiffusionModel::kDoam;
-        dc.max_hops = 0xffffffff;
         const DiffusionResult r =
-            simulate(ds.graph, {setup.rumors, prot}, /*seed=*/0, dc);
+            simulate(ds.graph, {setup.rumors, prot}, /*seed=*/0,
+                     DiffusionModel::kDoam, {.max_hops = 0xffffffff});
         for (std::uint32_t h = 0; h <= hops; ++h) {
           out[h].add(static_cast<double>(r.cumulative_infected_at(h)));
         }

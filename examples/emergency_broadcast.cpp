@@ -58,13 +58,12 @@ int main(int argc, char** argv) {
         cover_cost_doam(g, setup.rumors, setup.bridges.bridge_ends, px_order);
 
     // Outcome under DOAM with the SCBG briefing vs doing nothing.
-    MonteCarloConfig doam;
-    doam.model = DiffusionModel::kDoam;
-    doam.max_hops = 0xffffffff;  // no hop cap: run the race to the end
-    const DiffusionResult with =
-        simulate(g, {setup.rumors, sc.protectors}, /*seed=*/0, doam);
-    const DiffusionResult without =
-        simulate(g, {setup.rumors, {}}, /*seed=*/0, doam);
+    const RealizationParams doam{.max_hops = 0xffffffff};  // race to the end
+    const DiffusionResult with = simulate(g, {setup.rumors, sc.protectors},
+                                          /*seed=*/0, DiffusionModel::kDoam,
+                                          doam);
+    const DiffusionResult without = simulate(
+        g, {setup.rumors, {}}, /*seed=*/0, DiffusionModel::kDoam, doam);
 
     table.add_values(
         setup.rumors.size(), setup.bridges.bridge_ends.size(),

@@ -61,10 +61,9 @@ int main() {
 
   // Stage 3: watch both cascades race under DOAM.
   SeedSets seeds{rumors, result.protectors};
-  MonteCarloConfig doam;
-  doam.model = DiffusionModel::kDoam;
-  doam.max_hops = 0xffffffff;  // no hop cap: run the race to the end
-  const DiffusionResult sim = simulate(g, seeds, /*seed=*/0, doam);
+  const RealizationParams doam{.max_hops = 0xffffffff};  // race to the end
+  const DiffusionResult sim =
+      simulate(g, seeds, /*seed=*/0, DiffusionModel::kDoam, doam);
   TextTable table;
   table.set_header({"node", "community", "state", "hop"});
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

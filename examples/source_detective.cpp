@@ -44,10 +44,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    MonteCarloConfig dc;
-    dc.model = DiffusionModel::kDoam;
-    dc.max_hops = hops;
-    const DiffusionResult r = simulate(g, {truth, {}}, /*seed=*/0, dc);
+    const DiffusionResult r = simulate(g, {truth, {}}, /*seed=*/0,
+                                       DiffusionModel::kDoam,
+                                       {.max_hops = hops});
     std::vector<NodeId> snapshot;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (r.state[v] == NodeState::kInfected) snapshot.push_back(v);

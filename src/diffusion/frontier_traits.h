@@ -137,14 +137,15 @@ struct LiveEdgeTraits {
   using CacheSample = LiveEdgeSample;
   using ReplayScratch = LiveEdgeReplayScratch;
 
-  /// Upper bound by contract: every arc live.
+  /// Upper bound by contract: every arc live. Saturates rather than wraps.
   template <class G>
   static std::size_t estimated_cache_bytes(const G& g, std::size_t samples,
                                            std::uint32_t /*hops*/) {
     const std::size_t n = g.num_nodes();
-    return samples * (static_cast<std::size_t>(g.num_edges()) * sizeof(NodeId) +
-                      (n + 1) * sizeof(std::uint32_t) +
-                      n * sizeof(std::uint32_t));
+    return sat_mul(samples,
+                   static_cast<std::size_t>(g.num_edges()) * sizeof(NodeId) +
+                       (n + 1) * sizeof(std::uint32_t) +
+                       n * sizeof(std::uint32_t));
   }
 
   template <class G>

@@ -171,7 +171,7 @@ struct LtTraits {
                                            std::size_t samples,
                                            std::uint32_t /*hops*/) {
     const std::size_t n = g.num_nodes();
-    return samples * n * sizeof(double) + n * sizeof(double);
+    return sat_add(sat_mul(samples, n * sizeof(double)), n * sizeof(double));
   }
 
   template <class G>

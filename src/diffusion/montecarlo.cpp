@@ -18,9 +18,9 @@ template <GraphView G>
 __attribute__((flatten))
 #endif
 DiffusionResult simulate(const G& g, const SeedSets& seeds,
-                         std::uint64_t seed, const MonteCarloConfig& cfg) {
-  const RealizationParams params{cfg.max_hops, cfg.ic_edge_prob};
-  return dispatch_model(cfg.model, [&](auto t) {
+                         std::uint64_t seed, DiffusionModel model,
+                         const RealizationParams& params) {
+  return dispatch_model(model, [&](auto t) {
     return run_cascade<decltype(t)>(g, seeds, seed, params);
   });
 }
@@ -49,10 +49,11 @@ HopSeries monte_carlo_series(const G& g, const SeedSets& seeds,
   std::vector<double> inf_c(runs * hops), prot_c(runs * hops);
   std::vector<double> fi(runs), fp(runs), sf(runs);
 
+  const RealizationParams params{cfg.max_hops, cfg.ic_edge_prob};
   Rng master(cfg.seed);
   auto run_one = [&](std::size_t i) {
     const std::uint64_t run_seed = master.fork(i).next();
-    const DiffusionResult r = simulate(g, seeds, run_seed, cfg);
+    const DiffusionResult r = simulate(g, seeds, run_seed, cfg.model, params);
     for (std::size_t h = 0; h < hops; ++h) {
       inf_c[i * hops + h] =
           static_cast<double>(r.cumulative_infected_at(static_cast<std::uint32_t>(h)));
@@ -100,8 +101,8 @@ HopSeries monte_carlo_series(const G& g, const SeedSets& seeds,
 
 #define LCRB_INSTANTIATE_MONTECARLO(G)                                        \
   template DiffusionResult simulate<G>(const G&, const SeedSets&,             \
-                                       std::uint64_t,                         \
-                                       const MonteCarloConfig&);              \
+                                       std::uint64_t, DiffusionModel,         \
+                                       const RealizationParams&);             \
   template HopSeries monte_carlo_series<G>(const G&, const SeedSets&,         \
                                            const MonteCarloConfig&,           \
                                            std::span<const NodeId>,           \

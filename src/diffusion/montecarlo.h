@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "diffusion/cascade.h"
+#include "diffusion/kernel.h"
 #include "util/threadpool.h"
 
 namespace lcrb {
@@ -21,13 +22,13 @@ struct MonteCarloConfig {
   double ic_edge_prob = 0.1;    ///< only for kIc
 };
 
-/// One forward simulation of cfg.model, capped at cfg.max_hops steps
+/// One forward simulation of `model`, capped at params.max_hops steps
 /// (run_cascade<Traits> for the matching traits). Deterministic in
-/// (g, seeds, seed); cfg.runs and cfg.seed are Monte-Carlo knobs and unused
-/// here.
+/// (g, seeds, seed).
 template <GraphView G>
 DiffusionResult simulate(const G& g, const SeedSets& seeds,
-                         std::uint64_t seed, const MonteCarloConfig& cfg);
+                         std::uint64_t seed, DiffusionModel model,
+                         const RealizationParams& params);
 
 /// Per-hop aggregates over `runs` simulations.
 struct HopSeries {

@@ -192,13 +192,13 @@ struct OpoaoTraits {
     }
     // Upper bound by contract: the shared pick_row, then per sample the
     // pick table, base_step and sched (each at most one entry per node) and
-    // step_off.
+    // step_off. Saturates rather than wraps.
     const std::size_t n = g.num_nodes();
-    return n * sizeof(std::uint32_t) +
-           samples * (rows * hops * sizeof(NodeId) +
-                      n * (sizeof(std::uint32_t) + sizeof(NodeId)) +
-                      (static_cast<std::size_t>(hops) + 2) *
-                          sizeof(std::uint32_t));
+    const std::size_t per_sample = sat_add(
+        sat_mul(sat_mul(rows, hops), sizeof(NodeId)),
+        n * (sizeof(std::uint32_t) + sizeof(NodeId)) +
+            (static_cast<std::size_t>(hops) + 2) * sizeof(std::uint32_t));
+    return sat_add(n * sizeof(std::uint32_t), sat_mul(samples, per_sample));
   }
 
   template <class G>

@@ -29,17 +29,14 @@ class InfectionEstimator {
   }
 
   double expected_infected(std::span<const NodeId> protectors) const {
-    MonteCarloConfig mc;
-    mc.model = cfg_.model;
-    mc.ic_edge_prob = cfg_.ic_edge_prob;
-    mc.max_hops = cfg_.max_hops;
-
+    const RealizationParams params{cfg_.max_hops, cfg_.ic_edge_prob};
     double total = 0.0;
     auto eval = [&](std::size_t i) {
       SeedSets s;
       s.rumors = rumors_;
       s.protectors.assign(protectors.begin(), protectors.end());
-      return static_cast<double>(simulate(g_, s, seeds_[i], mc).infected_count());
+      return static_cast<double>(
+          simulate(g_, s, seeds_[i], cfg_.model, params).infected_count());
     };
     if (pool_ != nullptr && cfg_.samples > 1) {
       // Slot-then-serial-reduce: a mutex-guarded `total += v` would be

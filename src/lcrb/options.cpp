@@ -1,6 +1,8 @@
 #include "lcrb/options.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "util/args.h"
 #include "util/error.h"
@@ -22,6 +24,38 @@ bool iequals(const std::string& a, const std::string& b) {
   return true;
 }
 
+// The one integer conversion of both parsers: a negative value would wrap to
+// a huge unsigned count (-1 samples becomes 2^64-1) and a value past T's
+// range would truncate (--hops 4294967297 becomes 1), both still passing
+// validate() as plausible values; reject them up front. `what` names the
+// flag or key.
+template <class T>
+T checked_count(std::int64_t x, const std::string& what) {
+  if (x < 0) {
+    throw Error("options: " + what + " must be non-negative, got " +
+                std::to_string(x));
+  }
+  if (static_cast<std::uint64_t>(x) > std::numeric_limits<T>::max()) {
+    throw Error("options: " + what + " must be at most " +
+                std::to_string(std::numeric_limits<T>::max()) + ", got " +
+                std::to_string(x));
+  }
+  return static_cast<T>(x);
+}
+
+// Overrides `out` when --`flag` is present.
+template <class T>
+void read_count(const Args& args, const std::string& flag, T& out) {
+  if (args.has(flag)) {
+    out = checked_count<T>(args.get_int(flag, 0), "--" + flag);
+  }
+}
+
+template <class T>
+void read_count(const JsonValue& v, const std::string& key, T& out) {
+  out = checked_count<T>(v.as_int(), key);
+}
+
 // "1,2,3" -> {1, 2, 3}. Empty items are rejected so "1,,2" is a loud typo.
 std::vector<std::size_t> parse_size_list(const std::string& s) {
   std::vector<std::size_t> out;
@@ -33,13 +67,13 @@ std::vector<std::size_t> parse_size_list(const std::string& s) {
     if (item.empty()) {
       throw Error("options: empty item in list '" + s + "'");
     }
-    std::size_t parsed = 0;
-    try {
-      parsed = static_cast<std::size_t>(std::stoull(item));
-    } catch (const std::exception&) {
+    std::int64_t parsed = 0;
+    const auto [ptr, ec] =
+        std::from_chars(item.data(), item.data() + item.size(), parsed);
+    if (ec != std::errc() || ptr != item.data() + item.size()) {
       throw Error("options: bad number '" + item + "' in list '" + s + "'");
     }
-    out.push_back(parsed);
+    out.push_back(checked_count<std::size_t>(parsed, "--protector-budgets"));
     begin = end + 1;
   }
   return out;
@@ -199,7 +233,6 @@ SigmaConfig LcrbOptions::sigma_config() const {
   sc.max_hops = max_hops;
   sc.model = model;
   sc.ic_edge_prob = ic_edge_prob;
-  sc.max_cache_bytes = max_cache_bytes;
   return sc;
 }
 
@@ -234,17 +267,14 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
   if (args.has("selector")) {
     o.selector = selector_kind_from_string(args.get_string("selector", ""));
   }
-  o.budget = static_cast<std::size_t>(
-      args.get_int("budget", static_cast<std::int64_t>(o.budget)));
-  o.selector_seed = static_cast<std::uint64_t>(args.get_int(
-      "selector-seed", static_cast<std::int64_t>(o.selector_seed)));
+  read_count(args, "budget", o.budget);
+  read_count(args, "selector-seed", o.selector_seed);
   o.alpha = args.get_double("alpha", o.alpha);
   if (args.has("candidate-strategy")) {
     o.candidates = candidate_strategy_from_string(
         args.get_string("candidate-strategy", ""));
   }
-  o.max_candidates = static_cast<std::size_t>(args.get_int(
-      "candidates", static_cast<std::int64_t>(o.max_candidates)));
+  read_count(args, "candidates", o.max_candidates);
   if (args.get_bool("no-celf")) o.use_celf = false;
   if (args.has("sigma-mode")) {
     o.sigma_mode = sigma_mode_from_string(args.get_string("sigma-mode", ""));
@@ -252,27 +282,17 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
   if (args.has("model")) {
     o.model = diffusion_model_from_string(args.get_string("model", ""));
   }
-  o.sigma_samples = static_cast<std::size_t>(
-      args.get_int("samples", static_cast<std::int64_t>(o.sigma_samples)));
-  o.sigma_seed = static_cast<std::uint64_t>(
-      args.get_int("sigma-seed", static_cast<std::int64_t>(o.sigma_seed)));
-  o.max_hops = static_cast<std::uint32_t>(
-      args.get_int("hops", static_cast<std::int64_t>(o.max_hops)));
+  read_count(args, "samples", o.sigma_samples);
+  read_count(args, "sigma-seed", o.sigma_seed);
+  read_count(args, "hops", o.max_hops);
   o.ic_edge_prob = args.get_double("ic-prob", o.ic_edge_prob);
-  o.max_cache_bytes = static_cast<std::size_t>(args.get_int(
-      "sigma-cache-bytes", static_cast<std::int64_t>(o.max_cache_bytes)));
   o.ris_epsilon = args.get_double("ris-eps", o.ris_epsilon);
   o.ris_delta = args.get_double("ris-delta", o.ris_delta);
-  o.ris_initial_sets = static_cast<std::size_t>(args.get_int(
-      "ris-initial-sets", static_cast<std::int64_t>(o.ris_initial_sets)));
-  o.ris_max_sets = static_cast<std::size_t>(args.get_int(
-      "ris-max-sets", static_cast<std::int64_t>(o.ris_max_sets)));
-  o.ris_max_pool_bytes = static_cast<std::size_t>(args.get_int(
-      "ris-pool-bytes", static_cast<std::int64_t>(o.ris_max_pool_bytes)));
-  o.gvs_samples = static_cast<std::size_t>(args.get_int(
-      "gvs-samples", static_cast<std::int64_t>(o.gvs_samples)));
-  o.gvs_max_candidates = static_cast<std::size_t>(args.get_int(
-      "gvs-candidates", static_cast<std::int64_t>(o.gvs_max_candidates)));
+  read_count(args, "ris-initial-sets", o.ris_initial_sets);
+  read_count(args, "ris-max-sets", o.ris_max_sets);
+  read_count(args, "ris-pool-bytes", o.ris_max_pool_bytes);
+  read_count(args, "gvs-samples", o.gvs_samples);
+  read_count(args, "gvs-candidates", o.gvs_max_candidates);
   if (args.has("cascade-priority")) {
     o.cascade_priority =
         cascade_priority_from_string(args.get_string("cascade-priority", ""));
@@ -309,7 +329,6 @@ JsonValue LcrbOptions::to_json() const {
   v.set("sigma_seed", sigma_seed);
   v.set("max_hops", static_cast<std::uint64_t>(max_hops));
   v.set("ic_edge_prob", ic_edge_prob);
-  v.set("max_cache_bytes", static_cast<std::uint64_t>(max_cache_bytes));
   v.set("ris_epsilon", ris_epsilon);
   v.set("ris_delta", ris_delta);
   v.set("ris_initial_sets", static_cast<std::uint64_t>(ris_initial_sets));
@@ -329,21 +348,6 @@ JsonValue LcrbOptions::to_json() const {
   return v;
 }
 
-namespace {
-
-// Negative JSON ints would wrap to huge unsigned counts (e.g. -1 becomes
-// 2^64-1 samples) and pass validate() as plausible values; reject up front.
-std::uint64_t non_negative_option(const JsonValue& v, const char* what) {
-  const std::int64_t x = v.as_int();
-  if (x < 0) {
-    throw Error(std::string("options: ") + what +
-                " must be non-negative, got " + std::to_string(x));
-  }
-  return static_cast<std::uint64_t>(x);
-}
-
-}  // namespace
-
 LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
   if (!v.is_object()) throw Error("options: expected a JSON object");
   LcrbOptions o;
@@ -351,15 +355,15 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
     if (key == "selector") {
       o.selector = selector_kind_from_string(val.as_string());
     } else if (key == "budget") {
-      o.budget = static_cast<std::size_t>(non_negative_option(val, "budget"));
+      read_count(val, key, o.budget);
     } else if (key == "selector_seed") {
-      o.selector_seed = non_negative_option(val, "selector_seed");
+      read_count(val, key, o.selector_seed);
     } else if (key == "alpha") {
       o.alpha = val.as_double();
     } else if (key == "candidates") {
       o.candidates = candidate_strategy_from_string(val.as_string());
     } else if (key == "max_candidates") {
-      o.max_candidates = static_cast<std::size_t>(non_negative_option(val, "max_candidates"));
+      read_count(val, key, o.max_candidates);
     } else if (key == "use_celf") {
       o.use_celf = val.as_bool();
     } else if (key == "sigma_mode") {
@@ -367,29 +371,27 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
     } else if (key == "model") {
       o.model = diffusion_model_from_string(val.as_string());
     } else if (key == "sigma_samples") {
-      o.sigma_samples = static_cast<std::size_t>(non_negative_option(val, "sigma_samples"));
+      read_count(val, key, o.sigma_samples);
     } else if (key == "sigma_seed") {
-      o.sigma_seed = non_negative_option(val, "sigma_seed");
+      read_count(val, key, o.sigma_seed);
     } else if (key == "max_hops") {
-      o.max_hops = static_cast<std::uint32_t>(non_negative_option(val, "max_hops"));
+      read_count(val, key, o.max_hops);
     } else if (key == "ic_edge_prob") {
       o.ic_edge_prob = val.as_double();
-    } else if (key == "max_cache_bytes") {
-      o.max_cache_bytes = static_cast<std::size_t>(non_negative_option(val, "max_cache_bytes"));
     } else if (key == "ris_epsilon") {
       o.ris_epsilon = val.as_double();
     } else if (key == "ris_delta") {
       o.ris_delta = val.as_double();
     } else if (key == "ris_initial_sets") {
-      o.ris_initial_sets = static_cast<std::size_t>(non_negative_option(val, "ris_initial_sets"));
+      read_count(val, key, o.ris_initial_sets);
     } else if (key == "ris_max_sets") {
-      o.ris_max_sets = static_cast<std::size_t>(non_negative_option(val, "ris_max_sets"));
+      read_count(val, key, o.ris_max_sets);
     } else if (key == "ris_max_pool_bytes") {
-      o.ris_max_pool_bytes = static_cast<std::size_t>(non_negative_option(val, "ris_max_pool_bytes"));
+      read_count(val, key, o.ris_max_pool_bytes);
     } else if (key == "gvs_samples") {
-      o.gvs_samples = static_cast<std::size_t>(non_negative_option(val, "gvs_samples"));
+      read_count(val, key, o.gvs_samples);
     } else if (key == "gvs_max_candidates") {
-      o.gvs_max_candidates = static_cast<std::size_t>(non_negative_option(val, "gvs_max_candidates"));
+      read_count(val, key, o.gvs_max_candidates);
     } else if (key == "cascade_priority") {
       o.cascade_priority = cascade_priority_from_string(val.as_string());
     } else if (key == "multi_mode") {
@@ -401,7 +403,7 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
       o.protector_budgets.clear();
       for (const JsonValue& b : val.items()) {
         o.protector_budgets.push_back(
-            static_cast<std::size_t>(non_negative_option(b, "protector_budgets")));
+            checked_count<std::size_t>(b.as_int(), key));
       }
     } else if (key == "cldag_theta") {
       o.cldag_theta = val.as_double();

@@ -78,7 +78,6 @@ struct LcrbOptions {
   std::uint64_t sigma_seed = 7;
   std::uint32_t max_hops = 31;
   double ic_edge_prob = 0.1;
-  std::size_t max_cache_bytes = std::size_t{1} << 30;
 
   // --- ris accuracy knobs --------------------------------------------------
   double ris_epsilon = 0.1;
@@ -129,7 +128,8 @@ struct LcrbOptions {
 
   /// Parses the shared CLI flag set (see docs/service.md for the list);
   /// starts from defaults, overrides only flags that are present, and
-  /// validates the result.
+  /// validates the result. Integer flags go through the same range check
+  /// as from_json: negative or out-of-range counts throw.
   static LcrbOptions from_args(const Args& args);
 
   /// Canonical JSON object holding every field (stable key order).

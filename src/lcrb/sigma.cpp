@@ -1,12 +1,32 @@
 #include "lcrb/sigma.h"
 
 #include <algorithm>
+#include <string>
 
 #include "lcrb/sigma_engine.h"
+#include "util/bitset.h"
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace lcrb {
+
+namespace {
+
+/// What an estimator for `cfg` would hold, saturating: the engine's
+/// realization caches plus, per sample, its seed and a baseline (bitset
+/// over the bridge ends and infected count). A deterministic model keeps
+/// one baseline, but every evaluation still buffers one outcome per sample,
+/// so the per-sample term is counted for every sample.
+std::size_t estimated_footprint(GraphRef g, std::size_t bridge_ends,
+                                const SigmaConfig& cfg) {
+  const std::size_t per_sample =
+      sizeof(std::uint64_t) + sizeof(DynamicBitset) +
+      (bridge_ends + 63) / 64 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  return sat_add(SigmaEngine::estimated_bytes(g, cfg),
+                 sat_mul(cfg.samples, per_sample));
+}
+
+}  // namespace
 
 SigmaEstimator::SigmaEstimator(GraphRef g, std::vector<NodeId> rumors,
                                std::vector<NodeId> bridge_ends,
@@ -14,6 +34,15 @@ SigmaEstimator::SigmaEstimator(GraphRef g, std::vector<NodeId> rumors,
     : bridge_ends_(std::move(bridge_ends)), cfg_(cfg), pool_(pool) {
   LCRB_REQUIRE(cfg_.samples >= 1, "need at least one sample");
   LCRB_REQUIRE(!rumors.empty(), "need rumor originators");
+  // The estimate depends only on the graph, the bridge ends and the config,
+  // so it is checked before the first per-sample allocation.
+  const std::size_t bytes = estimated_footprint(g, bridge_ends_.size(), cfg_);
+  if (bytes > kMaxSigmaCacheBytes) {
+    throw Error("sigma: the estimator would hold an estimated " +
+                std::to_string(bytes) + " bytes, over the " +
+                std::to_string(kMaxSigmaCacheBytes) +
+                "-byte bound; lower sigma_samples or max_hops");
+  }
 
   Rng master(cfg_.seed);
   std::vector<std::uint64_t> sample_seeds(cfg_.samples);
@@ -132,6 +161,7 @@ std::size_t SigmaEstimator::realization_bytes() const {
 }
 
 std::size_t SigmaEstimator::memory_bytes() const {
+  // One word per sample stands for the engine's per-sample baselines.
   return sizeof(*this) + cfg_.samples * sizeof(std::uint64_t) +
          engine_->realization_bytes();
 }

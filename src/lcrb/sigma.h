@@ -8,13 +8,13 @@
 // graphs G_R/G_P. That keeps greedy marginal gains low-variance and
 // per-sample monotone/submodular (Lemma 4).
 //
-// Evaluations are served by SigmaEngine: the per-sample randomness of as
-// many samples as fit SigmaConfig::max_cache_bytes is materialized once at
-// construction, so a sigma(A) call replays those samples and re-runs the
-// forward kernel only for the rest — the same results either way, bit for
-// bit. Per-sample outcomes are integer counts and cross-sample reductions
-// run in fixed sample order, so results are bit-identical across thread
-// counts.
+// Evaluations are served by SigmaEngine: the per-sample randomness of every
+// sample is materialized once at construction, so a sigma(A) call replays
+// the samples — outcome for outcome what simulate() gives for the same
+// sample seed. An estimator whose estimated footprint exceeds
+// kMaxSigmaCacheBytes is refused before anything is allocated. Per-sample
+// outcomes are integer counts and cross-sample reductions run in fixed
+// sample order, so results are bit-identical across thread counts.
 #pragma once
 
 #include <atomic>
@@ -23,7 +23,7 @@
 #include <span>
 #include <vector>
 
-#include "diffusion/montecarlo.h"
+#include "diffusion/cascade.h"
 #include "graph/backend.h"
 #include "util/threadpool.h"
 #include "util/types.h"
@@ -36,17 +36,16 @@ class SigmaEngine;
 /// one per bit of a machine word.
 inline constexpr std::size_t kSigmaLanes = 64;
 
+/// Largest estimated footprint (SigmaEngine::estimated_bytes plus the
+/// per-sample seeds and baselines) a SigmaEstimator may be built with.
+inline constexpr std::size_t kMaxSigmaCacheBytes = std::size_t{1} << 30;
+
 struct SigmaConfig {
   std::size_t samples = 50;
   std::uint64_t seed = 7;
   std::uint32_t max_hops = 31;
   DiffusionModel model = DiffusionModel::kOpoao;
   double ic_edge_prob = 0.1;
-  /// Byte budget of the realization cache: only the longest prefix of
-  /// samples whose estimated cache fits is materialized, the rest are
-  /// re-simulated on every evaluation (dominant term: OPOAO pick tables at
-  /// 4B x nodes x max_hops per sample). 0 disables the cap.
-  std::size_t max_cache_bytes = std::size_t{1} << 30;
 };
 
 /// Estimates sigma(A) and the protected fraction of the bridge ends for a
@@ -54,7 +53,10 @@ struct SigmaConfig {
 class SigmaEstimator {
  public:
   /// `g` may reference either backend; the referenced graph must outlive
-  /// the estimator (same contract as the old const DiGraph&).
+  /// the estimator (same contract as the old const DiGraph&). Throws
+  /// lcrb::Error, before allocating, when the estimated footprint exceeds
+  /// kMaxSigmaCacheBytes (dominant term: OPOAO pick tables at 4 B x nodes x
+  /// max_hops per sample).
   SigmaEstimator(GraphRef g, std::vector<NodeId> rumors,
                  std::vector<NodeId> bridge_ends, const SigmaConfig& cfg,
                  ThreadPool* pool = nullptr);
@@ -84,8 +86,8 @@ class SigmaEstimator {
                                  std::span<const NodeId> candidates) const;
 
   /// Candidates one sigma_batch block scores for about the cost of one:
-  /// kSigmaLanes when the model replays 64 lanes per pass (OPOAO) and every
-  /// sample is materialized, otherwise 1.
+  /// kSigmaLanes when the model replays 64 lanes per pass (OPOAO),
+  /// otherwise 1.
   std::size_t lanes_per_pass() const;
 
   /// protected_fraction({}), read off the per-sample baselines: no replay,
@@ -103,13 +105,12 @@ class SigmaEstimator {
   std::size_t evaluations() const { return evals_; }
 
   /// Cumulative elementary node-touch operations spent on evaluations
-  /// (replay ops, or activated-node counts on re-simulated samples) — the
-  /// common cost currency of the MC-vs-RIS ablation. Exact once concurrent
-  /// evaluations have finished.
+  /// (replay ops) — the common cost currency of the MC-vs-RIS ablation.
+  /// Exact once concurrent evaluations have finished.
   std::uint64_t nodes_visited() const;
 
-  /// Bytes held by the realization cache; never more than a nonzero
-  /// SigmaConfig::max_cache_bytes.
+  /// Bytes held by the realization cache; never more than
+  /// kMaxSigmaCacheBytes.
   std::size_t realization_bytes() const;
 
   /// Heap footprint of the warm state, for the session registry's byte

@@ -9,17 +9,15 @@
 #include <utility>
 
 #include "diffusion/kernel.h"
-#include "diffusion/montecarlo.h"
 #include "diffusion/model_traits.h"
 #include "util/bitset.h"
 #include "util/error.h"
-#include "util/log.h"
 
 namespace lcrb {
 
 // The model-generic implementation interface. One virtual hop per public
-// call; everything inside an evaluation — the replay or forward run, the
-// bridge-end verdicts — is resolved against the traits at compile time.
+// call; everything inside an evaluation — the replay, the bridge-end
+// verdicts — is resolved against the traits at compile time.
 class SigmaEngine::Base {
  public:
   virtual ~Base() = default;
@@ -58,47 +56,6 @@ std::size_t realizations(std::size_t samples) {
   return Traits::kDeterministic ? std::min<std::size_t>(samples, 1) : samples;
 }
 
-/// The sample budget k: the largest prefix of realizations whose traits
-/// byte estimate fits cfg.max_cache_bytes (0 = no cap). Depends only on the
-/// graph and the config, never on thread scheduling.
-template <class Traits, class G>
-std::size_t sample_budget(const G& g, const SigmaConfig& cfg) {
-  const std::size_t n = realizations<Traits>(cfg.samples);
-  if (cfg.max_cache_bytes == 0) return n;
-  // The estimate grows with the prefix length: binary-search the largest
-  // prefix that fits.
-  std::size_t lo = 0;
-  std::size_t hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (Traits::estimated_cache_bytes(g, mid, cfg.max_hops) <=
-        cfg.max_cache_bytes) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
-/// The byte cap left realizations to forward evaluation: a real perf cliff,
-/// so say so (once per process; repeats at debug level).
-void warn_partial(std::size_t k, std::size_t n, std::size_t estimated,
-                  std::size_t cap) {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true, std::memory_order_relaxed)) {
-    LCRB_LOG_WARN << "sigma: " << k << " of " << n
-                  << " realizations materialised (all " << n
-                  << " would take an estimated " << estimated
-                  << " bytes; max_cache_bytes " << cap
-                  << "); the rest re-run the forward kernel per evaluation";
-  } else {
-    LCRB_LOG_DEBUG << "sigma: " << k << " of " << n
-                   << " realizations materialised (estimated " << estimated
-                   << " > cap " << cap << ")";
-  }
-}
-
 template <class Traits, class G>
 class EngineImpl final : public SigmaEngine::Base {
  public:
@@ -109,33 +66,27 @@ class EngineImpl final : public SigmaEngine::Base {
              std::span<const std::uint64_t> sample_seeds,
              const SigmaConfig& cfg, ThreadPool* pool)
       : g_(g),
-        cfg_(cfg),
+        num_samples_(cfg.samples),
         params_{cfg.max_hops, cfg.ic_edge_prob},
         rumors_(rumors.begin(), rumors.end()),
         bridge_ends_(bridge_ends.begin(), bridge_ends.end()),
-        sample_seeds_(sample_seeds.begin(), sample_seeds.end()),
         is_rumor_(g.num_nodes()) {
-    LCRB_REQUIRE(sample_seeds_.size() == cfg_.samples,
+    LCRB_REQUIRE(sample_seeds.size() == num_samples_,
                  "one sample seed per sample required");
     for (NodeId r : rumors_) {
       LCRB_REQUIRE(r < g_.num_nodes(), "rumor id out of range");
       is_rumor_.set(r);
     }
 
-    const std::size_t n = realizations<Traits>(cfg_.samples);
+    const std::size_t n = realizations<Traits>(num_samples_);
     baseline_bits_.assign(n, DynamicBitset(bridge_ends_.size()));
     baseline_count_.assign(n, 0);
-    samples_.resize(sample_budget<Traits>(g_, cfg_));
-    if (!samples_.empty()) shared_ = Traits::build_cache_shared(g_);
-    if (samples_.size() < n) {
-      warn_partial(samples_.size(), n,
-                   Traits::estimated_cache_bytes(g_, n, cfg_.max_hops),
-                   cfg_.max_cache_bytes);
-    }
+    samples_.resize(n);
+    shared_ = Traits::build_cache_shared(g_);
 
     // Every realization writes only its own slots, so parallel construction
     // yields identical data to serial.
-    auto build = [this](std::size_t r) { build_sample(r); };
+    auto build = [&](std::size_t r) { build_sample(r, sample_seeds[r]); };
     if (pool != nullptr && n > 1) {
       pool->parallel_for(n, build);
     } else {
@@ -145,40 +96,36 @@ class EngineImpl final : public SigmaEngine::Base {
 
   Outcome evaluate(std::size_t sample,
                    std::span<const NodeId> protectors) const override {
-    LCRB_REQUIRE(sample < cfg_.samples, "sample index out of range");
-    const std::size_t r = slot(sample);
-    return r < samples_.size() ? replay(r, protectors) : forward(r, protectors);
+    LCRB_REQUIRE(sample < num_samples_, "sample index out of range");
+    return replay(slot(sample), protectors);
   }
 
   void evaluate_lanes(std::size_t sample, std::span<const NodeId> base,
                       std::span<const NodeId> extras,
                       std::span<Outcome> out) const override {
-    LCRB_REQUIRE(sample < cfg_.samples, "sample index out of range");
+    LCRB_REQUIRE(sample < num_samples_, "sample index out of range");
     LCRB_REQUIRE(!extras.empty() && extras.size() <= kSigmaLanes,
                  "evaluate_lanes takes 1 to 64 extra seeds");
     LCRB_REQUIRE(out.size() == extras.size(), "one outcome slot per lane");
     const std::size_t r = slot(sample);
     if constexpr (kLanes) {
       // A lone set keeps the one-set replay, which beats a one-lane pass.
-      if (r < samples_.size() && extras.size() > 1) {
+      if (extras.size() > 1) {
         replay_lanes(r, base, extras, out);
         return;
       }
     }
-    // Lane by lane: the model's one-set replay, or simulate() past the
-    // budget.
+    // Lane by lane: the model's one-set replay.
     std::vector<NodeId> with(base.begin(), base.end());
     with.push_back(kInvalidNode);
     for (std::size_t l = 0; l < extras.size(); ++l) {
       with.back() = extras[l];
-      out[l] = evaluate(sample, with);
+      out[l] = replay(r, with);
     }
   }
 
   std::size_t lanes_per_pass() const override {
-    return kLanes && samples_.size() == realizations<Traits>(cfg_.samples)
-               ? kSigmaLanes
-               : 1;
+    return kLanes ? kSigmaLanes : 1;
   }
 
   std::uint32_t baseline_infected(std::size_t sample) const override {
@@ -186,7 +133,6 @@ class EngineImpl final : public SigmaEngine::Base {
   }
 
   std::size_t realization_bytes() const override {
-    if (samples_.empty()) return 0;
     std::size_t total = Traits::cache_shared_bytes(shared_);
     for (const Sample& sp : samples_) total += Traits::cache_sample_bytes(sp);
     return total;
@@ -240,9 +186,7 @@ class EngineImpl final : public SigmaEngine::Base {
     }
   };
 
-  void build_sample(std::size_t i) {
-    const std::uint64_t seed = sample_seeds_[i];
-
+  void build_sample(std::size_t i, std::uint64_t seed) {
     // Rumor-only baseline through the reference kernel: a replay must
     // reproduce exactly what simulate() realizes for this sample seed.
     SeedSets seeds;
@@ -259,26 +203,8 @@ class EngineImpl final : public SigmaEngine::Base {
       }
     }
     baseline_count_[i] = count;
-
-    if (i < samples_.size()) {
-      Traits::build_cache_sample(g_, shared_, seed, std::move(base),
-                                 infected_targets, params_, samples_[i]);
-    }
-  }
-
-  /// Counts realization i's bridge-end verdicts against its baseline;
-  /// `infected(b, base_infected)` says whether bridge end b ends infected.
-  template <class Infected>
-  Outcome tally(std::size_t sample, Infected infected) const {
-    Outcome o;
-    const DynamicBitset& base = baseline_bits_[sample];
-    for (std::size_t b = 0; b < bridge_ends_.size(); ++b) {
-      if (!infected(b, base.test(b))) {
-        ++o.uninfected;
-        if (base.test(b)) ++o.saved;
-      }
-    }
-    return o;
+    Traits::build_cache_sample(g_, shared_, seed, std::move(base),
+                               infected_targets, params_, samples_[i]);
   }
 
   Outcome replay(std::size_t sample,
@@ -294,10 +220,18 @@ class EngineImpl final : public SigmaEngine::Base {
                                              protectors, s.color, s.model,
                                              params_);
     visits_.fetch_add(ops, std::memory_order_relaxed);
-    return tally(sample, [&](std::size_t b, bool base_infected) {
-      return Traits::replay_infected(sp, s.color, s.model, bridge_ends_[b],
-                                     base_infected);
-    });
+    // Bridge-end verdicts against the realization's baseline.
+    Outcome o;
+    const DynamicBitset& base = baseline_bits_[sample];
+    for (std::size_t b = 0; b < bridge_ends_.size(); ++b) {
+      const bool base_infected = base.test(b);
+      if (!Traits::replay_infected(sp, s.color, s.model, bridge_ends_[b],
+                                   base_infected)) {
+        ++o.uninfected;
+        if (base_infected) ++o.saved;
+      }
+    }
+    return o;
   }
 
   /// Lane replay: lane l seeds base plus extras[l]. Seeds are validated
@@ -338,28 +272,6 @@ class EngineImpl final : public SigmaEngine::Base {
     }
   }
 
-  /// A realization past the budget: one simulate() run (run_cascade<Traits>)
-  /// with the protectors seeded. The out-of-line instantiation in
-  /// montecarlo.cpp beats inlining run_cascade here by about 15% on
-  /// BM_SigmaForward_Opoao (release build, 4-vCPU VM).
-  Outcome forward(std::size_t sample,
-                  std::span<const NodeId> protectors) const {
-    SeedSets seeds;
-    seeds.rumors = rumors_;
-    seeds.protectors.assign(protectors.begin(), protectors.end());
-    MonteCarloConfig mc;
-    mc.max_hops = cfg_.max_hops;
-    mc.model = cfg_.model;
-    mc.ic_edge_prob = cfg_.ic_edge_prob;
-    const DiffusionResult r = simulate(g_, seeds, sample_seeds_[sample], mc);
-    // Visit proxy for a full simulation: every node the run activated.
-    visits_.fetch_add(r.infected_count() + r.protected_count(),
-                      std::memory_order_relaxed);
-    return tally(sample, [&](std::size_t b, bool) {
-      return r.state[bridge_ends_[b]] == NodeState::kInfected;
-    });
-  }
-
   /// Rejects a protector seed that is out of range, a rumor seed, or
   /// already seeded in `color`.
   void check_protector(NodeId v, const EpochColorScratch& color) const {
@@ -374,15 +286,14 @@ class EngineImpl final : public SigmaEngine::Base {
   }
 
   const G& g_;
-  SigmaConfig cfg_;
+  std::size_t num_samples_;
   RealizationParams params_;
   std::vector<NodeId> rumors_;
   std::vector<NodeId> bridge_ends_;
-  std::vector<std::uint64_t> sample_seeds_;
   DynamicBitset is_rumor_;
 
   Shared shared_;
-  std::vector<Sample> samples_;  ///< the materialized prefix 0..k-1
+  std::vector<Sample> samples_;  ///< one per realization
 
   std::vector<DynamicBitset> baseline_bits_;
   std::vector<std::uint32_t> baseline_count_;

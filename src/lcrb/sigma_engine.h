@@ -4,13 +4,12 @@
 // The estimator's common-random-number coupling (paper §V-A, Lemma 4) fixes
 // ALL randomness of sample i the moment the sample seed is drawn: OPOAO's
 // pick stream, the IC family's live-edge coins, LT's node thresholds. The
-// engine materializes the realizations of samples 0..k-1 once at
-// construction and turns every sigma evaluation on them into a cheap
-// deterministic replay. k is the sample budget: the largest prefix whose
-// traits byte estimate fits SigmaConfig::max_cache_bytes (0 = every sample).
-// Samples k..N-1 are evaluated by re-running simulate() (the forward
-// kernel, run_cascade<Traits>) with the protectors; both kinds of sample
-// give the same outcome bit for bit, so the cap costs only time.
+// engine materializes every sample's realization once at construction and
+// turns every sigma evaluation into a cheap deterministic replay, which
+// gives the outcome simulate() (the forward kernel, run_cascade<Traits>)
+// gives for the same sample seed, bit for bit. The engine does not bound
+// its own size: SigmaEstimator refuses a config whose estimated_bytes (plus
+// its per-sample bookkeeping) exceeds kMaxSigmaCacheBytes.
 //
 // OPOAO's pick table does not depend on colors, so the engine evaluates up
 // to kSigmaLanes (64) protector sets that share a base in one pass over it
@@ -30,9 +29,9 @@
 // tests/diffusion/model_conformance_test.cpp — same outcomes, bit for bit.
 //
 // Every model has a cache. A deterministic model (DOAM, kDeterministic)
-// realizes the same cascade in every sample, so the engine materializes at
-// most one realization, every sample index replays it, and the budget and
-// the byte estimate count that one realization.
+// realizes the same cascade in every sample, so the engine materializes
+// one realization, every sample index replays it, and the byte estimate
+// counts that one realization.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +53,14 @@ class SigmaEngine {
   };
 
   /// Upper-bound estimate of the bytes needed to materialize all
-  /// cfg.samples samples (one realization for a deterministic model).
+  /// cfg.samples samples (one realization for a deterministic model);
+  /// saturates at SIZE_MAX rather than wrapping.
   static std::size_t estimated_bytes(GraphRef g, const SigmaConfig& cfg);
 
-  /// Runs every sample's rumor-only baseline and materializes the samples
-  /// that fit the byte budget; `sample_seeds` must be the estimator's
-  /// per-sample seeds. Construction parallelizes over samples when `pool`
-  /// is given; the data built is identical regardless.
+  /// Runs every sample's rumor-only baseline and materializes its
+  /// realization; `sample_seeds` must be the estimator's per-sample seeds.
+  /// Construction parallelizes over samples when `pool` is given; the data
+  /// built is identical regardless.
   SigmaEngine(GraphRef g, std::span<const NodeId> rumors,
               std::span<const NodeId> bridge_ends,
               std::span<const std::uint64_t> sample_seeds,
@@ -81,30 +81,27 @@ class SigmaEngine {
   /// followed by extras[l]), bit for bit, and any lane evaluate() would
   /// reject throws the same lcrb::Error. 1 <= extras.size() <= kSigmaLanes
   /// and out.size() == extras.size(). A model with a lane kernel (OPOAO)
-  /// settles two or more lanes of a materialized sample in one replay pass;
-  /// a single lane, other models and samples past the budget run lane by
-  /// lane.
+  /// settles two or more lanes in one replay pass; a single lane and other
+  /// models run lane by lane.
   void evaluate_lanes(std::size_t sample, std::span<const NodeId> base,
                       std::span<const NodeId> extras,
                       std::span<Outcome> out) const;
 
   /// Sets one evaluate_lanes call on every sample scores for about the
-  /// cost of one set: kSigmaLanes when the model has a lane kernel and
-  /// every realization is materialized, otherwise 1 (lanes then run one by
-  /// one, so extra lanes cost in full).
+  /// cost of one set: kSigmaLanes when the model has a lane kernel,
+  /// otherwise 1 (lanes then run one by one, so extra lanes cost in full).
   std::size_t lanes_per_pass() const;
 
   /// Bridge ends infected in sample i with no protectors at all.
   std::uint32_t baseline_infected(std::size_t sample) const;
 
-  /// Actual bytes held by the realization caches; never more than a
-  /// nonzero max_cache_bytes.
+  /// Actual bytes held by the realization caches; never more than
+  /// estimated_bytes.
   std::size_t realization_bytes() const;
 
   /// Cumulative elementary node-touch operations across all evaluations
-  /// (table lookups / arcs scanned / weight updates on replays, activated
-  /// nodes on forward runs; an OPOAO lane-word pick, which settles up to 64
-  /// sets at once, counts one) — the common cost currency the MC-vs-RIS
+  /// (table lookups / arcs scanned / weight updates; an OPOAO lane-word
+  /// pick, which settles up to 64 sets at once, counts one) — the common cost currency the MC-vs-RIS
   /// ablation compares. Relaxed counter: exact once concurrent evaluations
   /// have finished.
   std::uint64_t nodes_visited() const;

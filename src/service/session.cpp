@@ -76,7 +76,7 @@ std::shared_ptr<SigmaEstimator> GraphSession::estimator_for(
   std::ostringstream key;
   key << setup_key;
   append_sigma_key(key, cfg);
-  key << ":samples=" << cfg.samples << ":capbytes=" << cfg.max_cache_bytes;
+  key << ":samples=" << cfg.samples;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = estimators_.find(key.str());
   if (it != estimators_.end()) {

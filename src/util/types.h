@@ -1,6 +1,7 @@
 // Fundamental scalar types shared across the LCRB library.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -26,5 +27,16 @@ inline constexpr CommunityId kInvalidCommunity =
 /// Sentinel hop count for "never reached" in BFS / diffusion outputs.
 inline constexpr std::uint32_t kUnreached =
     std::numeric_limits<std::uint32_t>::max();
+
+/// a * b and a + b clamped at SIZE_MAX instead of wrapping: byte estimates
+/// of configs that cannot be built must still compare as too large.
+constexpr std::size_t sat_mul(std::size_t a, std::size_t b) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return b != 0 && a > kMax / b ? kMax : a * b;
+}
+constexpr std::size_t sat_add(std::size_t a, std::size_t b) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
 
 }  // namespace lcrb

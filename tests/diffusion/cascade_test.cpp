@@ -55,9 +55,8 @@ TEST(DiffusionResultValidate, AcceptsRealSimulationAndRejectsCorruption) {
   // invariant the validator states must throw.
   const DiGraph g = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const SeedSets seeds{{0}, {4}};
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kOpoao;
-  const DiffusionResult r = simulate(g, seeds, 17, cfg);
+  const DiffusionResult r =
+      simulate(g, seeds, 17, DiffusionModel::kOpoao, RealizationParams{});
   EXPECT_NO_THROW(r.validate(g, seeds));
 
   {  // state says active, activation_step says unreached

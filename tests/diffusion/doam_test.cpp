@@ -11,13 +11,13 @@
 namespace lcrb {
 namespace {
 
-// DOAM with no hop cap (the diffusion is finite anyway).
-const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
-                             .model = DiffusionModel::kDoam};
+// No hop cap (the diffusion is finite anyway).
+const RealizationParams kUncapped{.max_hops = 0xffffffff};
+constexpr DiffusionModel kDoam = DiffusionModel::kDoam;
 
 TEST(Doam, RumorAloneFloodsReachableSet) {
   const DiGraph g = path_graph(5);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(r.state[v], NodeState::kInfected);
     EXPECT_EQ(r.activation_step[v], v);
@@ -28,21 +28,21 @@ TEST(Doam, RumorAloneFloodsReachableSet) {
 TEST(Doam, ProtectorWinsTie) {
   // 0 -> 2 <- 1; rumor at 0, protector at 1: both reach 2 at step 1.
   const DiGraph g = make_graph(3, {{0, 2}, {1, 2}});
-  const DiffusionResult r = simulate(g, {{0}, {1}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.state[2], NodeState::kProtected);
 }
 
 TEST(Doam, RumorWinsWhenStrictlyCloser) {
   // rumor 0 -> 1 -> 2 ; protector 3 -> 4 -> 2 is longer path.
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 2}});
-  const DiffusionResult r = simulate(g, {{0}, {3}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {3}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.state[2], NodeState::kInfected);
 }
 
 TEST(Doam, ProtectedNodesBlockRumorPaths) {
   // Line 0 -> 1 -> 2 -> 3 with protector seeded at 2: rumor stops at 1.
   const DiGraph g = path_graph(4);
-  const DiffusionResult r = simulate(g, {{0}, {2}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {2}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.state[1], NodeState::kInfected);
   EXPECT_EQ(r.state[2], NodeState::kProtected);
   EXPECT_EQ(r.state[3], NodeState::kProtected);  // P spreads through 2
@@ -55,7 +55,7 @@ TEST(Doam, InfectedNodesBlockProtectorPaths) {
   // is closer: add direct rumor shortcut.
   const DiGraph g2 = make_graph(5, {{0, 1}, {4, 2}, {2, 1}, {1, 3}});
   // R: 0 -> 1 (step 1). P: 4 -> 2 (step 1) -> 1 (step 2, blocked).
-  const DiffusionResult r = simulate(g2, {{0}, {4}}, 0, kDoam);
+  const DiffusionResult r = simulate(g2, {{0}, {4}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.state[1], NodeState::kInfected);
   EXPECT_EQ(r.state[3], NodeState::kInfected);
   (void)g;
@@ -63,26 +63,26 @@ TEST(Doam, InfectedNodesBlockProtectorPaths) {
 
 TEST(Doam, EachNodeBroadcastsOnce) {
   const DiGraph g = star_graph(6);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.infected_count(), 6u);
   EXPECT_EQ(r.steps, 1u);  // hub broadcast reaches everyone in one step
 }
 
 TEST(Doam, MaxStepsCapsSpread) {
   const DiGraph g = path_graph(10);
-  const DiffusionResult r = simulate(
-      g, {{0}, {}}, 0, {.max_hops = 3, .model = DiffusionModel::kDoam});
+  const DiffusionResult r =
+      simulate(g, {{0}, {}}, 0, kDoam, {.max_hops = 3});
   EXPECT_EQ(r.infected_count(), 4u);  // seed + 3 hops
 }
 
 TEST(Doam, DisjointSeedsRequired) {
   const DiGraph g = path_graph(3);
-  EXPECT_THROW(simulate(g, {{0}, {0}}, 0, kDoam), Error);
+  EXPECT_THROW(simulate(g, {{0}, {0}}, 0, kDoam, kUncapped), Error);
 }
 
 TEST(Doam, NewlySeriesConsistent) {
   const DiGraph g = path_graph(6, /*undirected=*/true);
-  const DiffusionResult r = simulate(g, {{0}, {5}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {5}}, 0, kDoam, kUncapped);
   std::size_t inf = 0, prot = 0;
   for (auto c : r.newly_infected) inf += c;
   for (auto c : r.newly_protected) prot += c;
@@ -117,7 +117,7 @@ TEST_P(DoamOracleTest, SimulationMatchesDistanceRule) {
   }
   if (seeds.rumors.empty() || seeds.protectors.empty()) GTEST_SKIP();
 
-  const DiffusionResult sim = simulate(g, seeds, 0, kDoam);
+  const DiffusionResult sim = simulate(g, seeds, 0, kDoam, kUncapped);
   const BfsResult dp = bfs_forward(g, seeds.protectors);
   const BfsResult dr = bfs_forward(g, seeds.rumors);
 

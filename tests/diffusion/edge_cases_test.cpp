@@ -15,9 +15,10 @@ constexpr DiffusionModel kAllModels[] = {
     DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
     DiffusionModel::kLt, DiffusionModel::kWc};
 
-const MonteCarloConfig kOpoao{.max_hops = 10000};
-const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
-                             .model = DiffusionModel::kDoam};
+const RealizationParams kOpoaoCap{.max_hops = 10000};
+const RealizationParams kUncapped{.max_hops = 0xffffffff};
+constexpr DiffusionModel kOpoao = DiffusionModel::kOpoao;
+constexpr DiffusionModel kDoam = DiffusionModel::kDoam;
 
 // One forward run of model `m`, through the traits the runtime model
 // dispatches to.
@@ -60,17 +61,17 @@ TEST(EdgeCases, ZeroMaxStepsFreezesSeeds) {
 
 TEST(EdgeCases, EmptySeedSetsAreLegalNoOps) {
   const DiGraph g = path_graph(4);
-  const DiffusionResult r = simulate(g, {{}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{}, {}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.infected_count(), 0u);
   EXPECT_EQ(r.protected_count(), 0u);
-  const DiffusionResult o = simulate(g, {{}, {}}, 1, kOpoao);
+  const DiffusionResult o = simulate(g, {{}, {}}, 1, kOpoao, kOpoaoCap);
   EXPECT_EQ(o.infected_count(), 0u);
 }
 
 TEST(EdgeCases, ProtectorOnlyDiffusionInfectsNothing) {
   Rng rng(2);
   const DiGraph g = erdos_renyi(60, 0.08, true, rng);
-  const DiffusionResult r = simulate(g, {{}, {0, 1}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{}, {0, 1}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.infected_count(), 0u);
   EXPECT_GT(r.protected_count(), 2u);  // P floods unopposed
 }
@@ -79,17 +80,17 @@ TEST(EdgeCases, SingleNodeGraph) {
   GraphBuilder b;
   b.reserve_nodes(1);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   EXPECT_EQ(r.infected_count(), 1u);
   EXPECT_EQ(r.steps, 0u);
-  const DiffusionResult o = simulate(g, {{0}, {}}, 1, kOpoao);
+  const DiffusionResult o = simulate(g, {{0}, {}}, 1, kOpoao, kOpoaoCap);
   EXPECT_EQ(o.infected_count(), 1u);
 }
 
 TEST(EdgeCases, SinkSeedsCannotSpread) {
   // Seeds with zero out-degree: nothing ever activates.
   const DiGraph g = make_graph(4, {{0, 1}, {0, 2}, {0, 3}});
-  const DiffusionResult r = simulate(g, {{1}, {2}}, 5, kOpoao);
+  const DiffusionResult r = simulate(g, {{1}, {2}}, 5, kOpoao, kOpoaoCap);
   EXPECT_EQ(r.infected_count(), 1u);
   EXPECT_EQ(r.protected_count(), 1u);
   EXPECT_EQ(r.state[3], NodeState::kInactive);

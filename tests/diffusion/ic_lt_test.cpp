@@ -9,21 +9,19 @@ namespace lcrb {
 namespace {
 
 // Competitive IC at arc probability p, LT and DOAM, all with no hop cap.
-MonteCarloConfig ic_at(double p) {
-  return {.max_hops = 0xffffffff,
-          .model = DiffusionModel::kIc,
-          .ic_edge_prob = p};
+RealizationParams ic_at(double p) {
+  return {.max_hops = 0xffffffff, .ic_edge_prob = p};
 }
-const MonteCarloConfig kLt{.max_hops = 0xffffffff,
-                           .model = DiffusionModel::kLt};
-const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
-                             .model = DiffusionModel::kDoam};
+const RealizationParams kUncapped{.max_hops = 0xffffffff};
+constexpr DiffusionModel kIc = DiffusionModel::kIc;
+constexpr DiffusionModel kLt = DiffusionModel::kLt;
+constexpr DiffusionModel kDoam = DiffusionModel::kDoam;
 
 // ------------------------------ IC ------------------------------
 
 TEST(CompetitiveIc, ProbabilityOneIsDoamLike) {
   const DiGraph g = path_graph(5);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 3, ic_at(1.0));
+  const DiffusionResult r = simulate(g, {{0}, {}}, 3, kIc, ic_at(1.0));
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(r.state[v], NodeState::kInfected);
     EXPECT_EQ(r.activation_step[v], v);
@@ -32,7 +30,7 @@ TEST(CompetitiveIc, ProbabilityOneIsDoamLike) {
 
 TEST(CompetitiveIc, ProbabilityZeroOnlySeeds) {
   const DiGraph g = complete_graph(6);
-  const DiffusionResult r = simulate(g, {{0}, {1}}, 3, ic_at(0.0));
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 3, kIc, ic_at(0.0));
   EXPECT_EQ(r.infected_count(), 1u);
   EXPECT_EQ(r.protected_count(), 1u);
 }
@@ -41,14 +39,14 @@ TEST(CompetitiveIc, DeterministicInSeed) {
   Rng rng(2);
   const DiGraph g = erdos_renyi(80, 0.06, true, rng);
   const SeedSets seeds{{0, 1}, {2}};
-  const DiffusionResult a = simulate(g, seeds, 5, ic_at(0.4));
-  const DiffusionResult b = simulate(g, seeds, 5, ic_at(0.4));
+  const DiffusionResult a = simulate(g, seeds, 5, kIc, ic_at(0.4));
+  const DiffusionResult b = simulate(g, seeds, 5, kIc, ic_at(0.4));
   EXPECT_EQ(a.state, b.state);
 }
 
 TEST(CompetitiveIc, ProtectorWinsTie) {
   const DiGraph g = make_graph(3, {{0, 2}, {1, 2}});
-  const DiffusionResult r = simulate(g, {{0}, {1}}, 7, ic_at(1.0));
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 7, kIc, ic_at(1.0));
   EXPECT_EQ(r.state[2], NodeState::kProtected);
 }
 
@@ -58,16 +56,16 @@ TEST(CompetitiveIc, SpreadGrowsWithProbability) {
   double low = 0, high = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
     low += static_cast<double>(
-        simulate(g, {{0}, {}}, s, ic_at(0.05)).infected_count());
+        simulate(g, {{0}, {}}, s, kIc, ic_at(0.05)).infected_count());
     high += static_cast<double>(
-        simulate(g, {{0}, {}}, s, ic_at(0.5)).infected_count());
+        simulate(g, {{0}, {}}, s, kIc, ic_at(0.5)).infected_count());
   }
   EXPECT_LT(low, high);
 }
 
 TEST(CompetitiveIc, InvalidProbabilityThrows) {
   const DiGraph g = path_graph(3);
-  EXPECT_THROW(simulate(g, {{0}, {}}, 1, ic_at(1.5)), Error);
+  EXPECT_THROW(simulate(g, {{0}, {}}, 1, kIc, ic_at(1.5)), Error);
 }
 
 TEST(CompetitiveIc, LiveEdgeCouplingMonotoneInProtectors) {
@@ -76,8 +74,8 @@ TEST(CompetitiveIc, LiveEdgeCouplingMonotoneInProtectors) {
   Rng rng(6);
   const DiGraph g = erdos_renyi(150, 0.04, true, rng);
   for (std::uint64_t s = 0; s < 10; ++s) {
-    const auto no_p = simulate(g, {{0, 1}, {}}, s, ic_at(0.35));
-    const auto with_p = simulate(g, {{0, 1}, {5, 6, 7}}, s, ic_at(0.35));
+    const auto no_p = simulate(g, {{0, 1}, {}}, s, kIc, ic_at(0.35));
+    const auto with_p = simulate(g, {{0, 1}, {5, 6, 7}}, s, kIc, ic_at(0.35));
     EXPECT_LE(with_p.infected_count(), no_p.infected_count()) << "seed " << s;
   }
 }
@@ -89,8 +87,8 @@ TEST(CompetitiveIc, ProbabilityOneEqualsDoamEverywhere) {
   for (int trial = 0; trial < 5; ++trial) {
     const DiGraph g = erdos_renyi(100, 0.04, true, rng);
     const SeedSets seeds{{0, 1, 2}, {3, 4}};
-    const DiffusionResult ic = simulate(g, seeds, trial, ic_at(1.0));
-    const DiffusionResult doam = simulate(g, seeds, 0, kDoam);
+    const DiffusionResult ic = simulate(g, seeds, trial, kIc, ic_at(1.0));
+    const DiffusionResult doam = simulate(g, seeds, 0, kDoam, kUncapped);
     EXPECT_EQ(ic.state, doam.state) << "trial " << trial;
     EXPECT_EQ(ic.activation_step, doam.activation_step);
   }
@@ -101,7 +99,7 @@ TEST(CompetitiveIc, ProbabilityOneEqualsDoamEverywhere) {
 TEST(CompetitiveLt, SingleInNeighborAlwaysActivates) {
   // d_in = 1 => weight 1 >= any threshold in [0,1).
   const DiGraph g = path_graph(5);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 3, kLt);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 3, kLt, kUncapped);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(r.state[v], NodeState::kInfected);
 }
 
@@ -109,8 +107,8 @@ TEST(CompetitiveLt, DeterministicInSeed) {
   Rng rng(8);
   const DiGraph g = erdos_renyi(80, 0.06, true, rng);
   const SeedSets seeds{{0, 1}, {2, 3}};
-  const DiffusionResult a = simulate(g, seeds, 5, kLt);
-  const DiffusionResult b = simulate(g, seeds, 5, kLt);
+  const DiffusionResult a = simulate(g, seeds, 5, kLt, kUncapped);
+  const DiffusionResult b = simulate(g, seeds, 5, kLt, kUncapped);
   EXPECT_EQ(a.state, b.state);
 }
 
@@ -120,7 +118,7 @@ TEST(CompetitiveLt, MajorityColorWinsProtectorTies) {
   GraphBuilder b;
   for (NodeId u = 0; u < 4; ++u) b.add_edge(u, 4);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{0, 1}, {2, 3}}, 9, kLt);
+  const DiffusionResult r = simulate(g, {{0, 1}, {2, 3}}, 9, kLt, kUncapped);
   if (r.state[4] != NodeState::kInactive) {
     EXPECT_EQ(r.state[4], NodeState::kProtected);
   }
@@ -131,7 +129,7 @@ TEST(CompetitiveLt, RumorMajorityInfects) {
   for (NodeId u = 0; u < 4; ++u) b.add_edge(u, 4);
   const DiGraph g = b.finalize();
   // 3 rumors vs 1 protector: if 4 activates it must be infected.
-  const DiffusionResult r = simulate(g, {{0, 1, 2}, {3}}, 9, kLt);
+  const DiffusionResult r = simulate(g, {{0, 1, 2}, {3}}, 9, kLt, kUncapped);
   if (r.state[4] != NodeState::kInactive) {
     EXPECT_EQ(r.state[4], NodeState::kInfected);
   }
@@ -144,14 +142,15 @@ TEST(CompetitiveLt, ThresholdControlsActivation) {
   for (NodeId u = 0; u < 6; ++u) b.add_edge(u, 6);
   const DiGraph g = b.finalize();
   const DiffusionResult r =
-      simulate(g, {{0, 1, 2, 3, 4, 5}, {}}, 123, kLt);
+      simulate(g, {{0, 1, 2, 3, 4, 5}, {}}, 123, kLt, kUncapped);
   EXPECT_EQ(r.state[6], NodeState::kInfected);
 }
 
 TEST(CompetitiveLt, ProgressiveAndConsistent) {
   Rng rng(10);
   const DiGraph g = erdos_renyi(100, 0.05, true, rng);
-  const DiffusionResult r = simulate(g, {{0, 1, 2}, {3, 4}}, 77, kLt);
+  const DiffusionResult r =
+      simulate(g, {{0, 1, 2}, {3, 4}}, 77, kLt, kUncapped);
   std::size_t inf = 0, prot = 0;
   for (auto c : r.newly_infected) inf += c;
   for (auto c : r.newly_protected) prot += c;

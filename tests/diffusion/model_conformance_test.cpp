@@ -29,12 +29,8 @@ class ModelConformanceTest : public ::testing::TestWithParam<DiffusionModel> {
  protected:
   DiffusionModel model() const { return GetParam(); }
 
-  MonteCarloConfig mc_config() const {
-    MonteCarloConfig cfg;
-    cfg.model = model();
-    cfg.max_hops = 20;
-    cfg.ic_edge_prob = 0.3;
-    return cfg;
+  static RealizationParams params() {
+    return {.max_hops = 20, .ic_edge_prob = 0.3};
   }
 };
 
@@ -50,11 +46,14 @@ TEST_P(ModelConformanceTest, TraitsIdentityMatchesEnum) {
 TEST_P(ModelConformanceTest, RejectsInvalidSeedSets) {
   Rng rng(1);
   const DiGraph g = erdos_renyi(40, 0.1, true, rng);
-  const MonteCarloConfig cfg = mc_config();
-  EXPECT_THROW(simulate(g, {{40}, {}}, 1, cfg), Error);    // out of range
-  EXPECT_THROW(simulate(g, {{3, 3}, {}}, 1, cfg), Error);  // duplicate rumor
-  EXPECT_THROW(simulate(g, {{3}, {5, 5}}, 1, cfg), Error);  // duplicate prot.
-  EXPECT_THROW(simulate(g, {{3}, {3}}, 1, cfg), Error);    // overlap
+  const RealizationParams cfg = params();
+  EXPECT_THROW(simulate(g, {{40}, {}}, 1, model(),
+                        cfg), Error);    // out of range
+  EXPECT_THROW(simulate(g, {{3, 3}, {}}, 1, model(),
+                        cfg), Error);  // duplicate rumor
+  EXPECT_THROW(simulate(g, {{3}, {5, 5}}, 1, model(),
+                        cfg), Error);  // duplicate prot.
+  EXPECT_THROW(simulate(g, {{3}, {3}}, 1, model(), cfg), Error);    // overlap
 }
 
 TEST_P(ModelConformanceTest, ProtectorWinsTheContestedNode) {
@@ -65,12 +64,12 @@ TEST_P(ModelConformanceTest, ProtectorWinsTheContestedNode) {
   // protected when the rumor contests it at equal distance.
   const DiGraph g = make_graph(4, {{0, 2}, {1, 2}});
   const NodeId r = 0, p = 1, c = 2, d = 3;
-  const MonteCarloConfig cfg = mc_config();
+  const RealizationParams cfg = params();
   std::size_t contested_ties = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    const DiffusionResult alone = simulate(g, {{d}, {p}}, seed, cfg);
+    const DiffusionResult alone = simulate(g, {{d}, {p}}, seed, model(), cfg);
     if (alone.state[c] != NodeState::kProtected) continue;
-    const DiffusionResult both = simulate(g, {{r}, {p}}, seed, cfg);
+    const DiffusionResult both = simulate(g, {{r}, {p}}, seed, model(), cfg);
     EXPECT_EQ(both.state[c], NodeState::kProtected) << "seed " << seed;
     ++contested_ties;
   }
@@ -83,9 +82,9 @@ TEST_P(ModelConformanceTest, StepAccountingIsConsistent) {
   Rng rng(7);
   const DiGraph g = erdos_renyi(120, 0.06, true, rng);
   const SeedSets seeds{{0, 1, 2}, {3, 4}};
-  const MonteCarloConfig cfg = mc_config();
+  const RealizationParams cfg = params();
   for (std::uint64_t s = 0; s < 8; ++s) {
-    const DiffusionResult res = simulate(g, seeds, s, cfg);
+    const DiffusionResult res = simulate(g, seeds, s, model(), cfg);
     EXPECT_LE(res.steps, cfg.max_hops);
     std::uint32_t max_step = 0;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -120,7 +119,7 @@ TEST_P(ModelConformanceTest, ReverseSetMembersSaveTheRootForward) {
   // RR membership is sound for every reverse-capable model (exact for
   // DOAM/IC/WC, a lower bound for OPOAO): seeding any member as the lone
   // protector must save the root in the coupled forward realization.
-  const MonteCarloConfig mc = mc_config();
+  const RealizationParams mc = params();
   std::size_t checked = 0;
   for (std::size_t i = 0; i < 40; ++i) {
     const RrSampler::Draw d = sampler.draw(0, i);
@@ -130,7 +129,7 @@ TEST_P(ModelConformanceTest, ReverseSetMembersSaveTheRootForward) {
     const NodeId root = bridge_ends[d.root_idx];
     for (NodeId v : set) {
       const DiffusionResult res =
-          simulate(g, {rumors, {v}}, d.realization_seed, mc);
+          simulate(g, {rumors, {v}}, d.realization_seed, model(), mc);
       EXPECT_NE(res.state[root], NodeState::kInfected)
           << "RR member " << v << " fails to save root " << root;
       ++checked;
@@ -158,15 +157,16 @@ TEST_P(ModelConformanceTest, CacheReplayMatchesForwardSimulation) {
   // sample replays).
   const SigmaEngine engine(g, rumors, bridge_ends, sample_seeds, cfg, nullptr);
   EXPECT_GT(engine.realization_bytes(), 0u);
-  const MonteCarloConfig mc = mc_config();
+  const RealizationParams mc = params();
   const std::vector<std::vector<NodeId>> protector_sets = {
       {}, {10}, {10, 11, 12}, {33, 47}};
   for (std::size_t i = 0; i < cfg.samples; ++i) {
-    const DiffusionResult base = simulate(g, {rumors, {}}, sample_seeds[i], mc);
+    const DiffusionResult base =
+        simulate(g, {rumors, {}}, sample_seeds[i], model(), mc);
     for (const std::vector<NodeId>& prot : protector_sets) {
       const SigmaEngine::Outcome o = engine.evaluate(i, prot);
       const DiffusionResult with =
-          simulate(g, {rumors, prot}, sample_seeds[i], mc);
+          simulate(g, {rumors, prot}, sample_seeds[i], model(), mc);
       std::uint32_t saved = 0, uninfected = 0;
       for (NodeId b : bridge_ends) {
         const bool base_inf = base.state[b] == NodeState::kInfected;
@@ -209,12 +209,8 @@ class KWayConformanceTest
     return num_cascades() - rumor_campaigns();
   }
 
-  MonteCarloConfig mc_config() const {
-    MonteCarloConfig cfg;
-    cfg.model = model();
-    cfg.max_hops = 20;
-    cfg.ic_edge_prob = 0.3;
-    return cfg;
+  static RealizationParams params() {
+    return {.max_hops = 20, .ic_edge_prob = 0.3};
   }
 
   /// Deal `ids` round-robin into `n` groups (groups may end up empty when
@@ -244,14 +240,14 @@ TEST_P(KWayConformanceTest, PairwiseColorExclusivity) {
   const DiGraph g = erdos_renyi(100, 0.06, true, rng);
   const std::vector<NodeId> rumors{0, 1, 2, 3, 4, 5};
   const std::vector<NodeId> protectors{10, 11, 12, 13};
-  const MonteCarloConfig cfg = mc_config();
+  const RealizationParams cfg = params();
   for (const CascadePriority priority :
        {CascadePriority::kFixedOrder, CascadePriority::kLowestId,
         CascadePriority::kRoundRobin}) {
     const SeedSets seeds = seeds_for(rumors, protectors, priority);
     ASSERT_EQ(seeds.num_cascades(), num_cascades());
     for (std::uint64_t s = 0; s < 6; ++s) {
-      const DiffusionResult res = simulate(g, seeds, s, cfg);
+      const DiffusionResult res = simulate(g, seeds, s, model(), cfg);
       ASSERT_EQ(res.cascade.size(), g.num_nodes());
       std::size_t active = 0;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -287,9 +283,9 @@ TEST_P(KWayConformanceTest, PerCascadeMonotoneGrowth) {
   const std::vector<NodeId> protectors{20, 21, 22, 23, 24};
   const SeedSets seeds = seeds_for(rumors, protectors,
                                    CascadePriority::kFixedOrder);
-  const MonteCarloConfig cfg = mc_config();
+  const RealizationParams cfg = params();
   for (std::uint64_t s = 0; s < 6; ++s) {
-    const DiffusionResult res = simulate(g, seeds, s, cfg);
+    const DiffusionResult res = simulate(g, seeds, s, model(), cfg);
     ASSERT_EQ(res.newly_by_cascade.size(), seeds.num_cascades());
     for (std::size_t k = 0; k < seeds.num_cascades(); ++k) {
       const auto kk = static_cast<std::uint8_t>(k);
@@ -330,10 +326,10 @@ TEST_P(KWayConformanceTest, RoleSeparableCollapseMatchesTwoCascadeRun) {
   SeedSets two;
   two.rumors = kway.rumor_role_union();
   two.protectors = kway.protector_role_union();
-  const MonteCarloConfig cfg = mc_config();
+  const RealizationParams cfg = params();
   for (std::uint64_t s = 0; s < 10; ++s) {
-    const DiffusionResult a = simulate(g, kway, s, cfg);
-    const DiffusionResult b = simulate(g, two, s, cfg);
+    const DiffusionResult a = simulate(g, kway, s, model(), cfg);
+    const DiffusionResult b = simulate(g, two, s, model(), cfg);
     EXPECT_EQ(a.state, b.state) << "seed " << s;
     EXPECT_EQ(a.activation_step, b.activation_step) << "seed " << s;
     EXPECT_EQ(a.newly_infected, b.newly_infected) << "seed " << s;
@@ -364,12 +360,14 @@ TEST_P(KWayConformanceTest, CacheReplayMatchesKWayForward) {
   }
   const SigmaEngine engine(g, kway.rumor_role_union(), bridge_ends,
                            sample_seeds, cfg, nullptr);
-  const MonteCarloConfig mc = mc_config();
+  const RealizationParams mc = params();
   for (std::size_t i = 0; i < cfg.samples; ++i) {
     SeedSets base_seeds;
     base_seeds.rumors = kway.rumor_role_union();
-    const DiffusionResult base = simulate(g, base_seeds, sample_seeds[i], mc);
-    const DiffusionResult with = simulate(g, kway, sample_seeds[i], mc);
+    const DiffusionResult base =
+        simulate(g, base_seeds, sample_seeds[i], model(), mc);
+    const DiffusionResult with =
+        simulate(g, kway, sample_seeds[i], model(), mc);
     const SigmaEngine::Outcome o =
         engine.evaluate(i, kway.protector_role_union());
     std::uint32_t saved = 0, uninfected = 0;
@@ -401,7 +399,7 @@ TEST_P(KWayConformanceTest, ReverseSetMembersSaveTheRootAgainstKWayRumors) {
   cfg.max_hops = 20;
   cfg.ic_edge_prob = 0.3;
   RrSampler sampler(g, rumors, bridge_ends, cfg);
-  const MonteCarloConfig mc = mc_config();
+  const RealizationParams mc = params();
   std::size_t checked = 0;
   for (std::size_t i = 0; i < 25; ++i) {
     const RrSampler::Draw d = sampler.draw(0, i);
@@ -411,7 +409,8 @@ TEST_P(KWayConformanceTest, ReverseSetMembersSaveTheRootAgainstKWayRumors) {
     for (NodeId v : set) {
       const SeedSets seeds = seeds_for(rumors, {v},
                                        CascadePriority::kFixedOrder);
-      const DiffusionResult res = simulate(g, seeds, d.realization_seed, mc);
+      const DiffusionResult res =
+          simulate(g, seeds, d.realization_seed, model(), mc);
       EXPECT_NE(res.state[root], NodeState::kInfected)
           << "RR member " << v << " fails to save root " << root
           << " against K-way rumors";

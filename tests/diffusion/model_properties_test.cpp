@@ -12,12 +12,16 @@ namespace {
 class ModelPropertyTest
     : public ::testing::TestWithParam<std::tuple<DiffusionModel, std::uint64_t>> {
  protected:
+  DiffusionModel model() const { return std::get<0>(GetParam()); }
+  static RealizationParams params() {
+    return {.max_hops = 25, .ic_edge_prob = 0.25};
+  }
   MonteCarloConfig config() const {
     MonteCarloConfig cfg;
-    cfg.model = std::get<0>(GetParam());
+    cfg.model = model();
     cfg.runs = 15;
-    cfg.max_hops = 25;
-    cfg.ic_edge_prob = 0.25;
+    cfg.max_hops = params().max_hops;
+    cfg.ic_edge_prob = params().ic_edge_prob;
     cfg.seed = std::get<1>(GetParam());
     return cfg;
   }
@@ -27,7 +31,7 @@ TEST_P(ModelPropertyTest, SeedsAlwaysKeepTheirColor) {
   Rng rng(std::get<1>(GetParam()));
   const DiGraph g = erdos_renyi(120, 0.05, true, rng);
   const SeedSets seeds{{0, 1, 2}, {3, 4}};
-  const DiffusionResult r = simulate(g, seeds, 99, config());
+  const DiffusionResult r = simulate(g, seeds, 99, model(), params());
   for (NodeId v : seeds.rumors) {
     EXPECT_EQ(r.state[v], NodeState::kInfected);
     EXPECT_EQ(r.activation_step[v], 0u);
@@ -46,7 +50,7 @@ TEST_P(ModelPropertyTest, ResultPassesStructuralValidation) {
   const DiGraph g = erdos_renyi(120, 0.05, true, rng);
   const SeedSets seeds{{0, 1, 2}, {3, 4}};
   for (std::uint64_t run = 0; run < 5; ++run) {
-    const DiffusionResult r = simulate(g, seeds, run, config());
+    const DiffusionResult r = simulate(g, seeds, run, model(), params());
     EXPECT_NO_THROW(r.validate(g, seeds)) << "run " << run;
   }
 }
@@ -55,9 +59,9 @@ TEST_P(ModelPropertyTest, ActivationTimesRespectHopCap) {
   Rng rng(std::get<1>(GetParam()) + 1);
   const DiGraph g = erdos_renyi(120, 0.05, true, rng);
   const SeedSets seeds{{0, 1}, {2}};
-  MonteCarloConfig cfg = config();
-  cfg.max_hops = 5;
-  const DiffusionResult r = simulate(g, seeds, 7, cfg);
+  RealizationParams capped = params();
+  capped.max_hops = 5;
+  const DiffusionResult r = simulate(g, seeds, 7, model(), capped);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (r.state[v] != NodeState::kInactive) {
       EXPECT_LE(r.activation_step[v], 5u);
@@ -69,7 +73,7 @@ TEST_P(ModelPropertyTest, NewlySeriesSumToFinalCounts) {
   Rng rng(std::get<1>(GetParam()) + 2);
   const DiGraph g = erdos_renyi(150, 0.04, true, rng);
   const SeedSets seeds{{0, 1, 2, 3}, {4, 5}};
-  const DiffusionResult r = simulate(g, seeds, 11, config());
+  const DiffusionResult r = simulate(g, seeds, 11, model(), params());
   std::size_t inf = 0, prot = 0;
   for (auto c : r.newly_infected) inf += c;
   for (auto c : r.newly_protected) prot += c;

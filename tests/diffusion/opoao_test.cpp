@@ -12,17 +12,18 @@ namespace {
 
 // OPOAO at the model's customary hop cap; the run also stops exactly when
 // no active node has an inactive out-neighbor.
-const MonteCarloConfig kOpoao{.max_hops = 10000};
+const RealizationParams kOpoaoCap{.max_hops = 10000};
+constexpr DiffusionModel kOpoao = DiffusionModel::kOpoao;
 
 TEST(Opoao, DeterministicInSeed) {
   Rng rng(1);
   const DiGraph g = erdos_renyi(100, 0.05, true, rng);
   const SeedSets seeds{{0, 1}, {2, 3}};
-  const DiffusionResult a = simulate(g, seeds, 42, kOpoao);
-  const DiffusionResult b = simulate(g, seeds, 42, kOpoao);
+  const DiffusionResult a = simulate(g, seeds, 42, kOpoao, kOpoaoCap);
+  const DiffusionResult b = simulate(g, seeds, 42, kOpoao, kOpoaoCap);
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.activation_step, b.activation_step);
-  const DiffusionResult c = simulate(g, seeds, 43, kOpoao);
+  const DiffusionResult c = simulate(g, seeds, 43, kOpoao, kOpoaoCap);
   // A different sample seed should (almost surely) differ somewhere.
   EXPECT_NE(a.activation_step, c.activation_step);
 }
@@ -30,7 +31,7 @@ TEST(Opoao, DeterministicInSeed) {
 TEST(Opoao, PathIsTraversedOneHopPerStep) {
   // Out-degree 1 everywhere: the walk is forced, one new node per step.
   const DiGraph g = path_graph(6);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 7, kOpoao);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 7, kOpoao, kOpoaoCap);
   for (NodeId v = 0; v < 6; ++v) {
     EXPECT_EQ(r.state[v], NodeState::kInfected);
     EXPECT_EQ(r.activation_step[v], v);
@@ -42,7 +43,8 @@ TEST(Opoao, TerminatesWhenNoInactiveNeighborsRemain) {
   // well before any large step cap.
   const DiGraph g = star_graph(5);
   // A cap far out of reach: termination must come from the stuck check.
-  const DiffusionResult r = simulate(g, {{0}, {}}, 3, {.max_hops = 1000000});
+  const DiffusionResult r =
+      simulate(g, {{0}, {}}, 3, kOpoao, {.max_hops = 1000000});
   EXPECT_EQ(r.infected_count(), 5u);
   EXPECT_LE(r.steps, 200u);  // coupon collector on 4 leaves
 }
@@ -50,7 +52,7 @@ TEST(Opoao, TerminatesWhenNoInactiveNeighborsRemain) {
 TEST(Opoao, ProtectorPriorityOnSharedTarget) {
   // 0 -> 2 and 1 -> 2, out-degree 1 each: both pick 2 at step 1; P wins.
   const DiGraph g = make_graph(3, {{0, 2}, {1, 2}});
-  const DiffusionResult r = simulate(g, {{0}, {1}}, 11, kOpoao);
+  const DiffusionResult r = simulate(g, {{0}, {1}}, 11, kOpoao, kOpoaoCap);
   EXPECT_EQ(r.state[2], NodeState::kProtected);
 }
 
@@ -58,7 +60,7 @@ TEST(Opoao, StatesAreProgressive) {
   Rng rng(5);
   const DiGraph g = erdos_renyi(60, 0.08, true, rng);
   const SeedSets seeds{{0}, {1}};
-  const DiffusionResult r = simulate(g, seeds, 9, kOpoao);
+  const DiffusionResult r = simulate(g, seeds, 9, kOpoao, kOpoaoCap);
   // Activation steps respect the newly_* series: counts match.
   std::size_t inf = 0, prot = 0;
   for (auto c : r.newly_infected) inf += c;
@@ -79,7 +81,7 @@ TEST(Opoao, ActivationRequiresInEdgeFromEarlierActiveNode) {
   Rng rng(6);
   const DiGraph g = erdos_renyi(80, 0.05, true, rng);
   const SeedSets seeds{{0, 1, 2}, {3, 4}};
-  const DiffusionResult r = simulate(g, seeds, 13, kOpoao);
+  const DiffusionResult r = simulate(g, seeds, 13, kOpoao, kOpoaoCap);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (r.state[v] == NodeState::kInactive || r.activation_step[v] == 0) {
       continue;
@@ -99,7 +101,7 @@ TEST(Opoao, ActivationRequiresInEdgeFromEarlierActiveNode) {
 
 TEST(Opoao, MaxStepsRespected) {
   const DiGraph g = path_graph(100);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 3, {.max_hops = 10});
+  const DiffusionResult r = simulate(g, {{0}, {}}, 3, kOpoao, {.max_hops = 10});
   EXPECT_EQ(r.infected_count(), 11u);
   EXPECT_LE(r.steps, 10u);
 }
@@ -108,7 +110,7 @@ TEST(Opoao, SpreadIsSlowerThanDoamBroadcast) {
   // OPOAO activates at most one node per active node per step; on a star the
   // hub needs ~n log n steps versus DOAM's single step.
   const DiGraph g = star_graph(30);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 17, kOpoao);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 17, kOpoao, kOpoaoCap);
   EXPECT_EQ(r.infected_count(), 30u);
   EXPECT_GT(r.steps, 20u);
 }
@@ -124,8 +126,8 @@ TEST(Opoao, CommonRandomNumbersCoupleRuns) {
   b.add_edge(10, 11);
   const DiGraph g = b.finalize();
 
-  const DiffusionResult without = simulate(g, {{0}, {}}, 23, kOpoao);
-  const DiffusionResult with = simulate(g, {{0}, {10}}, 23, kOpoao);
+  const DiffusionResult without = simulate(g, {{0}, {}}, 23, kOpoao, kOpoaoCap);
+  const DiffusionResult with = simulate(g, {{0}, {10}}, 23, kOpoao, kOpoaoCap);
   for (NodeId v = 0; v < 10; ++v) {
     EXPECT_EQ(without.state[v], with.state[v]) << "node " << v;
     EXPECT_EQ(without.activation_step[v], with.activation_step[v]);
@@ -135,8 +137,8 @@ TEST(Opoao, CommonRandomNumbersCoupleRuns) {
 
 TEST(Opoao, SeedsValidated) {
   const DiGraph g = path_graph(4);
-  EXPECT_THROW(simulate(g, {{0}, {0}}, 1, kOpoao), Error);
-  EXPECT_THROW(simulate(g, {{9}, {}}, 1, kOpoao), Error);
+  EXPECT_THROW(simulate(g, {{0}, {0}}, 1, kOpoao, kOpoaoCap), Error);
+  EXPECT_THROW(simulate(g, {{9}, {}}, 1, kOpoao, kOpoaoCap), Error);
 }
 
 // Property: when the simulation stops before the hop cap, it stopped for the
@@ -149,7 +151,7 @@ TEST_P(OpoaoTerminationTest, StopsExactlyWhenStuck) {
   const DiGraph g = erdos_renyi(70, 0.05, true, rng);
   // A cap far out of reach forces the stuck check to be the stopper.
   const DiffusionResult r =
-      simulate(g, {{0, 1}, {2}}, GetParam(), {.max_hops = 1000000});
+      simulate(g, {{0, 1}, {2}}, GetParam(), kOpoao, {.max_hops = 1000000});
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (r.state[u] == NodeState::kInactive) continue;
     for (NodeId v : g.out_neighbors(u)) {
@@ -174,7 +176,8 @@ TEST_P(OpoaoEventualTest, AllReachableNodesEventuallyInfected) {
     b.add_edge(v, 2 * v + 2);
   }
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{0}, {}}, GetParam(), kOpoao);
+  const DiffusionResult r =
+      simulate(g, {{0}, {}}, GetParam(), kOpoao, kOpoaoCap);
   EXPECT_EQ(r.infected_count(), 15u);
 }
 

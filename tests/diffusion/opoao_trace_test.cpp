@@ -190,7 +190,8 @@ TEST(OpoaoTrace, FirstPickIndexExtendsIncrementallyAcrossAppends) {
 
 TEST(OpoaoTrace, NullTraceIsDefaultAndCheap) {
   const DiGraph g = path_graph(5);
-  const DiffusionResult a = simulate(g, {{0}, {}}, 3, {.max_hops = 10000});
+  const DiffusionResult a =
+      simulate(g, {{0}, {}}, 3, DiffusionModel::kOpoao, {.max_hops = 10000});
   OpoaoTrace trace;
   const DiffusionResult b =
       run_cascade<OpoaoTraits>(g, {{0}, {}}, 3, kOpoao, &trace);

@@ -7,9 +7,9 @@
 namespace lcrb {
 namespace {
 
-// DOAM with no hop cap.
-const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
-                             .model = DiffusionModel::kDoam};
+// No hop cap.
+const RealizationParams kUncapped{.max_hops = 0xffffffff};
+constexpr DiffusionModel kDoam = DiffusionModel::kDoam;
 
 TEST(EndToEnd, HepSubstituteScbgFullProtection) {
   const DatasetSubstitute ds = make_hep_like(3, 0.08);
@@ -27,7 +27,8 @@ TEST(EndToEnd, HepSubstituteScbgFullProtection) {
 
   // Under DOAM the guarantee is exact.
   SeedSets seeds{s.rumors, r.protectors};
-  const DiffusionResult sim = simulate(ds.net.graph, seeds, 0, kDoam);
+  const DiffusionResult sim =
+      simulate(ds.net.graph, seeds, 0, kDoam, kUncapped);
   for (NodeId b : r.bridge_ends) {
     ASSERT_NE(sim.state[b], NodeState::kInfected);
   }
@@ -110,7 +111,7 @@ TEST(EndToEnd, UmbrellaHeaderExposesEverything) {
   const DiGraph g = erdos_renyi(30, 0.1, true, rng);
   const Partition p = louvain(g);
   EXPECT_EQ(p.num_nodes(), g.num_nodes());
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   EXPECT_GE(r.infected_count(), 1u);
   TextTable t;
   t.add_values("ok", 1);

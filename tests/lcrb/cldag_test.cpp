@@ -49,16 +49,15 @@ BridgeEndResult bridges_on(const DiGraph& g, const std::vector<NodeId>& rumors,
 double lt_quality(const DiGraph& g, const std::vector<NodeId>& rumors,
                   const std::vector<NodeId>& prot,
                   const std::vector<NodeId>& ends) {
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kLt;
-  cfg.max_hops = 31;
+  const RealizationParams cfg{.max_hops = 31};
   constexpr std::uint64_t kRuns = 200;
   double total = 0.0;
   for (std::uint64_t s = 0; s < kRuns; ++s) {
     SeedSets seeds;
     seeds.rumors = rumors;
     seeds.protectors = prot;
-    total += simulate(g, seeds, s, cfg).saved_fraction(ends);
+    total +=
+        simulate(g, seeds, s, DiffusionModel::kLt, cfg).saved_fraction(ends);
   }
   return total / static_cast<double>(kRuns);
 }

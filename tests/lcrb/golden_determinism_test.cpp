@@ -29,7 +29,6 @@
 #include "lcrb/cldag.h"
 #include "lcrb/greedy.h"
 #include "lcrb/scbg.h"
-#include "lcrb/sigma_engine.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -213,30 +212,6 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcPlainOpoao) {
   this->check_greedy("greedy_mc_plain_opoao", cfg);
 }
 
-TYPED_TEST(GoldenDeterminismTest, GreedyMcPartialOpoao) {
-  // A byte cap that materializes half the samples: every batch of gains
-  // mixes replayed and forward-simulated samples.
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma.samples = 12;
-  cfg.sigma.seed = 9;
-  cfg.sigma.model = DiffusionModel::kOpoao;
-  SigmaConfig half = cfg.sigma;
-  half.samples = cfg.sigma.samples / 2;
-  cfg.sigma.max_cache_bytes = SigmaEngine::estimated_bytes(this->g_, half);
-  this->check_greedy("greedy_mc_partial_opoao", cfg);
-}
-
-TYPED_TEST(GoldenDeterminismTest, GreedyMcLegacyOpoao) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma.samples = 12;
-  cfg.sigma.seed = 9;
-  cfg.sigma.model = DiffusionModel::kOpoao;
-  cfg.sigma.max_cache_bytes = 1;  // no sample cached: simulate() per sample
-  this->check_greedy("greedy_mc_legacy_opoao", cfg);
-}
-
 TYPED_TEST(GoldenDeterminismTest, GreedyMcCacheIc) {
   GreedyConfig cfg;
   cfg.alpha = 0.8;
@@ -245,17 +220,6 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcCacheIc) {
   cfg.sigma.model = DiffusionModel::kIc;
   cfg.sigma.ic_edge_prob = 0.3;
   this->check_greedy("greedy_mc_cache_ic", cfg);
-}
-
-TYPED_TEST(GoldenDeterminismTest, GreedyMcLegacyIc) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma.samples = 10;
-  cfg.sigma.seed = 13;
-  cfg.sigma.model = DiffusionModel::kIc;
-  cfg.sigma.ic_edge_prob = 0.3;
-  cfg.sigma.max_cache_bytes = 1;  // no sample cached: simulate() per sample
-  this->check_greedy("greedy_mc_legacy_ic", cfg);
 }
 
 TYPED_TEST(GoldenDeterminismTest, GreedyMcCacheLt) {
@@ -336,11 +300,9 @@ TYPED_TEST(GoldenDeterminismTest, KWaySimulationPins) {
   for (const DiffusionModel model :
        {DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
         DiffusionModel::kLt, DiffusionModel::kWc}) {
-    MonteCarloConfig cfg;
-    cfg.model = model;
-    cfg.max_hops = 31;
-    cfg.ic_edge_prob = 0.3;
-    const DiffusionResult r = simulate(this->g_, seeds, 777, cfg);
+    const DiffusionResult r =
+        simulate(this->g_, seeds, 777, model,
+                 {.max_hops = 31, .ic_edge_prob = 0.3});
     for (NodeState s : r.state) h.u32(static_cast<std::uint32_t>(s));
     for (std::uint8_t c : r.cascade) h.u32(c);
     h.u32(r.steps);

@@ -93,14 +93,11 @@ TEST(KWayStatTest, IcOutcomeFrequenciesMatchEnumerationAtK3) {
       g, seeds.rumor_role_union(), seeds.protector_role_union(), edge_prob,
       /*max_hops=*/31);
 
-  MonteCarloConfig cfg;
-  cfg.model = DiffusionModel::kIc;
-  cfg.ic_edge_prob = edge_prob;
-  cfg.max_hops = 31;
+  const RealizationParams cfg{.max_hops = 31, .ic_edge_prob = edge_prob};
   constexpr std::size_t kRuns = 4000;
   std::vector<std::array<std::size_t, 3>> counts(g.num_nodes(), {0, 0, 0});
   for (std::uint64_t s = 0; s < kRuns; ++s) {
-    const DiffusionResult res = simulate(g, seeds, s, cfg);
+    const DiffusionResult res = simulate(g, seeds, s, DiffusionModel::kIc, cfg);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const std::size_t outcome =
           res.state[v] == NodeState::kInactive

@@ -29,10 +29,11 @@ std::size_t pb_size(const DiGraph& g, const std::vector<NodeId>& rumors,
                     const std::vector<NodeId>& bridge_ends,
                     const std::vector<NodeId>& protectors,
                     std::uint64_t sample_seed) {
-  const MonteCarloConfig cfg{.max_hops = 64};
-  const DiffusionResult base = simulate(g, {rumors, {}}, sample_seed, cfg);
-  const DiffusionResult with =
-      simulate(g, {rumors, protectors}, sample_seed, cfg);
+  const RealizationParams cfg{.max_hops = 64};
+  const DiffusionResult base = simulate(g, {rumors, {}}, sample_seed,
+                                        DiffusionModel::kOpoao, cfg);
+  const DiffusionResult with = simulate(g, {rumors, protectors}, sample_seed,
+                                        DiffusionModel::kOpoao, cfg);
   std::size_t saved = 0;
   for (NodeId b : bridge_ends) {
     if (base.state[b] == NodeState::kInfected &&

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/args.h"
 
 namespace lcrb {
@@ -122,6 +126,73 @@ TEST(OptionsTest, FromArgsOverridesOnlyPresentFlags) {
   EXPECT_EQ(opts.sigma_seed, 99u);
   EXPECT_FALSE(opts.use_celf);
   EXPECT_DOUBLE_EQ(opts.alpha, LcrbOptions{}.alpha);  // untouched
+}
+
+/// The lcrb::Error message `f` throws, or "no error".
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+LcrbOptions parse_args(std::vector<std::string> argv) {
+  return LcrbOptions::from_args(Args(argv));
+}
+
+TEST(OptionsTest, FromArgsRejectsNegativeCountsLikeFromJson) {
+  // flag -> JSON key of the same field.
+  const std::pair<const char*, const char*> fields[] = {
+      {"samples", "sigma_samples"},
+      {"budget", "budget"},
+      {"hops", "max_hops"},
+      {"candidates", "max_candidates"},
+      {"selector-seed", "selector_seed"},
+      {"sigma-seed", "sigma_seed"},
+      {"ris-initial-sets", "ris_initial_sets"},
+      {"ris-max-sets", "ris_max_sets"},
+      {"ris-pool-bytes", "ris_max_pool_bytes"},
+      {"gvs-samples", "gvs_samples"},
+      {"gvs-candidates", "gvs_max_candidates"}};
+  for (const auto& [flag, key] : fields) {
+    EXPECT_EQ(error_of([&] { parse_args({std::string("--") + flag, "-1"}); }),
+              std::string("options: --") + flag +
+                  " must be non-negative, got -1");
+    JsonValue v = JsonValue::object();
+    v.set(key, std::int64_t{-1});
+    EXPECT_EQ(error_of([&] { LcrbOptions::from_json(v); }),
+              std::string("options: ") + key +
+                  " must be non-negative, got -1");
+  }
+}
+
+TEST(OptionsTest, ProtectorBudgetListRejectsNegativeAndMalformedItems) {
+  const std::vector<std::string> multi{"--multi-mode", "coordinated"};
+  auto with_budgets = [&](const std::string& list) {
+    std::vector<std::string> argv = multi;
+    argv.push_back("--protector-budgets=" + list);
+    return argv;
+  };
+  EXPECT_EQ(parse_args(with_budgets("2,1")).protector_budgets,
+            (std::vector<std::size_t>{2, 1}));
+  EXPECT_EQ(error_of([&] { parse_args(with_budgets("-1,1")); }),
+            "options: --protector-budgets must be non-negative, got -1");
+  EXPECT_EQ(error_of([&] { parse_args(with_budgets("1x,1")); }),
+            "options: bad number '1x' in list '1x,1'");
+}
+
+TEST(OptionsTest, HopCapPastThirtyTwoBitsIsRejectedNotTruncated) {
+  // 2^32 + 1 would otherwise truncate to a cap of 1 hop.
+  EXPECT_EQ(error_of([] { parse_args({"--hops", "4294967297"}); }),
+            "options: --hops must be at most 4294967295, got 4294967297");
+  JsonValue v = JsonValue::object();
+  v.set("max_hops", std::int64_t{4294967297});
+  EXPECT_EQ(error_of([&] { LcrbOptions::from_json(v); }),
+            "options: max_hops must be at most 4294967295, got 4294967297");
+  EXPECT_EQ(parse_args({"--hops", "4294967295"}).max_hops, 0xffffffffu);
 }
 
 TEST(OptionsTest, EngineViewsCarryTheSharedKnobs) {

@@ -152,12 +152,9 @@ TEST(RisPropertiesTest, GreedyIsBitIdenticalAcrossThreadCounts) {
 bool forward_saves(const DiGraph& g, const std::vector<NodeId>& rumors,
                    NodeId protector, NodeId root, std::uint64_t seed,
                    DiffusionModel model, const RisConfig& cfg) {
-  MonteCarloConfig mc;
-  mc.model = model;
-  mc.max_hops = cfg.max_hops;
-  mc.ic_edge_prob = cfg.ic_edge_prob;
-  const DiffusionResult r = simulate(
-      g, SeedSets{rumors, std::vector<NodeId>{protector}}, seed, mc);
+  const DiffusionResult r =
+      simulate(g, SeedSets{rumors, std::vector<NodeId>{protector}}, seed,
+               model, {cfg.max_hops, cfg.ic_edge_prob});
   return r.state[root] != NodeState::kInfected;
 }
 
@@ -165,12 +162,8 @@ bool forward_baseline_infected(const DiGraph& g,
                                const std::vector<NodeId>& rumors, NodeId root,
                                std::uint64_t seed, DiffusionModel model,
                                const RisConfig& cfg) {
-  MonteCarloConfig mc;
-  mc.model = model;
-  mc.max_hops = cfg.max_hops;
-  mc.ic_edge_prob = cfg.ic_edge_prob;
-  const DiffusionResult r =
-      simulate(g, SeedSets{rumors, {}}, seed, mc);
+  const DiffusionResult r = simulate(g, SeedSets{rumors, {}}, seed, model,
+                                     {cfg.max_hops, cfg.ic_edge_prob});
   return r.state[root] == NodeState::kInfected;
 }
 

@@ -80,9 +80,9 @@ TEST_P(ScbgGuaranteeTest, AllBridgeEndsProtectedUnderDoam) {
   SeedSets seeds;
   seeds.rumors = rumors;
   seeds.protectors = r.protectors;
-  const DiffusionResult sim = simulate(
-      cg.graph, seeds, 0,
-      {.max_hops = 0xffffffff, .model = DiffusionModel::kDoam});
+  const DiffusionResult sim = simulate(cg.graph, seeds, 0,
+                                      DiffusionModel::kDoam,
+                                      {.max_hops = 0xffffffff});
   for (NodeId b : r.bridge_ends) {
     EXPECT_NE(sim.state[b], NodeState::kInfected) << "bridge end " << b;
   }

@@ -1,9 +1,8 @@
-// Cross-checks of the sample-realization cache against the legacy
-// simulate() reference. A cache cap of one byte materializes no sample, so
-// every evaluation re-runs the forward kernel (run_cascade, what simulate()
-// runs) — the reference. Both share the per-sample seeds, so every statistic
-// must agree EXACTLY (not approximately): a replay is the same realization,
-// not a re-estimate. A partial cap mixes the two within one estimator.
+// Cross-checks of the sample-realization cache against the simulate()
+// reference (tests/support/sigma_oracle.h: the forward kernel, run per
+// sample with and without the protectors). Both share the per-sample seeds,
+// so every statistic must agree EXACTLY (not approximately): a replay is
+// the same realization, not a re-estimate.
 #include "lcrb/sigma_engine.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +17,14 @@
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/sigma.h"
+#include "support/sigma_oracle.h"
 #include "util/rng.h"
 
 namespace lcrb {
 namespace {
+
+using statcheck::oracle_sigma;
+using statcheck::sample_seeds;
 
 SigmaConfig engine_cfg(DiffusionModel model, std::size_t samples = 24,
                        std::uint64_t seed = 11) {
@@ -30,12 +33,6 @@ SigmaConfig engine_cfg(DiffusionModel model, std::size_t samples = 24,
   cfg.seed = seed;
   cfg.max_hops = 32;
   cfg.model = model;
-  return cfg;
-}
-
-/// No sample fits: every evaluation is a forward simulate() run.
-SigmaConfig legacy_cfg(SigmaConfig cfg) {
-  cfg.max_cache_bytes = 1;
   return cfg;
 }
 
@@ -57,17 +54,6 @@ const DiffusionModel kCachedModels[] = {
     DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
     DiffusionModel::kLt, DiffusionModel::kWc};
 
-/// The estimator's per-sample seeds for `cfg`, for building a SigmaEngine
-/// directly.
-std::vector<std::uint64_t> sample_seeds(const SigmaConfig& cfg) {
-  Rng master(cfg.seed);
-  std::vector<std::uint64_t> seeds(cfg.samples);
-  for (std::size_t i = 0; i < cfg.samples; ++i) {
-    seeds[i] = master.fork(i).next();
-  }
-  return seeds;
-}
-
 /// `base` followed by `extra`: the set lane `extra` evaluates.
 std::vector<NodeId> with_extra(std::span<const NodeId> base, NodeId extra) {
   std::vector<NodeId> with(base.begin(), base.end());
@@ -87,13 +73,19 @@ std::string error_of(F&& f) {
 }
 
 TEST(SigmaEngine, EngineOnByDefaultLegacyOnRequest) {
-  // The default cap materializes every sample; a one-byte cap none.
+  // Every model materializes its samples, within the size bound, and the
+  // forward reference is a test oracle, not an estimator mode.
   const DiGraph g = path_graph(6);
+  const std::vector<NodeId> rumors{0};
+  const std::vector<NodeId> ends{3, 4};
   for (DiffusionModel m : kCachedModels) {
-    SigmaEstimator cached(g, {0}, {3, 4}, engine_cfg(m));
+    SigmaEstimator cached(g, rumors, ends, engine_cfg(m));
     EXPECT_GT(cached.realization_bytes(), 0u) << to_string(m);
-    SigmaEstimator legacy(g, {0}, {3, 4}, legacy_cfg(engine_cfg(m)));
-    EXPECT_EQ(legacy.realization_bytes(), 0u) << to_string(m);
+    EXPECT_LE(cached.realization_bytes(), kMaxSigmaCacheBytes);
+    const std::vector<NodeId> a{2};
+    EXPECT_EQ(cached.sigma(a),
+              oracle_sigma(g, rumors, ends, a, engine_cfg(m)).sigma)
+        << to_string(m);
   }
 }
 
@@ -111,8 +103,7 @@ TEST(SigmaEngine, DoamMaterializesOneRealization) {
   EXPECT_DOUBLE_EQ(eight.sigma(a), 2.0);  // DOAM on a path: 2 blocks 3 and 4
   EXPECT_GT(eight.nodes_visited(), 0u);
 
-  // The replayed realization matches the forward kernel (cap 1) bit for bit:
-  // sigma, protected fraction and the CELF greedy result.
+  // The replayed realization matches the forward kernel bit for bit.
   CommunityGraphConfig cg_cfg;
   cg_cfg.community_sizes = {40, 40, 40};
   cg_cfg.avg_inter_degree = 1.2;
@@ -125,131 +116,16 @@ TEST(SigmaEngine, DoamMaterializesOneRealization) {
   ASSERT_FALSE(ends.empty());
   const SigmaConfig cfg = engine_cfg(DiffusionModel::kDoam, 8);
   SigmaEstimator cached(cg.graph, rumors, ends, cfg);
-  SigmaEstimator forward(cg.graph, rumors, ends, legacy_cfg(cfg));
   EXPECT_GT(cached.realization_bytes(), 0u);
-  EXPECT_EQ(forward.realization_bytes(), 0u);
   Rng rng(43);
   for (std::size_t k = 0; k <= 4; ++k) {
     const std::vector<NodeId> s =
         random_protectors(rng, cg.graph.num_nodes(), rumors, k);
-    EXPECT_EQ(cached.sigma(s), forward.sigma(s)) << "k " << k;
-    EXPECT_EQ(cached.protected_fraction(s), forward.protected_fraction(s))
+    const statcheck::OracleSigma ref =
+        oracle_sigma(cg.graph, rumors, ends, s, cfg);
+    EXPECT_EQ(cached.sigma(s), ref.sigma) << "k " << k;
+    EXPECT_EQ(cached.protected_fraction(s), ref.protected_fraction)
         << "k " << k;
-  }
-  GreedyConfig gc;
-  gc.alpha = 0.9;
-  gc.use_celf = true;
-  gc.sigma = cfg;
-  const GreedyResult r_cached = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
-  gc.sigma = legacy_cfg(cfg);
-  const GreedyResult r_forward = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
-  EXPECT_FALSE(r_cached.protectors.empty());
-  EXPECT_EQ(r_cached.protectors, r_forward.protectors);
-  EXPECT_EQ(r_cached.gain_history, r_forward.gain_history);
-  EXPECT_EQ(r_cached.achieved_fraction, r_forward.achieved_fraction);
-  EXPECT_EQ(r_cached.sigma_evaluations, r_forward.sigma_evaluations);
-}
-
-TEST(SigmaEngine, CacheByteCapForcesLegacyPath) {
-  const DiGraph g = path_graph(6);
-  SigmaConfig cfg = engine_cfg(DiffusionModel::kOpoao);
-  cfg.max_cache_bytes = 1;  // nothing fits
-  SigmaEstimator est(g, {0}, {3, 4}, cfg);
-  EXPECT_EQ(est.realization_bytes(), 0u);
-  cfg.max_cache_bytes = 0;  // 0 disables the cap
-  SigmaEstimator uncapped(g, {0}, {3, 4}, cfg);
-  EXPECT_GT(uncapped.realization_bytes(), 0u);
-  const NodeId a[] = {2};
-  EXPECT_EQ(est.sigma(a), uncapped.sigma(a));
-}
-
-TEST(SigmaEngine, PartialCapMaterializesAPrefixAndMatches) {
-  // A cap sized for half the samples: the first half replays, the rest
-  // re-run forward, and every statistic matches cap 0 (all replayed) and
-  // cap 1 (none) bit for bit.
-  CommunityGraphConfig cg_cfg;
-  cg_cfg.community_sizes = {40, 40, 40};
-  cg_cfg.avg_inter_degree = 1.2;
-  cg_cfg.seed = 23;
-  const CommunityGraph cg = make_community_graph(cg_cfg);
-  const Partition p(cg.membership);
-  const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
-  const std::vector<NodeId> ends =
-      find_bridge_ends(cg.graph, p, 0, rumors).bridge_ends;
-  ASSERT_FALSE(ends.empty());
-  Rng rng(41);
-
-  for (DiffusionModel m : kCachedModels) {
-    SigmaConfig uncapped = engine_cfg(m, 12);
-    uncapped.max_cache_bytes = 0;
-    SigmaConfig half = uncapped;
-    half.samples = 6;
-    SigmaConfig partial = uncapped;
-    partial.max_cache_bytes = SigmaEngine::estimated_bytes(cg.graph, half);
-    const SigmaConfig none = legacy_cfg(uncapped);
-
-    SigmaEstimator all(cg.graph, rumors, ends, uncapped);
-    SigmaEstimator some(cg.graph, rumors, ends, partial);
-    SigmaEstimator forward(cg.graph, rumors, ends, none);
-    EXPECT_LE(all.realization_bytes(),
-              SigmaEngine::estimated_bytes(cg.graph, uncapped))
-        << to_string(m);
-    EXPECT_GT(some.realization_bytes(), 0u) << to_string(m);
-    EXPECT_LE(some.realization_bytes(), partial.max_cache_bytes)
-        << to_string(m);
-    if (m == DiffusionModel::kDoam) {
-      // One realization serves every sample, and half the budget holds it.
-      EXPECT_EQ(some.realization_bytes(), all.realization_bytes());
-    } else {
-      EXPECT_LT(some.realization_bytes(), all.realization_bytes())
-          << to_string(m);
-    }
-    EXPECT_EQ(forward.realization_bytes(), 0u) << to_string(m);
-
-    EXPECT_EQ(some.baseline_infected(), all.baseline_infected());
-
-    // Every cap, just at and just below each prefix's estimate.
-    const std::vector<NodeId> probe =
-        random_protectors(rng, cg.graph.num_nodes(), rumors, 3);
-    for (std::size_t k = 1; k <= uncapped.samples; ++k) {
-      SigmaConfig prefix = uncapped;
-      prefix.samples = k;
-      const std::size_t fits = SigmaEngine::estimated_bytes(cg.graph, prefix);
-      for (std::size_t cap : {fits - 1, fits}) {
-        SigmaConfig c = uncapped;
-        c.max_cache_bytes = cap;
-        SigmaEstimator e(cg.graph, rumors, ends, c);
-        EXPECT_LE(e.realization_bytes(), cap) << to_string(m) << " k " << k;
-        EXPECT_EQ(e.sigma(probe), all.sigma(probe))
-            << to_string(m) << " k " << k;
-      }
-    }
-    for (std::size_t k = 0; k <= 4; ++k) {
-      const std::vector<NodeId> a =
-          random_protectors(rng, cg.graph.num_nodes(), rumors, k);
-      EXPECT_EQ(some.sigma(a), all.sigma(a)) << to_string(m) << " k " << k;
-      EXPECT_EQ(some.sigma(a), forward.sigma(a)) << to_string(m);
-      EXPECT_EQ(some.protected_fraction(a), all.protected_fraction(a))
-          << to_string(m);
-      EXPECT_EQ(some.protected_fraction(a), forward.protected_fraction(a))
-          << to_string(m);
-    }
-
-    GreedyConfig gc;
-    gc.alpha = 0.9;
-    gc.use_celf = true;
-    gc.sigma = partial;
-    const GreedyResult r_some = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
-    gc.sigma = uncapped;
-    const GreedyResult r_all = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
-    gc.sigma = none;
-    const GreedyResult r_none = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
-    EXPECT_EQ(r_some.protectors, r_all.protectors) << to_string(m);
-    EXPECT_EQ(r_some.gain_history, r_all.gain_history) << to_string(m);
-    EXPECT_EQ(r_some.achieved_fraction, r_all.achieved_fraction);
-    EXPECT_EQ(r_some.protectors, r_none.protectors) << to_string(m);
-    EXPECT_EQ(r_some.gain_history, r_none.gain_history) << to_string(m);
-    EXPECT_EQ(r_some.achieved_fraction, r_none.achieved_fraction);
   }
 }
 
@@ -275,19 +151,20 @@ TEST(SigmaEngine, MatchesLegacyOnFixedSets) {
     for (NodeId v = g.num_nodes() / 2; v < g.num_nodes() / 2 + 8; ++v) {
       if (v < g.num_nodes()) targets.push_back(v);
     }
+    const std::vector<NodeId> rumors{0, 1};
     for (DiffusionModel m : kCachedModels) {
       const SigmaConfig cfg = engine_cfg(m);
-      SigmaEstimator cached(g, {0, 1}, targets, cfg);
-      SigmaEstimator legacy(g, {0, 1}, targets, legacy_cfg(cfg));
+      SigmaEstimator cached(g, rumors, targets, cfg);
       ASSERT_GT(cached.realization_bytes(), 0u);
-      ASSERT_EQ(legacy.realization_bytes(), 0u);
-      EXPECT_EQ(cached.baseline_infected(), legacy.baseline_infected())
-          << to_string(m);
       const std::vector<std::vector<NodeId>> sets = {
           {}, {2}, {2, 3}, {4, 7, 8}};
       for (const auto& a : sets) {
-        EXPECT_EQ(cached.sigma(a), legacy.sigma(a)) << to_string(m);
-        EXPECT_EQ(cached.protected_fraction(a), legacy.protected_fraction(a))
+        const statcheck::OracleSigma ref =
+            oracle_sigma(g, rumors, targets, a, cfg);
+        EXPECT_EQ(cached.sigma(a), ref.sigma) << to_string(m);
+        EXPECT_EQ(cached.protected_fraction(a), ref.protected_fraction)
+            << to_string(m);
+        EXPECT_EQ(cached.baseline_infected(), ref.baseline_infected)
             << to_string(m);
       }
     }
@@ -304,15 +181,18 @@ TEST(SigmaEngine, MatchesLegacyRandomizedSweep) {
     for (DiffusionModel m : kCachedModels) {
       const SigmaConfig cfg = engine_cfg(m, 16, 7 + trial);
       SigmaEstimator cached(g, rumors, targets, cfg);
-      SigmaEstimator legacy(g, rumors, targets, legacy_cfg(cfg));
       ASSERT_GT(cached.realization_bytes(), 0u);
       for (std::size_t k = 1; k <= 6; ++k) {
         const std::vector<NodeId> a =
             random_protectors(rng, g.num_nodes(), rumors, k);
-        EXPECT_EQ(cached.sigma(a), legacy.sigma(a))
+        const statcheck::OracleSigma ref =
+            oracle_sigma(g, rumors, targets, a, cfg);
+        EXPECT_EQ(cached.sigma(a), ref.sigma)
             << to_string(m) << " trial " << trial << " k " << k;
-        EXPECT_EQ(cached.protected_fraction(a), legacy.protected_fraction(a))
+        EXPECT_EQ(cached.protected_fraction(a), ref.protected_fraction)
             << to_string(m) << " trial " << trial << " k " << k;
+        EXPECT_EQ(cached.baseline_infected(), ref.baseline_infected)
+            << to_string(m) << " trial " << trial;
       }
     }
   }
@@ -342,32 +222,15 @@ TEST(SigmaEngine, ParallelBitIdenticalToSerial) {
   }
 }
 
-TEST(SigmaEngine, LegacyParallelBitIdenticalToSerial) {
-  // The ordered reduction also covers forward-evaluated samples.
-  Rng rng(6);
-  const DiGraph g = erdos_renyi(80, 0.06, true, rng);
-  std::vector<NodeId> targets{30, 31, 32, 33};
-  ThreadPool pool(4);
-  const SigmaConfig cfg = legacy_cfg(engine_cfg(DiffusionModel::kOpoao, 16));
-  SigmaEstimator serial(g, {0}, targets, cfg);
-  SigmaEstimator parallel(g, {0}, targets, cfg, &pool);
-  const NodeId a[] = {9, 12};
-  EXPECT_EQ(serial.sigma(a), parallel.sigma(a));
-  EXPECT_EQ(serial.baseline_infected(), parallel.baseline_infected());
-}
-
 TEST(SigmaEngine, CountsEvaluationsLikeLegacy) {
   const DiGraph g = path_graph(5);
-  const SigmaConfig cfg = engine_cfg(DiffusionModel::kOpoao, 8);
-  for (const SigmaConfig& c : {cfg, legacy_cfg(cfg)}) {
-    SigmaEstimator est(g, {0}, {4}, c);
-    EXPECT_EQ(est.evaluations(), 0u);
-    (void)est.sigma({});
-    EXPECT_EQ(est.evaluations(), 8u);
-    const NodeId a[] = {2};
-    (void)est.protected_fraction(a);
-    EXPECT_EQ(est.evaluations(), 16u);
-  }
+  SigmaEstimator est(g, {0}, {4}, engine_cfg(DiffusionModel::kOpoao, 8));
+  EXPECT_EQ(est.evaluations(), 0u);
+  (void)est.sigma({});
+  EXPECT_EQ(est.evaluations(), 8u);
+  const NodeId a[] = {2};
+  (void)est.protected_fraction(a);
+  EXPECT_EQ(est.evaluations(), 16u);
 }
 
 TEST(SigmaEngine, RejectsInvalidProtectors) {
@@ -393,31 +256,42 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
   const Partition p(cg.membership);
   const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
 
+  const std::vector<NodeId> ends =
+      find_bridge_ends(cg.graph, p, 0, rumors).bridge_ends;
+  ASSERT_FALSE(ends.empty());
+
+  // Every prefix of the greedy's picks scores the same under the cache and
+  // the forward oracle, and the achieved fraction is the oracle's protected
+  // fraction of the final set.
+  std::size_t picks = 0;
   for (DiffusionModel m : kCachedModels) {
     for (bool celf : {false, true}) {
-      GreedyConfig on;
-      on.alpha = 0.9;
-      on.use_celf = celf;
-      on.sigma = engine_cfg(m, 12);
-      GreedyConfig off = on;
-      off.sigma.max_cache_bytes = 1;  // every sample re-simulated
-      const GreedyResult a = greedy_lcrbp(cg.graph, p, 0, rumors, on);
-      const GreedyResult b = greedy_lcrbp(cg.graph, p, 0, rumors, off);
-      // Same picks in the same order, same gains, same achieved fraction.
-      EXPECT_EQ(a.protectors, b.protectors)
-          << to_string(m) << (celf ? " celf" : " plain");
-      EXPECT_EQ(a.gain_history, b.gain_history)
-          << to_string(m) << (celf ? " celf" : " plain");
-      EXPECT_EQ(a.achieved_fraction, b.achieved_fraction)
-          << to_string(m) << (celf ? " celf" : " plain");
+      GreedyConfig gc;
+      gc.alpha = 0.9;
+      gc.use_celf = celf;
+      gc.sigma = engine_cfg(m, 12);
+      const GreedyResult r = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+      const SigmaEstimator est(cg.graph, rumors, ends, gc.sigma);
+      const std::string label = to_string(m) + (celf ? " celf" : " plain");
+      picks += r.protectors.size();
+      for (std::size_t k = 0; k <= r.protectors.size(); ++k) {
+        const std::span<const NodeId> prefix(r.protectors.data(), k);
+        EXPECT_EQ(est.sigma(prefix),
+                  oracle_sigma(cg.graph, rumors, ends, prefix, gc.sigma).sigma)
+            << label << " prefix " << k;
+      }
+      EXPECT_EQ(r.achieved_fraction,
+                oracle_sigma(cg.graph, rumors, ends, r.protectors, gc.sigma)
+                    .protected_fraction)
+          << label;
     }
   }
+  EXPECT_GT(picks, 0u);
 }
 
 TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
-  // evaluate_lanes is evaluate() once per lane, bit for bit: on replayed
-  // samples (OPOAO's lane kernel, lane by lane for the other models) and on
-  // samples past a partial cap (simulate() per lane).
+  // evaluate_lanes is evaluate() once per lane, bit for bit: OPOAO's lane
+  // kernel, lane by lane for the other models.
   Rng rng(71);
   const DiGraph g = erdos_renyi(150, 0.04, true, rng);
   const std::vector<NodeId> rumors{0, 1, 2};
@@ -426,36 +300,28 @@ TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
   std::vector<NodeId> extras;
   for (NodeId v = 3; v < 3 + kSigmaLanes; ++v) extras.push_back(v);
   for (DiffusionModel m : kCachedModels) {
-    SigmaConfig all = engine_cfg(m, 6);
-    SigmaConfig half = all;
-    half.samples = 3;
-    SigmaConfig partial = all;
-    partial.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
-    for (const SigmaConfig& cfg : {all, partial}) {
-      const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg,
-                               nullptr);
-      // Only a lane kernel with every sample materialized scores a full
-      // lane word for about the price of one set.
-      const bool cheap_lanes = m == DiffusionModel::kOpoao &&
-                               cfg.max_cache_bytes == all.max_cache_bytes;
-      EXPECT_EQ(engine.lanes_per_pass(), cheap_lanes ? kSigmaLanes : 1u)
-          << to_string(m);
-      for (const std::vector<NodeId>& base :
-           {std::vector<NodeId>{}, std::vector<NodeId>{120, 121}}) {
-        for (std::size_t lanes : {std::size_t{1}, std::size_t{5},
-                                  std::size_t{kSigmaLanes}}) {
-          const std::span<const NodeId> lane_extras(extras.data(), lanes);
-          for (std::size_t i = 0; i < cfg.samples; ++i) {
-            std::vector<SigmaEngine::Outcome> out(lanes);
-            engine.evaluate_lanes(i, base, lane_extras, out);
-            for (std::size_t l = 0; l < lanes; ++l) {
-              const SigmaEngine::Outcome o =
-                  engine.evaluate(i, with_extra(base, lane_extras[l]));
-              EXPECT_EQ(out[l].saved, o.saved)
-                  << to_string(m) << " sample " << i << " lane " << l;
-              EXPECT_EQ(out[l].uninfected, o.uninfected)
-                  << to_string(m) << " sample " << i << " lane " << l;
-            }
+    const SigmaConfig cfg = engine_cfg(m, 6);
+    const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg, nullptr);
+    // Only a lane kernel scores a full lane word for about the price of
+    // one set.
+    EXPECT_EQ(engine.lanes_per_pass(),
+              m == DiffusionModel::kOpoao ? kSigmaLanes : 1u)
+        << to_string(m);
+    for (const std::vector<NodeId>& base :
+         {std::vector<NodeId>{}, std::vector<NodeId>{120, 121}}) {
+      for (std::size_t lanes :
+           {std::size_t{1}, std::size_t{5}, std::size_t{kSigmaLanes}}) {
+        const std::span<const NodeId> lane_extras(extras.data(), lanes);
+        for (std::size_t i = 0; i < cfg.samples; ++i) {
+          std::vector<SigmaEngine::Outcome> out(lanes);
+          engine.evaluate_lanes(i, base, lane_extras, out);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const SigmaEngine::Outcome o =
+                engine.evaluate(i, with_extra(base, lane_extras[l]));
+            EXPECT_EQ(out[l].saved, o.saved)
+                << to_string(m) << " sample " << i << " lane " << l;
+            EXPECT_EQ(out[l].uninfected, o.uninfected)
+                << to_string(m) << " sample " << i << " lane " << l;
           }
         }
       }
@@ -464,17 +330,14 @@ TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
 }
 
 template <class G>
-void check_batch_sizes(const G& g, DiffusionModel m, bool capped) {
+void check_batch_sizes(const G& g, DiffusionModel m) {
   const std::vector<NodeId> rumors{0, 1, 2};
   std::vector<NodeId> ends;
   for (NodeId v = 100; v < 140; ++v) ends.push_back(v);
   const NodeId base[] = {150, 151};
   std::vector<NodeId> candidates;
   for (NodeId v = 3; v < 3 + 130; ++v) candidates.push_back(v);
-  SigmaConfig cfg = engine_cfg(m, 8);
-  SigmaConfig half = cfg;
-  half.samples = 4;
-  if (capped) cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+  const SigmaConfig cfg = engine_cfg(m, 8);
   const SigmaEstimator est(g, rumors, ends, cfg);
   for (std::size_t size : {1, 63, 64, 65, 130}) {
     const std::span<const NodeId> batch(candidates.data(), size);
@@ -498,22 +361,19 @@ void check_batch_sizes(const G& g, DiffusionModel m, bool capped) {
 
 TEST(SigmaEngine, BatchSizesMatchPerSetOnBothBackends) {
   // sigma_batch == per-set sigma()/protected_fraction() for every batch
-  // size around the lane word: uncapped (OPOAO: 64-lane passes) and with a
-  // cap that replays half the samples and re-simulates the rest.
+  // size around the lane word (OPOAO: 64-lane passes).
   Rng rng(73);
   const DiGraph csr = erdos_renyi(220, 0.03, true, rng);
   const EfGraph ef = EfGraph::from_csr(csr);
   for (DiffusionModel m : kCachedModels) {
-    for (bool capped : {false, true}) {
-      check_batch_sizes(csr, m, capped);
-      check_batch_sizes(ef, m, capped);
-    }
+    check_batch_sizes(csr, m);
+    check_batch_sizes(ef, m);
   }
 }
 
 TEST(SigmaEngine, LaneSeedsRejectedLikeEvaluate) {
   // A bad extra in the middle of a batch throws exactly what evaluate()
-  // throws for base + that extra, on replayed and forward samples alike.
+  // throws for base + that extra.
   Rng rng(79);
   const DiGraph g = erdos_renyi(90, 0.05, true, rng);
   const std::vector<NodeId> rumors{0, 1};
@@ -521,10 +381,7 @@ TEST(SigmaEngine, LaneSeedsRejectedLikeEvaluate) {
   const std::vector<NodeId> base{20, 21};
   const NodeId bad_extras[] = {21, 0, 500};  // duplicate, rumor, range
   for (DiffusionModel m : kCachedModels) {
-    SigmaConfig cfg = engine_cfg(m, 4);
-    SigmaConfig half = cfg;
-    half.samples = 2;
-    cfg.max_cache_bytes = SigmaEngine::estimated_bytes(g, half);
+    const SigmaConfig cfg = engine_cfg(m, 4);
     const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg,
                              nullptr);
     const SigmaEstimator est(g, rumors, ends, cfg);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "lcrb/sigma_engine.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -120,23 +124,78 @@ TEST(SigmaEstimator, ReportsServingPathAndFallbackReason) {
   // Default OPOAO config: the realization cache serves.
   SigmaEstimator cached(g, rumors, ends, small_cfg(10));
 
-  // DOAM never caches; the engine re-runs the forward kernel.
+  // DOAM replays its one materialized realization for every sample.
   SigmaConfig doam = small_cfg(4);
   doam.model = DiffusionModel::kDoam;
   SigmaEstimator det(g, rumors, ends, doam);
   const NodeId a[] = {2};
   EXPECT_DOUBLE_EQ(det.sigma(a), 3.0);  // 2 blocks every bridge end
-
-  // Over the byte cap: no sample is cached, the estimator must still
-  // answer, with identical numbers.
-  SigmaConfig capped = small_cfg(10);
-  capped.max_cache_bytes = 1;
-  SigmaEstimator fallback(g, rumors, ends, capped);
-  EXPECT_DOUBLE_EQ(fallback.sigma(a), cached.sigma(a));
+  EXPECT_DOUBLE_EQ(cached.sigma(a), 3.0);
 
   // Both account their work in the common node-visit currency.
   EXPECT_GT(cached.nodes_visited(), 0u);
-  EXPECT_GT(fallback.nodes_visited(), 0u);
+  EXPECT_GT(det.nodes_visited(), 0u);
+}
+
+/// The lcrb::Error message building `cfg`'s estimator throws, or "built".
+std::string build_error(const DiGraph& g, const SigmaConfig& cfg) {
+  try {
+    const SigmaEstimator est(g, {0}, {5, 6, 7}, cfg);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "built";
+}
+
+TEST(SigmaEstimator, RefusesAnOverBoundCacheBeforeBuildingIt) {
+  const DiGraph g = path_graph(8);
+  const std::string bound = std::to_string(kMaxSigmaCacheBytes);
+  auto expect_refused = [&](const SigmaConfig& cfg, const char* what) {
+    const std::string msg = build_error(g, cfg);
+    EXPECT_NE(msg.find("-byte bound; lower sigma_samples or max_hops"),
+              std::string::npos)
+        << what << ": " << msg;
+    EXPECT_NE(msg.find(bound), std::string::npos) << what << ": " << msg;
+  };
+  // A hop cap of 2^32-1 (OPOAO pick tables take 4 B x rows x hops per
+  // sample) and a sample count whose seeds alone would wrap a 64-bit byte
+  // count: both are refused before any per-sample allocation (an attempt
+  // would throw std::bad_alloc or std::length_error instead).
+  SigmaConfig hops = small_cfg(10);
+  hops.max_hops = 0xffffffff;
+  expect_refused(hops, "max_hops 2^32-1");
+  SigmaConfig samples = small_cfg();
+  samples.samples = std::size_t{1} << 62;
+  expect_refused(samples, "sigma_samples 2^62");
+  // DOAM materializes one realization, but its per-sample bookkeeping still
+  // counts every sample.
+  SigmaConfig doam = small_cfg();
+  doam.model = DiffusionModel::kDoam;
+  doam.samples = 1'000'000'000'000;
+  expect_refused(doam, "DOAM 10^12 samples");
+
+  // The default config still builds, within the bound.
+  const SigmaEstimator est(g, {0}, {5, 6, 7}, SigmaConfig{});
+  EXPECT_GT(est.realization_bytes(), 0u);
+  EXPECT_LE(est.realization_bytes(), kMaxSigmaCacheBytes);
+}
+
+TEST(SigmaEstimator, CacheEstimateSaturatesInsteadOfWrapping) {
+  const DiGraph g = path_graph(8);
+  constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+  for (DiffusionModel m :
+       {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kLt,
+        DiffusionModel::kWc}) {
+    SigmaConfig cfg = small_cfg();
+    cfg.model = m;
+    cfg.samples = std::size_t{1} << 62;
+    EXPECT_EQ(SigmaEngine::estimated_bytes(g, cfg), kSaturated)
+        << to_string(m);
+  }
+  SigmaConfig hops = small_cfg();
+  hops.max_hops = 0xffffffff;
+  hops.samples = std::size_t{1} << 40;
+  EXPECT_EQ(SigmaEngine::estimated_bytes(g, hops), kSaturated);
 }
 
 }  // namespace

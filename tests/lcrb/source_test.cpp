@@ -12,9 +12,9 @@
 namespace lcrb {
 namespace {
 
-// DOAM with no hop cap.
-const MonteCarloConfig kDoam{.max_hops = 0xffffffff,
-                             .model = DiffusionModel::kDoam};
+// No hop cap.
+const RealizationParams kUncapped{.max_hops = 0xffffffff};
+constexpr DiffusionModel kDoam = DiffusionModel::kDoam;
 
 std::vector<NodeId> infected_set(const DiffusionResult& r) {
   std::vector<NodeId> out;
@@ -28,7 +28,7 @@ TEST(SourceLocate, PathSourceIsExact) {
   // Rumor starts at 0 on a directed path: infected = everything; the only
   // node reaching all others going forward is 0.
   const DiGraph g = path_graph(9);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   const SourceEstimate e = locate_sources(g, infected_set(r));
   EXPECT_EQ(e.sources, (std::vector<NodeId>{0}));
   EXPECT_EQ(e.radius, 8u);
@@ -39,7 +39,7 @@ TEST(SourceLocate, UndirectedPathCenterFound) {
   // Symmetric path infected entirely from the middle: Jordan center is the
   // true middle source.
   const DiGraph g = path_graph(11, /*undirected=*/true);
-  const DiffusionResult r = simulate(g, {{5}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{5}, {}}, 0, kDoam, kUncapped);
   const SourceEstimate e = locate_sources(g, infected_set(r));
   EXPECT_EQ(e.sources, (std::vector<NodeId>{5}));
   EXPECT_EQ(e.radius, 5u);
@@ -47,7 +47,7 @@ TEST(SourceLocate, UndirectedPathCenterFound) {
 
 TEST(SourceLocate, StarHubIdentified) {
   const DiGraph g = star_graph(12, /*undirected=*/true);
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
   const SourceEstimate e = locate_sources(g, infected_set(r));
   EXPECT_EQ(e.sources, (std::vector<NodeId>{0}));
   EXPECT_EQ(e.radius, 1u);
@@ -61,7 +61,7 @@ TEST(SourceLocate, CentroidDiffersFromJordanWhenAsymmetric) {
   for (NodeId v = 0; v + 1 < 8; ++v) b.add_undirected_edge(v, v + 1);
   for (NodeId leaf = 8; leaf < 16; ++leaf) b.add_undirected_edge(7, leaf);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{4}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{4}, {}}, 0, kDoam, kUncapped);
   const auto snapshot = infected_set(r);
 
   SourceLocateConfig jordan;
@@ -82,7 +82,7 @@ TEST(SourceLocate, TwoSourcesOnDisconnectedRegions) {
   for (NodeId v = 0; v + 1 < 5; ++v) b.add_edge(v, v + 1);
   for (NodeId v = 10; v + 1 < 15; ++v) b.add_edge(v, v + 1);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{0, 10}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0, 10}, {}}, 0, kDoam, kUncapped);
 
   SourceLocateConfig cfg;
   cfg.num_sources = 2;
@@ -96,7 +96,7 @@ TEST(SourceLocate, SingleEstimateOnTwoRegionsReportsUnreachable) {
   b.add_edge(0, 1);
   b.add_edge(5, 6);
   const DiGraph g = b.finalize();
-  const DiffusionResult r = simulate(g, {{0, 5}, {}}, 0, kDoam);
+  const DiffusionResult r = simulate(g, {{0, 5}, {}}, 0, kDoam, kUncapped);
   const SourceEstimate e = locate_sources(g, infected_set(r));
   EXPECT_EQ(e.sources.size(), 1u);
   EXPECT_GT(e.unreachable, 0u);
@@ -146,8 +146,8 @@ TEST_P(SourceRecoveryTest, JordanCenterNearTrueSource) {
   const auto truth = static_cast<NodeId>(rng.next_below(120));
   // Partial snapshot: the ball of radius 3.
   const DiffusionResult r =
-      simulate(cg.graph, {{truth}, {}}, 0,
-               {.max_hops = 3, .model = DiffusionModel::kDoam});
+      simulate(cg.graph, {{truth}, {}}, 0, kDoam,
+               {.max_hops = 3});
   const auto snapshot = infected_set(r);
   if (snapshot.size() < 10) GTEST_SKIP() << "degenerate draw";
 

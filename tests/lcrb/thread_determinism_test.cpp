@@ -102,17 +102,14 @@ TEST_F(ThreadDeterminismTest, McGreedyOpoaoIsThreadCountInvariant) {
   check(cfg);
 }
 
-TEST_F(ThreadDeterminismTest, McGreedyIcLegacyPathIsThreadCountInvariant) {
-  // With no sample cached every evaluation re-runs simulate(), the
-  // reference implementation; it must honor the same contract as the
-  // realization cache.
+TEST_F(ThreadDeterminismTest, McGreedyIcIsThreadCountInvariant) {
+  // The IC live-edge cache, replayed from the pooled samples.
   GreedyConfig cfg;
   cfg.alpha = 0.8;
   cfg.sigma.samples = 10;
   cfg.sigma.seed = 13;
   cfg.sigma.model = DiffusionModel::kIc;
   cfg.sigma.ic_edge_prob = 0.3;
-  cfg.sigma.max_cache_bytes = 1;
   check(cfg);
 }
 

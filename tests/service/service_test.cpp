@@ -162,6 +162,43 @@ TEST_F(ServiceFixture, InfoReportsTheSessionShape) {
   EXPECT_GT(r.resident_bytes, 0u);
 }
 
+TEST_F(ServiceFixture, OverBoundSigmaCacheIsRefusedWithoutWarmingState) {
+  // A Monte-Carlo select whose sigma cache would exceed kMaxSigmaCacheBytes
+  // is a deterministic invalid_argument, leaves the session's warm state as
+  // it was, and does not change the bytes of the next select.
+  auto svc = make_service();
+  QueryRequest info;
+  info.op = QueryOp::kInfo;
+  info.dataset = "ds";
+  ASSERT_TRUE(svc->run(select_request()).ok);  // warms the shared setup
+  const std::size_t before = svc->run(info).resident_bytes;
+
+  QueryRequest over = select_request();
+  over.version = 2;
+  over.options.max_hops = 0xffffffff;  // OPOAO pick tables: far over 1 GiB
+  const QueryResult refused = svc->run(over);
+  ASSERT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, ErrorCode::kInvalidArgument);
+  const JsonValue wire = refused.to_json(false);
+  const JsonValue* err = wire.find("error");
+  ASSERT_NE(err, nullptr);
+  ASSERT_TRUE(err->is_object());
+  EXPECT_EQ(err->get_string("code", ""), "invalid_argument");
+  EXPECT_FALSE(err->get_bool("retryable", true));
+  EXPECT_NE(err->get_string("message", "").find(
+                "-byte bound; lower sigma_samples or max_hops"),
+            std::string::npos)
+      << wire.dump();
+  EXPECT_EQ(svc->run(info).resident_bytes, before);
+
+  QueryRequest next = select_request();
+  next.options.sigma_seed = 22;
+  const QueryResult warm = svc->run(next);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  const QueryResult fresh = make_service()->run(next);
+  EXPECT_EQ(warm.to_json(false).dump(), fresh.to_json(false).dump());
+}
+
 TEST_F(ServiceFixture, BatchIsByteIdenticalToSequential) {
   // The acceptance property: a mixed concurrent batch produces exactly the
   // payload bytes that one-at-a-time execution on a fresh service produces.

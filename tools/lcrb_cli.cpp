@@ -309,10 +309,10 @@ int cmd_locate(const Args& args) {
   } else {
     const Partition p = detect(g, args);
     const ExperimentSetup s = setup_experiment(g, p, args);
-    MonteCarloConfig dc;
-    dc.model = DiffusionModel::kDoam;
-    dc.max_hops = static_cast<std::uint32_t>(args.get_int("hops", 4));
-    const DiffusionResult r = simulate(g, {s.rumors, {}}, /*seed=*/0, dc);
+    const RealizationParams dc{
+        .max_hops = static_cast<std::uint32_t>(args.get_int("hops", 4))};
+    const DiffusionResult r =
+        simulate(g, {s.rumors, {}}, /*seed=*/0, DiffusionModel::kDoam, dc);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (r.state[v] == NodeState::kInfected) snapshot.push_back(v);
     }
@@ -404,10 +404,10 @@ int cmd_verify(const Args& args) {
         seeds.protectors.push_back(v);
       }
     }
-    MonteCarloConfig doam;  // uncapped: the distance rule is the full race
-    doam.model = DiffusionModel::kDoam;
-    doam.max_hops = 0xffffffff;
-    const DiffusionResult sim = simulate(g, seeds, /*seed=*/0, doam);
+    // Uncapped: the distance rule is the full race.
+    const DiffusionResult sim = simulate(g, seeds, /*seed=*/0,
+                                         DiffusionModel::kDoam,
+                                         {.max_hops = 0xffffffff});
     std::vector<NodeId> all(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
     const auto saved = doam_saved(g, seeds, all);
