@@ -31,32 +31,31 @@ using namespace lcrb;
 constexpr double kScale = 0.1;
 constexpr double kRisEpsilon = 0.1;
 
+/// Hep-like dataset with rumors planted in the paper's medium community at
+/// the 5%-of-|C| figure point — the shared substrate of Fig. 4 / Fig. 7.
+/// Built in place (as a function-local static) because `ex` references
+/// `graph`.
 struct FigureSetup {
+  FigureSetup() {
+    DatasetSubstitute ds = make_hep_like(/*seed=*/1, kScale);
+    graph = std::move(ds.net.graph);
+    const Partition part(ds.net.membership);
+    const NodeId csize = part.size_of(ds.planted_medium);
+    const auto nr =
+        static_cast<std::size_t>(std::max<NodeId>(2, csize / 20));
+    ex = prepare_experiment(graph, part, ds.planted_medium, nr, 102);
+    ex.partition = nullptr;  // `part` is gone; selection never reads it
+    budget = ex.rumors.size();
+  }
+  FigureSetup(const FigureSetup&) = delete;
+  FigureSetup& operator=(const FigureSetup&) = delete;
+
   DiGraph graph;
-  std::vector<NodeId> rumors;
-  BridgeEndResult bridges;
+  ExperimentSetup ex;
   std::size_t budget = 0;
 };
 
-/// Hep-like dataset with rumors planted in the paper's medium community at
-/// the 5%-of-|C| figure point — the shared substrate of Fig. 4 / Fig. 7.
-FigureSetup make_setup() {
-  DatasetSubstitute ds = make_hep_like(/*seed=*/1, kScale);
-  const Partition part(ds.net.membership);
-  const NodeId csize = part.size_of(ds.planted_medium);
-  const auto nr =
-      static_cast<std::size_t>(std::max<NodeId>(2, csize / 20));
-  ExperimentSetup ex =
-      prepare_experiment(ds.net.graph, part, ds.planted_medium, nr, 102);
-  FigureSetup out;
-  out.rumors = std::move(ex.rumors);
-  out.bridges = std::move(ex.bridges);
-  out.budget = out.rumors.size();
-  out.graph = std::move(ds.net.graph);
-  return out;
-}
-
-GreedyConfig mode_cfg(DiffusionModel model, SigmaMode mode,
+LcrbOptions mode_opts(DiffusionModel model, SigmaMode mode,
                       std::size_t budget) {
   LcrbOptions opts;
   opts.alpha = 0.95;
@@ -69,10 +68,10 @@ GreedyConfig mode_cfg(DiffusionModel model, SigmaMode mode,
   opts.ris_epsilon = kRisEpsilon;
   opts.ris_initial_sets = 256;  // the doubling rule grows it when needed
   opts.ris_max_sets = std::size_t{1} << 14;
-  return opts.greedy_config();
+  return opts;
 }
 
-double visits_per_seed(const GreedyResult& r) {
+double visits_per_seed(const Selection& r) {
   return r.protectors.empty()
              ? 0.0
              : static_cast<double>(r.nodes_visited) /
@@ -81,20 +80,19 @@ double visits_per_seed(const GreedyResult& r) {
 
 void run_select(benchmark::State& state, DiffusionModel model,
                 SigmaMode mode) {
-  static const FigureSetup setup = make_setup();
-  const GreedyConfig cfg = mode_cfg(model, mode, setup.budget);
-  GreedyResult last;
+  static const FigureSetup setup;
+  const LcrbOptions opts = mode_opts(model, mode, setup.budget);
+  Selection last;
   for (auto _ : state) {
-    last = greedy_lcrbp_from_bridges(setup.graph, setup.rumors, setup.bridges,
-                                     cfg);
+    last = select(setup.ex, opts);
     benchmark::DoNotOptimize(last.protectors.data());
   }
   state.counters["protectors"] =
       static_cast<double>(last.protectors.size());
   state.counters["visits_per_seed"] = visits_per_seed(last);
-  if (mode == SigmaMode::kRis) {
+  if (last.ris) {
     state.counters["rr_sets"] = static_cast<double>(last.sigma_evaluations);
-    state.counters["rounds"] = static_cast<double>(last.ris_rounds);
+    state.counters["rounds"] = static_cast<double>(last.ris->rounds);
   }
 }
 
@@ -114,15 +112,12 @@ void BM_SelectRis_HepDoam(benchmark::State& state) {
 /// The ablation record: both modes end to end, a reference estimator scoring
 /// both protector sets, and the visit ratio the acceptance bar reads.
 void run_ablation(benchmark::State& state, DiffusionModel model) {
-  static const FigureSetup setup = make_setup();
-  GreedyResult mc, ris;
+  static const FigureSetup setup;
+  Selection mc, ris;
   for (auto _ : state) {
-    mc = greedy_lcrbp_from_bridges(
-        setup.graph, setup.rumors, setup.bridges,
-        mode_cfg(model, SigmaMode::kMonteCarlo, setup.budget));
-    ris = greedy_lcrbp_from_bridges(
-        setup.graph, setup.rumors, setup.bridges,
-        mode_cfg(model, SigmaMode::kRis, setup.budget));
+    mc = select(setup.ex,
+                mode_opts(model, SigmaMode::kMonteCarlo, setup.budget));
+    ris = select(setup.ex, mode_opts(model, SigmaMode::kRis, setup.budget));
     benchmark::DoNotOptimize(mc.protectors.data());
     benchmark::DoNotOptimize(ris.protectors.data());
   }
@@ -131,11 +126,12 @@ void run_ablation(benchmark::State& state, DiffusionModel model) {
   ref_cfg.model = model;
   ref_cfg.samples = (model == DiffusionModel::kDoam) ? 4 : 400;
   ref_cfg.seed = 777;
-  SigmaEstimator ref(setup.graph, setup.rumors, setup.bridges.bridge_ends,
-                     ref_cfg);
+  SigmaEstimator ref(setup.graph, setup.ex.rumors,
+                     setup.ex.bridges.bridge_ends, ref_cfg);
   const double sigma_mc = ref.sigma(mc.protectors);
   const double sigma_ris = ref.sigma(ris.protectors);
-  const auto range = static_cast<double>(setup.bridges.bridge_ends.size());
+  const auto range =
+      static_cast<double>(setup.ex.bridges.bridge_ends.size());
   const double hoeffding =
       2.0 * range *
       std::sqrt(std::log(2.0 / 1e-4) /
@@ -166,12 +162,13 @@ void BM_McVsRis_Fig7Doam(benchmark::State& state) {
 /// sweep, so the only variable is wall-clock; `sets_per_sec` is the scaling
 /// counter the CI artifact tracks.
 void BM_RisGenerate_ThreadSweep(benchmark::State& state) {
-  static const FigureSetup setup = make_setup();
+  static const FigureSetup setup;
   constexpr std::size_t kSweepSets = 4096;
   RisConfig rc;
   rc.model = DiffusionModel::kOpoao;
   rc.seed = 9;
-  RrSampler sampler(setup.graph, setup.rumors, setup.bridges.bridge_ends, rc);
+  RrSampler sampler(setup.graph, setup.ex.rumors,
+                    setup.ex.bridges.bridge_ends, rc);
   const auto threads = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(threads);
   std::uint64_t visits = 0;

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   using namespace lcrb;
   const Args args(argc, argv);
   const double scale = args.get_double("scale", 0.05);
-  const std::size_t runs = static_cast<std::size_t>(args.get_int("runs", 50));
-  const auto hops = static_cast<std::uint32_t>(args.get_int("hops", 16));
+  const auto runs = args.get_count<std::size_t>("runs", 50);
+  const auto hops = args.get_count<std::uint32_t>("hops", 16);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 3));
 

@@ -18,9 +18,8 @@ int main(int argc, char** argv) {
   using namespace lcrb;
   const Args args(argc, argv);
   const double scale = args.get_double("scale", 0.05);
-  const std::size_t num_rumors =
-      static_cast<std::size_t>(args.get_int("rumors", 8));
-  const std::size_t runs = static_cast<std::size_t>(args.get_int("runs", 60));
+  const auto num_rumors = args.get_count<std::size_t>("rumors", 8);
+  const auto runs = args.get_count<std::size_t>("runs", 60);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
 
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
 
   // 3. Rumor community: mid-sized so there is a meaningful boundary.
   const CommunityId rc = communities.closest_to_size(
-      static_cast<NodeId>(args.get_int("community-size", 120)));
+      args.get_count<NodeId>("community-size", 120));
   std::cout << "Rumor community: #" << rc << " with "
             << communities.size_of(rc) << " members\n";
 
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
   base.options.sigma_samples = 30;
   base.options.sigma_seed = seed + 3;
   base.options.max_candidates =
-      static_cast<std::size_t>(args.get_int("candidates", 300));
+      args.get_count<std::size_t>("candidates", 300);
   base.options.gvs_samples = 20;
 
   // 5. One batched round of select queries: the batcher groups them onto the

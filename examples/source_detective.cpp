@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   using namespace lcrb;
   const Args args(argc, argv);
   const double scale = args.get_double("scale", 0.2);
-  const auto k = static_cast<std::size_t>(args.get_int("sources", 2));
-  const auto hops = static_cast<std::uint32_t>(args.get_int("hops", 4));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 10));
+  const auto k = args.get_count<std::size_t>("sources", 2);
+  const auto hops = args.get_count<std::uint32_t>("hops", 4);
+  const auto trials = args.get_count<std::size_t>("trials", 10);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 4));
 

@@ -40,6 +40,18 @@ HopSeries monte_carlo_series(const G& g, const SeedSets& seeds,
   const std::size_t runs = deterministic ? 1 : cfg.runs;
 
   const std::size_t hops = static_cast<std::size_t>(cfg.max_hops) + 1;
+  // The slot arrays below (two per-hop doubles and three finals per run)
+  // plus the per-hop accumulators, checked before anything is allocated.
+  const std::size_t bytes = sat_add(
+      sat_mul(runs, sat_add(sat_mul(hops, 2 * sizeof(double)),
+                            3 * sizeof(double))),
+      sat_mul(hops, 2 * sizeof(RunningStats) + 3 * sizeof(double)));
+  if (bytes > kMaxHopSeriesBytes) {
+    throw Error("monte_carlo_series: " + std::to_string(runs) + " runs x " +
+                std::to_string(hops) + " hops need " + std::to_string(bytes) +
+                " bytes, over the " + std::to_string(kMaxHopSeriesBytes) +
+                "-byte bound; lower the run count or max_hops");
+  }
 
   // Each run writes its raw per-hop counts into a preassigned slot of these
   // flat runs-by-hops arrays; the RunningStats accumulation happens serially

@@ -14,6 +14,10 @@
 
 namespace lcrb {
 
+/// Largest footprint monte_carlo_series may allocate for its runs x
+/// (max_hops + 1) per-hop slot arrays and per-hop accumulators.
+inline constexpr std::size_t kMaxHopSeriesBytes = std::size_t{1} << 30;
+
 struct MonteCarloConfig {
   std::size_t runs = 200;       ///< samples (DOAM is deterministic: 1 enough)
   std::uint64_t seed = 1;       ///< master seed; run i uses an forked stream

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "lcrb/ris.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -85,16 +86,6 @@ std::vector<NodeId> make_candidates(const G& g,
 }  // namespace
 
 template <GraphView G>
-GreedyResult greedy_lcrbp(const G& g, const Partition& p,
-                          CommunityId rumor_community,
-                          std::span<const NodeId> rumors,
-                          const GreedyConfig& cfg, ThreadPool* pool) {
-  const BridgeEndResult bridges =
-      find_bridge_ends(g, p, rumor_community, rumors);
-  return greedy_lcrbp_from_bridges(g, rumors, bridges, cfg, pool);
-}
-
-template <GraphView G>
 GreedyResult greedy_lcrbp_from_bridges(const G& g,
                                        std::span<const NodeId> rumors,
                                        const BridgeEndResult& bridges,
@@ -105,32 +96,6 @@ GreedyResult greedy_lcrbp_from_bridges(const G& g,
   GreedyResult out;
   if (bridges.bridge_ends.empty()) {
     out.achieved_fraction = 1.0;
-    return out;
-  }
-
-  if (cfg.sigma_mode == SigmaMode::kRis) {
-    // RR-set max coverage instead of Monte-Carlo gains. The diffusion knobs
-    // mirror cfg.sigma so both modes estimate the same sigma; candidate
-    // restriction is unnecessary — only nodes appearing in some RR set can
-    // ever have positive coverage gain, which is the same pruning for free.
-    RisConfig rc = cfg.ris;
-    rc.model = cfg.sigma.model;
-    rc.seed = cfg.sigma.seed;
-    rc.max_hops = cfg.sigma.max_hops;
-    rc.ic_edge_prob = cfg.sigma.ic_edge_prob;
-    RisGreedyResult ris = ris_greedy_from_bridges(
-        g, rumors, bridges, cfg.alpha, cfg.max_protectors, rc, pool);
-    out.protectors = std::move(ris.protectors);
-    out.achieved_fraction = ris.achieved_fraction;
-    out.gain_history = std::move(ris.gain_history);
-    out.sigma_evaluations = ris.rr_sets;
-    out.candidate_count = ris.distinct_candidates;
-    out.nodes_visited = ris.nodes_visited;
-    out.ris_rounds = ris.rounds;
-    out.ris_sigma_lower = ris.sigma_lower;
-    out.ris_sigma_upper = ris.sigma_upper;
-    out.ris_guarantee_met = ris.guarantee_met;
-    out.ris_stop_reason = ris.stop_reason;
     return out;
   }
 
@@ -151,8 +116,6 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          const SigmaEstimator& estimator,
                                          ThreadPool* pool) {
   LCRB_REQUIRE(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha must be in (0,1]");
-  LCRB_REQUIRE(cfg.sigma_mode == SigmaMode::kMonteCarlo,
-               "greedy_lcrbp_with_estimator is Monte-Carlo only");
 
   GreedyResult out;
   if (bridges.bridge_ends.empty()) {
@@ -364,7 +327,9 @@ MultiGreedyResult greedy_multi_with_estimator(
       --left[campaign];
       campaign = (campaign + 1) % left.size();
     }
+    // The picks are distinct, so sorting them is the deployed union.
     out.deployed = out.combined.protectors;
+    std::sort(out.deployed.begin(), out.deployed.end());
   } else {
     // Each campaign runs greedy with its own budget, blind to the others.
     // Equal-budget campaigns pick identical sets; the deployed union is
@@ -396,9 +361,6 @@ MultiGreedyResult greedy_multi_with_estimator(
       out.combined.sigma_evaluations += cfg.sigma.samples;
     }
   }
-  std::sort(out.deployed.begin(), out.deployed.end());
-  out.deployed.erase(std::unique(out.deployed.begin(), out.deployed.end()),
-                     out.deployed.end());
   return out;
 }
 
@@ -408,8 +370,6 @@ MultiGreedyResult greedy_multi_from_bridges(
     const BridgeEndResult& bridges, const GreedyConfig& cfg,
     std::span<const std::size_t> budgets, MultiCascadeMode mode,
     ThreadPool* pool) {
-  LCRB_REQUIRE(cfg.sigma_mode == SigmaMode::kMonteCarlo,
-               "greedy_multi is Monte-Carlo only");
   if (bridges.bridge_ends.empty()) {
     MultiGreedyResult out;
     out.groups.resize(budgets.size());
@@ -425,9 +385,6 @@ MultiGreedyResult greedy_multi_from_bridges(
 }
 
 #define LCRB_INSTANTIATE_GREEDY(G)                                            \
-  template GreedyResult greedy_lcrbp<G>(const G&, const Partition&,           \
-                                        CommunityId, std::span<const NodeId>, \
-                                        const GreedyConfig&, ThreadPool*);    \
   template GreedyResult greedy_lcrbp_from_bridges<G>(                         \
       const G&, std::span<const NodeId>, const BridgeEndResult&,              \
       const GreedyConfig&, ThreadPool*);                                      \

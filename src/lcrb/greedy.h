@@ -14,10 +14,8 @@
 #include <span>
 #include <vector>
 
-#include "community/partition.h"
 #include "graph/graph_view.h"
 #include "lcrb/bridge.h"
-#include "lcrb/ris.h"
 #include "lcrb/sigma.h"
 #include "util/threadpool.h"
 #include "util/types.h"
@@ -44,42 +42,22 @@ struct GreedyConfig {
   std::size_t max_candidates = 0;
   bool use_celf = true;            ///< false = paper's plain re-evaluation
   SigmaConfig sigma;
-  /// kRis swaps the Monte-Carlo estimator for RR-set max coverage; the
-  /// model/seed/hops knobs are taken from `sigma` so the two modes optimize
-  /// the same objective, and the accuracy knobs come from `ris`.
-  SigmaMode sigma_mode = SigmaMode::kMonteCarlo;
-  RisConfig ris;
 };
 
 struct GreedyResult {
   std::vector<NodeId> protectors;    ///< in pick order
   double achieved_fraction = 0.0;    ///< protected fraction at termination
   std::vector<double> gain_history;  ///< marginal sigma gain per pick
-  /// MC: single-run simulations performed. RIS: RR sets generated per pool —
-  /// the analogous unit of sampling work.
+  /// Single-run simulations the greedy's sigma-oracle calls stand for.
   std::size_t sigma_evaluations = 0;
   std::size_t candidate_count = 0;
-  /// Elementary node-touch operations spent estimating sigma (both modes);
-  /// the bench's common cost currency.
+  /// Elementary node-touch operations spent estimating sigma; the bench's
+  /// common cost currency.
   std::uint64_t nodes_visited = 0;
-  std::size_t ris_rounds = 0;      ///< stopping checkpoints run (kRis only)
-  double ris_sigma_lower = 0.0;    ///< certified sigma bounds (kRis only)
-  double ris_sigma_upper = 0.0;
-  /// kRis only: whether the (epsilon, delta) guarantee was certified before
-  /// a cap (max_sets / pool byte budget) ended sampling, and why sampling
-  /// stopped. True for kMonteCarlo (no adaptive rule to miss).
-  bool ris_guarantee_met = true;
-  RisStopReason ris_stop_reason = RisStopReason::kNone;
 };
 
-/// Runs the LCRB-P greedy end to end (bridge ends computed internally).
-template <GraphView G>
-GreedyResult greedy_lcrbp(const G& g, const Partition& p,
-                          CommunityId rumor_community,
-                          std::span<const NodeId> rumors,
-                          const GreedyConfig& cfg, ThreadPool* pool = nullptr);
-
-/// Variant reusing precomputed bridge ends.
+/// Runs the LCRB-P greedy with a private SigmaEstimator over precomputed
+/// bridge ends (find_bridge_ends).
 template <GraphView G>
 GreedyResult greedy_lcrbp_from_bridges(const G& g,
                                        std::span<const NodeId> rumors,
@@ -113,12 +91,12 @@ struct MultiGreedyResult {
   GreedyResult combined;
 };
 
-/// Multi-campaign protector selection against the rumor-role union
-/// (Monte-Carlo mode only; the estimator must match g/rumors/bridges and
-/// cfg.sigma). Coordinated: one greedy with budget sum(budgets), picks
-/// assigned round-robin to campaigns that still have budget. Uncoordinated:
-/// per-campaign greedy with its own budget, blind to the other campaigns'
-/// picks; equal-budget campaigns therefore pick identical sets.
+/// Multi-campaign protector selection against the rumor-role union (the
+/// estimator must match g/rumors/bridges and cfg.sigma). Coordinated: one
+/// greedy with budget sum(budgets), picks assigned round-robin to campaigns
+/// that still have budget. Uncoordinated: per-campaign greedy with its own
+/// budget, blind to the other campaigns' picks; equal-budget campaigns
+/// therefore pick identical sets.
 template <GraphView G>
 MultiGreedyResult greedy_multi_with_estimator(
     const G& g, std::span<const NodeId> rumors,
@@ -134,10 +112,10 @@ MultiGreedyResult greedy_multi_from_bridges(
     std::span<const std::size_t> budgets, MultiCascadeMode mode,
     ThreadPool* pool = nullptr);
 
-/// Variant against a caller-owned estimator (Monte-Carlo mode only). The
-/// query service shares one warm SigmaEstimator — and its realization cache —
-/// across every query of a session; SigmaEstimator::sigma() is thread-safe,
-/// so concurrent callers are fine. The estimator must have been built for
+/// Variant against a caller-owned estimator. The query service shares one
+/// warm SigmaEstimator — and its realization cache — across every query of
+/// a session; SigmaEstimator::sigma() is thread-safe, so concurrent callers
+/// are fine. The estimator must have been built for
 /// the same graph/rumors/bridge ends and with cfg.sigma, or results are
 /// meaningless. Because the shared counters mix concurrent queries,
 /// sigma_evaluations is derived from this call's own (serial) call count and

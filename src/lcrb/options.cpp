@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <limits>
 
 #include "util/args.h"
 #include "util/error.h"
@@ -24,31 +23,10 @@ bool iequals(const std::string& a, const std::string& b) {
   return true;
 }
 
-// The one integer conversion of both parsers: a negative value would wrap to
-// a huge unsigned count (-1 samples becomes 2^64-1) and a value past T's
-// range would truncate (--hops 4294967297 becomes 1), both still passing
-// validate() as plausible values; reject them up front. `what` names the
-// flag or key.
-template <class T>
-T checked_count(std::int64_t x, const std::string& what) {
-  if (x < 0) {
-    throw Error("options: " + what + " must be non-negative, got " +
-                std::to_string(x));
-  }
-  if (static_cast<std::uint64_t>(x) > std::numeric_limits<T>::max()) {
-    throw Error("options: " + what + " must be at most " +
-                std::to_string(std::numeric_limits<T>::max()) + ", got " +
-                std::to_string(x));
-  }
-  return static_cast<T>(x);
-}
-
 // Overrides `out` when --`flag` is present.
 template <class T>
 void read_count(const Args& args, const std::string& flag, T& out) {
-  if (args.has(flag)) {
-    out = checked_count<T>(args.get_int(flag, 0), "--" + flag);
-  }
+  out = args.get_count<T>(flag, out);
 }
 
 template <class T>
@@ -221,8 +199,6 @@ GreedyConfig LcrbOptions::greedy_config() const {
   gc.max_candidates = max_candidates;
   gc.use_celf = use_celf;
   gc.sigma = sigma_config();
-  gc.sigma_mode = sigma_mode;
-  gc.ris = ris_config();
   return gc;
 }
 

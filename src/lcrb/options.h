@@ -2,8 +2,9 @@
 // protector-selection API.
 //
 // One flat, validated aggregate with a canonical JSON round-trip. The
-// engine-level configs (GreedyConfig wrapping SigmaConfig and RisConfig,
-// GvsConfig on the side) are produced from it by the *_config() accessors.
+// engine-level configs (GreedyConfig wrapping SigmaConfig, RisConfig and
+// GvsConfig on the side) are produced from it by the *_config() accessors;
+// select() in lcrb/pipeline.h maps it to the selector that serves it.
 //
 // The budget rule (previously enforced inconsistently — kGvs silently
 // overrode its own budget, kScbg silently ignored one):
@@ -22,6 +23,7 @@
 #include "graph/backend.h"
 #include "lcrb/greedy.h"
 #include "lcrb/gvs.h"
+#include "lcrb/ris.h"
 #include "util/json.h"
 
 namespace lcrb {

@@ -86,18 +86,17 @@ ExperimentSetup prepare_experiment_with_rumors(GraphRef g, const Partition& p,
   });
 }
 
-std::vector<NodeId> select_protectors(const ExperimentSetup& setup,
-                                      const LcrbOptions& opts,
-                                      ThreadPool* pool) {
-  LCRB_REQUIRE(setup.graph.valid(), "setup not prepared");
-  opts.validate();
-  const std::size_t budget = opts.resolved_budget(setup.rumors.size());
-  Rng rng(opts.selector_seed);
+namespace {
 
-  // One backend dispatch per query; the selectors below are all templates
-  // over the concrete graph type.
-  return setup.graph.visit([&](const auto& g) -> std::vector<NodeId> {
+/// The protector set of every selector but the greedy.
+template <class G>
+std::vector<NodeId> baseline_protectors(const G& g,
+                                        const ExperimentSetup& setup,
+                                        const LcrbOptions& opts,
+                                        std::size_t budget, ThreadPool* pool) {
+  Rng rng(opts.selector_seed);
   switch (opts.selector) {
+    case SelectorKind::kGreedy:  // served by select_greedy
     case SelectorKind::kNoBlocking:
       return {};
     case SelectorKind::kMaxDegree:
@@ -128,44 +127,93 @@ std::vector<NodeId> select_protectors(const ExperimentSetup& setup,
     }
     case SelectorKind::kDegreeDiscount:
       return degree_discount(g, budget, 0.05, setup.rumors);
-    case SelectorKind::kScbg: {
+    case SelectorKind::kScbg:
       return scbg_from_bridges(g, setup.rumors, setup.bridges, pool)
           .protectors;
-    }
-    case SelectorKind::kCldag: {
-      const CldagResult r =
-          cldag_protectors(g, setup.rumors, setup.bridges.bridge_ends, budget,
-                           opts.cldag_theta);
-      return r.protectors;
-    }
-    case SelectorKind::kGreedy: {
-      if (opts.multi_mode != MultiCascadeMode::kOff) {
-        return select_protector_groups(setup, opts, pool).deployed;
-      }
-      GreedyConfig gc = opts.greedy_config();
-      gc.max_protectors = budget;
-      const GreedyResult r =
-          greedy_lcrbp_from_bridges(g, setup.rumors, setup.bridges, gc, pool);
-      return r.protectors;
-    }
+    case SelectorKind::kCldag:
+      return cldag_protectors(g, setup.rumors, setup.bridges.bridge_ends,
+                              budget, opts.cldag_theta)
+          .protectors;
   }
   throw Error("unknown selector kind");
+}
+
+/// The LCRB-P greedy in every variant: RIS or Monte-Carlo sigma, one
+/// campaign or several, against lent warm state or a private one.
+template <class G>
+Selection select_greedy(const G& g, const ExperimentSetup& setup,
+                        const LcrbOptions& opts, std::size_t budget,
+                        ThreadPool* pool, WarmSigma warm) {
+  if (opts.sigma_mode == SigmaMode::kRis) {
+    // No candidate restriction: only nodes in some RR set can ever have a
+    // positive coverage gain.
+    RisGreedyResult r =
+        warm.ris != nullptr
+            ? ris_greedy_with_context(opts.alpha, budget, opts.ris_config(),
+                                      *warm.ris, pool)
+            : ris_greedy_from_bridges(g, setup.rumors, setup.bridges,
+                                      opts.alpha, budget, opts.ris_config(),
+                                      pool);
+    Selection out({.protectors = std::move(r.protectors),
+                   .achieved_fraction = r.achieved_fraction,
+                   .gain_history = std::move(r.gain_history),
+                   .sigma_evaluations = r.rr_sets,
+                   .candidate_count = r.distinct_candidates,
+                   .nodes_visited = r.nodes_visited});
+    out.ris = RisStopping{r.rounds, r.sigma_lower, r.sigma_upper,
+                          r.guarantee_met, r.stop_reason};
+    return out;
+  }
+  if (opts.multi_mode != MultiCascadeMode::kOff) {
+    MultiGreedyResult r =
+        warm.estimator != nullptr
+            ? greedy_multi_with_estimator(
+                  g, setup.rumors, setup.bridges, opts.greedy_config(),
+                  opts.protector_budgets, opts.multi_mode, *warm.estimator,
+                  pool)
+            : greedy_multi_from_bridges(g, setup.rumors, setup.bridges,
+                                        opts.greedy_config(),
+                                        opts.protector_budgets,
+                                        opts.multi_mode, pool);
+    r.combined.protectors = std::move(r.deployed);
+    Selection out(std::move(r.combined));
+    out.groups = std::move(r.groups);
+    return out;
+  }
+  GreedyConfig gc = opts.greedy_config();
+  gc.max_protectors = budget;
+  return Selection(
+      warm.estimator != nullptr
+          ? greedy_lcrbp_with_estimator(g, setup.rumors, setup.bridges, gc,
+                                        *warm.estimator, pool)
+          : greedy_lcrbp_from_bridges(g, setup.rumors, setup.bridges, gc,
+                                      pool));
+}
+
+}  // namespace
+
+Selection select(const ExperimentSetup& setup, const LcrbOptions& opts,
+                 ThreadPool* pool, WarmSigma warm) {
+  LCRB_REQUIRE(setup.graph.valid(), "setup not prepared");
+  opts.validate();
+  const std::size_t budget = opts.resolved_budget(setup.rumors.size());
+  // One backend dispatch per query; every selector is a template over the
+  // concrete graph type.
+  return setup.graph.visit([&](const auto& g) -> Selection {
+    if (opts.selector == SelectorKind::kGreedy) {
+      return select_greedy(g, setup, opts, budget, pool, warm);
+    }
+    Selection out;
+    out.protectors = baseline_protectors(g, setup, opts, budget, pool);
+    if (opts.selector == SelectorKind::kScbg) out.achieved_fraction = 1.0;
+    return out;
   });
 }
 
-MultiGreedyResult select_protector_groups(const ExperimentSetup& setup,
-                                          const LcrbOptions& opts,
-                                          ThreadPool* pool) {
-  LCRB_REQUIRE(setup.graph.valid(), "setup not prepared");
-  opts.validate();
-  LCRB_REQUIRE(opts.multi_mode != MultiCascadeMode::kOff,
-               "select_protector_groups requires multi_mode");
-  return setup.graph.visit([&](const auto& g) {
-    return greedy_multi_from_bridges(g, setup.rumors, setup.bridges,
-                                     opts.greedy_config(),
-                                     opts.protector_budgets, opts.multi_mode,
-                                     pool);
-  });
+std::vector<NodeId> select_protectors(const ExperimentSetup& setup,
+                                      const LcrbOptions& opts,
+                                      ThreadPool* pool) {
+  return select(setup, opts, pool).protectors;
 }
 
 HopSeries evaluate_protectors(const ExperimentSetup& setup,

@@ -315,8 +315,8 @@ enum class RisStopReason : std::uint8_t {
 
 std::string to_string(RisStopReason r);
 
-/// Result of the RIS max-coverage greedy (the SigmaMode::kRis engine behind
-/// greedy_lcrbp_from_bridges).
+/// Result of the RIS max-coverage greedy: the engine select() (lcrb/
+/// pipeline.h) runs for SigmaMode::kRis.
 struct RisGreedyResult {
   std::vector<NodeId> protectors;  ///< in pick order
   /// Estimated protected fraction on the validation pool at termination.

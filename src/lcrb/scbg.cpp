@@ -10,15 +10,6 @@
 namespace lcrb {
 
 template <GraphView G>
-ScbgResult scbg(const G& g, const Partition& p,
-                CommunityId rumor_community, std::span<const NodeId> rumors,
-                ThreadPool* pool) {
-  const BridgeEndResult bridges =
-      find_bridge_ends(g, p, rumor_community, rumors);
-  return scbg_from_bridges(g, rumors, bridges, pool);
-}
-
-template <GraphView G>
 ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
                              const BridgeEndResult& bridges,
                              ThreadPool* pool) {
@@ -50,8 +41,6 @@ ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
 }
 
 #define LCRB_INSTANTIATE_SCBG(G)                                              \
-  template ScbgResult scbg<G>(const G&, const Partition&, CommunityId,        \
-                              std::span<const NodeId>, ThreadPool*);          \
   template ScbgResult scbg_from_bridges<G>(const G&,                          \
                                            std::span<const NodeId>,           \
                                            const BridgeEndResult&,            \

@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "community/partition.h"
 #include "graph/graph_view.h"
 #include "lcrb/bridge.h"
 #include "util/threadpool.h"
@@ -28,16 +27,10 @@ struct ScbgResult {
   std::size_t candidate_count = 0;  ///< |union of BBSTs| (set-cover width)
 };
 
-/// Runs SCBG end to end. The BBSTs are drawn in parallel on `pool` when
-/// given; the result is identical at any thread count. The cover is always
-/// re-checked with a DOAM protection test (the paper's central claim), and
-/// a violation throws lcrb::Error.
-template <GraphView G>
-ScbgResult scbg(const G& g, const Partition& p,
-                CommunityId rumor_community, std::span<const NodeId> rumors,
-                ThreadPool* pool = nullptr);
-
-/// Variant when bridge ends were already computed (shared with benches).
+/// Runs SCBG over precomputed bridge ends (find_bridge_ends). The BBSTs are
+/// drawn in parallel on `pool` when given; the result is identical at any
+/// thread count. The cover is always re-checked with a DOAM protection test
+/// (the paper's central claim), and a violation throws lcrb::Error.
 template <GraphView G>
 ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
                              const BridgeEndResult& bridges,

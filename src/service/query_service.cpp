@@ -168,6 +168,10 @@ QueryResult QueryService::execute(const QueryRequest& req,
     // Bare lcrb::Error from option validation or request-derived values:
     // the invalid_argument class, with the v1 message surface unchanged.
     result = QueryResult::make_error(req, e.what());
+  } catch (const std::exception& e) {
+    // Anything else (std::bad_alloc, a library bug) fails this query alone;
+    // it must never unwind through a dispatcher thread.
+    result = QueryResult::make_error(req, ErrorCode::kInternal, e.what());
   }
   if (cfg_.collect_meta) {
     meta.set("wall_ms", elapsed_ms(started));
@@ -201,23 +205,21 @@ std::shared_ptr<const ExperimentSetup> QueryService::setup_for(
   }
   const std::string key =
       make_setup_key(rumor_ids, community, req.num_rumors, req.rumor_seed);
-  if (key_out != nullptr) *key_out = key;
+  *key_out = key;
+  std::shared_ptr<const ExperimentSetup> setup = session.find_setup(key);
+  *cache_hit = setup != nullptr;
+  if (setup != nullptr) return setup;
   const GraphRef g = session.graph();
-  return session.setup_for(
-      key,
-      [&]() -> ExperimentSetup {
-        return g.visit([&](const auto& gr) -> ExperimentSetup {
-          if (!rumor_ids.empty()) {
-            return prepare_experiment_with_rumors(gr, p, rumor_ids);
-          }
-          LCRB_REQUIRE(community < p.num_communities(),
-                       "rumor community out of range");
-          const std::size_t k = std::min<std::size_t>(
-              std::max<std::size_t>(req.num_rumors, 1), p.size_of(community));
-          return prepare_experiment(gr, p, community, k, req.rumor_seed);
-        });
-      },
-      cache_hit);
+  if (!rumor_ids.empty()) {
+    return std::make_shared<const ExperimentSetup>(
+        prepare_experiment_with_rumors(g, p, std::move(rumor_ids)));
+  }
+  LCRB_REQUIRE(community < p.num_communities(),
+               "rumor community out of range");
+  const std::size_t k = std::min<std::size_t>(
+      std::max<std::size_t>(req.num_rumors, 1), p.size_of(community));
+  return std::make_shared<const ExperimentSetup>(
+      prepare_experiment(g, p, community, k, req.rumor_seed));
 }
 
 QueryResult QueryService::execute_select(const QueryRequest& req,
@@ -241,72 +243,44 @@ QueryResult QueryService::execute_select(const QueryRequest& req,
   result.num_bridge_ends = setup->bridges.bridge_ends.size();
   check_deadline(req, admitted);
 
+  // Lend the session's warm sigma state to the selector that reads it.
   const LcrbOptions& opts = req.options;
-  const std::size_t budget = opts.resolved_budget(setup->rumors.size());
+  WarmSigma warm;
+  std::shared_ptr<SigmaEstimator> estimator;
+  std::shared_ptr<RisContext> ris;
+  if (opts.selector == SelectorKind::kGreedy) {
+    bool hit = false;
+    if (opts.sigma_mode == SigmaMode::kMonteCarlo) {
+      estimator = session.estimator_for(setup_key, *setup,
+                                        opts.sigma_config(), &pool_, &hit);
+      meta.set("estimator_cache_hit", hit);
+      warm.estimator = estimator.get();
+    } else {
+      ris = session.ris_context_for(setup_key, *setup, opts.ris_config(),
+                                    &hit);
+      meta.set("ris_cache_hit", hit);
+      warm.ris = ris.get();
+    }
+    check_deadline(req, admitted);
+  }
+  Selection s = lcrb::select(*setup, opts, &pool_, warm);
+  if (!setup_hit) session.keep_setup(setup_key, setup);
 
-  if (opts.selector == SelectorKind::kGreedy &&
-      opts.sigma_mode == SigmaMode::kMonteCarlo) {
-    // Shared warm estimator: every query with matching rumor/sigma knobs
-    // reuses one realization cache.
-    bool estimator_hit = false;
-    std::shared_ptr<SigmaEstimator> estimator = session.estimator_for(
-        setup_key, *setup, opts.sigma_config(), &pool_, &estimator_hit);
-    meta.set("estimator_cache_hit", estimator_hit);
-    check_deadline(req, admitted);
-    if (opts.multi_mode != MultiCascadeMode::kOff) {
-      // Multi-campaign greedy shares the same warm estimator; the result
-      // carries both the per-campaign groups and their deployed union.
-      const MultiGreedyResult r = session.graph().visit([&](const auto& g) {
-        return greedy_multi_with_estimator(
-            g, setup->rumors, setup->bridges, opts.greedy_config(),
-            opts.protector_budgets, opts.multi_mode, *estimator, &pool_);
-      });
-      result.protectors = r.deployed;
-      result.protector_groups = r.groups;
-      result.achieved_fraction = r.combined.achieved_fraction;
-      result.gain_history = r.combined.gain_history;
-      result.candidate_count = r.combined.candidate_count;
-      result.sigma_evaluations = r.combined.sigma_evaluations;
-      meta.set("multi_mode", to_string(opts.multi_mode));
-      return result;
-    }
-    GreedyConfig gc = opts.greedy_config();
-    gc.max_protectors = budget;
-    const GreedyResult r = session.graph().visit([&](const auto& g) {
-      return greedy_lcrbp_with_estimator(g, setup->rumors, setup->bridges, gc,
-                                         *estimator, &pool_);
-    });
-    result.protectors = r.protectors;
-    result.achieved_fraction = r.achieved_fraction;
-    result.gain_history = r.gain_history;
-    result.candidate_count = r.candidate_count;
-    result.sigma_evaluations = r.sigma_evaluations;
-  } else if (opts.selector == SelectorKind::kGreedy) {
-    // RIS mode: shared warm RR pools, evaluated over the first-theta prefix.
-    bool ris_hit = false;
-    std::shared_ptr<RisContext> ctx = session.ris_context_for(
-        setup_key, *setup, opts.ris_config(), &ris_hit);
-    meta.set("ris_cache_hit", ris_hit);
-    check_deadline(req, admitted);
-    const RisGreedyResult r = ris_greedy_with_context(
-        opts.alpha, budget, opts.ris_config(), *ctx, &pool_);
-    result.protectors = r.protectors;
-    result.achieved_fraction = r.achieved_fraction;
-    result.gain_history = r.gain_history;
-    result.candidate_count = r.distinct_candidates;
-    result.sigma_evaluations = r.rr_sets;
-    meta.set("ris_rounds", static_cast<std::uint64_t>(r.rounds));
-    meta.set("ris_sigma_lower", r.sigma_lower);
-    meta.set("ris_sigma_upper", r.sigma_upper);
-    meta.set("ris_guarantee_met", r.guarantee_met);
-    meta.set("ris_stop_reason", to_string(r.stop_reason));
-  } else {
-    check_deadline(req, admitted);
-    result.protectors = select_protectors(*setup, opts, &pool_);
-    if (opts.selector == SelectorKind::kScbg) {
-      // SCBG covers every bridge end by construction.
-      result.achieved_fraction = 1.0;
-    }
+  result.protectors = std::move(s.protectors);
+  result.protector_groups = std::move(s.groups);
+  result.achieved_fraction = s.achieved_fraction;
+  result.gain_history = std::move(s.gain_history);
+  result.candidate_count = s.candidate_count;
+  result.sigma_evaluations = s.sigma_evaluations;
+  if (!result.protector_groups.empty()) {
+    meta.set("multi_mode", to_string(opts.multi_mode));
+  }
+  if (s.ris) {
+    meta.set("ris_rounds", static_cast<std::uint64_t>(s.ris->rounds));
+    meta.set("ris_sigma_lower", s.ris->sigma_lower);
+    meta.set("ris_sigma_upper", s.ris->sigma_upper);
+    meta.set("ris_guarantee_met", s.ris->guarantee_met);
+    meta.set("ris_stop_reason", to_string(s.ris->stop_reason));
   }
   return result;
 }
@@ -327,8 +301,9 @@ QueryResult QueryService::execute_evaluate(const QueryRequest& req,
                  "protector id out of range");
   }
   bool setup_hit = false;
+  std::string setup_key;
   std::shared_ptr<const ExperimentSetup> setup =
-      setup_for(req, session, nullptr, &setup_hit);
+      setup_for(req, session, &setup_key, &setup_hit);
   meta.set("setup_cache_hit", setup_hit);
   result.rumor_community = setup->rumor_community;
   result.rumors = setup->rumors;
@@ -355,6 +330,7 @@ QueryResult QueryService::execute_evaluate(const QueryRequest& req,
   } else {
     series = evaluate_protectors(*setup, req.protectors, mc, &pool_);
   }
+  if (!setup_hit) session.keep_setup(setup_key, setup);
   result.infected_by_hop = series.infected_mean;
   result.infected_ci95 = series.infected_ci95;
   result.protected_by_hop = series.protected_mean;

@@ -127,7 +127,8 @@ class QueryService {
                                JsonValue& meta);
   QueryResult execute_info(const QueryRequest& req, GraphSession& session);
 
-  /// Memoized experiment setup for the request's rumor choice.
+  /// The session's setup for the request's rumor choice, or a fresh build
+  /// the caller keeps under *key_out once the query succeeds.
   std::shared_ptr<const ExperimentSetup> setup_for(const QueryRequest& req,
                                                    GraphSession& session,
                                                    std::string* key_out,

@@ -55,19 +55,17 @@ GraphSession::GraphSession(std::string dataset, GraphAny graph,
   base_bytes_ = graph_bytes(graph_.ref()) + partition_bytes(partition_);
 }
 
-std::shared_ptr<const ExperimentSetup> GraphSession::setup_for(
-    const std::string& key, const std::function<ExperimentSetup()>& build,
-    bool* cache_hit) {
+std::shared_ptr<const ExperimentSetup> GraphSession::find_setup(
+    const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = setups_.find(key);
-  if (it != setups_.end()) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return it->second;
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto setup = std::make_shared<const ExperimentSetup>(build());
-  setups_.emplace(key, setup);
-  return setup;
+  return it == setups_.end() ? nullptr : it->second;
+}
+
+void GraphSession::keep_setup(const std::string& key,
+                              std::shared_ptr<const ExperimentSetup> setup) {
+  std::lock_guard<std::mutex> lock(mu_);
+  setups_.emplace(key, std::move(setup));
 }
 
 std::shared_ptr<SigmaEstimator> GraphSession::estimator_for(

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,12 +50,13 @@ class GraphSession {
   GraphBackend backend() const { return graph_.backend(); }
   const Partition& partition() const { return partition_; }
 
-  /// Memoized experiment setup. `key` must deterministically identify the
-  /// rumor choice (see make_setup_key); `build` runs under the session lock
-  /// on a miss, so it must not re-enter the session.
-  std::shared_ptr<const ExperimentSetup> setup_for(
-      const std::string& key,
-      const std::function<ExperimentSetup()>& build, bool* cache_hit);
+  /// Memoized experiment setup for `key` (see make_setup_key); nullptr on a
+  /// miss. keep_setup memoizes one (first write wins): the service keeps a
+  /// setup only once a query on it succeeded, so a refused one leaves none.
+  std::shared_ptr<const ExperimentSetup> find_setup(
+      const std::string& key) const;
+  void keep_setup(const std::string& key,
+                  std::shared_ptr<const ExperimentSetup> setup);
 
   /// Shared warm sigma estimator for (setup, cfg). The estimator is
   /// thread-safe for concurrent sigma() calls, so one instance — and its

@@ -42,24 +42,41 @@ std::string Args::get_string(const std::string& name,
   return it == values_.end() ? def : it->second;
 }
 
+namespace {
+
+// Whole-token numeric parses: std::stoll("5abc") would return 5, so the end
+// position must reach the end of the text. `what` names the flag or env var.
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  std::size_t end = 0;
+  try {
+    const long long v = std::stoll(text, &end);
+    if (end == text.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw Error(what + " expects an integer, got '" + text + "'");
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  std::size_t end = 0;
+  try {
+    const double v = std::stod(text, &end);
+    if (end == text.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw Error(what + " expects a number, got '" + text + "'");
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects an integer, got '" + it->second + "'");
-  }
+  return it == values_.end() ? def : parse_int(it->second, "flag --" + name);
 }
 
 double Args::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects a number, got '" + it->second + "'");
-  }
+  return it == values_.end() ? def
+                             : parse_double(it->second, "flag --" + name);
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {
@@ -71,27 +88,15 @@ bool Args::get_bool(const std::string& name, bool def) const {
 double Args::get_double_env(const std::string& name, const std::string& env,
                             double def) const {
   if (has(name)) return get_double(name, def);
-  if (const char* v = std::getenv(env.c_str())) {
-    try {
-      return std::stod(v);
-    } catch (const std::exception&) {
-      throw Error("env " + env + " expects a number, got '" + std::string(v) + "'");
-    }
-  }
-  return def;
+  const char* v = std::getenv(env.c_str());
+  return v != nullptr ? parse_double(v, "env " + env) : def;
 }
 
 std::int64_t Args::get_int_env(const std::string& name, const std::string& env,
                                std::int64_t def) const {
   if (has(name)) return get_int(name, def);
-  if (const char* v = std::getenv(env.c_str())) {
-    try {
-      return std::stoll(v);
-    } catch (const std::exception&) {
-      throw Error("env " + env + " expects an integer, got '" + std::string(v) + "'");
-    }
-  }
-  return def;
+  const char* v = std::getenv(env.c_str());
+  return v != nullptr ? parse_int(v, "env " + env) : def;
 }
 
 }  // namespace lcrb

@@ -1,16 +1,37 @@
 // Tiny CLI argument parser for examples and bench binaries.
 //
-// Supports `--name value`, `--name=value`, and boolean `--flag`. Values can
+// Supports `--name value`, `--name=value`, and boolean `--flag`. Numeric
+// getters parse the whole value: trailing garbage ("5abc") throws. Values can
 // also be supplied via environment variables (used by the bench harness for
 // LCRB_BENCH_SCALE-style overrides): env wins over default, CLI wins over env.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/error.h"
+
 namespace lcrb {
+
+/// The one integer-to-count conversion of flags and JSON keys: a negative
+/// value (which would wrap: -1 samples is 2^64-1) or one past T's range
+/// (which would truncate) throws lcrb::Error naming `what`.
+template <class T>
+T checked_count(std::int64_t x, const std::string& what) {
+  if (x < 0) {
+    throw Error("options: " + what + " must be non-negative, got " +
+                std::to_string(x));
+  }
+  if (static_cast<std::uint64_t>(x) > std::numeric_limits<T>::max()) {
+    throw Error("options: " + what + " must be at most " +
+                std::to_string(std::numeric_limits<T>::max()) + ", got " +
+                std::to_string(x));
+  }
+  return static_cast<T>(x);
+}
 
 class Args {
  public:
@@ -21,6 +42,11 @@ class Args {
 
   std::string get_string(const std::string& name, const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// get_int through checked_count.
+  template <class T>
+  T get_count(const std::string& name, T def) const {
+    return has(name) ? checked_count<T>(get_int(name, 0), "--" + name) : def;
+  }
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def = false) const;
 

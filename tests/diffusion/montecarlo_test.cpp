@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "diffusion/doam.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -134,6 +137,29 @@ TEST(MonteCarlo, ZeroRunsRejected) {
   MonteCarloConfig cfg;
   cfg.runs = 0;
   EXPECT_THROW(monte_carlo_series(g, {{0}, {}}, cfg), Error);
+}
+
+TEST(MonteCarlo, OverBoundSeriesIsRefusedBeforeAllocating) {
+  // runs x (max_hops + 1) slot arrays past kMaxHopSeriesBytes throw
+  // lcrb::Error instead of allocating; a run count whose product would wrap
+  // saturates to "too large" rather than sizing a small array.
+  const DiGraph g = path_graph(3);
+  MonteCarloConfig cfg;
+  cfg.runs = 2;
+  cfg.max_hops = 0xffffffff;
+  try {
+    (void)monte_carlo_series(g, {{0}, {}}, cfg);
+    ADD_FAILURE() << "over-bound series was not refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("-byte bound"), std::string::npos)
+        << e.what();
+  }
+  cfg.max_hops = 31;
+  cfg.runs = std::numeric_limits<std::size_t>::max() / 4;
+  EXPECT_THROW((void)monte_carlo_series(g, {{0}, {}}, cfg), Error);
+  // Well under the bound still runs.
+  cfg.runs = 1000;
+  EXPECT_EQ(monte_carlo_series(g, {{0}, {}}, cfg).runs, 1000u);
 }
 
 TEST(MonteCarlo, ModelNames) {

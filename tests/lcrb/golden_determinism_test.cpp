@@ -28,6 +28,7 @@
 #include "lcrb/bridge.h"
 #include "lcrb/cldag.h"
 #include "lcrb/greedy.h"
+#include "lcrb/ris.h"
 #include "lcrb/scbg.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -81,7 +82,10 @@ void check_golden(const std::string& name, std::uint64_t hash) {
   EXPECT_EQ(golden_for(name), hash) << "golden hash drifted for " << name;
 }
 
-std::uint64_t hash_greedy(const GreedyResult& r) {
+/// Protectors, gain history and achieved fraction: the fields both greedy
+/// engines (GreedyResult, RisGreedyResult) report alike.
+template <class Result>
+std::uint64_t hash_greedy(const Result& r) {
   Fnv h;
   h.u64(r.protectors.size());
   for (NodeId v : r.protectors) h.u32(v);
@@ -182,6 +186,25 @@ class GoldenDeterminismTest : public ::testing::Test {
     return serial.sigma_evaluations;
   }
 
+  /// check_greedy for the RIS engine (RR-set max coverage, no cap).
+  void check_ris(const std::string& name, double alpha, const RisConfig& cfg) {
+    const RisGreedyResult serial =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
+    ThreadPool one(1);
+    const RisGreedyResult t1 =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &one);
+    ThreadPool four(4);
+    const RisGreedyResult t4 =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &four);
+    EXPECT_EQ(hash_greedy(serial), hash_greedy(t1))
+        << name << ": 1-thread run drifted from serial";
+    EXPECT_EQ(hash_greedy(serial), hash_greedy(t4))
+        << name << ": 4-thread run drifted from serial";
+    EXPECT_EQ(serial.rr_sets, t1.rr_sets) << name;
+    EXPECT_EQ(serial.rr_sets, t4.rr_sets) << name;
+    check_golden(name, hash_greedy(serial));
+  }
+
   G g_;
   std::vector<NodeId> rumors_;
   BridgeEndResult bridges_;
@@ -241,37 +264,31 @@ TYPED_TEST(GoldenDeterminismTest, GreedyMcDoam) {
 }
 
 TYPED_TEST(GoldenDeterminismTest, GreedyRisOpoao) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kOpoao;
-  cfg.sigma.seed = 9;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
-  this->check_greedy("greedy_ris_opoao", cfg);
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kOpoao;
+  cfg.seed = 9;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
+  this->check_ris("greedy_ris_opoao", 0.8, cfg);
 }
 
 TYPED_TEST(GoldenDeterminismTest, GreedyRisIc) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.7;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kIc;
-  cfg.sigma.ic_edge_prob = 0.25;
-  cfg.sigma.seed = 21;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
-  this->check_greedy("greedy_ris_ic", cfg);
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kIc;
+  cfg.ic_edge_prob = 0.25;
+  cfg.seed = 21;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
+  this->check_ris("greedy_ris_ic", 0.7, cfg);
 }
 
 TYPED_TEST(GoldenDeterminismTest, GreedyRisDoam) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kDoam;
-  cfg.sigma.seed = 5;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
-  this->check_greedy("greedy_ris_doam", cfg);
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kDoam;
+  cfg.seed = 5;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
+  this->check_ris("greedy_ris_doam", 0.8, cfg);
 }
 
 TYPED_TEST(GoldenDeterminismTest, ScbgSeedSet) {

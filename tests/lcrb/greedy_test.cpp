@@ -20,6 +20,8 @@ struct TwoPathFixture {
   DiGraph g = make_graph(7, {{0, 1}, {1, 2}, {2, 3},   // path A to bridge 1
                              {0, 4}, {4, 5}, {5, 6}}); // path B to bridge 4
   Partition p{std::vector<CommunityId>{0, 1, 1, 1, 1, 1, 1}};
+  std::vector<NodeId> rumors{0};
+  BridgeEndResult bridges = find_bridge_ends(g, p, 0, rumors);
 };
 
 GreedyConfig fast_cfg(double alpha = 0.99) {
@@ -34,7 +36,7 @@ GreedyConfig fast_cfg(double alpha = 0.99) {
 TEST(GreedyLcrbp, ProtectsBothBranches) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, fast_cfg());
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg());
   // Bridge ends are 1 and 4 (direct out-neighbors of the rumor). The only
   // way to save them is to seed protectors exactly there.
   EXPECT_GE(r.achieved_fraction, 0.99);
@@ -46,7 +48,7 @@ TEST(GreedyLcrbp, ProtectsBothBranches) {
 TEST(GreedyLcrbp, AlphaHalfNeedsOnlyOneProtector) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, fast_cfg(0.5));
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg(0.5));
   EXPECT_EQ(r.protectors.size(), 1u);
   EXPECT_GE(r.achieved_fraction, 0.5);
 }
@@ -56,7 +58,7 @@ TEST(GreedyLcrbp, MaxProtectorsCapRespected) {
   GreedyConfig cfg = fast_cfg(1.0);
   cfg.max_protectors = 1;
   const GreedyResult r =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
   EXPECT_EQ(r.protectors.size(), 1u);
 }
 
@@ -64,8 +66,9 @@ TEST(GreedyLcrbp, NoBridgeEndsIsTriviallyDone) {
   // Rumor community with no outgoing boundary.
   const DiGraph g = make_graph(3, {{0, 1}});
   const Partition p(std::vector<CommunityId>{0, 0, 1});
-  const GreedyResult r = greedy_lcrbp(g, p, 0, std::vector<NodeId>{0},
-                                      fast_cfg());
+  const std::vector<NodeId> rumors{0};
+  const GreedyResult r = greedy_lcrbp_from_bridges(
+      g, rumors, find_bridge_ends(g, p, 0, rumors), fast_cfg());
   EXPECT_TRUE(r.protectors.empty());
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
 }
@@ -77,9 +80,9 @@ TEST(GreedyLcrbp, CelfMatchesPlainGreedy) {
   GreedyConfig plain = fast_cfg();
   plain.use_celf = false;
   const GreedyResult a =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, celf);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, celf);
   const GreedyResult b =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, plain);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, plain);
   std::vector<NodeId> sa = a.protectors, sb = b.protectors;
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
@@ -91,7 +94,7 @@ TEST(GreedyLcrbp, CelfMatchesPlainGreedy) {
 TEST(GreedyLcrbp, GainHistoryNonIncreasingOnDeterministicGraph) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, fast_cfg());
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg());
   for (std::size_t i = 1; i < r.gain_history.size(); ++i) {
     EXPECT_LE(r.gain_history[i], r.gain_history[i - 1] + 1e-9);
   }
@@ -105,7 +108,7 @@ TEST(GreedyLcrbp, CandidateStrategies) {
     GreedyConfig cfg = fast_cfg();
     cfg.candidates = strat;
     const GreedyResult r =
-        greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
+        greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
     EXPECT_GE(r.achieved_fraction, 0.99) << to_string(strat);
     EXPECT_GT(r.candidate_count, 0u);
   }
@@ -118,9 +121,9 @@ TEST(GreedyLcrbp, BbstUnionSmallerThanAllNodes) {
   GreedyConfig all = fast_cfg();
   all.candidates = CandidateStrategy::kAllNodes;
   const GreedyResult a =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, un);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, un);
   const GreedyResult b =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, all);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, all);
   EXPECT_LT(a.candidate_count, b.candidate_count);
 }
 
@@ -128,9 +131,9 @@ TEST(GreedyLcrbp, InvalidAlphaThrows) {
   TwoPathFixture f;
   GreedyConfig cfg = fast_cfg();
   cfg.alpha = 0.0;
-  EXPECT_THROW(greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg), Error);
+  EXPECT_THROW(greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg), Error);
   cfg.alpha = 1.5;
-  EXPECT_THROW(greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg), Error);
+  EXPECT_THROW(greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg), Error);
 }
 
 TEST(GreedyLcrbp, DoamSigmaReachesFullProtectionLikeScbg) {
@@ -150,14 +153,14 @@ TEST(GreedyLcrbp, DoamSigmaReachesFullProtectionLikeScbg) {
   cfg.sigma.model = DiffusionModel::kDoam;
   cfg.sigma.samples = 1;
   cfg.max_protectors = 200;
-  const GreedyResult r = greedy_lcrbp(cg.graph, p, 0, rumors, cfg);
+  const BridgeEndResult b = find_bridge_ends(cg.graph, p, 0, rumors);
+  const GreedyResult r = greedy_lcrbp_from_bridges(cg.graph, rumors, b, cfg);
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
 
   // Sanity against SCBG on the same instance: both fully protect; the
   // set-cover greedy should not be drastically worse than the sigma greedy.
-  const ScbgResult sc = scbg(cg.graph, p, 0, rumors);
+  const ScbgResult sc = scbg_from_bridges(cg.graph, rumors, b);
   SeedSets seeds{rumors, r.protectors};
-  const BridgeEndResult b = find_bridge_ends(cg.graph, p, 0, rumors);
   const auto saved = doam_saved(cg.graph, seeds, b.bridge_ends);
   for (bool s : saved) EXPECT_TRUE(s);
   EXPECT_LE(sc.protectors.size(), r.protectors.size() + 5);
@@ -168,7 +171,7 @@ TEST(GreedyLcrbp, MaxCandidatesCapsPoolButKeepsQuality) {
   GreedyConfig cfg = fast_cfg();
   cfg.max_candidates = 2;
   const GreedyResult r =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
   EXPECT_LE(r.candidate_count, 2u);
   // Nodes 1 and 4 sit in the most BBSTs... each sits in exactly one; the
   // rank-by-membership truncation must still leave a pool that can make
@@ -181,10 +184,10 @@ TEST(GreedyLcrbp, MaxCandidatesZeroMeansUnlimited) {
   GreedyConfig cfg = fast_cfg();
   cfg.max_candidates = 0;
   const GreedyResult a =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
   cfg.max_candidates = 1000000;
   const GreedyResult b =
-      greedy_lcrbp(f.g, f.p, 0, std::vector<NodeId>{0}, cfg);
+      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
   EXPECT_EQ(a.candidate_count, b.candidate_count);
 }
 

@@ -210,7 +210,6 @@ TEST(OptionsTest, EngineViewsCarryTheSharedKnobs) {
   EXPECT_EQ(gc.sigma.samples, 13u);
   EXPECT_EQ(gc.sigma.seed, 21u);
   EXPECT_EQ(gc.sigma.model, DiffusionModel::kDoam);
-  EXPECT_DOUBLE_EQ(gc.ris.epsilon, 0.2);
 
   const SigmaConfig sc = opts.sigma_config();
   EXPECT_EQ(sc.samples, 13u);

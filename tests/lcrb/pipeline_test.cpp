@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -115,6 +117,63 @@ TEST_F(PipelineFixture, GreedySelectorImprovesOverNoBlocking) {
   const HopSeries without = evaluate_protectors(s, {}, mc);
   EXPECT_GT(with.saved_fraction_mean, without.saved_fraction_mean);
   EXPECT_LE(with.final_infected_mean, without.final_infected_mean);
+}
+
+TEST_F(PipelineFixture, SelectAnswersAlikeWithAndWithoutLentWarmState) {
+  // select() serves the Monte-Carlo greedy, its multi-campaign variant and
+  // the RIS greedy; lending a caller's warm estimator or RIS context must
+  // not change any reported figure (only nodes_visited is the call's own).
+  const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 3, 17);
+  ASSERT_FALSE(s.bridges.bridge_ends.empty());
+  LcrbOptions mc;
+  mc.alpha = 0.9;
+  mc.sigma_samples = 5;
+  mc.max_candidates = 40;
+  LcrbOptions multi = mc;
+  multi.multi_mode = MultiCascadeMode::kUncoordinated;
+  multi.protector_budgets = {2, 1};
+  LcrbOptions ris = mc;
+  ris.sigma_mode = SigmaMode::kRis;
+  ris.ris_initial_sets = 64;
+  ris.ris_max_sets = 4096;
+
+  const SigmaEstimator estimator(cg.graph, s.rumors, s.bridges.bridge_ends,
+                                 mc.sigma_config());
+  RisContext ctx(cg.graph, s.rumors, s.bridges.bridge_ends,
+                 ris.ris_config());
+  for (const LcrbOptions& opts : {mc, multi, ris}) {
+    const Selection own = select(s, opts);
+    const Selection lent =
+        select(s, opts, nullptr, WarmSigma{&estimator, &ctx});
+    const std::string label = to_string(opts.sigma_mode) + "/" +
+                              to_string(opts.multi_mode);
+    EXPECT_FALSE(own.protectors.empty()) << label;
+    EXPECT_EQ(own.protectors, lent.protectors) << label;
+    EXPECT_EQ(own.groups, lent.groups) << label;
+    EXPECT_EQ(own.gain_history, lent.gain_history) << label;
+    EXPECT_EQ(own.achieved_fraction, lent.achieved_fraction) << label;
+    EXPECT_EQ(own.candidate_count, lent.candidate_count) << label;
+    EXPECT_EQ(own.sigma_evaluations, lent.sigma_evaluations) << label;
+    EXPECT_EQ(own.ris.has_value(), opts.sigma_mode == SigmaMode::kRis)
+        << label;
+    if (own.ris && lent.ris) {
+      EXPECT_EQ(own.ris->rounds, lent.ris->rounds);
+      EXPECT_EQ(own.ris->sigma_lower, lent.ris->sigma_lower);
+      EXPECT_EQ(own.ris->sigma_upper, lent.ris->sigma_upper);
+      EXPECT_EQ(own.ris->guarantee_met, lent.ris->guarantee_met);
+      EXPECT_EQ(own.ris->stop_reason, lent.ris->stop_reason);
+    }
+    EXPECT_EQ(select_protectors(s, opts), own.protectors) << label;
+  }
+  // The multi-campaign record carries the groups and their deployed union.
+  const Selection m = select(s, multi);
+  ASSERT_EQ(m.groups.size(), 2u);
+  std::set<NodeId> deployed;
+  for (const std::vector<NodeId>& g : m.groups) {
+    deployed.insert(g.begin(), g.end());
+  }
+  EXPECT_EQ(m.protectors,
+            std::vector<NodeId>(deployed.begin(), deployed.end()));
 }
 
 TEST_F(PipelineFixture, SelectorNames) {

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "lcrb/pipeline.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -507,40 +508,36 @@ TEST(RisGreedyTest, PoolByteBudgetActsAsSamplingCap) {
   EXPECT_FALSE(capped.protectors.empty());
 }
 
-// --- SigmaMode::kRis through the greedy front door ---
+// --- SigmaMode::kRis through the select() front door ---
 
 TEST(RisGreedyTest, GreedyDispatchMatchesDirectRisCall) {
   const DiGraph g =
       make_graph(7, {{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 6}});
   const Partition part(std::vector<CommunityId>{0, 1, 1, 1, 1, 1, 1});
   const std::vector<NodeId> rumors = {0};
-  const auto bridges = find_bridge_ends(g, part, 0, rumors);
-  ASSERT_EQ(bridges.bridge_ends, (std::vector<NodeId>{1, 4}));
+  const ExperimentSetup setup = prepare_experiment_with_rumors(g, part, rumors);
+  ASSERT_EQ(setup.bridges.bridge_ends, (std::vector<NodeId>{1, 4}));
 
-  GreedyConfig gc;
-  gc.alpha = 0.99;
-  gc.sigma_mode = SigmaMode::kRis;
-  gc.sigma.model = DiffusionModel::kOpoao;
-  gc.sigma.seed = 5;
-  gc.ris.initial_sets = 256;
-  const GreedyResult via_greedy =
-      greedy_lcrbp_from_bridges(g, rumors, bridges, gc);
+  LcrbOptions opts;
+  opts.alpha = 0.99;
+  opts.budget = 6;  // every non-rumor node: no cap in effect
+  opts.sigma_mode = SigmaMode::kRis;
+  opts.model = DiffusionModel::kOpoao;
+  opts.sigma_seed = 5;
+  opts.ris_initial_sets = 256;
+  const Selection via_select = select(setup, opts);
 
-  RisConfig rc = gc.ris;
-  rc.model = gc.sigma.model;
-  rc.seed = gc.sigma.seed;
-  rc.max_hops = gc.sigma.max_hops;
-  rc.ic_edge_prob = gc.sigma.ic_edge_prob;
-  const RisGreedyResult direct =
-      ris_greedy_from_bridges(g, rumors, bridges, gc.alpha, 0, rc);
+  const RisGreedyResult direct = ris_greedy_from_bridges(
+      g, rumors, setup.bridges, opts.alpha, opts.budget, opts.ris_config());
 
-  EXPECT_EQ(via_greedy.protectors, direct.protectors);
-  EXPECT_DOUBLE_EQ(via_greedy.achieved_fraction, direct.achieved_fraction);
-  EXPECT_EQ(via_greedy.sigma_evaluations, direct.rr_sets);
-  EXPECT_EQ(via_greedy.ris_rounds, direct.rounds);
-  EXPECT_DOUBLE_EQ(via_greedy.ris_sigma_lower, direct.sigma_lower);
-  EXPECT_DOUBLE_EQ(via_greedy.ris_sigma_upper, direct.sigma_upper);
-  EXPECT_EQ(via_greedy.nodes_visited, direct.nodes_visited);
+  EXPECT_EQ(via_select.protectors, direct.protectors);
+  EXPECT_DOUBLE_EQ(via_select.achieved_fraction, direct.achieved_fraction);
+  EXPECT_EQ(via_select.sigma_evaluations, direct.rr_sets);
+  ASSERT_TRUE(via_select.ris.has_value());
+  EXPECT_EQ(via_select.ris->rounds, direct.rounds);
+  EXPECT_DOUBLE_EQ(via_select.ris->sigma_lower, direct.sigma_lower);
+  EXPECT_DOUBLE_EQ(via_select.ris->sigma_upper, direct.sigma_upper);
+  EXPECT_EQ(via_select.nodes_visited, direct.nodes_visited);
 }
 
 TEST(RisGreedyTest, BothModesAgreeOnTheForcedAnswer) {
@@ -554,16 +551,17 @@ TEST(RisGreedyTest, BothModesAgreeOnTheForcedAnswer) {
   mc.alpha = 0.99;
   mc.sigma.samples = 20;
   mc.sigma.seed = 5;
-  GreedyConfig ris = mc;
-  ris.sigma_mode = SigmaMode::kRis;
-  ris.ris.initial_sets = 256;
+  RisConfig ris;
+  ris.seed = mc.sigma.seed;
+  ris.initial_sets = 256;
 
   auto sorted = [](std::vector<NodeId> v) {
     std::sort(v.begin(), v.end());
     return v;
   };
   const auto r_mc = greedy_lcrbp_from_bridges(g, rumors, bridges, mc);
-  const auto r_ris = greedy_lcrbp_from_bridges(g, rumors, bridges, ris);
+  const auto r_ris =
+      ris_greedy_from_bridges(g, rumors, bridges, mc.alpha, 0, ris);
   EXPECT_EQ(sorted(r_mc.protectors), sorted(r_ris.protectors));
   EXPECT_GT(r_ris.nodes_visited, 0u);
 }

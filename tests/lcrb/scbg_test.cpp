@@ -11,10 +11,13 @@
 namespace lcrb {
 namespace {
 
+const std::vector<NodeId> kRumor0{0};
+
 TEST(Scbg, EmptyWhenNoBridgeEnds) {
   const DiGraph g = make_graph(3, {{0, 1}});
   const Partition p(std::vector<CommunityId>{0, 0, 1});
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   EXPECT_TRUE(r.protectors.empty());
   EXPECT_TRUE(r.bridge_ends.empty());
 }
@@ -23,7 +26,8 @@ TEST(Scbg, SingleBridgeEndOneProtector) {
   // 0(rumor) -> 1 -> 2 | community boundary | -> 3.
   const DiGraph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   const Partition p(std::vector<CommunityId>{0, 0, 0, 1});
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   EXPECT_EQ(r.bridge_ends, (std::vector<NodeId>{3}));
   EXPECT_EQ(r.protectors.size(), 1u);
 }
@@ -32,7 +36,8 @@ TEST(Scbg, SharedAncestorCoversManyBridgeEnds) {
   // Rumor 0 -> hub 1 -> {2,3,4} bridge ends; protecting hub 1 covers all.
   const DiGraph g = make_graph(5, {{0, 1}, {1, 2}, {1, 3}, {1, 4}});
   const Partition p(std::vector<CommunityId>{0, 0, 1, 1, 1});
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   EXPECT_EQ(r.bridge_ends.size(), 3u);
   ASSERT_EQ(r.protectors.size(), 1u);
   EXPECT_EQ(r.protectors[0], 1u);
@@ -46,7 +51,8 @@ TEST(Scbg, PrefersOneCovererOverManySingletons) {
   const Partition p(std::vector<CommunityId>{0, 0, 0, 1, 0, 1, 1, 1});
   // Bridge ends: 3 (dist 3), 5 (dist 3). Nodes 1 and 6 each reach both in
   // time, so a single protector suffices.
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   ASSERT_EQ(r.bridge_ends.size(), 2u);
   ASSERT_EQ(r.protectors.size(), 1u);
   EXPECT_TRUE(r.protectors[0] == 1u || r.protectors[0] == 6u);
@@ -76,7 +82,8 @@ TEST_P(ScbgGuaranteeTest, AllBridgeEndsProtectedUnderDoam) {
 
   // SCBG re-checks its cover internally and throws on violation; also
   // assert the simulated cascade here for belt and braces.
-  const ScbgResult r = scbg(cg.graph, p, 0, rumors);
+  const ScbgResult r = scbg_from_bridges(
+      cg.graph, rumors, find_bridge_ends(cg.graph, p, 0, rumors));
   SeedSets seeds;
   seeds.rumors = rumors;
   seeds.protectors = r.protectors;
@@ -110,7 +117,8 @@ TEST(Scbg, WorksWithDetectedCommunities) {
   const std::vector<NodeId>& members = detected.members(biggest);
   const std::vector<NodeId> rumors{members[0], members[1]};
 
-  const ScbgResult r = scbg(cg.graph, detected, biggest, rumors);
+  const ScbgResult r = scbg_from_bridges(
+      cg.graph, rumors, find_bridge_ends(cg.graph, detected, biggest, rumors));
   // The cover is verified internally; just confirm it ran end to end.
   EXPECT_EQ(r.covered, r.bridge_ends.size());
 }
@@ -132,7 +140,8 @@ TEST(Scbg, TiesGoToTheLowestNodeId) {
   const DiGraph g = make_graph(20, arcs);
   Partition p(std::vector<CommunityId>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1,
                                        1, 1, 0, 0, 0, 0, 0, 0, 0, 0});
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   EXPECT_EQ(r.bridge_ends, (std::vector<NodeId>{4, 5, 6, 7, 8, 9, 10, 11}));
   EXPECT_EQ(r.protectors, (std::vector<NodeId>{1, 2, 3}));
 }
@@ -140,7 +149,8 @@ TEST(Scbg, TiesGoToTheLowestNodeId) {
 TEST(Scbg, CandidateCountReported) {
   const DiGraph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   const Partition p(std::vector<CommunityId>{0, 0, 0, 1});
-  const ScbgResult r = scbg(g, p, 0, std::vector<NodeId>{0});
+  const ScbgResult r =
+      scbg_from_bridges(g, kRumor0, find_bridge_ends(g, p, 0, kRumor0));
   EXPECT_GT(r.candidate_count, 0u);
 }
 

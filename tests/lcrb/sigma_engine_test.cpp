@@ -256,8 +256,8 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
   const Partition p(cg.membership);
   const std::vector<NodeId> rumors{p.members(0)[0], p.members(0)[1]};
 
-  const std::vector<NodeId> ends =
-      find_bridge_ends(cg.graph, p, 0, rumors).bridge_ends;
+  const BridgeEndResult bridges = find_bridge_ends(cg.graph, p, 0, rumors);
+  const std::vector<NodeId>& ends = bridges.bridge_ends;
   ASSERT_FALSE(ends.empty());
 
   // Every prefix of the greedy's picks scores the same under the cache and
@@ -270,7 +270,8 @@ TEST(SigmaEngine, GreedyResultsIdenticalWithAndWithoutCache) {
       gc.alpha = 0.9;
       gc.use_celf = celf;
       gc.sigma = engine_cfg(m, 12);
-      const GreedyResult r = greedy_lcrbp(cg.graph, p, 0, rumors, gc);
+      const GreedyResult r =
+          greedy_lcrbp_from_bridges(cg.graph, rumors, bridges, gc);
       const SigmaEstimator est(cg.graph, rumors, ends, gc.sigma);
       const std::string label = to_string(m) + (celf ? " celf" : " plain");
       picks += r.protectors.size();

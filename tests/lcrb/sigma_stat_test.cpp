@@ -294,17 +294,20 @@ void run_quality_comparison(DiffusionModel model, std::size_t mc_samples) {
   base.sigma.seed = 9;
   base.sigma.max_hops = 16;
 
-  GreedyConfig mc_cfg = base;
-  GreedyConfig ris_cfg = base;
-  ris_cfg.sigma_mode = SigmaMode::kRis;
-  ris_cfg.ris.epsilon = 0.1;
-  ris_cfg.ris.initial_sets = 512;
-  ris_cfg.ris.max_sets = std::size_t{1} << 13;
+  // RIS draws under the same diffusion knobs as the Monte-Carlo sigma.
+  RisConfig ris_cfg;
+  ris_cfg.model = model;
+  ris_cfg.seed = base.sigma.seed;
+  ris_cfg.max_hops = base.sigma.max_hops;
+  ris_cfg.epsilon = 0.1;
+  ris_cfg.initial_sets = 512;
+  ris_cfg.max_sets = std::size_t{1} << 13;
 
-  const GreedyResult r_mc =
-      greedy_lcrbp_from_bridges(ds.net.graph, setup.rumors, setup.bridges, mc_cfg);
-  const GreedyResult r_ris =
-      greedy_lcrbp_from_bridges(ds.net.graph, setup.rumors, setup.bridges, ris_cfg);
+  const GreedyResult r_mc = greedy_lcrbp_from_bridges(
+      ds.net.graph, setup.rumors, setup.bridges, base);
+  const RisGreedyResult r_ris = ris_greedy_from_bridges(
+      ds.net.graph, setup.rumors, setup.bridges, base.alpha,
+      base.max_protectors, ris_cfg);
   ASSERT_FALSE(r_mc.protectors.empty());
   ASSERT_FALSE(r_ris.protectors.empty());
 
@@ -320,7 +323,7 @@ void run_quality_comparison(DiffusionModel model, std::size_t mc_samples) {
   const double range = static_cast<double>(ends.size());
   const auto agree = hoeffding_agreement(
       sigma_mc, ref_cfg.samples, sigma_ris, ref_cfg.samples, range,
-      /*delta=*/1e-4, /*slack=*/ris_cfg.ris.epsilon * range);
+      /*delta=*/1e-4, /*slack=*/ris_cfg.epsilon * range);
   EXPECT_TRUE(agree.ok) << "sigma_mc " << sigma_mc << " sigma_ris "
                         << sigma_ris << " tol " << agree.tol;
 }

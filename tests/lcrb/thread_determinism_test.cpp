@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "lcrb/ris.h"
 #include "lcrb/scbg.h"
 #include "lcrb/sigma.h"
 #include "util/rng.h"
@@ -84,6 +85,28 @@ class ThreadDeterminismTest : public ::testing::Test {
       EXPECT_EQ(serial.achieved_fraction, r->achieved_fraction);
       EXPECT_EQ(serial.sigma_evaluations, r->sigma_evaluations);
       EXPECT_EQ(serial.candidate_count, r->candidate_count);
+    }
+    EXPECT_FALSE(serial.protectors.empty());
+  }
+
+  // check() for the RIS engine.
+  void check_ris(double alpha, const RisConfig& cfg) {
+    const RisGreedyResult serial =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
+    ThreadPool one(1);
+    const RisGreedyResult t1 =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &one);
+    ThreadPool four(4);
+    const RisGreedyResult t4 =
+        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &four);
+
+    for (const RisGreedyResult* r : {&t1, &t4}) {
+      EXPECT_EQ(serial.protectors, r->protectors);
+      expect_bitwise_equal(serial.gain_history, r->gain_history,
+                           "gain_history");
+      EXPECT_EQ(serial.achieved_fraction, r->achieved_fraction);
+      EXPECT_EQ(serial.rr_sets, r->rr_sets);
+      EXPECT_EQ(serial.distinct_candidates, r->distinct_candidates);
     }
     EXPECT_FALSE(serial.protectors.empty());
   }
@@ -161,37 +184,33 @@ TEST_F(ThreadDeterminismTest, SigmaBatchAndCelfAreThreadCountInvariant) {
 }
 
 TEST_F(ThreadDeterminismTest, RisGreedyOpoaoIsThreadCountInvariant) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kOpoao;
-  cfg.sigma.seed = 9;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
-  check(cfg);
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kOpoao;
+  cfg.seed = 9;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
+  check_ris(0.8, cfg);
 }
 
 TEST_F(ThreadDeterminismTest, RisGreedyIcBoundsAreThreadCountInvariant) {
-  GreedyConfig cfg;
-  cfg.alpha = 0.7;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kIc;
-  cfg.sigma.ic_edge_prob = 0.25;
-  cfg.sigma.seed = 21;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kIc;
+  cfg.ic_edge_prob = 0.25;
+  cfg.seed = 21;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
 
-  const GreedyResult serial =
-      greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, nullptr);
+  const RisGreedyResult serial =
+      ris_greedy_from_bridges(g_, rumors_, bridges_, 0.7, 0, cfg, nullptr);
   ThreadPool four(4);
-  const GreedyResult t4 =
-      greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &four);
+  const RisGreedyResult t4 =
+      ris_greedy_from_bridges(g_, rumors_, bridges_, 0.7, 0, cfg, &four);
   EXPECT_EQ(serial.protectors, t4.protectors);
-  EXPECT_EQ(serial.ris_rounds, t4.ris_rounds);
+  EXPECT_EQ(serial.rounds, t4.rounds);
   // The certified bounds are sums over preassigned RR-set slots — also
   // scheduling-invariant, bit for bit.
-  EXPECT_EQ(serial.ris_sigma_lower, t4.ris_sigma_lower);
-  EXPECT_EQ(serial.ris_sigma_upper, t4.ris_sigma_upper);
+  EXPECT_EQ(serial.sigma_lower, t4.sigma_lower);
+  EXPECT_EQ(serial.sigma_upper, t4.sigma_upper);
   EXPECT_EQ(serial.achieved_fraction, t4.achieved_fraction);
 }
 
@@ -268,14 +287,12 @@ TEST_F(ThreadDeterminismTest, ScbgIsThreadCountInvariant) {
 TEST_F(ThreadDeterminismTest, RisGreedyDoamIsThreadCountInvariant) {
   // Third model family through the same byte-identity harness (OPOAO and IC
   // are covered above): generation + selection, serial vs 1 vs 4 threads.
-  GreedyConfig cfg;
-  cfg.alpha = 0.8;
-  cfg.sigma_mode = SigmaMode::kRis;
-  cfg.sigma.model = DiffusionModel::kDoam;
-  cfg.sigma.seed = 5;
-  cfg.ris.initial_sets = 128;
-  cfg.ris.max_sets = 4096;
-  check(cfg);
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kDoam;
+  cfg.seed = 5;
+  cfg.initial_sets = 128;
+  cfg.max_sets = 4096;
+  check_ris(0.8, cfg);
 }
 
 TEST_F(ThreadDeterminismTest, KWayMultiGreedyIsThreadCountInvariant) {

@@ -20,13 +20,18 @@ struct RegistryFixture : public ::testing::Test {
     p = Partition(cg.membership);
   }
 
+  /// The session's memoized setup for `seed`, built and kept on a miss.
   ExperimentSetup setup_for(GraphSession& s, std::uint64_t seed,
                             bool* hit = nullptr) {
     const std::string key = make_setup_key({}, 0, 4, seed);
-    return *s.setup_for(
-        key,
-        [&] { return prepare_experiment(s.graph(), s.partition(), 0, 4, seed); },
-        hit);
+    std::shared_ptr<const ExperimentSetup> setup = s.find_setup(key);
+    if (hit != nullptr) *hit = setup != nullptr;
+    if (setup == nullptr) {
+      setup = std::make_shared<const ExperimentSetup>(
+          prepare_experiment(s.graph(), s.partition(), 0, 4, seed));
+      s.keep_setup(key, setup);
+    }
+    return *setup;
   }
 
   CommunityGraph cg;
@@ -233,12 +238,7 @@ TEST_F(RegistryFixture, WarmStateCountsTowardTheBudget) {
   // lookup of b evicts idle a (b itself is pinned by the lookup).
   {
     const auto b = reg.find("b");
-    const ExperimentSetup setup = *b->setup_for(
-        make_setup_key({}, 0, 4, 17),
-        [&] {
-          return prepare_experiment(b->graph(), b->partition(), 0, 4, 17);
-        },
-        nullptr);
+    const ExperimentSetup setup = setup_for(*b, 17);
     SigmaConfig sc;
     sc.samples = 8;
     b->estimator_for(make_setup_key({}, 0, 4, 17), setup, sc, nullptr,

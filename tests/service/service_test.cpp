@@ -197,6 +197,53 @@ TEST_F(ServiceFixture, OverBoundSigmaCacheIsRefusedWithoutWarmingState) {
   ASSERT_TRUE(warm.ok) << warm.error;
   const QueryResult fresh = make_service()->run(next);
   EXPECT_EQ(warm.to_json(false).dump(), fresh.to_json(false).dump());
+
+  // The same refusal for a rumor draw the session has never seen: the
+  // select builds that draw's setup, but keeps it only once a query on it
+  // succeeds.
+  const std::size_t settled = svc->run(info).resident_bytes;
+  QueryRequest unseen = over;
+  unseen.rumor_seed = 99;
+  const QueryResult refused_unseen = svc->run(unseen);
+  ASSERT_FALSE(refused_unseen.ok);
+  EXPECT_EQ(refused_unseen.error_code, ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(refused_unseen.meta.get_bool("setup_cache_hit", true));
+  EXPECT_EQ(svc->run(info).resident_bytes, settled);
+}
+
+TEST_F(ServiceFixture, OverBoundEvaluateIsRefusedAndTheServiceKeepsAnswering) {
+  // An evaluate whose runs x (max_hops + 1) series would exceed
+  // kMaxHopSeriesBytes is a deterministic invalid_argument, answered on a
+  // dispatcher thread like any other failure; the session keeps no state
+  // for it and the next queries answer as on a fresh service.
+  auto svc = make_service();
+  QueryRequest info;
+  info.op = QueryOp::kInfo;
+  info.dataset = "ds";
+  const std::size_t before = svc->run(info).resident_bytes;
+
+  QueryRequest over = select_request();
+  over.version = 2;
+  over.op = QueryOp::kEvaluate;
+  over.protectors = {1, 2, 3};
+  over.eval_runs = 2;
+  over.options.max_hops = 0xffffffff;
+  const QueryResult refused = svc->submit(over).get();
+  ASSERT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(refused.error.find("-byte bound"), std::string::npos)
+      << refused.error;
+  EXPECT_EQ(svc->run(info).resident_bytes, before);
+
+  QueryRequest evaluate = over;
+  evaluate.eval_runs = 20;
+  evaluate.options.max_hops = 31;
+  for (const QueryRequest& req : {evaluate, select_request()}) {
+    const QueryResult got = svc->submit(req).get();
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_EQ(got.to_json(false).dump(),
+              make_service()->run(req).to_json(false).dump());
+  }
 }
 
 TEST_F(ServiceFixture, BatchIsByteIdenticalToSequential) {

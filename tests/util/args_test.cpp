@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "util/error.h"
 
@@ -60,6 +62,48 @@ TEST(Args, MalformedNumberThrows) {
   Args a({"--n", "abc"});
   EXPECT_THROW(a.get_int("n", 0), Error);
   EXPECT_THROW(a.get_double("n", 0), Error);
+}
+
+TEST(Args, TrailingGarbageThrowsNamingTheFlag) {
+  // std::stoll("5abc") is 5: the whole token must parse.
+  Args a({"--samples", "5abc", "--alpha", "0.8x", "--hops=-1"});
+  for (auto get : {+[](const Args& x) { (void)x.get_int("samples", 0); },
+                   +[](const Args& x) { (void)x.get_double("alpha", 0); }}) {
+    try {
+      get(a);
+      ADD_FAILURE() << "trailing garbage was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("flag --"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(a.get_int_env("samples", "LCRB_TEST_UNSET_ENV", 0), Error);
+  EXPECT_THROW(a.get_double_env("alpha", "LCRB_TEST_UNSET_ENV", 0), Error);
+  EXPECT_EQ(a.get_int("hops", 0), -1);  // well-formed, so it parses
+}
+
+TEST(Args, GetCountRangeChecksTheValue) {
+  Args a({"--hops=-1", "--runs", "4294967296", "--trials", "7"});
+  EXPECT_THROW(a.get_count<std::uint32_t>("hops", 31), Error);
+  EXPECT_THROW(a.get_count<std::uint32_t>("runs", 1), Error);
+  EXPECT_EQ(a.get_count<std::size_t>("runs", 1), 4294967296u);
+  EXPECT_EQ(a.get_count<std::size_t>("trials", 1), 7u);
+  EXPECT_EQ(a.get_count<std::uint32_t>("absent", 31), 31u);
+}
+
+TEST(Args, EnvTrailingGarbageThrowsNamingTheVariable) {
+  setenv("LCRB_TEST_GARBAGE", "12abc", 1);
+  Args a({});
+  try {
+    (void)a.get_int_env("runs", "LCRB_TEST_GARBAGE", 1);
+    ADD_FAILURE() << "trailing garbage was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("LCRB_TEST_GARBAGE"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(a.get_double_env("scale", "LCRB_TEST_GARBAGE", 1.0), Error);
+  unsetenv("LCRB_TEST_GARBAGE");
 }
 
 TEST(Args, ArgcArgvConstructor) {

@@ -99,27 +99,15 @@ Partition detect(const DiGraph& g, const Args& args) {
 ExperimentSetup setup_experiment(const DiGraph& g, const Partition& p,
                                  const Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const CommunityId rc = p.closest_to_size(
-      static_cast<NodeId>(args.get_int("community-size", 100)));
+  const CommunityId rc =
+      p.closest_to_size(args.get_count<NodeId>("community-size", 100));
 
   if (args.has("rumor-ids")) {
-    ExperimentSetup s;
-    s.graph = g;
-    s.partition = &p;
-    s.rumor_community = kInvalidCommunity;
-    s.rumors = parse_ids(args.get_string("rumor-ids", ""));
-    LCRB_REQUIRE(!s.rumors.empty(), "--rumor-ids parsed to nothing");
-    // Require a common community so bridge ends are well-defined.
-    const CommunityId c = p.community_of(s.rumors.front());
-    for (NodeId r : s.rumors) {
-      LCRB_REQUIRE(p.community_of(r) == c,
-                   "--rumor-ids must share one community");
-    }
-    s.rumor_community = c;
-    s.bridges = find_bridge_ends(g, p, c, s.rumors);
-    return s;
+    std::vector<NodeId> rumors = parse_ids(args.get_string("rumor-ids", ""));
+    LCRB_REQUIRE(!rumors.empty(), "--rumor-ids parsed to nothing");
+    return prepare_experiment_with_rumors(g, p, std::move(rumors));
   }
-  const auto k = static_cast<std::size_t>(args.get_int("rumors", 5));
+  const auto k = args.get_count<std::size_t>("rumors", 5);
   return prepare_experiment(g, p, rc,
                             std::min<std::size_t>(k, p.size_of(rc)), seed);
 }
@@ -141,9 +129,8 @@ service::QueryRequest base_request(const Args& args) {
     req.rumor_ids = parse_ids(args.get_string("rumor-ids", ""));
     LCRB_REQUIRE(!req.rumor_ids.empty(), "--rumor-ids parsed to nothing");
   } else {
-    req.community_size =
-        static_cast<std::size_t>(args.get_int("community-size", 100));
-    req.num_rumors = static_cast<std::size_t>(args.get_int("rumors", 5));
+    req.community_size = args.get_count<std::size_t>("community-size", 100);
+    req.num_rumors = args.get_count<std::size_t>("rumors", 5);
   }
   req.rumor_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   return req;
@@ -282,8 +269,8 @@ int cmd_simulate(const Args& args) {
   req.options.cascade_priority = cascade_priority_from_string(
       args.get_string("cascade-priority", "fixed"));
   req.options.ic_edge_prob = args.get_double("ic-prob", 0.1);
-  req.options.max_hops = static_cast<std::uint32_t>(args.get_int("hops", 31));
-  req.eval_runs = static_cast<std::size_t>(args.get_int("runs", 100));
+  req.options.max_hops = args.get_count<std::uint32_t>("hops", 31);
+  req.eval_runs = args.get_count<std::size_t>("runs", 100);
   req.eval_seed = static_cast<std::uint64_t>(args.get_int("seed", 1)) + 13;
 
   const service::QueryResult r = svc->run(req);
@@ -310,7 +297,7 @@ int cmd_locate(const Args& args) {
     const Partition p = detect(g, args);
     const ExperimentSetup s = setup_experiment(g, p, args);
     const RealizationParams dc{
-        .max_hops = static_cast<std::uint32_t>(args.get_int("hops", 4))};
+        .max_hops = args.get_count<std::uint32_t>("hops", 4)};
     const DiffusionResult r =
         simulate(g, {s.rumors, {}}, /*seed=*/0, DiffusionModel::kDoam, dc);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -319,7 +306,7 @@ int cmd_locate(const Args& args) {
     print_ids("true sources (simulated)", s.rumors);
   }
   SourceLocateConfig cfg;
-  cfg.num_sources = static_cast<std::size_t>(args.get_int("sources", 1));
+  cfg.num_sources = args.get_count<std::size_t>("sources", 1);
   cfg.score = args.get_string("score", "jordan") == "centroid"
                   ? SourceScore::kDistanceSum
                   : SourceScore::kEccentricity;
@@ -353,12 +340,12 @@ int cmd_gen(const Args& args) {
     membership = std::move(ds.net.membership);
   } else if (kind == "er") {
     Rng rng(seed);
-    const auto n = static_cast<NodeId>(args.get_int("nodes", 1000));
+    const auto n = args.get_count<NodeId>("nodes", 1000);
     g = erdos_renyi(n, args.get_double("p", 0.01), true, rng);
   } else if (kind == "ba") {
     Rng rng(seed);
-    const auto n = static_cast<NodeId>(args.get_int("nodes", 1000));
-    g = barabasi_albert(n, static_cast<NodeId>(args.get_int("m", 3)), rng);
+    const auto n = args.get_count<NodeId>("nodes", 1000);
+    g = barabasi_albert(n, args.get_count<NodeId>("m", 3), rng);
   } else {
     throw Error("unknown --kind '" + kind + "' (hep|enron|er|ba)");
   }
@@ -380,7 +367,7 @@ int cmd_verify(const Args& args) {
   // sane end to end.
   const DiGraph g = load(args);
   const Partition p = detect(g, args);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 5));
+  const auto trials = args.get_count<std::size_t>("trials", 5);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   std::size_t oracle_checks = 0, scbg_checks = 0;
