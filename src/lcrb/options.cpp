@@ -1,7 +1,6 @@
 #include "lcrb/options.h"
 
 #include <cctype>
-#include <charconv>
 
 #include "util/args.h"
 #include "util/error.h"
@@ -32,29 +31,6 @@ void read_count(const Args& args, const std::string& flag, T& out) {
 template <class T>
 void read_count(const JsonValue& v, const std::string& key, T& out) {
   out = checked_count<T>(v.as_int(), key);
-}
-
-// "1,2,3" -> {1, 2, 3}. Empty items are rejected so "1,,2" is a loud typo.
-std::vector<std::size_t> parse_size_list(const std::string& s) {
-  std::vector<std::size_t> out;
-  std::size_t begin = 0;
-  while (begin <= s.size()) {
-    std::size_t end = s.find(',', begin);
-    if (end == std::string::npos) end = s.size();
-    const std::string item = s.substr(begin, end - begin);
-    if (item.empty()) {
-      throw Error("options: empty item in list '" + s + "'");
-    }
-    std::int64_t parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), parsed);
-    if (ec != std::errc() || ptr != item.data() + item.size()) {
-      throw Error("options: bad number '" + item + "' in list '" + s + "'");
-    }
-    out.push_back(checked_count<std::size_t>(parsed, "--protector-budgets"));
-    begin = end + 1;
-  }
-  return out;
 }
 
 }  // namespace
@@ -143,8 +119,6 @@ void LcrbOptions::validate() const {
   if (ris_initial_sets == 0 || ris_max_sets < ris_initial_sets) {
     throw Error("options: need 1 <= ris_initial_sets <= ris_max_sets");
   }
-  // ris_max_pool_bytes: any value is valid (0 = unlimited; a tiny budget
-  // degrades to a one-set pool rather than failing).
   if (gvs_samples == 0) {
     throw Error("options: gvs_samples must be >= 1");
   }
@@ -218,7 +192,6 @@ RisConfig LcrbOptions::ris_config() const {
   rc.delta = ris_delta;
   rc.initial_sets = ris_initial_sets;
   rc.max_sets = ris_max_sets;
-  rc.max_pool_bytes = ris_max_pool_bytes;
   rc.seed = sigma_seed;
   rc.max_hops = max_hops;
   rc.model = model;
@@ -266,7 +239,6 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
   o.ris_delta = args.get_double("ris-delta", o.ris_delta);
   read_count(args, "ris-initial-sets", o.ris_initial_sets);
   read_count(args, "ris-max-sets", o.ris_max_sets);
-  read_count(args, "ris-pool-bytes", o.ris_max_pool_bytes);
   read_count(args, "gvs-samples", o.gvs_samples);
   read_count(args, "gvs-candidates", o.gvs_max_candidates);
   if (args.has("cascade-priority")) {
@@ -278,8 +250,8 @@ LcrbOptions LcrbOptions::from_args(const Args& args) {
         multi_cascade_mode_from_string(args.get_string("multi-mode", ""));
   }
   if (args.has("protector-budgets")) {
-    o.protector_budgets =
-        parse_size_list(args.get_string("protector-budgets", ""));
+    o.protector_budgets = parse_count_list<std::size_t>(
+        args.get_string("protector-budgets", ""), "--protector-budgets");
   }
   o.cldag_theta = args.get_double("cldag-theta", o.cldag_theta);
   if (args.has("graph-backend")) {
@@ -309,7 +281,6 @@ JsonValue LcrbOptions::to_json() const {
   v.set("ris_delta", ris_delta);
   v.set("ris_initial_sets", static_cast<std::uint64_t>(ris_initial_sets));
   v.set("ris_max_sets", static_cast<std::uint64_t>(ris_max_sets));
-  v.set("ris_max_pool_bytes", static_cast<std::uint64_t>(ris_max_pool_bytes));
   v.set("gvs_samples", static_cast<std::uint64_t>(gvs_samples));
   v.set("gvs_max_candidates", static_cast<std::uint64_t>(gvs_max_candidates));
   v.set("cascade_priority", to_string(cascade_priority));
@@ -362,8 +333,6 @@ LcrbOptions LcrbOptions::from_json(const JsonValue& v) {
       read_count(val, key, o.ris_initial_sets);
     } else if (key == "ris_max_sets") {
       read_count(val, key, o.ris_max_sets);
-    } else if (key == "ris_max_pool_bytes") {
-      read_count(val, key, o.ris_max_pool_bytes);
     } else if (key == "gvs_samples") {
       read_count(val, key, o.gvs_samples);
     } else if (key == "gvs_max_candidates") {

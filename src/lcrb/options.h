@@ -86,9 +86,6 @@ struct LcrbOptions {
   double ris_delta = 0.01;
   std::size_t ris_initial_sets = 512;
   std::size_t ris_max_sets = std::size_t{1} << 18;
-  /// Content-byte budget per RR pool (0 = unlimited); see
-  /// RisConfig::max_pool_bytes for the retirement semantics.
-  std::size_t ris_max_pool_bytes = 0;
 
   // --- gvs baseline --------------------------------------------------------
   std::size_t gvs_samples = 20;

@@ -29,7 +29,6 @@ std::string to_string(RisStopReason r) {
     case RisStopReason::kCertified: return "certified";
     case RisStopReason::kNegligible: return "negligible";
     case RisStopReason::kMaxSets: return "max_sets";
-    case RisStopReason::kPoolBytes: return "pool_bytes";
   }
   return "unknown";
 }
@@ -88,50 +87,6 @@ std::size_t RrPool::memory_bytes() const {
          inv_sets_.capacity() * sizeof(std::uint32_t);
 }
 
-std::size_t RrPool::content_bytes_for(std::size_t sets, std::size_t entries,
-                                      std::size_t num_graph_nodes) {
-  // Mirrors the post-append layout: set_off (sets + 1), nodes (entries),
-  // inv_off (num_graph_nodes + 1), inv_sets (entries). Size-based, so the
-  // same content always costs the same bytes whatever the growth history.
-  return sizeof(RrPool) + (sets + 1) * sizeof(std::uint32_t) +
-         entries * sizeof(NodeId) +
-         (num_graph_nodes + 1) * sizeof(std::uint32_t) +
-         entries * sizeof(std::uint32_t);
-}
-
-std::size_t RrPool::content_bytes() const {
-  const std::size_t num_nodes = inv_off_.empty() ? 0 : inv_off_.size() - 1;
-  return content_bytes_for(num_sets(), nodes_.size(), num_nodes);
-}
-
-void RrPool::set_byte_budget(std::size_t bytes) {
-  byte_budget_ = bytes;
-  byte_capped_ = false;
-  if (bytes == 0 || inv_off_.empty()) return;
-  const std::size_t num_nodes = inv_off_.size() - 1;
-  std::size_t sets = num_sets();
-  std::size_t entries = nodes_.size();
-  while (sets > 1 &&
-         content_bytes_for(sets, entries, num_nodes) > bytes) {
-    --sets;
-    entries = set_off_[sets];
-    byte_capped_ = true;
-  }
-  if (!byte_capped_) return;
-  for (std::size_t i = sets; i < num_sets(); ++i) {
-    if (set_off_[i + 1] == set_off_[i]) --num_null_;
-  }
-  set_off_.resize(sets + 1);
-  nodes_.resize(entries);
-  // Give the memory back: retirement exists to shrink the registry's
-  // capacity-based accounting, not just the logical size.
-  set_off_.shrink_to_fit();
-  nodes_.shrink_to_fit();
-  rebuild_inverted_index(static_cast<NodeId>(num_nodes));
-  inv_sets_.shrink_to_fit();
-  LCRB_INVARIANT(validate());
-}
-
 void RrPool::rebuild_inverted_index(NodeId num_graph_nodes) {
   // Counting sort; iterating sets in id order keeps each node's posting
   // list ascending.
@@ -167,28 +122,17 @@ void RrPool::append_shards(std::vector<RrShard>&& shards,
   for (const RrShard& sh : shards) {
     add_sets += sh.sizes.size();
     add_entries += sh.nodes.size();
-    nodes_visited_ += sh.visits;  // work was spent even if a set is dropped
+    nodes_visited_ += sh.visits;
   }
   nodes_.reserve(nodes_.size() + add_entries);
   set_off_.reserve(set_off_.size() + add_sets);
   for (RrShard& sh : shards) {
-    std::size_t pos = 0;
     for (std::uint32_t size : sh.sizes) {
-      if (byte_budget_ != 0 &&
-          content_bytes_for(num_sets() + 1, nodes_.size() + size,
-                            num_graph_nodes) > byte_budget_ &&
-          num_sets() >= 1) {
-        byte_capped_ = true;
-        break;
-      }
       if (size == 0) ++num_null_;
-      nodes_.insert(nodes_.end(), sh.nodes.begin() + pos,
-                    sh.nodes.begin() + pos + size);
-      set_off_.push_back(static_cast<std::uint32_t>(nodes_.size()));
-      pos += size;
+      set_off_.push_back(set_off_.back() + size);
     }
+    nodes_.insert(nodes_.end(), sh.nodes.begin(), sh.nodes.end());
     std::vector<NodeId>().swap(sh.nodes);  // merged: release it now
-    if (byte_capped_) break;
   }
   shards.clear();
   rebuild_inverted_index(num_graph_nodes);
@@ -240,10 +184,6 @@ void RrPool::validate() const {
   }
   LCRB_REQUIRE(covered == num_covered_nodes_,
                "covered-node counter out of sync");
-  if (byte_budget_ != 0) {
-    LCRB_REQUIRE(num_sets() <= 1 || content_bytes() <= byte_budget_,
-                 "pool content exceeds its byte budget");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +294,6 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
                        std::size_t target_sets, ThreadPool* tp) const {
   const std::size_t from = pool.num_sets();
   if (target_sets <= from) return;
-  if (pool.byte_budget() != 0 && pool.byte_capped()) return;  // already full
   fill(pool, target_sets - from,
        [&](std::size_t i) { return draw(stream, from + i); }, tp);
 }
@@ -494,16 +433,15 @@ CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
 
 namespace {
 
-/// Satellite guard: sampling hit a cap without certifying the (eps, delta)
+/// Sampling hit the max_sets cap without certifying the (eps, delta)
 /// guarantee. Warn once per process; every affected result carries
 /// guarantee_met = false.
-void warn_guarantee_not_met(RisStopReason reason, std::size_t theta,
-                            double epsilon, double delta) {
+void warn_guarantee_not_met(std::size_t theta, double epsilon, double delta) {
   static std::atomic<bool> warned{false};
   if (warned.exchange(true)) return;
-  LCRB_LOG_WARN << "ris: sampling stopped at the " << to_string(reason)
-                << " cap (theta=" << theta << ") before certifying the (eps="
-                << epsilon << ", delta=" << delta
+  LCRB_LOG_WARN << "ris: sampling stopped at the max_sets cap (theta="
+                << theta << ") before certifying the (eps=" << epsilon
+                << ", delta=" << delta
                 << ") guarantee; results are flagged guarantee_met=false "
                 << "(further occurrences are not logged)";
 }
@@ -543,14 +481,10 @@ RisGreedyResult ris_greedy_with_context(double alpha,
   const RisConfig& base = ctx.sampler.config();
   LCRB_REQUIRE(cfg.seed == base.seed && cfg.max_hops == base.max_hops &&
                    cfg.model == base.model &&
-                   cfg.ic_edge_prob == base.ic_edge_prob &&
-                   cfg.max_pool_bytes == base.max_pool_bytes,
-               "ris context was built with different draw- or pool-shaping "
-               "knobs");
+                   cfg.ic_edge_prob == base.ic_edge_prob,
+               "ris context was built with different draw-shaping knobs");
 
   RisGreedyResult out;
-  out.epsilon_used = cfg.epsilon;
-  out.delta_used = cfg.delta;
   const std::size_t nb = ctx.sampler.bridge_ends().size();
   if (nb == 0) {
     out.achieved_fraction = 1.0;
@@ -568,12 +502,10 @@ RisGreedyResult ris_greedy_with_context(double alpha,
   const std::vector<std::size_t> schedule =
       ris_stopping_schedule(cfg.initial_sets, cfg.max_sets);
   const double a = ris_bound_exponent(cfg.delta, schedule.size());
-  out.delta_per_bound =
-      cfg.delta / (4.0 * static_cast<double>(schedule.size()));
 
   std::uint64_t greedy_ops = 0;
   for (std::size_t k = 0; k < schedule.size(); ++k) {
-    std::size_t theta = schedule[k];
+    const std::size_t theta = schedule[k];
     {
       std::unique_lock<std::shared_mutex> grow(ctx.mu);
       if (ctx.selection.num_sets() < theta) {
@@ -584,18 +516,6 @@ RisGreedyResult ris_greedy_with_context(double alpha,
       }
     }
     std::shared_lock<std::shared_mutex> read(ctx.mu);
-    // A byte-budgeted pool may stall below theta; evaluate on what both
-    // pools actually hold and treat the stall as a cap.
-    const bool pool_capped =
-        std::min(ctx.selection.num_sets(), ctx.validation.num_sets()) < theta;
-    if (pool_capped) {
-      theta = std::min(ctx.selection.num_sets(), ctx.validation.num_sets());
-    }
-    if (theta == 0) {
-      out.stop_reason = RisStopReason::kPoolBytes;
-      warn_guarantee_not_met(out.stop_reason, 0, cfg.epsilon, cfg.delta);
-      return out;
-    }
     // Evaluate over the first-theta prefix: identical to a cold pool of
     // theta sets because slots are preassigned, even when another query has
     // already grown the shared pools past theta.
@@ -624,7 +544,7 @@ RisGreedyResult ris_greedy_with_context(double alpha,
     const bool certified = ub > 0.0 && lb / ub >= approx - cfg.epsilon;
     const bool negligible =
         cov2 - lb <= cfg.epsilon / 4.0 && ub_sel - cov1 <= cfg.epsilon / 4.0;
-    const bool capped = pool_capped || k + 1 == schedule.size();
+    const bool capped = k + 1 == schedule.size();
     if (certified || negligible || capped) {
       out.protectors = std::move(sel.picks);
       out.gain_history.reserve(sel.gains.size());
@@ -640,13 +560,11 @@ RisGreedyResult ris_greedy_with_context(double alpha,
       out.distinct_candidates = ctx.selection.num_covered_nodes_prefix(theta);
       out.nodes_visited = greedy_ops;
       out.guarantee_met = certified || negligible;
-      out.stop_reason = certified     ? RisStopReason::kCertified
-                        : negligible  ? RisStopReason::kNegligible
-                        : pool_capped ? RisStopReason::kPoolBytes
-                                      : RisStopReason::kMaxSets;
+      out.stop_reason = certified    ? RisStopReason::kCertified
+                        : negligible ? RisStopReason::kNegligible
+                                     : RisStopReason::kMaxSets;
       if (!out.guarantee_met) {
-        warn_guarantee_not_met(out.stop_reason, theta, cfg.epsilon,
-                               cfg.delta);
+        warn_guarantee_not_met(theta, cfg.epsilon, cfg.delta);
       }
       return out;
     }

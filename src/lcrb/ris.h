@@ -39,9 +39,9 @@
 // delta) explicit instead of a fixed sample count (see ris_schedule.h).
 //
 // Generation is deterministic in (config seed, stream, index): every RR set
-// lands in a preassigned slot, shards are merged in index order, and
-// byte-budget truncation scans in index order, so results are bit-identical
-// across thread counts (PR 1's fixed-order reduction convention).
+// lands in a preassigned slot and shards are merged in index order, so
+// results are bit-identical across thread counts (the fixed-order reduction
+// convention of util/reduce.h).
 #pragma once
 
 #include <cstdint>
@@ -81,13 +81,6 @@ struct RisConfig {
   std::size_t initial_sets = 512;
   /// Hard cap per pool; sampling stops here even if the rule has not fired.
   std::size_t max_sets = std::size_t{1} << 18;
-  /// Content-byte budget per pool (0 = unlimited). A pool at its budget
-  /// stops growing: appends beyond it are dropped deterministically (newest
-  /// sets first, so the identity-keeping prefix survives) and the stopping
-  /// rule treats the stall like the max_sets cap. Because the budget shapes
-  /// which RR sets exist, it is a pool-shaping knob: warm contexts require
-  /// it to match, like seed/model (see ris_greedy_with_context).
-  std::size_t max_pool_bytes = 0;
   std::uint64_t seed = 7;
   std::uint32_t max_hops = 31;
   DiffusionModel model = DiffusionModel::kOpoao;
@@ -149,23 +142,6 @@ class RrPool {
   /// registry's byte accounting.
   std::size_t memory_bytes() const;
 
-  /// Bytes the pool's CONTENT occupies (size-based, a pure function of the
-  /// stored sets — unlike memory_bytes, independent of growth history).
-  /// This is the quantity the byte budget caps.
-  std::size_t content_bytes() const;
-
-  /// Sets a content-byte budget (0 = unlimited). If the pool is already over
-  /// the new budget, the highest-index sets are retired until it fits (at
-  /// least one set is always kept): retiring from the tail preserves the
-  /// identity-keeping prefix, and the retired sets are deterministically
-  /// regenerable from their draw indices. Future appends stop at the budget.
-  void set_byte_budget(std::size_t bytes);
-  std::size_t byte_budget() const { return byte_budget_; }
-  /// True once the budget has refused or retired at least one set since the
-  /// last set_byte_budget call (which resets the flag to whether that call
-  /// itself retired anything).
-  bool byte_capped() const { return byte_capped_; }
-
   /// Throws lcrb::Error unless the pool is internally consistent: CSR
   /// offsets monotone, sets strictly ascending with in-range nodes, null and
   /// covered-node counters exact, and the inverted index in exact two-way
@@ -176,17 +152,11 @@ class RrPool {
  private:
   friend class RrSampler;
   /// Merges freshly drawn shards, in shard order, onto the end of the pool.
-  /// Honors the byte budget: sets that would push content_bytes past it are
-  /// dropped (all-or-nothing per set, scanning in index order, so the kept
-  /// prefix is exactly what an identically-budgeted cold pool would hold).
   void append_shards(std::vector<RrShard>&& shards, NodeId num_graph_nodes);
   /// Rebuilds the node -> set index by counting, then transposes it back
   /// into the sets, which leaves every set ascending whatever order its
   /// nodes were appended in.
   void rebuild_inverted_index(NodeId num_graph_nodes);
-  /// Content bytes of a pool holding `sets` sets and `entries` entries.
-  static std::size_t content_bytes_for(std::size_t sets, std::size_t entries,
-                                       std::size_t num_graph_nodes);
 
   std::vector<std::uint32_t> set_off_ = {0};
   std::vector<NodeId> nodes_;
@@ -195,8 +165,6 @@ class RrPool {
   std::size_t num_null_ = 0;
   std::size_t num_covered_nodes_ = 0;
   std::uint64_t nodes_visited_ = 0;
-  std::size_t byte_budget_ = 0;  ///< content-byte cap; 0 = unlimited
-  bool byte_capped_ = false;
 };
 
 /// Draws RR sets under the coupled competitive models. Thread-safe: parallel
@@ -233,8 +201,7 @@ class RrSampler {
   /// into contiguous index shards, each filled into its own CSR shard buffer
   /// (one scratch lease per shard, no per-set heap allocation) — in parallel
   /// when `tp` is given — then merged in fixed shard order, so the pool is
-  /// bit-identical at 0/1/N threads. A byte-budgeted pool may stop short of
-  /// `target_sets`; check pool.num_sets() / pool.byte_capped().
+  /// bit-identical at 0/1/N threads.
   void extend(RrPool& pool, std::uint64_t stream, std::size_t target_sets,
               ThreadPool* tp = nullptr) const;
 
@@ -310,7 +277,6 @@ enum class RisStopReason : std::uint8_t {
   kCertified,   ///< the (1 - 1/e - epsilon) ratio was certified
   kNegligible,  ///< both pool estimates within epsilon/4 of their bounds
   kMaxSets,     ///< RisConfig::max_sets exhausted before the rule fired
-  kPoolBytes,   ///< RisConfig::max_pool_bytes stalled growth before the rule
 };
 
 std::string to_string(RisStopReason r);
@@ -332,14 +298,9 @@ struct RisGreedyResult {
   double sigma_upper = 0.0;
   std::size_t distinct_candidates = 0;  ///< nodes seen in any RR set
   std::uint64_t nodes_visited = 0;      ///< generation + greedy node ops
-  /// epsilon/delta accounting of the stopping rule: the accuracy knobs the
-  /// run certified against, the per-bound failure share after the union
-  /// bound over checkpoints x pools x sides, and whether the guarantee was
-  /// actually met (false when a cap ended sampling first — also surfaced as
-  /// a one-time process warning).
-  double epsilon_used = 0.0;
-  double delta_used = 0.0;
-  double delta_per_bound = 0.0;
+  /// Why sampling stopped, and whether the (epsilon, delta) guarantee was
+  /// met (false when the max_sets cap ended sampling first — also surfaced
+  /// as a one-time process warning).
   RisStopReason stop_reason = RisStopReason::kNone;
   bool guarantee_met = false;
 };
@@ -363,10 +324,7 @@ RisGreedyResult ris_greedy_from_bridges(GraphRef g,
 struct RisContext {
   RisContext(GraphRef g, std::vector<NodeId> rumors,
              std::vector<NodeId> bridge_ends, const RisConfig& cfg)
-      : sampler(g, std::move(rumors), std::move(bridge_ends), cfg) {
-    selection.set_byte_budget(cfg.max_pool_bytes);
-    validation.set_byte_budget(cfg.max_pool_bytes);
-  }
+      : sampler(g, std::move(rumors), std::move(bridge_ends), cfg) {}
 
   RrSampler sampler;
   RrPool selection;   ///< stream 0
@@ -381,10 +339,9 @@ struct RisContext {
 
 /// ris_greedy_from_bridges against a caller-owned warm context. The context
 /// must have been built for the same graph/rumors/bridge ends, and the knobs
-/// that shape RR draws or pool growth (seed, max_hops, model, ic_edge_prob,
-/// max_pool_bytes) must match ctx.sampler.config() — enforced with
-/// lcrb::Error. The accuracy knobs (epsilon/delta/initial_sets/max_sets) may
-/// differ per query.
+/// that shape RR draws (seed, max_hops, model, ic_edge_prob) must match
+/// ctx.sampler.config() — enforced with lcrb::Error. The accuracy knobs
+/// (epsilon/delta/initial_sets/max_sets) may differ per query.
 /// RisGreedyResult::nodes_visited reports only this call's greedy ops: the
 /// shared pools' generation counters mix queries.
 RisGreedyResult ris_greedy_with_context(double alpha,

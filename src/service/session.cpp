@@ -99,10 +99,6 @@ std::shared_ptr<RisContext> GraphSession::ris_context_for(
   draws.seed = cfg.seed;
   draws.ic_edge_prob = cfg.ic_edge_prob;
   append_sigma_key(key, draws);
-  // The byte budget shapes which RR sets a pool can hold, so budgeted and
-  // unbudgeted queries must not share a context (ris_greedy_with_context
-  // enforces the same match).
-  key << ":pb=" << cfg.max_pool_bytes;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = ris_contexts_.find(key.str());
   if (it != ris_contexts_.end()) {
@@ -157,14 +153,6 @@ std::size_t GraphSession::memory_bytes() const {
     bytes += entry.bytes;
   }
   return bytes;
-}
-
-void GraphSession::shed_warm_state() {
-  std::lock_guard<std::mutex> lock(mu_);
-  setups_.clear();
-  estimators_.clear();
-  ris_contexts_.clear();
-  results_.clear();
 }
 
 std::string make_result_key(const QueryRequest& req) {

@@ -85,11 +85,6 @@ class GraphSession {
   /// Capacity-based heap footprint: graph + partition + every warm cache.
   std::size_t memory_bytes() const;
 
-  /// Drops the warm caches (graph and partition stay). The registry calls
-  /// this before re-measuring when it needs bytes back but the session is
-  /// pinned.
-  void shed_warm_state();
-
  private:
   std::string dataset_;
   GraphAny graph_;

@@ -6,6 +6,7 @@
 // LCRB_BENCH_SCALE-style overrides): env wins over default, CLI wins over env.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -31,6 +32,33 @@ T checked_count(std::int64_t x, const std::string& what) {
                 std::to_string(x));
   }
   return static_cast<T>(x);
+}
+
+/// The one comma-list parser of flags: "1,2,3" -> {1, 2, 3}, each item
+/// through checked_count<T>. An empty, non-numeric, negative or
+/// out-of-range item throws lcrb::Error naming `what` (the flag).
+template <class T>
+std::vector<T> parse_count_list(const std::string& s, const std::string& what) {
+  std::vector<T> out;
+  std::size_t begin = 0;
+  while (begin <= s.size()) {
+    std::size_t end = s.find(',', begin);
+    if (end == std::string::npos) end = s.size();
+    const std::string item = s.substr(begin, end - begin);
+    if (item.empty()) {
+      throw Error("options: " + what + ": empty item in list '" + s + "'");
+    }
+    std::int64_t parsed = 0;
+    const auto [ptr, ec] =
+        std::from_chars(item.data(), item.data() + item.size(), parsed);
+    if (ec != std::errc() || ptr != item.data() + item.size()) {
+      throw Error("options: " + what + ": bad number '" + item +
+                  "' in list '" + s + "'");
+    }
+    out.push_back(checked_count<T>(parsed, what));
+    begin = end + 1;
+  }
+  return out;
 }
 
 class Args {

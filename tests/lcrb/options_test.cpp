@@ -11,6 +11,17 @@
 namespace lcrb {
 namespace {
 
+/// The lcrb::Error message `f` throws, or "no error".
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
 TEST(OptionsTest, DefaultsValidate) {
   LcrbOptions opts;
   EXPECT_NO_THROW(opts.validate());
@@ -87,6 +98,11 @@ TEST(OptionsTest, FromJsonRejectsUnknownKeysAndInvalidValues) {
   JsonValue v = LcrbOptions{}.to_json();
   v.set("typo_knob", 1);
   EXPECT_THROW(LcrbOptions::from_json(v), Error);
+  // A removed key is unknown too, not silently ignored.
+  JsonValue removed = LcrbOptions{}.to_json();
+  removed.set("ris_max_pool_bytes", 0);
+  EXPECT_EQ(error_of([&] { LcrbOptions::from_json(removed); }),
+            "options: unknown key 'ris_max_pool_bytes'");
 
   JsonValue bad = LcrbOptions{}.to_json();
   bad.set("alpha", 0.0);
@@ -128,17 +144,6 @@ TEST(OptionsTest, FromArgsOverridesOnlyPresentFlags) {
   EXPECT_DOUBLE_EQ(opts.alpha, LcrbOptions{}.alpha);  // untouched
 }
 
-/// The lcrb::Error message `f` throws, or "no error".
-template <class F>
-std::string error_of(F&& f) {
-  try {
-    f();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "no error";
-}
-
 LcrbOptions parse_args(std::vector<std::string> argv) {
   return LcrbOptions::from_args(Args(argv));
 }
@@ -154,7 +159,6 @@ TEST(OptionsTest, FromArgsRejectsNegativeCountsLikeFromJson) {
       {"sigma-seed", "sigma_seed"},
       {"ris-initial-sets", "ris_initial_sets"},
       {"ris-max-sets", "ris_max_sets"},
-      {"ris-pool-bytes", "ris_max_pool_bytes"},
       {"gvs-samples", "gvs_samples"},
       {"gvs-candidates", "gvs_max_candidates"}};
   for (const auto& [flag, key] : fields) {
@@ -181,7 +185,7 @@ TEST(OptionsTest, ProtectorBudgetListRejectsNegativeAndMalformedItems) {
   EXPECT_EQ(error_of([&] { parse_args(with_budgets("-1,1")); }),
             "options: --protector-budgets must be non-negative, got -1");
   EXPECT_EQ(error_of([&] { parse_args(with_budgets("1x,1")); }),
-            "options: bad number '1x' in list '1x,1'");
+            "options: --protector-budgets: bad number '1x' in list '1x,1'");
 }
 
 TEST(OptionsTest, HopCapPastThirtyTwoBitsIsRejectedNotTruncated) {

@@ -273,84 +273,6 @@ TEST(RrPoolTest, ExtendAppendsWithoutDisturbingExistingSets) {
   }
 }
 
-TEST(RrPoolTest, ByteBudgetKeepsExactPrefixOfUncappedPool) {
-  Rng rng(5);
-  const DiGraph g = erdos_renyi(25, 0.15, true, rng);
-  RisConfig cfg;
-  cfg.model = DiffusionModel::kOpoao;
-  RrSampler sampler(g, {0}, {3, 4, 5, 6}, cfg);
-
-  RrPool uncapped;
-  sampler.extend(uncapped, 0, 120);
-  // A budget between the empty and full footprint must keep a strict,
-  // non-empty prefix of the uncapped pool: identical sets, same order.
-  const std::size_t budget =
-      (uncapped.content_bytes() + RrPool().content_bytes()) / 2;
-  RrPool capped;
-  capped.set_byte_budget(budget);
-  sampler.extend(capped, 0, 120);
-  ASSERT_TRUE(capped.byte_capped());
-  ASSERT_GE(capped.num_sets(), 1u);
-  ASSERT_LT(capped.num_sets(), 120u);
-  EXPECT_LE(capped.content_bytes(), budget);
-  EXPECT_NO_THROW(capped.validate());
-  for (std::size_t i = 0; i < capped.num_sets(); ++i) {
-    EXPECT_EQ(std::vector<NodeId>(capped.set_nodes(i).begin(),
-                                  capped.set_nodes(i).end()),
-              std::vector<NodeId>(uncapped.set_nodes(i).begin(),
-                                  uncapped.set_nodes(i).end()))
-        << "set " << i;
-  }
-  EXPECT_EQ(capped.num_null_prefix(capped.num_sets()),
-            uncapped.num_null_prefix(capped.num_sets()));
-
-  // Incremental growth against the same budget lands on the same prefix.
-  RrPool staged;
-  staged.set_byte_budget(budget);
-  sampler.extend(staged, 0, 40);
-  sampler.extend(staged, 0, 120);
-  EXPECT_EQ(staged.num_sets(), capped.num_sets());
-  EXPECT_EQ(staged.total_entries(), capped.total_entries());
-}
-
-TEST(RrPoolTest, SetByteBudgetRetiresTailToTheSamePrefix) {
-  Rng rng(5);
-  const DiGraph g = erdos_renyi(25, 0.15, true, rng);
-  RisConfig cfg;
-  cfg.model = DiffusionModel::kOpoao;
-  RrSampler sampler(g, {0}, {3, 4, 5, 6}, cfg);
-
-  RrPool grown;
-  sampler.extend(grown, 0, 120);
-  const std::size_t full_bytes = grown.content_bytes();
-  const std::size_t before_mem = grown.memory_bytes();
-  const std::size_t budget = (full_bytes + RrPool().content_bytes()) / 2;
-
-  // Retirement after the fact == growing under the budget from the start:
-  // both keep the maximal prefix that fits.
-  RrPool cold;
-  cold.set_byte_budget(budget);
-  sampler.extend(cold, 0, 120);
-  grown.set_byte_budget(budget);
-  ASSERT_TRUE(grown.byte_capped());
-  EXPECT_NO_THROW(grown.validate());
-  ASSERT_EQ(grown.num_sets(), cold.num_sets());
-  for (std::size_t i = 0; i < grown.num_sets(); ++i) {
-    EXPECT_EQ(std::vector<NodeId>(grown.set_nodes(i).begin(),
-                                  grown.set_nodes(i).end()),
-              std::vector<NodeId>(cold.set_nodes(i).begin(),
-                                  cold.set_nodes(i).end()))
-        << "set " << i;
-  }
-  // Retirement shrinks the registry-visible footprint, not just the size.
-  EXPECT_LT(grown.memory_bytes(), before_mem);
-  // Raising the budget again lets the pool regrow the identical sets.
-  grown.set_byte_budget(0);
-  sampler.extend(grown, 0, 120);
-  ASSERT_EQ(grown.num_sets(), 120u);
-  EXPECT_EQ(grown.content_bytes(), full_bytes);
-}
-
 // --- ris_greedy_from_bridges ---
 
 TEST(RisGreedyTest, TwoPathGraphPicksBothGatewayNodes) {
@@ -458,10 +380,6 @@ TEST(RisGreedyTest, MaxSetsCapBoundsTheDoubling) {
   // Exhausting the cap without certifying must be flagged, not silent.
   EXPECT_FALSE(r.guarantee_met);
   EXPECT_EQ(r.stop_reason, RisStopReason::kMaxSets);
-  EXPECT_EQ(r.epsilon_used, cfg.epsilon);
-  EXPECT_EQ(r.delta_used, cfg.delta);
-  EXPECT_GT(r.delta_per_bound, 0.0);
-  EXPECT_LT(r.delta_per_bound, cfg.delta);
 }
 
 TEST(RisGreedyTest, CertifiedStopReportsGuaranteeMet) {
@@ -479,33 +397,6 @@ TEST(RisGreedyTest, CertifiedStopReportsGuaranteeMet) {
   EXPECT_TRUE(r.stop_reason == RisStopReason::kCertified ||
               r.stop_reason == RisStopReason::kNegligible);
   EXPECT_LT(r.rr_sets, cfg.max_sets);
-}
-
-TEST(RisGreedyTest, PoolByteBudgetActsAsSamplingCap) {
-  Rng rng(37);
-  const DiGraph g = erdos_renyi(50, 0.08, true, rng);
-  std::vector<NodeId> ends;
-  for (NodeId v = 2; v < 16; ++v) ends.push_back(v);
-  const auto bridges = bridges_on(g, {0}, ends);
-  RisConfig cfg;
-  cfg.model = DiffusionModel::kOpoao;
-  cfg.epsilon = 1e-4;  // unreachable accuracy: must stop on a cap
-  cfg.initial_sets = 32;
-  cfg.max_sets = 1u << 14;
-
-  const auto uncapped = ris_greedy_from_bridges(g, std::vector<NodeId>{0},
-                                                bridges, 0.8, 0, cfg);
-  cfg.max_pool_bytes = 8192;  // far below what 2^14 sets need
-  const auto capped = ris_greedy_from_bridges(g, std::vector<NodeId>{0},
-                                              bridges, 0.8, 0, cfg);
-  EXPECT_EQ(capped.stop_reason, RisStopReason::kPoolBytes);
-  EXPECT_FALSE(capped.guarantee_met);
-  EXPECT_LT(capped.rr_sets, uncapped.rr_sets);
-  EXPECT_GE(capped.rr_sets, 1u);
-  // The capped run evaluates a prefix of the same preassigned draws, so its
-  // picks are the uncapped run's picks at the smaller theta — in particular
-  // picking is still deterministic and non-empty here.
-  EXPECT_FALSE(capped.protectors.empty());
 }
 
 // --- SigmaMode::kRis through the select() front door ---

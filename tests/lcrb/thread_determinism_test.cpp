@@ -269,7 +269,6 @@ TEST_F(ThreadDeterminismTest, ScbgIsThreadCountInvariant) {
   for (ThreadPool* tp : {&one, &four}) {
     const RrPool pool = doam_bridge_end_pool(g_, rumors_, bridges_, tp);
     ASSERT_EQ(pool.total_entries(), serial.total_entries());
-    EXPECT_EQ(pool.content_bytes(), serial.content_bytes());
     EXPECT_EQ(pool.nodes_visited(), serial.nodes_visited());
     for (std::size_t i = 0; i < serial.num_sets(); ++i) {
       const auto a = serial.set_nodes(i);

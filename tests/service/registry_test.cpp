@@ -98,8 +98,6 @@ TEST_F(RegistryFixture, MemoryGrowsWithWarmStateAndShedsClean) {
   sc.samples = 5;
   s.estimator_for(make_setup_key({}, 0, 4, 17), setup, sc, nullptr, nullptr);
   EXPECT_GT(s.memory_bytes(), base);
-  s.shed_warm_state();
-  EXPECT_EQ(s.memory_bytes(), base);
 }
 
 TEST_F(RegistryFixture, ResultCacheStoresCanonicalEntries) {
@@ -129,8 +127,6 @@ TEST_F(RegistryFixture, ResultCacheStoresCanonicalEntries) {
   EXPECT_TRUE(cached->id.empty());  // re-stamped per caller on replay
   EXPECT_EQ(cached->protectors, r.protectors);
   EXPECT_GT(s.memory_bytes(), before);
-  s.shed_warm_state();
-  EXPECT_EQ(s.cached_result(key), nullptr);
 }
 
 TEST_F(RegistryFixture, CompressedSessionReportsSmallerFootprint) {

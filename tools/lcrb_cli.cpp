@@ -36,7 +36,6 @@
 // code path lcrbd serves over NDJSON (see docs/service.md).
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "lcrb/experiments.h"
 #include "service/query_service.h"
@@ -45,28 +44,22 @@ namespace {
 
 using namespace lcrb;
 
-std::vector<NodeId> parse_ids(const std::string& csv) {
-  std::vector<NodeId> out;
-  std::istringstream in(csv);
-  std::string tok;
-  while (std::getline(in, tok, ',')) {
-    if (tok.empty()) continue;
-    out.push_back(static_cast<NodeId>(std::stoul(tok)));
-  }
-  return out;
+/// The id list of --`flag`: "3,7" -> {3, 7}, strictly (see parse_count_list).
+std::vector<NodeId> id_list(const Args& args, const std::string& flag) {
+  return parse_count_list<NodeId>(args.get_string(flag, ""), "--" + flag);
 }
 
 /// Semicolon-separated groups of comma-separated ids: "0,1;7" -> {{0,1},{7}}.
 std::vector<std::vector<NodeId>> parse_id_groups(const std::string& spec) {
   std::vector<std::vector<NodeId>> out;
-  std::istringstream in(spec);
-  std::string group;
-  while (std::getline(in, group, ';')) {
-    std::vector<NodeId> ids = parse_ids(group);
-    LCRB_REQUIRE(!ids.empty(), "--rumor-groups: empty group in '" + spec + "'");
-    out.push_back(std::move(ids));
+  std::size_t begin = 0;
+  while (begin <= spec.size()) {
+    std::size_t end = spec.find(';', begin);
+    if (end == std::string::npos) end = spec.size();
+    out.push_back(parse_count_list<NodeId>(spec.substr(begin, end - begin),
+                                           "--rumor-groups"));
+    begin = end + 1;
   }
-  LCRB_REQUIRE(!out.empty(), "--rumor-groups parsed to nothing");
   return out;
 }
 
@@ -103,9 +96,7 @@ ExperimentSetup setup_experiment(const DiGraph& g, const Partition& p,
       p.closest_to_size(args.get_count<NodeId>("community-size", 100));
 
   if (args.has("rumor-ids")) {
-    std::vector<NodeId> rumors = parse_ids(args.get_string("rumor-ids", ""));
-    LCRB_REQUIRE(!rumors.empty(), "--rumor-ids parsed to nothing");
-    return prepare_experiment_with_rumors(g, p, std::move(rumors));
+    return prepare_experiment_with_rumors(g, p, id_list(args, "rumor-ids"));
   }
   const auto k = args.get_count<std::size_t>("rumors", 5);
   return prepare_experiment(g, p, rc,
@@ -126,8 +117,7 @@ service::QueryRequest base_request(const Args& args) {
   if (args.has("rumor-groups")) {
     req.rumor_groups = parse_id_groups(args.get_string("rumor-groups", ""));
   } else if (args.has("rumor-ids")) {
-    req.rumor_ids = parse_ids(args.get_string("rumor-ids", ""));
-    LCRB_REQUIRE(!req.rumor_ids.empty(), "--rumor-ids parsed to nothing");
+    req.rumor_ids = id_list(args, "rumor-ids");
   } else {
     req.community_size = args.get_count<std::size_t>("community-size", 100);
     req.num_rumors = args.get_count<std::size_t>("rumors", 5);
@@ -262,7 +252,7 @@ int cmd_simulate(const Args& args) {
   service::QueryRequest req = base_request(args);
   req.op = service::QueryOp::kEvaluate;
   if (args.has("protector-ids")) {
-    req.protectors = parse_ids(args.get_string("protector-ids", ""));
+    req.protectors = id_list(args, "protector-ids");
   }
   req.options.model =
       diffusion_model_from_string(args.get_string("model", "opoao"));
@@ -292,7 +282,7 @@ int cmd_locate(const Args& args) {
   // Snapshot from --infected-ids, or simulate one for the demo.
   std::vector<NodeId> snapshot;
   if (args.has("infected-ids")) {
-    snapshot = parse_ids(args.get_string("infected-ids", ""));
+    snapshot = id_list(args, "infected-ids");
   } else {
     const Partition p = detect(g, args);
     const ExperimentSetup s = setup_experiment(g, p, args);

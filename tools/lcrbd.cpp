@@ -624,16 +624,13 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   try {
     ServiceConfig cfg;
-    cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-    cfg.max_resident_bytes = static_cast<std::size_t>(args.get_int(
-        "max-bytes",
-        static_cast<std::int64_t>(SessionRegistry::kDefaultMaxBytes)));
-    cfg.max_concurrent =
-        static_cast<std::size_t>(args.get_int("max-concurrent", 0));
-    cfg.default_quota.max_queued =
-        static_cast<std::size_t>(args.get_int("max-queued", 0));
+    cfg.threads = args.get_count<std::size_t>("threads", 0);
+    cfg.max_resident_bytes = args.get_count<std::size_t>(
+        "max-bytes", SessionRegistry::kDefaultMaxBytes);
+    cfg.max_concurrent = args.get_count<std::size_t>("max-concurrent", 0);
+    cfg.default_quota.max_queued = args.get_count<std::size_t>("max-queued", 0);
     cfg.default_quota.max_in_flight =
-        static_cast<std::size_t>(args.get_int("max-inflight", 0));
+        args.get_count<std::size_t>("max-inflight", 0);
     const bool include_meta = args.get_bool("meta");
     QueryService svc(cfg);
     if (args.has("socket")) {
