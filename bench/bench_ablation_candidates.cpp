@@ -7,6 +7,12 @@
 
 #include "common.h"
 
+#include "diffusion/montecarlo.h"
+#include "lcrb/greedy.h"
+#include "lcrb/options.h"
+#include "util/table.h"
+#include "util/timer.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

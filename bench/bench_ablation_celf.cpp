@@ -7,6 +7,11 @@
 
 #include "common.h"
 
+#include "lcrb/greedy.h"
+#include "lcrb/options.h"
+#include "util/table.h"
+#include "util/timer.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

@@ -10,6 +10,15 @@
 
 #include "common.h"
 
+#include "community/label_propagation.h"
+#include "community/louvain.h"
+#include "community/nmi.h"
+#include "diffusion/cascade.h"
+#include "diffusion/doam.h"
+#include "lcrb/bridge.h"
+#include "lcrb/scbg.h"
+#include "util/table.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

@@ -7,6 +7,11 @@
 
 #include "common.h"
 
+#include "lcrb/greedy.h"
+#include "lcrb/options.h"
+#include "lcrb/scbg.h"
+#include "util/table.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

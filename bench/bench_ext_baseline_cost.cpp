@@ -9,6 +9,13 @@
 
 #include "common.h"
 
+#include "graph/centrality.h"
+#include "lcrb/heuristics.h"
+#include "lcrb/scbg.h"
+#include "util/rng.h"
+#include "util/stats.h"
+#include "util/table.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

@@ -8,6 +8,10 @@
 
 #include "common.h"
 
+#include "diffusion/montecarlo.h"
+#include "lcrb/options.h"
+#include "util/table.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   using namespace lcrb;

@@ -1,9 +1,15 @@
 // Microbenchmarks (google-benchmark): diffusion simulator throughput.
 #include <benchmark/benchmark.h>
 
-#include "build_guard.h"
+#include <vector>
 
-#include "lcrb/core.h"
+#include "build_guard.h"
+#include "diffusion/doam.h"
+#include "diffusion/montecarlo.h"
+#include "graph/generators.h"
+#include "lcrb/sigma.h"
+#include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace {
 

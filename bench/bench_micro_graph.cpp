@@ -11,9 +11,15 @@
 #include <string>
 
 #include "build_guard.h"
-
+#include "community/louvain.h"
+#include "community/partition.h"
+#include "diffusion/montecarlo.h"
+#include "graph/builder.h"
 #include "graph/ef_graph.h"
-#include "lcrb/core.h"
+#include "graph/generators.h"
+#include "graph/traversal.h"
+#include "lcrb/bridge.h"
+#include "util/rng.h"
 
 namespace {
 

@@ -21,7 +21,12 @@
 #include <cmath>
 
 #include "build_guard.h"
-#include "lcrb/experiments.h"
+#include "community/partition.h"
+#include "graph/generators.h"
+#include "lcrb/options.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/ris.h"
+#include "lcrb/sigma.h"
 #include "util/threadpool.h"
 
 namespace {

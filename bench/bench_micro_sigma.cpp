@@ -6,9 +6,12 @@
 // OPOAO sets per replay pass (SigmaEstimator::sigma_batch).
 #include <benchmark/benchmark.h>
 
-#include "build_guard.h"
+#include <vector>
 
-#include "lcrb/core.h"
+#include "build_guard.h"
+#include "graph/generators.h"
+#include "lcrb/sigma.h"
+#include "util/rng.h"
 
 namespace {
 

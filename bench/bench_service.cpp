@@ -44,11 +44,15 @@
 #include <vector>
 
 #include "common.h"
+
 #include "community/io.h"
 #include "graph/io.h"
+#include "lcrb/options.h"
 #include "service/query_service.h"
 #include "util/args.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace {
 

@@ -19,6 +19,8 @@
 
 #include "common.h"
 
+#include "util/table.h"
+
 int main(int argc, char** argv) {
   using namespace lcrb::bench;
   BenchContext ctx =

@@ -3,6 +3,19 @@
 #include <algorithm>
 #include <iostream>
 
+#include "diffusion/montecarlo.h"
+#include "graph/generators.h"
+#include "lcrb/heuristics.h"
+#include "lcrb/options.h"
+#include "lcrb/scbg.h"
+#include "util/args.h"
+#include "util/csv.h"
+#include "util/log.h"
+#include "util/rng.h"
+#include "util/stats.h"
+#include "util/table.h"
+#include "util/timer.h"
+
 namespace lcrb::bench {
 
 namespace {

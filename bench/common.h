@@ -15,7 +15,11 @@
 #include <vector>
 
 #include "build_guard.h"
-#include "lcrb/experiments.h"
+#include "community/partition.h"
+#include "graph/graph.h"
+#include "lcrb/pipeline.h"
+#include "util/threadpool.h"
+#include "util/types.h"
 
 namespace lcrb::bench {
 

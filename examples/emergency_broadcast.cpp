@@ -9,9 +9,20 @@
 // contacts (Proximity).
 //
 // Run:  ./emergency_broadcast [--scale 0.1] [--seed 2]
+#include <algorithm>
 #include <iostream>
+#include <string>
 
-#include "lcrb/experiments.h"
+#include "community/partition.h"
+#include "diffusion/montecarlo.h"
+#include "graph/generators.h"
+#include "graph/metrics.h"
+#include "lcrb/heuristics.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/scbg.h"
+#include "util/args.h"
+#include "util/rng.h"
+#include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace lcrb;

@@ -8,8 +8,18 @@
 //
 // Run:  ./model_explorer [--scale 0.05] [--runs 50] [--hops 16] [--csv out.csv]
 #include <iostream>
+#include <vector>
 
-#include "lcrb/experiments.h"
+#include "community/partition.h"
+#include "diffusion/montecarlo.h"
+#include "graph/generators.h"
+#include "graph/metrics.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/scbg.h"
+#include "util/args.h"
+#include "util/csv.h"
+#include "util/table.h"
+#include "util/threadpool.h"
 
 int main(int argc, char** argv) {
   using namespace lcrb;

@@ -5,8 +5,16 @@
 //
 // Run:  ./quickstart
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "lcrb/experiments.h"
+#include "community/partition.h"
+#include "diffusion/montecarlo.h"
+#include "graph/builder.h"
+#include "graph/metrics.h"
+#include "lcrb/bridge.h"
+#include "lcrb/scbg.h"
+#include "util/table.h"
 
 int main() {
   using namespace lcrb;

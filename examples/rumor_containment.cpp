@@ -10,9 +10,18 @@
 // Run:  ./rumor_containment [--scale 0.05] [--rumors 8] [--runs 60]
 //                           [--graph path.txt] [--seed 1]
 #include <iostream>
+#include <vector>
 
-#include "lcrb/experiments.h"
+#include "community/louvain.h"
+#include "community/modularity.h"
+#include "graph/generators.h"
+#include "graph/io.h"
+#include "graph/metrics.h"
+#include "lcrb/options.h"
 #include "service/query_service.h"
+#include "util/args.h"
+#include "util/error.h"
+#include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace lcrb;

@@ -158,7 +158,7 @@ EfGraph EfGraph::load(std::istream& in, EfVerify verify) {
   std::shared_ptr<Storage> storage = EfGraphIo::storage();
   std::vector<std::uint64_t>& buf = storage_buffer(*storage);
   // Chunked read: a forged word count cannot drive allocation past the
-  // bytes actually present (same policy as graph/io.cpp load_binary).
+  // bytes actually present.
   constexpr std::uint64_t kChunkWords = 1u << 16;
   std::uint64_t remaining = h.payload_words;
   while (remaining > 0) {

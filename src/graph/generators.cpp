@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <unordered_set>
 
 #include "graph/builder.h"
@@ -185,71 +184,6 @@ DiGraph barabasi_albert(NodeId n, NodeId m_per_node, Rng& rng) {
       b.add_undirected_edge(u, t);
       half_edges.push_back(u);
       half_edges.push_back(t);
-    }
-  }
-  return b.finalize();
-}
-
-DiGraph watts_strogatz(NodeId n, NodeId k, double beta, Rng& rng) {
-  LCRB_REQUIRE(k >= 2 && k % 2 == 0, "WS needs even k >= 2");
-  LCRB_REQUIRE(n > k, "WS needs n > k");
-  LCRB_REQUIRE(beta >= 0.0 && beta <= 1.0, "beta must be in [0,1]");
-  GraphBuilder b;
-  b.reserve_nodes(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId j = 1; j <= k / 2; ++j) {
-      NodeId v = (u + j) % n;
-      if (rng.next_bool(beta)) {
-        // Rewire to a uniform random non-self target.
-        NodeId w;
-        do {
-          w = static_cast<NodeId>(rng.next_below(n));
-        } while (w == u);
-        v = w;
-      }
-      b.add_undirected_edge(u, v);
-    }
-  }
-  return b.finalize();
-}
-
-DiGraph configuration_model(std::span<const NodeId> out_degrees, Rng& rng) {
-  const auto n = static_cast<NodeId>(out_degrees.size());
-  GraphBuilder b;
-  b.reserve_nodes(n);
-
-  // Out-stubs: one entry per arc source. In-stubs: the same degree multiset
-  // assigned to nodes in shuffled order, so in-degrees are exchangeable.
-  std::vector<NodeId> out_stubs, in_stubs;
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId d = 0; d < out_degrees[v]; ++d) out_stubs.push_back(v);
-  }
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  for (NodeId i = n; i > 1; --i) {
-    std::swap(order[i - 1], order[rng.next_below(i)]);
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId d = 0; d < out_degrees[i]; ++d) in_stubs.push_back(order[i]);
-  }
-  // Shuffle in-stubs and match positionally.
-  for (std::size_t i = in_stubs.size(); i > 1; --i) {
-    std::swap(in_stubs[i - 1], in_stubs[rng.next_below(i)]);
-  }
-
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(out_stubs.size() * 2);
-  for (std::size_t i = 0; i < out_stubs.size(); ++i) {
-    NodeId u = out_stubs[i];
-    NodeId v = in_stubs[i];
-    // A few local re-draws dodge most self-loops/duplicates.
-    for (int attempt = 0; attempt < 20; ++attempt) {
-      const std::uint64_t key = static_cast<std::uint64_t>(u) * n + v;
-      if (u != v && seen.insert(key).second) {
-        b.add_edge(u, v);
-        break;
-      }
-      v = in_stubs[rng.next_below(in_stubs.size())];
     }
   }
   return b.finalize();

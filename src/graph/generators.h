@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,16 +44,6 @@ DiGraph erdos_renyi_m(NodeId n, EdgeId m, bool directed, Rng& rng);
 /// Barabási–Albert preferential attachment, `m_per_node` edges per new node;
 /// undirected edges are emitted as arc pairs.
 DiGraph barabasi_albert(NodeId n, NodeId m_per_node, Rng& rng);
-
-/// Watts–Strogatz ring (k nearest neighbors, rewire prob beta), bidirected.
-DiGraph watts_strogatz(NodeId n, NodeId k, double beta, Rng& rng);
-
-/// Directed configuration model: a random simple digraph whose out-degree
-/// sequence approximates `out_degrees` (in-degrees follow the same multiset,
-/// shuffled). Stub-matching with rejection of self-loops and duplicates; a
-/// bounded number of retries means heavy-tailed sequences may lose a few
-/// arcs (the shortfall is reported by comparing num_edges()).
-DiGraph configuration_model(std::span<const NodeId> out_degrees, Rng& rng);
 
 // ---------------------------------------------------------------------------
 // Community-structured social networks (the dataset substitute).

@@ -1,4 +1,4 @@
-// Edge-list text I/O (SNAP-style) and a compact binary format.
+// Edge-list text I/O (SNAP-style).
 #pragma once
 
 #include <iosfwd>
@@ -18,14 +18,5 @@ DiGraph load_edge_list(std::istream& in, bool undirected = false);
 /// Writes "u v" lines, one arc per line, preceded by a comment header.
 void save_edge_list(const DiGraph& g, const std::string& path);
 void save_edge_list(const DiGraph& g, std::ostream& out);
-
-/// Binary round-trip format: magic, node/arc counts, arc array, and an
-/// FNV-1a checksum so truncated or corrupted files are rejected. The loader
-/// reads the arc array in bounded chunks, so a forged header count cannot
-/// drive allocation past the bytes actually present, and rejects arcs whose
-/// endpoints fall outside the declared node count.
-void save_binary(const DiGraph& g, const std::string& path);
-DiGraph load_binary(const std::string& path);
-DiGraph load_binary(std::istream& in);
 
 }  // namespace lcrb

@@ -5,29 +5,43 @@
 
 #include "graph/ef_graph.h"
 #include "graph/graph.h"
-#include "util/stats.h"
 
 namespace lcrb {
+
+namespace {
+
+/// Linear-interpolated percentile of an ascending, non-empty sequence,
+/// p in [0,100].
+double sorted_percentile(const std::vector<NodeId>& xs, double p) {
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= xs.size()) return xs.back();
+  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
+}
+
+}  // namespace
 
 template <GraphView G>
 DegreeStats degree_stats(const G& g) {
   DegreeStats s;
   const NodeId n = g.num_nodes();
   if (n == 0) return s;
-  std::vector<double> outs;
+  std::vector<NodeId> outs;
   outs.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     const NodeId dout = g.out_degree(v);
     const NodeId din = g.in_degree(v);
-    outs.push_back(static_cast<double>(dout));
+    outs.push_back(dout);
     s.max_out = std::max(s.max_out, dout);
     s.max_in = std::max(s.max_in, din);
     if (dout == 0 && din == 0) ++s.isolated;
   }
-  s.avg_out = mean_of(outs);
-  s.p50_out = percentile_of(outs, 50.0);
-  s.p90_out = percentile_of(outs, 90.0);
-  s.p99_out = percentile_of(outs, 99.0);
+  s.avg_out = static_cast<double>(g.num_edges()) / static_cast<double>(n);
+  std::sort(outs.begin(), outs.end());
+  s.p50_out = sorted_percentile(outs, 50.0);
+  s.p90_out = sorted_percentile(outs, 90.0);
+  s.p99_out = sorted_percentile(outs, 99.0);
   return s;
 }
 

@@ -49,22 +49,9 @@ BfsResult bfs_backward(const G& g, std::span<const NodeId> sources) {
   return bfs_impl(g, sources, [&g](NodeId u) { return g.in_neighbors(u); });
 }
 
-template <GraphView G>
-std::vector<NodeId> reachable_from(const G& g,
-                                   std::span<const NodeId> sources) {
-  const BfsResult r = bfs_forward(g, sources);
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (r.reached(v)) out.push_back(v);
-  }
-  return out;
-}
-
 #define LCRB_INSTANTIATE_TRAVERSAL(G)                                         \
   template BfsResult bfs_forward<G>(const G&, std::span<const NodeId>);       \
-  template BfsResult bfs_backward<G>(const G&, std::span<const NodeId>);      \
-  template std::vector<NodeId> reachable_from<G>(const G&,                    \
-                                                 std::span<const NodeId>);
+  template BfsResult bfs_backward<G>(const G&, std::span<const NodeId>);
 
 LCRB_INSTANTIATE_TRAVERSAL(DiGraph)
 LCRB_INSTANTIATE_TRAVERSAL(EfGraph)

@@ -32,8 +32,4 @@ BfsResult bfs_forward(const G& g, std::span<const NodeId> sources);
 template <GraphView G>
 BfsResult bfs_backward(const G& g, std::span<const NodeId> sources);
 
-/// Nodes reachable from `sources` along out-edges (including the sources).
-template <GraphView G>
-std::vector<NodeId> reachable_from(const G& g, std::span<const NodeId> sources);
-
 }  // namespace lcrb

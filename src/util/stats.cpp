@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.h"
-
 namespace lcrb {
 
 void RunningStats::add(double x) {
@@ -20,23 +18,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -50,52 +31,5 @@ double RunningStats::stderr_mean() const {
 }
 
 double RunningStats::ci95_halfwidth() const { return 1.96 * stderr_mean(); }
-
-double mean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.stddev();
-}
-
-double median_of(std::vector<double> xs) { return percentile_of(std::move(xs), 50.0); }
-
-double percentile_of(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  LCRB_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs[0];
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= xs.size()) return xs.back();
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  LCRB_REQUIRE(hi > lo, "histogram range must be non-empty");
-  LCRB_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>((x - lo_) / width);
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  LCRB_REQUIRE(i < counts_.size(), "bucket index out of range");
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
 
 }  // namespace lcrb

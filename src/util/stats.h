@@ -1,8 +1,7 @@
-// Streaming and batch statistics used by the Monte-Carlo harness and benches.
+// Streaming statistics used by the Monte-Carlo harness and benches.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace lcrb {
 
@@ -10,9 +9,6 @@ namespace lcrb {
 class RunningStats {
  public:
   void add(double x);
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -32,32 +28,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Batch helpers (copy + nth_element based; inputs unmodified).
-double mean_of(const std::vector<double>& xs);
-double stddev_of(const std::vector<double>& xs);
-double median_of(std::vector<double> xs);
-/// Linear-interpolated percentile, p in [0,100].
-double percentile_of(std::vector<double> xs, double p);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket. Used by degree-distribution reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  /// Inclusive lower bound of bucket i.
-  double bucket_lo(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace lcrb

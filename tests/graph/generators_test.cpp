@@ -122,70 +122,6 @@ TEST(BarabasiAlbert, InvalidParamsThrow) {
   EXPECT_THROW(barabasi_albert(3, 3, rng), Error);
 }
 
-TEST(WattsStrogatz, RingWithoutRewiring) {
-  Rng rng(7);
-  const DiGraph g = watts_strogatz(50, 4, 0.0, rng);
-  // Every node connects to 2 neighbors each side: 4 arcs out of each node
-  // from its own loop plus 4 in from others' loops => out_degree 4.
-  for (NodeId v = 0; v < 50; ++v) EXPECT_EQ(g.out_degree(v), 4u);
-}
-
-TEST(WattsStrogatz, RewiringKeepsEdgeBudget) {
-  Rng rng(8);
-  const DiGraph g = watts_strogatz(200, 6, 0.3, rng);
-  // Dedup can only shrink the count: at most n*k arcs.
-  EXPECT_LE(g.num_edges(), 200u * 6u);
-  EXPECT_GT(g.num_edges(), 200u * 6u * 8 / 10);
-}
-
-TEST(WattsStrogatz, InvalidParamsThrow) {
-  Rng rng(1);
-  EXPECT_THROW(watts_strogatz(10, 3, 0.1, rng), Error);   // odd k
-  EXPECT_THROW(watts_strogatz(4, 4, 0.1, rng), Error);    // n <= k
-  EXPECT_THROW(watts_strogatz(10, 2, 1.5, rng), Error);   // beta
-}
-
-TEST(ConfigurationModel, MatchesOutDegreesOnEasySequences) {
-  Rng rng(14);
-  std::vector<NodeId> degs(200, 4);
-  const DiGraph g = configuration_model(degs, rng);
-  EXPECT_EQ(g.num_nodes(), 200u);
-  // Regular sparse sequence: stub matching rarely drops arcs.
-  EXPECT_GE(g.num_edges(), 200u * 4u * 95 / 100);
-  std::size_t exact = 0;
-  for (NodeId v = 0; v < 200; ++v) exact += (g.out_degree(v) == 4);
-  EXPECT_GT(exact, 180u);
-}
-
-TEST(ConfigurationModel, NoSelfLoopsOrDuplicates) {
-  Rng rng(15);
-  std::vector<NodeId> degs;
-  for (NodeId v = 0; v < 150; ++v) degs.push_back(1 + v % 7);
-  const DiGraph g = configuration_model(degs, rng);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto nbrs = g.out_neighbors(u);
-    EXPECT_TRUE(std::adjacent_find(nbrs.begin(), nbrs.end()) == nbrs.end());
-    EXPECT_FALSE(g.has_edge(u, u));
-  }
-}
-
-TEST(ConfigurationModel, InDegreeTotalsMatchOutTotals) {
-  Rng rng(16);
-  std::vector<NodeId> degs(100, 3);
-  const DiGraph g = configuration_model(degs, rng);
-  EdgeId in_total = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) in_total += g.in_degree(v);
-  EXPECT_EQ(in_total, g.num_edges());
-}
-
-TEST(ConfigurationModel, ZeroDegreesAllowed) {
-  Rng rng(17);
-  std::vector<NodeId> degs{0, 0, 2, 0, 2};
-  const DiGraph g = configuration_model(degs, rng);
-  EXPECT_EQ(g.num_nodes(), 5u);
-  EXPECT_EQ(g.out_degree(0), 0u);
-}
-
 TEST(PowerLawSizes, SumsToTotal) {
   Rng rng(9);
   for (NodeId total : {100u, 1000u, 12345u}) {

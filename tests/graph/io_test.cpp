@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "graph/builder.h"
 #include "graph/generators.h"
 #include "support/reference_edge_list.h"
 #include "util/rng.h"
@@ -188,80 +187,6 @@ TEST(EdgeListIo, RoundTrip) {
     ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
   }
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIo, RoundTrip) {
-  Rng rng(9);
-  const DiGraph g = erdos_renyi(80, 0.04, /*directed=*/true, rng);
-  const std::string path = testing::TempDir() + "/lcrb_io_roundtrip.bin";
-  save_binary(g, path);
-  const DiGraph h = load_binary(path);
-  EXPECT_EQ(h.num_nodes(), g.num_nodes());
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto a = g.out_neighbors(u);
-    const auto b = h.out_neighbors(u);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIo, EmptyGraphRoundTrip) {
-  GraphBuilder b;
-  b.reserve_nodes(4);
-  const DiGraph g = b.finalize();
-  const std::string path = testing::TempDir() + "/lcrb_io_empty.bin";
-  save_binary(g, path);
-  const DiGraph h = load_binary(path);
-  EXPECT_EQ(h.num_nodes(), 4u);
-  EXPECT_EQ(h.num_edges(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIo, RejectsCorruptedFile) {
-  const DiGraph g = make_graph(3, {{0, 1}, {1, 2}});
-  const std::string path = testing::TempDir() + "/lcrb_io_corrupt.bin";
-  save_binary(g, path);
-  // Flip a byte in the payload.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(30);
-    char c = 0x7f;
-    f.write(&c, 1);
-  }
-  EXPECT_THROW(load_binary(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIo, RejectsWrongMagic) {
-  const std::string path = testing::TempDir() + "/lcrb_io_magic.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    const char junk[32] = "this is not a graph at all!";
-    f.write(junk, sizeof junk);
-  }
-  EXPECT_THROW(load_binary(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIo, RejectsTruncatedFile) {
-  const DiGraph g = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  const std::string path = testing::TempDir() + "/lcrb_io_trunc.bin";
-  save_binary(g, path);
-  // Rewrite with the last 8 bytes (checksum) cut off.
-  std::string bytes;
-  {
-    std::ifstream f(path, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(f)),
-                 std::istreambuf_iterator<char>());
-  }
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 8));
-  }
-  EXPECT_THROW(load_binary(path), Error);
   std::remove(path.c_str());
 }
 

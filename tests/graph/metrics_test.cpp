@@ -22,6 +22,9 @@ TEST(DegreeStats, StarValues) {
   EXPECT_EQ(s.max_in, 1u);
   EXPECT_EQ(s.isolated, 0u);
   EXPECT_DOUBLE_EQ(s.p50_out, 0.0);
+  EXPECT_DOUBLE_EQ(s.p90_out, 0.0);
+  // Sorted out-degrees are ten 0s then 10: p99 interpolates 0.9 of the way.
+  EXPECT_NEAR(s.p99_out, 9.0, 1e-9);
 }
 
 TEST(DegreeStats, CountsIsolated) {

@@ -59,13 +59,6 @@ TEST(BfsBackward, ReversesDirection) {
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(r.dist[v], 4 - v);
 }
 
-TEST(ReachableFrom, IncludesSourcesAndClosure) {
-  const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {3, 4}});
-  const NodeId src[] = {0};
-  const auto r = reachable_from(g, src);
-  EXPECT_EQ(r, (std::vector<NodeId>{0, 1, 2}));
-}
-
 // Property: BFS distances match a reference Dijkstra-with-unit-weights on
 // random graphs.
 class BfsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

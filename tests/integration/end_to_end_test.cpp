@@ -2,7 +2,18 @@
 // SCBG / greedy -> diffusion evaluation) on dataset-substitute networks.
 #include <gtest/gtest.h>
 
-#include "lcrb/experiments.h"
+#include <algorithm>
+
+#include "community/louvain.h"
+#include "community/nmi.h"
+#include "community/partition.h"
+#include "diffusion/montecarlo.h"
+#include "graph/generators.h"
+#include "lcrb/heuristics.h"
+#include "lcrb/options.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/scbg.h"
+#include "util/threadpool.h"
 
 namespace lcrb {
 namespace {
@@ -89,33 +100,6 @@ TEST(EndToEnd, GreedyReducesInfectionsOnSubstitute) {
   const HopSeries without = evaluate_protectors(s, {}, mc, &pool);
   EXPECT_LT(with.final_infected_mean, without.final_infected_mean);
   EXPECT_GE(with.saved_fraction_mean, without.saved_fraction_mean);
-}
-
-TEST(EndToEnd, BinaryRoundTripPreservesPipelineResults) {
-  const DatasetSubstitute ds = make_hep_like(2, 0.04);
-  const std::string path = testing::TempDir() + "/lcrb_e2e_graph.bin";
-  save_binary(ds.net.graph, path);
-  const DiGraph loaded = load_binary(path);
-
-  const Partition truth(ds.net.membership);
-  const ExperimentSetup a = prepare_experiment(ds.net.graph, truth, 0, 2, 3);
-  const ExperimentSetup b = prepare_experiment(loaded, truth, 0, 2, 3);
-  EXPECT_EQ(a.rumors, b.rumors);
-  EXPECT_EQ(a.bridges.bridge_ends, b.bridges.bridge_ends);
-  std::remove(path.c_str());
-}
-
-TEST(EndToEnd, UmbrellaHeaderExposesEverything) {
-  // Compile-time check mostly; touch one symbol per layer.
-  Rng rng(1);
-  const DiGraph g = erdos_renyi(30, 0.1, true, rng);
-  const Partition p = louvain(g);
-  EXPECT_EQ(p.num_nodes(), g.num_nodes());
-  const DiffusionResult r = simulate(g, {{0}, {}}, 0, kDoam, kUncapped);
-  EXPECT_GE(r.infected_count(), 1u);
-  TextTable t;
-  t.add_values("ok", 1);
-  EXPECT_EQ(t.row_count(), 1u);
 }
 
 }  // namespace

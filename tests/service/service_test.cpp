@@ -8,6 +8,7 @@
 
 #include "graph/generators.h"
 #include "lcrb/pipeline.h"
+#include "service/session.h"
 
 namespace lcrb::service {
 namespace {
@@ -244,6 +245,37 @@ TEST_F(ServiceFixture, OverBoundEvaluateIsRefusedAndTheServiceKeepsAnswering) {
     EXPECT_EQ(got.to_json(false).dump(),
               make_service()->run(req).to_json(false).dump());
   }
+}
+
+TEST_F(ServiceFixture, CachedResultIsChargedItsRequestKey) {
+  // A cached result is held under its canonical request text, whose size
+  // the client picks. An evaluate never reads multi_mode or
+  // protector_budgets, yet both are part of that text, so resident_bytes
+  // must grow by at least the key's length: otherwise distinct eval seeds
+  // could pin key memory that max_resident_bytes never sees.
+  auto svc = make_service();
+  QueryRequest info;
+  info.op = QueryOp::kInfo;
+  info.dataset = "ds";
+
+  QueryRequest plain = select_request();
+  plain.op = QueryOp::kEvaluate;
+  plain.protectors = {1, 2, 3};
+  plain.eval_runs = 4;
+  plain.eval_seed = 5;
+  ASSERT_TRUE(svc->run(plain).ok);  // warms the shared setup
+  const std::size_t before = svc->run(info).resident_bytes;
+
+  QueryRequest padded = plain;
+  padded.eval_seed = 6;
+  padded.options.multi_mode = MultiCascadeMode::kCoordinated;
+  padded.options.protector_budgets.assign(4096, 1);
+  const std::size_t key_bytes = make_result_key(padded).size();
+  ASSERT_GT(key_bytes, 2 * 4096u);
+  const QueryResult r = svc->run(padded);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.meta.get_bool("result_cache_hit", true));
+  EXPECT_GE(svc->run(info).resident_bytes - before, key_bytes);
 }
 
 TEST_F(ServiceFixture, BatchIsByteIdenticalToSequential) {

@@ -6,7 +6,6 @@
 #include "util/args.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace lcrb {
 namespace {
@@ -67,34 +66,6 @@ TEST(ArgsEdgeCases, EmptyValueViaEquals) {
 TEST(ArgsEdgeCases, RepeatedFlagLastWins) {
   Args a({"--k", "1", "--k", "2"});
   EXPECT_EQ(a.get_int("k", 0), 2);
-}
-
-TEST(RunningStatsFuzz, MergeTreeEqualsFlat) {
-  Rng rng(9);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.next_double() * 100 - 50);
-
-  RunningStats flat;
-  for (double x : xs) flat.add(x);
-
-  // Merge pairwise in a tree.
-  std::vector<RunningStats> leaves(8);
-  for (std::size_t i = 0; i < xs.size(); ++i) leaves[i % 8].add(xs[i]);
-  while (leaves.size() > 1) {
-    std::vector<RunningStats> next;
-    for (std::size_t i = 0; i + 1 < leaves.size(); i += 2) {
-      RunningStats m = leaves[i];
-      m.merge(leaves[i + 1]);
-      next.push_back(m);
-    }
-    if (leaves.size() % 2) next.push_back(leaves.back());
-    leaves = next;
-  }
-  EXPECT_EQ(leaves[0].count(), flat.count());
-  EXPECT_NEAR(leaves[0].mean(), flat.mean(), 1e-9);
-  EXPECT_NEAR(leaves[0].variance(), flat.variance(), 1e-7);
-  EXPECT_DOUBLE_EQ(leaves[0].min(), flat.min());
-  EXPECT_DOUBLE_EQ(leaves[0].max(), flat.max());
 }
 
 }  // namespace

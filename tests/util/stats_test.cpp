@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "util/error.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -38,88 +35,12 @@ TEST(RunningStats, KnownMeanVariance) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(21);
-  RunningStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 10 - 5;
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(b);  // no-op
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  b.merge(a);  // copy
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-  EXPECT_EQ(b.count(), 2u);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
   Rng rng(3);
   RunningStats small, big;
   for (int i = 0; i < 10; ++i) small.add(rng.next_double());
   for (int i = 0; i < 1000; ++i) big.add(rng.next_double());
   EXPECT_GT(small.ci95_halfwidth(), big.ci95_halfwidth());
-}
-
-TEST(BatchStats, MeanMedianPercentile) {
-  std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 5.5);
-  EXPECT_DOUBLE_EQ(median_of(xs), 5.5);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 100), 10.0);
-  EXPECT_NEAR(percentile_of(xs, 90), 9.1, 1e-12);
-}
-
-TEST(BatchStats, EmptyInputsAreZero) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_EQ(stddev_of({}), 0.0);
-  EXPECT_EQ(median_of({}), 0.0);
-  EXPECT_EQ(percentile_of({}, 50), 0.0);
-}
-
-TEST(BatchStats, PercentileOutOfRangeThrows) {
-  EXPECT_THROW(percentile_of({1.0}, -1), Error);
-  EXPECT_THROW(percentile_of({1.0}, 101), Error);
-}
-
-TEST(BatchStats, StddevMatchesRunningStats) {
-  std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_NEAR(stddev_of(xs), s.stddev(), 1e-12);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bucket 0
-  h.add(9.9);    // bucket 4
-  h.add(-3.0);   // clamped to 0
-  h.add(42.0);   // clamped to 4
-  h.add(5.0);    // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 //     --ris-eps E --ris-delta D       RIS stopping-rule accuracy knobs
 //     --ris-max-sets N                RR-set cap per pool
 //   simulate <graph>                  run one diffusion and print the curve
-//   locate <graph>                    rumor-source localization from a snapshot
+//   verify <graph>                    re-check the DOAM oracle and the SCBG
+//                                     guarantee over random seedings
+//   gen <out.txt>                     write a synthetic network
+//     --kind hep|enron|er|ba          generator (default enron)
 //
 // Common flags:
 //   --undirected            symmetrize the edge list on load
@@ -34,11 +37,33 @@
 // scbg/greedy/simulate are thin QueryService clients: they register the
 // loaded graph as a one-dataset session and run a QueryRequest — the same
 // code path lcrbd serves over NDJSON (see docs/service.md).
+#include <algorithm>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "lcrb/experiments.h"
+#include "community/detect.h"
+#include "community/io.h"
+#include "community/partition.h"
+#include "community/quality.h"
+#include "diffusion/cascade.h"
+#include "diffusion/doam.h"
+#include "diffusion/montecarlo.h"
+#include "graph/backend.h"
+#include "graph/generators.h"
+#include "graph/io.h"
+#include "graph/metrics.h"
+#include "lcrb/greedy.h"
+#include "lcrb/options.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/scbg.h"
 #include "service/query_service.h"
+#include "util/args.h"
+#include "util/csv.h"
+#include "util/error.h"
+#include "util/rng.h"
+#include "util/table.h"
 
 namespace {
 
@@ -238,7 +263,7 @@ int cmd_greedy(const Args& args) {
   if (req.options.sigma_mode == SigmaMode::kRis) {
     std::cout << "sigma served by: ris (" << r.sigma_evaluations
               << " RR sets/pool, " << r.meta.get_int("ris_rounds", 0)
-              << " doubling rounds)\n"
+              << " stopping checkpoints)\n"
               << "certified sigma bounds: ["
               << fixed(r.meta.get_double("ris_sigma_lower", 0.0), 2) << ", "
               << fixed(r.meta.get_double("ris_sigma_upper", 0.0), 2) << "]\n";
@@ -274,37 +299,6 @@ int cmd_simulate(const Args& args) {
   t.print(std::cout);
   std::cout << "bridge ends saved: " << fixed(100.0 * r.saved_fraction)
             << "%\n";
-  return 0;
-}
-
-int cmd_locate(const Args& args) {
-  const DiGraph g = load(args);
-  // Snapshot from --infected-ids, or simulate one for the demo.
-  std::vector<NodeId> snapshot;
-  if (args.has("infected-ids")) {
-    snapshot = id_list(args, "infected-ids");
-  } else {
-    const Partition p = detect(g, args);
-    const ExperimentSetup s = setup_experiment(g, p, args);
-    const RealizationParams dc{
-        .max_hops = args.get_count<std::uint32_t>("hops", 4)};
-    const DiffusionResult r =
-        simulate(g, {s.rumors, {}}, /*seed=*/0, DiffusionModel::kDoam, dc);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (r.state[v] == NodeState::kInfected) snapshot.push_back(v);
-    }
-    print_ids("true sources (simulated)", s.rumors);
-  }
-  SourceLocateConfig cfg;
-  cfg.num_sources = args.get_count<std::size_t>("sources", 1);
-  cfg.score = args.get_string("score", "jordan") == "centroid"
-                  ? SourceScore::kDistanceSum
-                  : SourceScore::kEccentricity;
-  const SourceEstimate e = locate_sources(g, snapshot, cfg);
-  print_ids("estimated sources", e.sources);
-  std::cout << "radius " << e.radius << ", mean distance "
-            << fixed(e.mean_distance, 2) << ", unreachable " << e.unreachable
-            << "\n";
   return 0;
 }
 
@@ -408,8 +402,8 @@ int cmd_verify(const Args& args) {
 
 int usage() {
   std::cout <<
-      "usage: lcrb <info|communities|bridges|scbg|greedy|simulate|locate|"
-      "verify> <graph.txt> [flags]\n"
+      "usage: lcrb <info|communities|bridges|scbg|greedy|simulate|verify|"
+      "gen> <graph.txt> [flags]\n"
       "see the header of tools/lcrb_cli.cpp for the flag reference\n";
   return 2;
 }
@@ -427,7 +421,6 @@ int main(int argc, char** argv) {
     if (cmd == "scbg") return cmd_scbg(args);
     if (cmd == "greedy") return cmd_greedy(args);
     if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "locate") return cmd_locate(args);
     if (cmd == "verify") return cmd_verify(args);
     if (cmd == "gen") return cmd_gen(args);
     return usage();
