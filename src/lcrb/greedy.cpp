@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "lcrb/ris.h"
+#include "lcrb/bbst_matrix.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -60,10 +60,10 @@ std::vector<NodeId> make_candidates(const G& g,
       }
       break;
     case CandidateStrategy::kBbstUnion: {
-      const RrPool bbsts = doam_bridge_end_pool(g, rumors, bridges, pool);
+      rank = build_bbst_matrix(g, rumors, bridges, pool)
+                 .row_counts(g.num_nodes());
       have_rank = true;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        rank[v] = static_cast<std::uint32_t>(bbsts.sets_containing(v).size());
         if (rank[v] > 0) out.push_back(v);
       }
       break;

@@ -35,9 +35,9 @@ struct GreedyConfig {
   std::size_t max_protectors = 0;  ///< hard cap; 0 = until alpha reached
   CandidateStrategy candidates = CandidateStrategy::kBbstUnion;
   /// Cap on the candidate pool (0 = unlimited). When capped, candidates are
-  /// ranked by how many bridge ends' DOAM RR sets contain them (kBbstUnion,
-  /// see doam_bridge_end_pool) or by out-degree (other strategies) before
-  /// truncation — a cheap, analytic proxy for sigma that keeps the
+  /// ranked by how many bridge ends' BBSTs contain them (kBbstUnion, the
+  /// row popcounts of build_bbst_matrix) or by out-degree (other strategies)
+  /// before truncation — a cheap, analytic proxy for sigma that keeps the
   /// Monte-Carlo budget on plausible seeds.
   std::size_t max_candidates = 0;
   bool use_celf = true;            ///< false = paper's plain re-evaluation

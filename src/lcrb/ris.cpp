@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "diffusion/model_traits.h"
+#include "lcrb/lazy_cover.h"
 #include "lcrb/ris_schedule.h"
 #include "util/check.h"
 #include "util/error.h"
@@ -68,18 +69,6 @@ std::size_t RrPool::num_null_prefix(std::size_t limit) const {
   return nulls;
 }
 
-std::size_t RrPool::num_covered_nodes_prefix(std::size_t limit) const {
-  LCRB_REQUIRE(limit <= num_sets(), "prefix limit exceeds pool size");
-  if (limit == num_sets()) return num_covered_nodes_;
-  std::size_t covered = 0;
-  const std::size_t num_nodes = inv_off_.empty() ? 0 : inv_off_.size() - 1;
-  for (std::size_t v = 0; v < num_nodes; ++v) {
-    const auto postings = sets_containing(static_cast<NodeId>(v));
-    if (!postings.empty() && postings.front() < limit) ++covered;
-  }
-  return covered;
-}
-
 std::size_t RrPool::memory_bytes() const {
   return sizeof(*this) + set_off_.capacity() * sizeof(std::uint32_t) +
          nodes_.capacity() * sizeof(NodeId) +
@@ -106,9 +95,7 @@ void RrPool::rebuild_inverted_index(NodeId num_graph_nodes) {
   // ascending, rewrites each set in ascending order — one counting sort of
   // the whole pool instead of a comparison sort per set.
   cursor.assign(set_off_.begin(), set_off_.end() - 1);
-  num_covered_nodes_ = 0;
   for (NodeId v = 0; v < num_graph_nodes; ++v) {
-    if (inv_off_[v + 1] > inv_off_[v]) ++num_covered_nodes_;
     for (std::uint32_t i = inv_off_[v]; i < inv_off_[v + 1]; ++i) {
       nodes_[cursor[inv_sets_[i]]++] = v;
     }
@@ -155,7 +142,7 @@ void RrPool::validate() const {
   }
   LCRB_REQUIRE(nulls == num_null_, "null-set counter out of sync");
   if (inv_off_.empty()) {
-    LCRB_REQUIRE(nodes_.empty() && inv_sets_.empty() && num_covered_nodes_ == 0,
+    LCRB_REQUIRE(nodes_.empty() && inv_sets_.empty(),
                  "pool with entries must carry an inverted index");
     return;
   }
@@ -167,11 +154,9 @@ void RrPool::validate() const {
                "inverted-index offsets must span the posting array");
   LCRB_REQUIRE(inv_sets_.size() == nodes_.size(),
                "inverted index must hold exactly one posting per entry");
-  std::size_t covered = 0;
   for (NodeId v = 0; v < n; ++v) {
     LCRB_REQUIRE(inv_off_[v] <= inv_off_[v + 1],
                  "inverted-index offsets must be monotone");
-    if (inv_off_[v + 1] > inv_off_[v]) ++covered;
     for (std::uint32_t i = inv_off_[v]; i < inv_off_[v + 1]; ++i) {
       LCRB_REQUIRE(i == inv_off_[v] || inv_sets_[i - 1] < inv_sets_[i],
                    "posting lists must be strictly ascending");
@@ -182,8 +167,6 @@ void RrPool::validate() const {
                    "posting names a set that does not contain the node");
     }
   }
-  LCRB_REQUIRE(covered == num_covered_nodes_,
-               "covered-node counter out of sync");
 }
 
 // ---------------------------------------------------------------------------
@@ -294,22 +277,10 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
                        std::size_t target_sets, ThreadPool* tp) const {
   const std::size_t from = pool.num_sets();
   if (target_sets <= from) return;
-  fill(pool, target_sets - from,
-       [&](std::size_t i) { return draw(stream, from + i); }, tp);
-}
-
-void RrSampler::extend_fixed_roots(RrPool& pool, ThreadPool* tp) const {
-  fill(pool, bridge_ends_.size(),
-       [&](std::size_t i) { return Draw{i, cfg_.seed}; }, tp);
-}
-
-template <class DrawAt>
-void RrSampler::fill(RrPool& pool, std::size_t count, DrawAt draw_at,
-                     ThreadPool* tp) const {
-  if (count == 0) return;
-  // Contiguous index shards: shard s owns block indices [s*chunk,
-  // min((s+1)*chunk, count)). The shard count depends only on the pool's
-  // thread count (a few shards per thread evens out skewed reverse
+  const std::size_t count = target_sets - from;
+  // Contiguous index shards: shard s owns draws [from + s*chunk,
+  // from + min((s+1)*chunk, count)). The shard count depends only on the
+  // pool's thread count (a few shards per thread evens out skewed reverse
   // searches); merging in shard order makes the result independent of it.
   const std::size_t threads = tp != nullptr ? tp->thread_count() : 0;
   const std::size_t num_shards =
@@ -329,7 +300,7 @@ void RrSampler::fill(RrPool& pool, std::size_t count, DrawAt draw_at,
     }
     ScratchLease lease(*this);
     for (std::size_t i = lo; i < hi; ++i) {
-      const Draw d = draw_at(i);
+      const Draw d = draw(stream, from + i);
       sh.sizes.push_back(rr_set_into(d.root_idx, d.realization_seed,
                                      *lease.scratch, sh.nodes, sh.visits));
     }
@@ -342,92 +313,40 @@ void RrSampler::fill(RrPool& pool, std::size_t count, DrawAt draw_at,
   pool.append_shards(std::move(shards), g_.num_nodes());
 }
 
-RrPool doam_bridge_end_pool(GraphRef g, std::span<const NodeId> rumors,
-                            const BridgeEndResult& bridges, ThreadPool* tp) {
-  RisConfig cfg;
-  cfg.model = DiffusionModel::kDoam;
-  cfg.max_hops = 0;
-  for (NodeId b : bridges.bridge_ends) {
-    LCRB_REQUIRE(b < bridges.rumor_dist.size(), "bridge end out of range");
-    const std::uint32_t d = bridges.rumor_dist[b];
-    LCRB_REQUIRE(d != kUnreached,
-                 "bridge end must be reachable from the rumors");
-    cfg.max_hops = std::max(cfg.max_hops, d);
-  }
-  RrPool pool;
-  RrSampler(g, {rumors.begin(), rumors.end()}, bridges.bridge_ends, cfg)
-      .extend_fixed_roots(pool, tp);
-  return pool;
-}
-
 // ---------------------------------------------------------------------------
 // Max-coverage greedy + two-pool stopping rule
 
-/// CELF-style lazy argmax: cnt[] holds every node's EXACT residual coverage
-/// (maintained by decrements when a pick's sets are covered), and the heap
-/// holds stale upper bounds of it. A popped entry whose bound is stale is
-/// reinserted at the current count; a fresh top is the exact argmax, because
-/// counts only decrease and every other heap bound dominates its node's
-/// count. The comparator breaks count ties toward the LOWEST node id, so a
-/// pick is always the exact lowest-id argmax (the pick sequence of a linear
-/// scan). ops counts cnt[] decrements only.
 CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
                                       double alpha, std::size_t max_protectors,
                                       std::size_t theta) {
   CoverageGreedyOutcome out;
   if (theta == 0) return out;
   std::vector<std::uint32_t> cnt(num_nodes, 0);
-  // (count, node) max-heap: larger count wins, lower id wins ties. Stored
-  // flat and re-heapified lazily via push_heap/pop_heap.
-  const auto heap_less = [](const std::pair<std::uint32_t, NodeId>& x,
-                            const std::pair<std::uint32_t, NodeId>& y) {
-    if (x.first != y.first) return x.first < y.first;
-    return x.second > y.second;
-  };
-  std::vector<std::pair<std::uint32_t, NodeId>> heap;
   for (NodeId v = 0; v < num_nodes; ++v) {
     const std::span<const std::uint32_t> postings = pool.sets_containing(v);
     const auto end = std::lower_bound(postings.begin(), postings.end(),
                                       static_cast<std::uint32_t>(theta));
     cnt[v] = static_cast<std::uint32_t>(end - postings.begin());
-    if (cnt[v] > 0) heap.emplace_back(cnt[v], v);
   }
-  std::make_heap(heap.begin(), heap.end(), heap_less);
   std::vector<char> covered(theta, 0);
   const std::size_t nulls = pool.num_null_prefix(theta);
   const double need = alpha * static_cast<double>(theta) - 1e-9;
-  while (static_cast<double>(out.covered + nulls) < need &&
-         (max_protectors == 0 || out.picks.size() < max_protectors)) {
-    NodeId best = kInvalidNode;
-    std::uint32_t best_cnt = 0;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), heap_less);
-      const auto [bound, v] = heap.back();
-      heap.pop_back();
-      if (cnt[v] == 0) continue;  // fully covered since; drop for good
-      if (bound != cnt[v]) {      // stale bound: requeue at the exact count
-        heap.emplace_back(cnt[v], v);
-        std::push_heap(heap.begin(), heap.end(), heap_less);
-        continue;
-      }
-      best = v;
-      best_cnt = bound;
-      break;
-    }
-    if (best == kInvalidNode) break;  // every remaining set is uncoverable
-    out.picks.push_back(best);
-    out.gains.push_back(best_cnt);
-    for (std::uint32_t s : pool.sets_containing(best)) {
-      if (s >= theta) break;  // posting lists ascend
-      if (covered[s]) continue;
-      covered[s] = 1;
-      ++out.covered;
-      for (NodeId w : pool.set_nodes(s)) {
-        --cnt[w];
-        ++out.ops;
-      }
-    }
-  }
+  lazy_greedy_cover(
+      cnt, max_protectors,
+      [&] { return static_cast<double>(out.covered + nulls) < need; },
+      [&](NodeId best) {
+        for (std::uint32_t s : pool.sets_containing(best)) {
+          if (s >= theta) break;  // posting lists ascend
+          if (covered[s]) continue;
+          covered[s] = 1;
+          ++out.covered;
+          for (NodeId w : pool.set_nodes(s)) {
+            --cnt[w];
+            ++out.ops;
+          }
+        }
+      },
+      out);
   return out;
 }
 
@@ -557,7 +476,7 @@ RisGreedyResult ris_greedy_with_context(double alpha,
       out.rounds = k + 1;
       out.sigma_lower = lb * b;
       out.sigma_upper = ub * b;
-      out.distinct_candidates = ctx.selection.num_covered_nodes_prefix(theta);
+      out.distinct_candidates = sel.candidates;
       out.nodes_visited = greedy_ops;
       out.guarantee_met = certified || negligible;
       out.stop_reason = certified    ? RisStopReason::kCertified

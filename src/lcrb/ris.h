@@ -42,6 +42,11 @@
 // lands in a preassigned slot and shards are merged in index order, so
 // results are bit-identical across thread counts (the fixed-order reduction
 // convention of util/reduce.h).
+//
+// SCBG does not sample: its DOAM set of every bridge end (the BBST, which
+// is also that root's RR set) is one lane of the bit matrix in
+// lcrb/bbst_matrix.h, and only the lazy greedy core (lcrb/lazy_cover.h) is
+// shared with coverage_greedy below.
 #pragma once
 
 #include <cstdint>
@@ -117,8 +122,6 @@ class RrPool {
   }
 
   std::size_t total_entries() const { return nodes_.size(); }
-  /// Distinct nodes appearing in at least one RR set.
-  std::size_t num_covered_nodes() const { return num_covered_nodes_; }
   /// Elementary node-touch operations spent generating the pool (forward
   /// baseline steps + reverse-search relaxations); the bench's cost metric.
   std::uint64_t nodes_visited() const { return nodes_visited_; }
@@ -134,9 +137,6 @@ class RrPool {
 
   /// Null sets among the first `limit` sets (limit <= num_sets()).
   std::size_t num_null_prefix(std::size_t limit) const;
-
-  /// Distinct nodes appearing in at least one of the first `limit` sets.
-  std::size_t num_covered_nodes_prefix(std::size_t limit) const;
 
   /// Heap footprint of the pool's arrays (capacity-based), for the session
   /// registry's byte accounting.
@@ -163,7 +163,6 @@ class RrPool {
   std::vector<std::uint32_t> inv_off_;  ///< per node, rebuilt on append
   std::vector<std::uint32_t> inv_sets_;
   std::size_t num_null_ = 0;
-  std::size_t num_covered_nodes_ = 0;
   std::uint64_t nodes_visited_ = 0;
 };
 
@@ -205,25 +204,12 @@ class RrSampler {
   void extend(RrPool& pool, std::uint64_t stream, std::size_t target_sets,
               ThreadPool* tp = nullptr) const;
 
-  /// Appends one RR set per bridge end, in bridge-end order, all drawn in
-  /// the realization of cfg.seed: set i of the appended block is rooted at
-  /// bridge_ends()[i]. Sharded and merged like extend. Meant for DOAM, whose
-  /// one realization is the graph itself, so set i is exactly the bridge
-  /// end's BBST (see doam_bridge_end_pool).
-  void extend_fixed_roots(RrPool& pool, ThreadPool* tp = nullptr) const;
-
   const std::vector<NodeId>& bridge_ends() const { return bridge_ends_; }
   GraphRef graph() const { return g_; }
   const RisConfig& config() const { return cfg_; }
 
  private:
   struct ScratchLease;
-
-  /// Appends `count` sets to `pool`; set i of the block is the RR set of
-  /// draw_at(i). The shared shard-and-merge core of both entries above.
-  template <class DrawAt>
-  void fill(RrPool& pool, std::size_t count, DrawAt draw_at,
-            ThreadPool* tp) const;
 
   /// Appends the RR set of one (root, realization) pair to `nodes`, in
   /// search order, and returns its size; the shard fill loop shares one
@@ -243,21 +229,12 @@ class RrSampler {
   mutable std::vector<std::unique_ptr<ReverseScratch>> scratch_free_;
 };
 
-/// The DOAM cover pool of SCBG (paper Algorithm 3): set i holds every
-/// node that saves bridges.bridge_ends[i] under DOAM, i.e.
-/// {w not in S_R : dist(w, b_i) <= d_R(b_i)} — the paper's BBST of b_i, and
-/// for DOAM also the RR set of root b_i — so sets_containing(v) is v's SW
-/// set. The reverse searches run to max d_R(b) hops. Throws unless every
-/// bridge end is reachable from the rumors.
-RrPool doam_bridge_end_pool(GraphRef g, std::span<const NodeId> rumors,
-                            const BridgeEndResult& bridges,
-                            ThreadPool* tp = nullptr);
-
 /// Outcome of coverage_greedy.
 struct CoverageGreedyOutcome {
   std::vector<NodeId> picks;
   std::vector<std::size_t> gains;  ///< newly covered sets per pick
   std::size_t covered = 0;
+  std::size_t candidates = 0;  ///< nodes in at least one set
   std::uint64_t ops = 0;
 };
 
@@ -265,8 +242,9 @@ struct CoverageGreedyOutcome {
 /// identity-keeping prefix): picks the node covering the most uncovered
 /// sets, lowest node id on ties, until (covered + null) / theta reaches
 /// `alpha`, `max_protectors` (0 = unlimited) is hit, or no node covers an
-/// uncovered set. With alpha = 1 and no cap it is the H_n greedy set cover
-/// SCBG runs. `ops` counts residual-count decrements.
+/// uncovered set. SCBG runs the same greedy over its bridge-end matrix
+/// (cover_bbst_matrix, lcrb/bbst_matrix.h). `ops` counts residual-count
+/// decrements.
 CoverageGreedyOutcome coverage_greedy(const RrPool& pool, NodeId num_nodes,
                                       double alpha, std::size_t max_protectors,
                                       std::size_t theta);

@@ -4,7 +4,7 @@
 #include "graph/graph.h"
 
 #include "diffusion/doam.h"
-#include "lcrb/ris.h"
+#include "lcrb/bbst_matrix.h"
 #include "util/error.h"
 
 namespace lcrb {
@@ -17,10 +17,9 @@ ScbgResult scbg_from_bridges(const G& g, std::span<const NodeId> rumors,
   out.bridge_ends = bridges.bridge_ends;
   if (out.bridge_ends.empty()) return out;
 
-  const RrPool bbsts = doam_bridge_end_pool(g, rumors, bridges, pool);
-  out.candidate_count = bbsts.num_covered_nodes();
-  CoverageGreedyOutcome cover =
-      coverage_greedy(bbsts, g.num_nodes(), 1.0, 0, bbsts.num_sets());
+  CoverageGreedyOutcome cover = cover_bbst_matrix(
+      build_bbst_matrix(g, rumors, bridges, pool), g.num_nodes());
+  out.candidate_count = cover.candidates;
   out.covered = cover.covered;
   // Every bridge end sits in its own BBST (N^0(v) = v), so a complete cover
   // always exists; failure indicates a bug, not an infeasible instance.

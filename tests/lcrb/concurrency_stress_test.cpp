@@ -170,7 +170,6 @@ TEST(RrPoolConcurrencyTest, ParallelExtendMatchesSerialByteForByte) {
   ASSERT_EQ(parallel.num_sets(), serial.num_sets());
   EXPECT_EQ(parallel.num_null(), serial.num_null());
   EXPECT_EQ(parallel.total_entries(), serial.total_entries());
-  EXPECT_EQ(parallel.num_covered_nodes(), serial.num_covered_nodes());
   for (std::size_t i = 0; i < serial.num_sets(); ++i) {
     const auto a = serial.set_nodes(i);
     const auto b = parallel.set_nodes(i);

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ranges>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "community/partition.h"
+#include "lcrb/bbst_matrix.h"
 #include "lcrb/bridge.h"
-#include "lcrb/ris.h"
+#include "support/bbst_sets.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -76,9 +78,10 @@ TEST(Rfst, EmptyRumorsThrow) {
 
 // ------------------------------ BBST ------------------------------
 //
-// Under DOAM the BBST of bridge end b is the RR set of root b; SCBG draws
-// them with doam_bridge_end_pool, one set per bridge end, in bridge-end
-// order. Set i must be exactly {w not a rumor : dist(w, b_i) <= d_R(b_i)}.
+// Under DOAM the BBST of bridge end b is every node that saves b; SCBG
+// sweeps them into build_bbst_matrix, one lane per bridge end. Decoded in
+// bridge-end order, set i must be exactly
+// {w not a rumor : dist(w, b_i) <= d_R(b_i)}.
 
 BridgeEndResult ends_with_rumor_dist(const DiGraph& g,
                                      std::vector<NodeId> ends,
@@ -89,9 +92,12 @@ BridgeEndResult ends_with_rumor_dist(const DiGraph& g,
   return b;
 }
 
-std::vector<NodeId> set_of(const RrPool& pool, std::size_t i) {
-  const auto s = pool.set_nodes(i);
-  return {s.begin(), s.end()};
+reference::BbstSets bbsts_of(const DiGraph& g,
+                             const std::vector<NodeId>& rumors,
+                             const BridgeEndResult& b) {
+  const BbstMatrix m = build_bbst_matrix(g, rumors, b);
+  m.validate(g.num_nodes());
+  return reference::decode_bbsts(m, g.num_nodes());
 }
 
 TEST(Bbst, DepthLimitIsRumorDistance) {
@@ -100,10 +106,10 @@ TEST(Bbst, DepthLimitIsRumorDistance) {
   const std::vector<NodeId> rumors{0};
   const BridgeEndResult b = ends_with_rumor_dist(g, {3}, rumors);
   ASSERT_EQ(b.rumor_dist[3], 3u);
-  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
-  ASSERT_EQ(pool.num_sets(), 1u);
+  const reference::BbstSets sets = bbsts_of(g, rumors, b);
+  ASSERT_EQ(sets.sets.size(), 1u);
   // Backward BFS from 3 within 3 hops: {3, 2, 4, 1, 5} minus rumor {0}.
-  EXPECT_EQ(set_of(pool, 0), (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sets.sets[0], (std::vector<NodeId>{1, 2, 3, 4, 5}));
 }
 
 TEST(Bbst, RumorsExcluded) {
@@ -111,14 +117,12 @@ TEST(Bbst, RumorsExcluded) {
   // (N^0(v) = v).
   const DiGraph g = make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {4, 3}});
   const std::vector<NodeId> one{0};
-  const RrPool p1 =
-      doam_bridge_end_pool(g, one, ends_with_rumor_dist(g, {3}, one));
-  EXPECT_EQ(set_of(p1, 0), (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(bbsts_of(g, one, ends_with_rumor_dist(g, {3}, one)).sets[0],
+            (std::vector<NodeId>{1, 2, 3, 4}));
   // A second rumor next to the root cuts the depth limit to one hop.
   const std::vector<NodeId> two{0, 4};
-  const RrPool p2 =
-      doam_bridge_end_pool(g, two, ends_with_rumor_dist(g, {3}, two));
-  EXPECT_EQ(set_of(p2, 0), (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(bbsts_of(g, two, ends_with_rumor_dist(g, {3}, two)).sets[0],
+            (std::vector<NodeId>{2, 3}));
 }
 
 TEST(Bbst, EveryMemberCanReachRootInTime) {
@@ -134,11 +138,11 @@ TEST(Bbst, EveryMemberCanReachRootInTime) {
   ASSERT_FALSE(ends.empty());
 
   const BridgeEndResult b = ends_with_rumor_dist(g, ends, rumors);
-  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
-  ASSERT_EQ(pool.num_sets(), ends.size());
+  const reference::BbstSets sets = bbsts_of(g, rumors, b);
+  ASSERT_EQ(sets.sets.size(), ends.size());
   for (std::size_t i = 0; i < ends.size(); ++i) {
     const BfsResult to_root = bfs_backward(g, std::vector<NodeId>{ends[i]});
-    for (NodeId w : pool.set_nodes(i)) {
+    for (NodeId w : sets.sets[i]) {
       EXPECT_LE(to_root.dist[w], rd.dist[ends[i]]) << "node " << w;
     }
   }
@@ -149,49 +153,55 @@ TEST(Bbst, UnreachableRootRejected) {
   BridgeEndResult b;
   b.bridge_ends = {2};
   b.rumor_dist = {0, 1, kUnreached};
-  EXPECT_THROW(doam_bridge_end_pool(g, std::vector<NodeId>{0}, b), Error);
+  EXPECT_THROW(build_bbst_matrix(g, std::vector<NodeId>{0}, b), Error);
 }
 
 TEST(BuildAllBbsts, OnePerBridgeEnd) {
   const DiGraph g = make_graph(6, {{0, 1}, {1, 2}, {0, 3}, {3, 4}, {4, 5}});
   const std::vector<NodeId> rumors{0};
   const BridgeEndResult b = ends_with_rumor_dist(g, {5, 2}, rumors);
-  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  const BbstMatrix m = build_bbst_matrix(g, rumors, b);
+  EXPECT_NO_THROW(m.validate(g.num_nodes()));
+  // Deepest lane first: 5 (d_R 3) before 2 (d_R 2).
+  EXPECT_TRUE(std::ranges::equal(m.lane_ends(),
+                                 std::vector<std::uint32_t>{0, 1}));
   // Bridge-end order, not node order: set 0 is rooted at 5, set 1 at 2.
-  ASSERT_EQ(pool.num_sets(), 2u);
-  EXPECT_EQ(pool.num_null(), 0u);
-  EXPECT_EQ(set_of(pool, 0), (std::vector<NodeId>{3, 4, 5}));
-  EXPECT_EQ(set_of(pool, 1), (std::vector<NodeId>{1, 2}));
-  EXPECT_NO_THROW(pool.validate());
+  const reference::BbstSets sets = reference::decode_bbsts(m, g.num_nodes());
+  ASSERT_EQ(sets.sets.size(), 2u);
+  EXPECT_EQ(sets.sets[0], (std::vector<NodeId>{3, 4, 5}));
+  EXPECT_EQ(sets.sets[1], (std::vector<NodeId>{1, 2}));
 }
 
 TEST(InvertBbsts, SwSetsAreExactMembership) {
   // Candidate u protects exactly the bridge ends whose BBST contains it:
-  // the pool's inverted index is the SW map of Algorithm 3 step 5.
+  // a matrix row is the SW map of Algorithm 3 step 5.
   const DiGraph g = make_graph(7, {{0, 1}, {1, 2}, {1, 3}, {4, 2}, {4, 3},
                                    {5, 4}, {6, 5}});
   const std::vector<NodeId> rumors{0};
   const BridgeEndResult b = ends_with_rumor_dist(g, {2, 3}, rumors);
-  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
+  const BbstMatrix m = build_bbst_matrix(g, rumors, b);
+  const reference::BbstSets sets = reference::decode_bbsts(m, g.num_nodes());
 
   // Node 4 reaches both 2 and 3 in one hop (rumor distance 2): in both sets.
-  const auto sw4 = pool.sets_containing(4);
-  EXPECT_EQ(std::vector<std::uint32_t>(sw4.begin(), sw4.end()),
-            (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(sets.sw[4], (std::vector<std::uint32_t>{0, 1}));
   // Node 6 is 3 hops away from both: in neither.
-  EXPECT_TRUE(pool.sets_containing(6).empty());
+  EXPECT_TRUE(sets.sw[6].empty());
 
-  // Cross-check every (candidate, set) pair both ways.
+  // Cross-check every (candidate, set) pair both ways, and the row counts.
+  const std::vector<std::uint32_t> rows = m.row_counts(g.num_nodes());
   std::size_t total_sw = 0;
+  std::size_t candidates = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (std::uint32_t s : pool.sets_containing(u)) {
-      const auto nodes = pool.set_nodes(s);
+    EXPECT_EQ(rows[u], sets.sw[u].size());
+    candidates += rows[u] > 0;
+    for (std::uint32_t s : sets.sw[u]) {
+      const auto& nodes = sets.sets[s];
       EXPECT_NE(std::find(nodes.begin(), nodes.end(), u), nodes.end());
       ++total_sw;
     }
   }
-  EXPECT_EQ(total_sw, pool.total_entries());
-  EXPECT_EQ(pool.num_covered_nodes(), 5u);  // {1, 2, 3, 4, 5}
+  EXPECT_EQ(total_sw, sets.total);
+  EXPECT_EQ(candidates, 5u);  // {1, 2, 3, 4, 5}
 }
 
 }  // namespace

@@ -205,11 +205,10 @@ TEST(RrPoolTest, InvertedIndexMatchesSetsExactly) {
   EXPECT_EQ(pool.num_null(), nulls);
 
   // Reverse direction: posting lists are sorted and only name real members.
-  std::size_t inv_entries = 0, covered = 0;
+  std::size_t inv_entries = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto sets = pool.sets_containing(v);
     inv_entries += sets.size();
-    if (!sets.empty()) ++covered;
     EXPECT_TRUE(std::is_sorted(sets.begin(), sets.end()));
     for (std::uint32_t i : sets) {
       const auto nodes = pool.set_nodes(i);
@@ -217,7 +216,6 @@ TEST(RrPoolTest, InvertedIndexMatchesSetsExactly) {
     }
   }
   EXPECT_EQ(inv_entries, entries);
-  EXPECT_EQ(pool.num_covered_nodes(), covered);
 }
 
 TEST(RrPoolTest, CoverageFractionCountsHitsAndNulls) {

@@ -1,7 +1,7 @@
 // SCBG's approximation guarantee checked against exact answers: on seeded
 // tiny graphs, the number of protectors SCBG picks is at most
 // H(max |SW|) times the minimum number of nodes whose SW sets cover every
-// bridge end (brute force over the same DOAM bridge-end pool).
+// bridge end (brute force over the same DOAM bridge-end matrix).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,9 @@
 
 #include "graph/builder.h"
 #include "graph/traversal.h"
-#include "lcrb/ris.h"
+#include "lcrb/bbst_matrix.h"
 #include "lcrb/scbg.h"
+#include "support/bbst_sets.h"
 #include "support/set_cover_oracle.h"
 #include "util/rng.h"
 
@@ -63,16 +64,16 @@ TEST_P(SetCoverPropertyTest, GreedyWithinHnOfOptimal) {
   for (int i = 0; i < kInstancesPerSeed; ++i) {
     const TinyInstance t = draw_instance(rng);
     const ScbgResult r = scbg_from_bridges(t.g, t.rumors, t.bridges);
-    const RrPool pool = doam_bridge_end_pool(t.g, t.rumors, t.bridges);
+    const reference::BbstSets sets = reference::decode_bbsts(
+        build_bbst_matrix(t.g, t.rumors, t.bridges), t.g.num_nodes());
 
     // The cover instance: one set per candidate node, its SW set.
     statcheck::CoverInstance inst;
-    inst.universe_size = static_cast<std::uint32_t>(pool.num_sets());
+    inst.universe_size = static_cast<std::uint32_t>(sets.sets.size());
     std::size_t max_sw = 0;
-    for (NodeId v = 0; v < t.g.num_nodes(); ++v) {
-      const auto sw = pool.sets_containing(v);
+    for (const std::vector<std::uint32_t>& sw : sets.sw) {
       if (sw.empty()) continue;
-      inst.sets.emplace_back(sw.begin(), sw.end());
+      inst.sets.push_back(sw);
       max_sw = std::max(max_sw, sw.size());
     }
     const statcheck::CoverResult opt = statcheck::exact_set_cover(inst);

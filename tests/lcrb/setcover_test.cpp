@@ -1,5 +1,6 @@
-// SCBG's set cover: the coverage greedy over the DOAM bridge-end pool, on
-// graphs built so the cover instance is a chosen family of sets, plus the
+// SCBG's set cover: the lazy coverage greedy over the DOAM bridge-end
+// matrix (and, sharing its core, RIS's coverage_greedy over a DOAM RR pool),
+// on graphs built so the cover instance is a chosen family of sets, plus the
 // exact oracle the approximation tests compare against.
 #include <gtest/gtest.h>
 
@@ -7,8 +8,11 @@
 
 #include "graph/builder.h"
 #include "graph/traversal.h"
+#include "lcrb/bbst_matrix.h"
+#include "lcrb/lazy_cover.h"
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
+#include "support/bbst_sets.h"
 #include "support/set_cover_oracle.h"
 #include "util/error.h"
 
@@ -65,8 +69,9 @@ TEST(GreedySetCover, EmptyUniverseTriviallyComplete) {
   const ScbgResult r = scbg_from_bridges(c.g, c.rumors, c.bridges);
   EXPECT_TRUE(r.protectors.empty());
   EXPECT_EQ(r.covered, 0u);
-  const RrPool empty = doam_bridge_end_pool(c.g, c.rumors, c.bridges);
-  EXPECT_TRUE(coverage_greedy(empty, c.g.num_nodes(), 1.0, 0, 0).picks.empty());
+  const BbstMatrix empty = build_bbst_matrix(c.g, c.rumors, c.bridges);
+  EXPECT_EQ(empty.num_blocks(), 0u);
+  EXPECT_TRUE(cover_bbst_matrix(empty, c.g.num_nodes()).picks.empty());
 }
 
 TEST(GreedySetCover, SingleSetCoversAll) {
@@ -82,14 +87,59 @@ TEST(GreedySetCover, PicksLargestFirst) {
 }
 
 TEST(GreedySetCover, PartialCoverageReported) {
-  // A pick cap stops the greedy short; it reports what it covered.
+  // A pick cap stops the shared lazy greedy short (RIS's max_protectors);
+  // it reports what it covered.
   const CoverGraph c = cover_graph(4, {{0, 1}, {1}});
-  const RrPool pool = doam_bridge_end_pool(c.g, c.rumors, c.bridges);
-  const CoverageGreedyOutcome r =
-      coverage_greedy(pool, c.g.num_nodes(), 1.0, 1, pool.num_sets());
+  const reference::BbstSets sets = reference::decode_bbsts(
+      build_bbst_matrix(c.g, c.rumors, c.bridges), c.g.num_nodes());
+  std::vector<std::uint32_t> cnt(c.g.num_nodes(), 0);
+  for (NodeId v = 0; v < c.g.num_nodes(); ++v) {
+    cnt[v] = static_cast<std::uint32_t>(sets.sw[v].size());
+  }
+  std::vector<char> covered(sets.sets.size(), 0);
+  CoverageGreedyOutcome r;
+  lazy_greedy_cover(
+      cnt, 1, [&] { return r.covered < sets.sets.size(); },
+      [&](NodeId best) {
+        for (std::uint32_t e : sets.sw[best]) {
+          if (covered[e]) continue;
+          covered[e] = 1;
+          ++r.covered;
+          for (NodeId w : sets.sets[e]) --cnt[w];
+        }
+      },
+      r);
   EXPECT_EQ(r.covered, 2u);
   EXPECT_EQ(r.picks, (std::vector<NodeId>{c.node_of_set(0)}));
   EXPECT_EQ(r.gains, (std::vector<std::size_t>{2}));
+}
+
+TEST(GreedySetCover, RrPoolCoverageGreedyUnderPickCap) {
+  // RIS's coverage_greedy runs the same lazy core over a DOAM RR pool. Each
+  // RR set is the BBST of a bridge end drawn at random: set 0's node covers
+  // every set rooted at ends 0 and 1, more than any other node, so a cap of
+  // one pick takes it and covers exactly those sets.
+  const CoverGraph c = cover_graph(4, {{0, 1}, {1}});
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kDoam;
+  RrSampler sampler(c.g, c.rumors, c.bridges.bridge_ends, cfg);
+  RrPool pool;
+  sampler.extend(pool, 0, 400);
+  std::size_t rooted_at_set0 = 0;
+  for (std::size_t i = 0; i < pool.num_sets(); ++i) {
+    rooted_at_set0 += sampler.draw(0, i).root_idx <= 1 ? 1 : 0;
+  }
+  ASSERT_GT(rooted_at_set0, 0u);
+  ASSERT_LT(rooted_at_set0, pool.num_sets());
+  const CoverageGreedyOutcome r =
+      coverage_greedy(pool, c.g.num_nodes(), 1.0, 1, pool.num_sets());
+  EXPECT_EQ(r.picks, (std::vector<NodeId>{c.node_of_set(0)}));
+  EXPECT_EQ(r.covered, rooted_at_set0);
+  EXPECT_EQ(r.gains, (std::vector<std::size_t>{rooted_at_set0}));
+  // Every non-rumor node lies in some RR set.
+  EXPECT_EQ(r.candidates, static_cast<std::size_t>(c.g.num_nodes() - 1));
+  // An empty prefix of the pool has nothing to cover.
+  EXPECT_TRUE(coverage_greedy(pool, c.g.num_nodes(), 1.0, 0, 0).picks.empty());
 }
 
 TEST(GreedySetCover, DuplicateElementsDoNotInflate) {
@@ -102,10 +152,11 @@ TEST(GreedySetCover, DuplicateElementsDoNotInflate) {
   BridgeEndResult b;
   b.bridge_ends = {2, 4};
   b.rumor_dist = bfs_forward(g, rumors).dist;
-  const RrPool pool = doam_bridge_end_pool(g, rumors, b);
-  EXPECT_EQ(pool.sets_containing(1).size(), 1u);
-  const auto set0 = pool.set_nodes(0);
-  EXPECT_EQ(std::count(set0.begin(), set0.end(), NodeId{1}), 1);
+  const reference::BbstSets sets =
+      reference::decode_bbsts(build_bbst_matrix(g, rumors, b), g.num_nodes());
+  EXPECT_EQ(sets.sw[1].size(), 1u);
+  EXPECT_EQ(std::count(sets.sets[0].begin(), sets.sets[0].end(), NodeId{1}),
+            1);
   EXPECT_EQ(scbg_from_bridges(g, rumors, b).protectors,
             (std::vector<NodeId>{3}));
 }

@@ -6,10 +6,13 @@
 // convention (see tools/lcrb_analyze rule D2 and src/util/reduce.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <ranges>
 #include <vector>
 
 #include "graph/generators.h"
+#include "lcrb/bbst_matrix.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/ris.h"
@@ -242,7 +245,6 @@ TEST_F(ThreadDeterminismTest, RisPoolGenerationIsThreadCountInvariant) {
     ASSERT_EQ(p->num_sets(), serial.num_sets());
     EXPECT_EQ(p->num_null(), serial.num_null());
     EXPECT_EQ(p->total_entries(), serial.total_entries());
-    EXPECT_EQ(p->num_covered_nodes(), serial.num_covered_nodes());
     EXPECT_EQ(p->nodes_visited(), serial.nodes_visited());
     for (std::size_t i = 0; i < serial.num_sets(); ++i) {
       const auto a = serial.set_nodes(i);
@@ -258,24 +260,27 @@ TEST_F(ThreadDeterminismTest, RisPoolGenerationIsThreadCountInvariant) {
 }
 
 TEST_F(ThreadDeterminismTest, ScbgIsThreadCountInvariant) {
-  // SCBG's bridge-end pool is drawn in shards: the pool bytes and the cover
-  // picked from it are identical with no pool, 1 thread and 4 threads.
+  // SCBG's bridge-end matrix is swept block by block: the matrix bytes and
+  // the cover picked from it are identical with no pool, 1 thread and 4
+  // threads.
   ThreadPool one(1);
   ThreadPool four(4);
-  const RrPool serial = doam_bridge_end_pool(g_, rumors_, bridges_);
+  const BbstMatrix serial = build_bbst_matrix(g_, rumors_, bridges_);
   const ScbgResult want = scbg_from_bridges(g_, rumors_, bridges_);
-  ASSERT_EQ(serial.num_sets(), bridges_.bridge_ends.size());
+  ASSERT_EQ(serial.num_ends(), bridges_.bridge_ends.size());
   EXPECT_FALSE(want.protectors.empty());
   for (ThreadPool* tp : {&one, &four}) {
-    const RrPool pool = doam_bridge_end_pool(g_, rumors_, bridges_, tp);
-    ASSERT_EQ(pool.total_entries(), serial.total_entries());
-    EXPECT_EQ(pool.nodes_visited(), serial.nodes_visited());
-    for (std::size_t i = 0; i < serial.num_sets(); ++i) {
-      const auto a = serial.set_nodes(i);
-      const auto b = pool.set_nodes(i);
-      ASSERT_EQ(a.size(), b.size()) << "set " << i;
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)), 0)
-          << "set " << i << " differs bitwise";
+    const BbstMatrix m = build_bbst_matrix(g_, rumors_, bridges_, tp);
+    ASSERT_EQ(m.num_blocks(), serial.num_blocks());
+    EXPECT_TRUE(std::ranges::equal(m.lane_ends(), serial.lane_ends()));
+    for (std::size_t k = 0; k < serial.num_blocks(); ++k) {
+      const auto a = serial.block_words(k);
+      const auto b = m.block_words(k);
+      ASSERT_EQ(a.size(), b.size()) << "block " << k;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0)
+          << "block " << k << " words differ bitwise";
+      EXPECT_TRUE(std::ranges::equal(serial.block_nodes(k), m.block_nodes(k)))
+          << "block " << k;
     }
     const ScbgResult got = scbg_from_bridges(g_, rumors_, bridges_, tp);
     EXPECT_EQ(got.protectors, want.protectors);

@@ -403,7 +403,10 @@ int cmd_verify(const Args& args) {
 int usage() {
   std::cout <<
       "usage: lcrb <info|communities|bridges|scbg|greedy|simulate|verify|"
-      "gen> <graph.txt> [flags]\n"
+      "gen> <file> [flags]\n"
+      "  lcrb <info|communities|bridges|scbg|greedy|simulate|verify> "
+      "<graph.txt>  reads the graph\n"
+      "  lcrb gen <out.txt>  writes a synthetic graph\n"
       "see the header of tools/lcrb_cli.cpp for the flag reference\n";
   return 2;
 }
