@@ -1,29 +1,14 @@
 #include "diffusion/cascade.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "graph/ef_graph.h"
 #include "graph/graph.h"
 #include "util/check.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace lcrb {
-
-namespace {
-
-bool iequals_ascii(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string to_string(DiffusionModel m) {
   switch (m) {

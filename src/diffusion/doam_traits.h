@@ -3,8 +3,8 @@
 // reverse all come from frontier_traits.h; this file only binds the
 // AlwaysLive coin. With every arc live the cache's distance rule is the
 // paper's: v ends protected iff dist(S_P, v) <= dist(S_R, v). The model is
-// deterministic, so SigmaEngine materializes one realization and every
-// sample replays it.
+// deterministic, so SigmaEstimator materializes one realization and replays
+// it once for all samples.
 #pragma once
 
 #include <cstdint>

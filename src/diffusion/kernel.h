@@ -26,7 +26,7 @@
 //  * EpochColorScratch / ReverseScratch — epoch-stamped working memory for
 //    the realization-cache replays and the reverse-reachability samplers.
 //    "Clearing" between uses is a counter bump, not an O(n) write; leasing
-//    is owned by the calling layer (sigma_engine.cpp, ris.cpp).
+//    is owned by the calling layer (sigma.cpp, ris.cpp).
 #pragma once
 
 #include <algorithm>

@@ -5,7 +5,7 @@
 // is the single place its model's semantics live. The contract:
 //
 //   flags     kModel, kName, kDeterministic (one realization: Monte-Carlo
-//             runs once, SigmaEngine materializes one sample for all),
+//             runs once, SigmaEstimator replays one sample for all),
 //             kSupportsReverse (RIS)
 //   forward   Trace, Forward(g, seed, params, trace) with seed(plan, r) /
 //             active() / step(plan, step, r) over a CascadePlan (K cascades
@@ -14,12 +14,12 @@
 //             shares, RealizationParams (hop cap, IC edge probability)
 //   cache     CacheShared/CacheSample/ReplayScratch,
 //             build_cache_shared/build_cache_sample, replay,
-//             replay_infected, *_bytes — consumed by SigmaEngine
+//             replay_infected, *_bytes — consumed by SigmaEstimator
 //   lanes     [optional] replay_lanes(g, shared, sp, rumors, base, extras,
 //             targets, infected, params) -> ops: replays one sample for up
 //             to 64 sets (lane l seeds base + extras[l]) and writes, per
 //             target, the word of lanes in which it ends infected —
-//             consumed by SigmaEngine::evaluate_lanes, which otherwise runs
+//             consumed by SigmaEstimator::evaluate_lanes, which otherwise runs
 //             `replay` lane by lane
 //   reverse   [kSupportsReverse] reverse_set — consumed by RrSampler
 //
@@ -29,7 +29,7 @@
 // capabilities are detected at compile time (`if constexpr`, a `requires`
 // check for lanes), so LT simply omits reverse_set and only OPOAO has a lane
 // kernel. Everything
-// downstream — simulate(), Monte-Carlo, the sigma engine, RIS, the query
+// downstream — simulate(), Monte-Carlo, the sigma estimator, RIS, the query
 // service, the CLI — is generic over this contract: adding a model is one
 // traits file plus a DiffusionModel enum entry (wc_traits.h is the worked
 // example; the recipe is in docs/architecture.md).

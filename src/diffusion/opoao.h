@@ -27,7 +27,7 @@ namespace lcrb {
 /// would target at absolute step `step`, as a raw 64-bit draw (take it mod
 /// out_degree(v)). A pure function of (sample seed, node, step) — this IS
 /// the paper's random graph G_R/G_P. Exposed so the realization cache in
-/// `lcrb/sigma_engine.h` can materialize each sample's pick tables once.
+/// `lcrb/sigma.h` can materialize each sample's pick tables once.
 /// Defined inline: it sits on the innermost loop of every forward run,
 /// cache build, and RR draw, which the traits layer instantiates across
 /// several translation units.

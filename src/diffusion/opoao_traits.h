@@ -2,7 +2,7 @@
 // Opportunistic One-Activate-One model (§III-A). Everything OPOAO-specific —
 // the forward pick loop, the realization-cache pick tables + 64-lane
 // replay, and the reverse temporal RR search — lives here; kernel.h,
-// sigma_engine.cpp and ris.cpp instantiate it generically. See
+// sigma.cpp and ris.cpp instantiate it generically. See
 // model_traits.h for the traits contract.
 #pragma once
 
@@ -133,7 +133,7 @@ struct OpoaoTraits {
   };
 
   // -------------------------------------------------------------------------
-  // Realization cache (SigmaEngine).
+  // Realization cache (SigmaEstimator).
   //
   // Per sample: a flat pick table (each (seed, v, step) hashed exactly once)
   // plus the rumor-only baseline activation schedule. A replay simulates

@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
-#include <mutex>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "graph/ef_graph.h"
 #include "graph/graph.h"
 #include "lcrb/lazy_cover.h"
 #include "util/check.h"
 #include "util/error.h"
+#include "util/scratch_pool.h"
 
 namespace lcrb {
 
@@ -125,18 +126,9 @@ BbstMatrix build_bbst_matrix(const G& g, std::span<const NodeId> rumors,
   m.blocks_.resize((ends.size() + BbstMatrix::kLanes - 1) /
                    BbstMatrix::kLanes);
 
-  std::mutex scratch_mu;
-  std::vector<std::unique_ptr<SweepScratch>> scratch_free;
+  ScratchPool<SweepScratch> scratch;
   auto sweep = [&](std::size_t k) {
-    std::unique_ptr<SweepScratch> sc;
-    {
-      std::lock_guard<std::mutex> lock(scratch_mu);
-      if (!scratch_free.empty()) {
-        sc = std::move(scratch_free.back());
-        scratch_free.pop_back();
-      }
-    }
-    if (sc == nullptr) sc = std::make_unique<SweepScratch>(n, rumors);
+    auto sc = scratch.lease(n, rumors);
     std::uint64_t* seen = sc->seen.data();
     std::uint64_t* cur = sc->cur.data();
     std::uint64_t* nxt = sc->nxt.data();
@@ -144,8 +136,9 @@ BbstMatrix build_bbst_matrix(const G& g, std::span<const NodeId> rumors,
     NodeId* next = sc->next.data();
     std::size_t num_frontier = 0;
 
-    const std::uint32_t* lanes = m.lane_end_.data() + k * BbstMatrix::kLanes;
     const std::size_t width = m.block_lanes(k);
+    const std::span<const std::uint32_t> lanes(
+        m.lane_end_.data() + k * BbstMatrix::kLanes, width);
     for (std::size_t l = 0; l < width; ++l) {
       const NodeId b = ends[lanes[l]];
       const std::uint64_t bit = std::uint64_t{1} << l;
@@ -186,21 +179,20 @@ BbstMatrix build_bbst_matrix(const G& g, std::span<const NodeId> rumors,
     // resets it. The rumor seeds' guard words are lifted for the scan, so a
     // nonzero word is a reached node; a counting pass sizes the block.
     for (NodeId r : rumors) seen[r] = 0;
-    const auto reached = static_cast<std::size_t>(
+    const std::size_t reached = static_cast<std::size_t>(
         n - std::count(seen, seen + n, std::uint64_t{0}));
-    BbstMatrix::Block& out = m.blocks_[k];
-    out.nodes.reserve(reached);
-    out.words.reserve(reached);
+    BbstMatrix::Block block;
+    block.nodes.reserve(reached);
+    block.words.reserve(reached);
     for (NodeId v = 0; v < n; ++v) {
       if (seen[v] != 0) {
-        out.nodes.push_back(v);
-        out.words.push_back(seen[v]);
+        block.nodes.push_back(v);
+        block.words.push_back(seen[v]);
         seen[v] = 0;
       }
     }
     for (NodeId r : rumors) seen[r] = ~std::uint64_t{0};
-    std::lock_guard<std::mutex> lock(scratch_mu);
-    scratch_free.push_back(std::move(sc));
+    m.blocks_[k] = std::move(block);
   };
   if (pool != nullptr) {
     pool->parallel_for(m.blocks_.size(), sweep);

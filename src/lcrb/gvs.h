@@ -4,26 +4,29 @@
 // ends. Contrasting it with the LCRB algorithms shows what the bridge-end
 // objective buys: GVS spends budget inside the rumor community where
 // infections are doomed anyway, while LCRB guards the boundary.
+//
+// Candidates are scored by a SigmaEstimator whose targets are every
+// non-rumor node: infected(A) = n - uninfected(A) per sample, replayed from
+// the realization cache, so a GVS query is bounded by kMaxSigmaCacheBytes
+// exactly as the greedy is.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "diffusion/montecarlo.h"
 #include "graph/graph_view.h"
+#include "lcrb/sigma.h"
 #include "util/threadpool.h"
 #include "util/types.h"
 
 namespace lcrb {
 
 struct GvsConfig {
-  std::size_t budget = 10;        ///< protectors to select
-  std::size_t samples = 20;       ///< Monte-Carlo samples per evaluation
-  std::uint64_t seed = 23;
-  std::uint32_t max_hops = 31;
-  DiffusionModel model = DiffusionModel::kOpoao;
-  double ic_edge_prob = 0.1;
+  std::size_t budget = 10;  ///< protectors to select
+  /// Samples, seed, hop cap, model and IC edge probability of the
+  /// infection estimate.
+  SigmaConfig sigma{.samples = 20, .seed = 23};
   /// Candidate pool cap (ranked by out-degree); 0 = all non-rumor nodes.
   std::size_t max_candidates = 300;
 };
@@ -38,6 +41,8 @@ struct GvsResult {
 /// Runs GVS with CELF-style lazy evaluation (the infection-reduction
 /// objective is monotone and empirically submodular under the live-pick
 /// coupling; lazy bounds are refreshed before acceptance either way).
+/// Throws lcrb::Error when the estimator would exceed kMaxSigmaCacheBytes;
+/// the message names gvs_samples, the option that sets cfg.sigma.samples.
 template <GraphView G>
 GvsResult gvs_protectors(const G& g, std::span<const NodeId> rumors,
                          const GvsConfig& cfg, ThreadPool* pool = nullptr);

@@ -1,26 +1,12 @@
 #include "lcrb/options.h"
 
-#include <cctype>
-
 #include "util/args.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace lcrb {
 
 namespace {
-
-// Case-insensitive name match so the canonical forms ("OPOAO", "Greedy")
-// and the lowercase CLI spellings ("opoao", "greedy") both parse.
-bool iequals(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Overrides `out` when --`flag` is present.
 template <class T>
@@ -59,7 +45,7 @@ SelectorKind selector_kind_from_string(const std::string& name) {
         SelectorKind::kGvs, SelectorKind::kBetweenness,
         SelectorKind::kDegreeDiscount, SelectorKind::kNoBlocking,
         SelectorKind::kCldag}) {
-    if (iequals(to_string(k), name)) return k;
+    if (iequals_ascii(to_string(k), name)) return k;
   }
   throw Error("unknown selector '" + name + "'");
 }
@@ -68,14 +54,14 @@ DiffusionModel diffusion_model_from_string(const std::string& name) {
   for (const DiffusionModel m : {DiffusionModel::kOpoao, DiffusionModel::kDoam,
                                  DiffusionModel::kIc, DiffusionModel::kLt,
                                  DiffusionModel::kWc}) {
-    if (iequals(to_string(m), name)) return m;
+    if (iequals_ascii(to_string(m), name)) return m;
   }
   throw Error("unknown diffusion model '" + name + "' (opoao|doam|ic|lt|wc)");
 }
 
 SigmaMode sigma_mode_from_string(const std::string& name) {
   for (const SigmaMode m : {SigmaMode::kMonteCarlo, SigmaMode::kRis}) {
-    if (iequals(to_string(m), name)) return m;
+    if (iequals_ascii(to_string(m), name)) return m;
   }
   throw Error("unknown sigma mode '" + name + "' (mc|ris)");
 }
@@ -84,7 +70,7 @@ MultiCascadeMode multi_cascade_mode_from_string(const std::string& name) {
   for (const MultiCascadeMode m :
        {MultiCascadeMode::kOff, MultiCascadeMode::kCoordinated,
         MultiCascadeMode::kUncoordinated}) {
-    if (iequals(to_string(m), name)) return m;
+    if (iequals_ascii(to_string(m), name)) return m;
   }
   throw Error("unknown multi-cascade mode '" + name +
               "' (off|coordinated|uncoordinated)");
@@ -94,7 +80,7 @@ CandidateStrategy candidate_strategy_from_string(const std::string& name) {
   for (const CandidateStrategy s :
        {CandidateStrategy::kBbstUnion, CandidateStrategy::kAllNodes,
         CandidateStrategy::kBridgeEnds}) {
-    if (iequals(to_string(s), name)) return s;
+    if (iequals_ascii(to_string(s), name)) return s;
   }
   throw Error("unknown candidate strategy '" + name +
               "' (bbst_union|all_nodes|bridge_ends)");
@@ -202,11 +188,8 @@ RisConfig LcrbOptions::ris_config() const {
 GvsConfig LcrbOptions::gvs_config() const {
   GvsConfig gc;
   gc.budget = budget;  // callers resolve 0 via resolved_budget()
-  gc.samples = gvs_samples;
-  gc.seed = sigma_seed;
-  gc.max_hops = max_hops;
-  gc.model = model;
-  gc.ic_edge_prob = ic_edge_prob;
+  gc.sigma = sigma_config();
+  gc.sigma.samples = gvs_samples;
   gc.max_candidates = gvs_max_candidates;
   return gc;
 }

@@ -172,30 +172,6 @@ void RrPool::validate() const {
 // ---------------------------------------------------------------------------
 // RrSampler
 
-/// RAII lease of a per-draw ReverseScratch (diffusion/kernel.h) from the
-/// sampler's free list; concurrent draws each hold their own buffer.
-struct RrSampler::ScratchLease {
-  explicit ScratchLease(const RrSampler& owner) : owner_(owner) {
-    {
-      std::lock_guard<std::mutex> lock(owner_.scratch_mu_);
-      if (!owner_.scratch_free_.empty()) {
-        scratch = std::move(owner_.scratch_free_.back());
-        owner_.scratch_free_.pop_back();
-      }
-    }
-    if (scratch == nullptr) {
-      scratch = std::make_unique<ReverseScratch>(owner_.g_.num_nodes(),
-                                                 owner_.cfg_.max_hops);
-    }
-  }
-  ~ScratchLease() {
-    std::lock_guard<std::mutex> lock(owner_.scratch_mu_);
-    owner_.scratch_free_.push_back(std::move(scratch));
-  }
-  const RrSampler& owner_;
-  std::unique_ptr<ReverseScratch> scratch;
-};
-
 RrSampler::RrSampler(GraphRef g, std::vector<NodeId> rumors,
                      std::vector<NodeId> bridge_ends, const RisConfig& cfg)
     : g_(g),
@@ -265,8 +241,8 @@ std::vector<NodeId> RrSampler::rr_set(std::size_t root_idx,
   std::uint64_t local = 0;
   std::vector<NodeId> out;
   {
-    ScratchLease lease(*this);
-    rr_set_into(root_idx, realization_seed, *lease.scratch, out, local);
+    auto sc = scratch_.lease(g_.num_nodes(), cfg_.max_hops);
+    rr_set_into(root_idx, realization_seed, *sc, out, local);
   }
   std::sort(out.begin(), out.end());
   if (visits != nullptr) *visits += local;
@@ -298,11 +274,11 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
       sh.sizes.assign(hi - lo, 0);
       return;
     }
-    ScratchLease lease(*this);
+    auto sc = scratch_.lease(g_.num_nodes(), cfg_.max_hops);
     for (std::size_t i = lo; i < hi; ++i) {
       const Draw d = draw(stream, from + i);
-      sh.sizes.push_back(rr_set_into(d.root_idx, d.realization_seed,
-                                     *lease.scratch, sh.nodes, sh.visits));
+      sh.sizes.push_back(rr_set_into(d.root_idx, d.realization_seed, *sc,
+                                     sh.nodes, sh.visits));
     }
   };
   if (tp != nullptr && num_shards > 1) {

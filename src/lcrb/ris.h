@@ -50,8 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -61,6 +59,7 @@
 #include "diffusion/montecarlo.h"
 #include "graph/backend.h"
 #include "lcrb/bridge.h"
+#include "util/scratch_pool.h"
 #include "util/threadpool.h"
 #include "util/types.h"
 
@@ -209,8 +208,6 @@ class RrSampler {
   const RisConfig& config() const { return cfg_; }
 
  private:
-  struct ScratchLease;
-
   /// Appends the RR set of one (root, realization) pair to `nodes`, in
   /// search order, and returns its size; the shard fill loop shares one
   /// scratch across all its draws.
@@ -225,8 +222,8 @@ class RrSampler {
   std::vector<NodeId> bridge_ends_;
   std::vector<bool> is_rumor_;
 
-  mutable std::mutex scratch_mu_;
-  mutable std::vector<std::unique_ptr<ReverseScratch>> scratch_free_;
+  /// One ReverseScratch (diffusion/kernel.h) per concurrent draw loop.
+  mutable ScratchPool<ReverseScratch> scratch_;
 };
 
 /// Outcome of coverage_greedy.

@@ -18,17 +18,6 @@ std::string to_string(ErrorCode code) {
   return "internal";
 }
 
-ErrorCode error_code_from_string(const std::string& name) {
-  for (const ErrorCode code :
-       {ErrorCode::kInvalidArgument, ErrorCode::kUnsupportedVersion,
-        ErrorCode::kUnknownDataset, ErrorCode::kDeadlineRejected,
-        ErrorCode::kDeadlineExpired, ErrorCode::kQueueFull,
-        ErrorCode::kShutdown, ErrorCode::kCancelled, ErrorCode::kInternal}) {
-    if (to_string(code) == name) return code;
-  }
-  throw Error("error: unknown code '" + name + "'");
-}
-
 std::string error_category(ErrorCode code) {
   switch (code) {
     case ErrorCode::kNone: return "none";

@@ -51,7 +51,6 @@ enum class ErrorCode : std::uint8_t {
 };
 
 std::string to_string(ErrorCode code);
-ErrorCode error_code_from_string(const std::string& name);
 
 /// The code's fixed category: request | session | deadline | capacity |
 /// cancelled | internal.

@@ -62,14 +62,6 @@ JsonValue doubles_to_json(const std::vector<double>& xs) {
   return arr;
 }
 
-std::vector<double> doubles_from_json(const JsonValue& v) {
-  std::vector<double> out;
-  const std::span<const JsonValue> items = v.items();
-  out.reserve(items.size());
-  for (const JsonValue& x : items) out.push_back(x.as_double());
-  return out;
-}
-
 }  // namespace
 
 std::string to_string(QueryOp op) {
@@ -239,76 +231,6 @@ JsonValue QueryResult::to_json(bool include_meta) const {
   }
   if (include_meta && !meta.is_null()) v.set("meta", meta);
   return v;
-}
-
-QueryResult QueryResult::from_json(const JsonValue& v) {
-  if (!v.is_object()) throw Error("result: expected a JSON object");
-  QueryResult r;
-  for (const auto& [key, val] : v.members()) {
-    if (key == "v") {
-      r.version = static_cast<int>(val.as_int());
-    } else if (key == "id") {
-      r.id = val.as_string();
-    } else if (key == "op") {
-      r.op = query_op_from_string(val.as_string());
-    } else if (key == "dataset") {
-      r.dataset = val.as_string();
-    } else if (key == "ok") {
-      r.ok = val.as_bool();
-    } else if (key == "error") {
-      if (val.is_object()) {
-        // v2 structured error; category/retryable are derived fields and
-        // only checked for presence-consistency by round-trip tests.
-        r.error = val.get_string("message", "");
-        r.error_code = error_code_from_string(val.get_string("code", ""));
-      } else {
-        r.error = val.as_string();
-      }
-    } else if (key == "rumor_community") {
-      r.rumor_community = static_cast<CommunityId>(non_negative(val, "rumor_community"));
-    } else if (key == "rumors") {
-      r.rumors = ids_from_json(val, "rumors");
-    } else if (key == "num_bridge_ends") {
-      r.num_bridge_ends = static_cast<std::size_t>(non_negative(val, "num_bridge_ends"));
-    } else if (key == "protectors") {
-      r.protectors = ids_from_json(val, "protectors");
-    } else if (key == "protector_groups") {
-      r.protector_groups = groups_from_json(val, "protector_groups");
-    } else if (key == "achieved_fraction") {
-      r.achieved_fraction = val.as_double();
-    } else if (key == "gain_history") {
-      r.gain_history = doubles_from_json(val);
-    } else if (key == "candidate_count") {
-      r.candidate_count = static_cast<std::size_t>(non_negative(val, "candidate_count"));
-    } else if (key == "sigma_evaluations") {
-      r.sigma_evaluations = static_cast<std::size_t>(non_negative(val, "sigma_evaluations"));
-    } else if (key == "infected_by_hop") {
-      r.infected_by_hop = doubles_from_json(val);
-    } else if (key == "infected_ci95") {
-      r.infected_ci95 = doubles_from_json(val);
-    } else if (key == "protected_by_hop") {
-      r.protected_by_hop = doubles_from_json(val);
-    } else if (key == "final_infected_mean") {
-      r.final_infected_mean = val.as_double();
-    } else if (key == "final_protected_mean") {
-      r.final_protected_mean = val.as_double();
-    } else if (key == "saved_fraction") {
-      r.saved_fraction = val.as_double();
-    } else if (key == "num_nodes") {
-      r.num_nodes = static_cast<std::size_t>(non_negative(val, "num_nodes"));
-    } else if (key == "num_arcs") {
-      r.num_arcs = static_cast<std::size_t>(non_negative(val, "num_arcs"));
-    } else if (key == "num_communities") {
-      r.num_communities = static_cast<std::size_t>(non_negative(val, "num_communities"));
-    } else if (key == "resident_bytes") {
-      r.resident_bytes = static_cast<std::size_t>(non_negative(val, "resident_bytes"));
-    } else if (key == "meta") {
-      r.meta = val;
-    } else {
-      throw Error("result: unknown key '" + key + "'");
-    }
-  }
-  return r;
 }
 
 QueryResult QueryResult::make_error(const QueryRequest& req,

@@ -158,7 +158,6 @@ struct QueryResult {
   /// Deterministic single-line JSON; `include_meta` appends the meta object
   /// (for humans and dashboards, never for golden comparisons).
   JsonValue to_json(bool include_meta = false) const;
-  static QueryResult from_json(const JsonValue& v);
 
   /// Uniform error result (used by the service for every failure path so
   /// error payloads are as deterministic as success payloads). The overload

@@ -18,7 +18,8 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "lcrb/ris.h"
-#include "lcrb/sigma_engine.h"
+#include "lcrb/sigma.h"
+#include "support/sigma_oracle.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -149,14 +150,11 @@ TEST_P(ModelConformanceTest, CacheReplayMatchesForwardSimulation) {
   cfg.samples = 6;
   cfg.max_hops = 20;
   cfg.ic_edge_prob = 0.3;
-  std::vector<std::uint64_t> sample_seeds;
-  for (std::uint64_t i = 0; i < cfg.samples; ++i) {
-    sample_seeds.push_back(1000 + i * 77);
-  }
+  const std::vector<std::uint64_t> sample_seeds = statcheck::sample_seeds(cfg);
   // Every model materializes its samples (DOAM: one realization that every
   // sample replays).
-  const SigmaEngine engine(g, rumors, bridge_ends, sample_seeds, cfg, nullptr);
-  EXPECT_GT(engine.realization_bytes(), 0u);
+  const SigmaEstimator est(g, rumors, bridge_ends, cfg);
+  EXPECT_GT(est.realization_bytes(), 0u);
   const RealizationParams mc = params();
   const std::vector<std::vector<NodeId>> protector_sets = {
       {}, {10}, {10, 11, 12}, {33, 47}};
@@ -164,7 +162,7 @@ TEST_P(ModelConformanceTest, CacheReplayMatchesForwardSimulation) {
     const DiffusionResult base =
         simulate(g, {rumors, {}}, sample_seeds[i], model(), mc);
     for (const std::vector<NodeId>& prot : protector_sets) {
-      const SigmaEngine::Outcome o = engine.evaluate(i, prot);
+      const SigmaEstimator::Outcome o = est.evaluate(i, prot);
       const DiffusionResult with =
           simulate(g, {rumors, prot}, sample_seeds[i], model(), mc);
       std::uint32_t saved = 0, uninfected = 0;
@@ -338,7 +336,7 @@ TEST_P(KWayConformanceTest, RoleSeparableCollapseMatchesTwoCascadeRun) {
 }
 
 TEST_P(KWayConformanceTest, CacheReplayMatchesKWayForward) {
-  // The SigmaEngine replay over the role unions must reproduce the K-way
+  // The realization-cache replay over the role unions must reproduce the K-way
   // forward outcome bridge end by bridge end.
   Rng rng(29);
   const DiGraph g = erdos_renyi(80, 0.07, true, rng);
@@ -354,12 +352,8 @@ TEST_P(KWayConformanceTest, CacheReplayMatchesKWayForward) {
   cfg.samples = 5;
   cfg.max_hops = 20;
   cfg.ic_edge_prob = 0.3;
-  std::vector<std::uint64_t> sample_seeds;
-  for (std::uint64_t i = 0; i < cfg.samples; ++i) {
-    sample_seeds.push_back(500 + i * 31);
-  }
-  const SigmaEngine engine(g, kway.rumor_role_union(), bridge_ends,
-                           sample_seeds, cfg, nullptr);
+  const std::vector<std::uint64_t> sample_seeds = statcheck::sample_seeds(cfg);
+  const SigmaEstimator est(g, kway.rumor_role_union(), bridge_ends, cfg);
   const RealizationParams mc = params();
   for (std::size_t i = 0; i < cfg.samples; ++i) {
     SeedSets base_seeds;
@@ -368,8 +362,8 @@ TEST_P(KWayConformanceTest, CacheReplayMatchesKWayForward) {
         simulate(g, base_seeds, sample_seeds[i], model(), mc);
     const DiffusionResult with =
         simulate(g, kway, sample_seeds[i], model(), mc);
-    const SigmaEngine::Outcome o =
-        engine.evaluate(i, kway.protector_role_union());
+    const SigmaEstimator::Outcome o =
+        est.evaluate(i, kway.protector_role_union());
     std::uint32_t saved = 0, uninfected = 0;
     for (NodeId b : bridge_ends) {
       if (with.state[b] != NodeState::kInfected) {

@@ -1,5 +1,5 @@
 // Concurrency stress over the scratch-leasing evaluators: many external
-// threads hammer SigmaEngine::evaluate, RrSampler::rr_set and RrPool growth
+// threads hammer SigmaEstimator::evaluate, RrSampler::rr_set and RrPool growth
 // at once, asserting results stay byte-identical to a serial pass. Run under
 // the CI tsan job, these are the tests that make scratch-pool reuse and
 // inverted-index growth races visible.
@@ -12,7 +12,6 @@
 #include "graph/generators.h"
 #include "lcrb/ris.h"
 #include "lcrb/sigma.h"
-#include "lcrb/sigma_engine.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -27,24 +26,23 @@ TEST(SigmaEngineConcurrencyTest, ConcurrentEvaluateMatchesSerial) {
   const std::vector<NodeId> rumors = {0, 1};
   std::vector<NodeId> ends;
   for (NodeId v = 10; v < 40; ++v) ends.push_back(v);
-  std::vector<std::uint64_t> sample_seeds;
-  for (std::uint64_t i = 0; i < 12; ++i) sample_seeds.push_back(1000 + i);
 
   for (DiffusionModel model :
        {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kLt}) {
     SigmaConfig cfg;
     cfg.model = model;
-    cfg.samples = sample_seeds.size();
+    cfg.samples = 12;
+    cfg.seed = 1000;
     cfg.ic_edge_prob = 0.25;
-    SigmaEngine engine(g, rumors, ends, sample_seeds, cfg, nullptr);
+    const SigmaEstimator est(g, rumors, ends, cfg);
 
     const std::vector<std::vector<NodeId>> candidate_sets = {
         {5}, {5, 42}, {17, 23, 61}, {99}};
     // Serial reference pass.
-    std::vector<SigmaEngine::Outcome> want;
-    for (std::size_t s = 0; s < sample_seeds.size(); ++s) {
+    std::vector<SigmaEstimator::Outcome> want;
+    for (std::size_t s = 0; s < cfg.samples; ++s) {
       for (const auto& a : candidate_sets) {
-        want.push_back(engine.evaluate(s, a));
+        want.push_back(est.evaluate(s, a));
       }
     }
     // kThreads workers replay the full grid repeatedly, leasing scratch
@@ -56,9 +54,9 @@ TEST(SigmaEngineConcurrencyTest, ConcurrentEvaluateMatchesSerial) {
         int good = 1;
         for (int round = 0; round < 3; ++round) {
           std::size_t k = 0;
-          for (std::size_t s = 0; s < sample_seeds.size(); ++s) {
+          for (std::size_t s = 0; s < cfg.samples; ++s) {
             for (const auto& a : candidate_sets) {
-              const auto got = engine.evaluate(s, a);
+              const auto got = est.evaluate(s, a);
               if (got.saved != want[k].saved ||
                   got.uninfected != want[k].uninfected) {
                 good = 0;

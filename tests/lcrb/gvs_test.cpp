@@ -5,7 +5,9 @@
 #include <set>
 
 #include "graph/builder.h"
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
+#include "support/gvs_reference.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -14,9 +16,9 @@ namespace {
 GvsConfig fast_cfg(std::size_t budget) {
   GvsConfig cfg;
   cfg.budget = budget;
-  cfg.samples = 15;
-  cfg.seed = 9;
-  cfg.max_hops = 40;
+  cfg.sigma.samples = 15;
+  cfg.sigma.seed = 9;
+  cfg.sigma.max_hops = 40;
   return cfg;
 }
 
@@ -89,7 +91,7 @@ TEST(Gvs, ValidatesConfig) {
   GvsConfig cfg = fast_cfg(0);
   EXPECT_THROW(gvs_protectors(g, {std::vector<NodeId>{0}}, cfg), Error);
   cfg = fast_cfg(1);
-  cfg.samples = 0;
+  cfg.sigma.samples = 0;
   EXPECT_THROW(gvs_protectors(g, {std::vector<NodeId>{0}}, cfg), Error);
   EXPECT_THROW(gvs_protectors(g, {}, fast_cfg(1)), Error);
 }
@@ -97,11 +99,60 @@ TEST(Gvs, ValidatesConfig) {
 TEST(Gvs, WorksUnderDoam) {
   const DiGraph g = path_graph(8);
   GvsConfig cfg = fast_cfg(1);
-  cfg.model = DiffusionModel::kDoam;
-  cfg.samples = 1;
+  cfg.sigma.model = DiffusionModel::kDoam;
+  cfg.sigma.samples = 1;
   const GvsResult r = gvs_protectors(g, {std::vector<NodeId>{0}}, cfg);
   EXPECT_EQ(r.protectors[0], 1u);
   EXPECT_DOUBLE_EQ(r.final_infected, 1.0);
+}
+
+/// Runs gvs_protectors with no pool, one thread and four threads and
+/// requires each run to equal the forward-simulation reference bit for bit.
+template <class G>
+void expect_matches_reference(const G& g, std::span<const NodeId> rumors,
+                              const GvsConfig& cfg, const std::string& label) {
+  const GvsResult want = statcheck::gvs_reference(
+      g, rumors, cfg.budget, cfg.max_candidates, cfg.sigma);
+  ASSERT_FALSE(want.protectors.empty()) << label;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    const std::string at =
+        label + " threads " +
+        std::to_string(pool != nullptr ? pool->thread_count() : 0);
+    const GvsResult got = gvs_protectors(g, rumors, cfg, pool);
+    EXPECT_EQ(got.protectors, want.protectors) << at;
+    EXPECT_EQ(got.infected_history, want.infected_history) << at;
+    EXPECT_EQ(got.baseline_infected, want.baseline_infected) << at;
+    EXPECT_EQ(got.final_infected, want.final_infected) << at;
+  }
+}
+
+TEST(Gvs, MatchesForwardSimulationReference) {
+  // Every model, both backends, with and without a candidate cap.
+  for (std::uint64_t seed : {31, 32, 33}) {
+    Rng rng(seed);
+    const DiGraph csr =
+        erdos_renyi(60 + 10 * static_cast<NodeId>(seed - 31), 0.06, true, rng);
+    const EfGraph ef = EfGraph::from_csr(csr);
+    const std::vector<NodeId> rumors{0, 1};
+    for (DiffusionModel m :
+         {DiffusionModel::kOpoao, DiffusionModel::kDoam, DiffusionModel::kIc,
+          DiffusionModel::kLt, DiffusionModel::kWc}) {
+      GvsConfig cfg;
+      cfg.budget = 4;
+      cfg.max_candidates = seed == 31 ? 0 : 25;
+      cfg.sigma.samples = 6;
+      cfg.sigma.seed = seed;
+      cfg.sigma.max_hops = 20;
+      cfg.sigma.model = m;
+      cfg.sigma.ic_edge_prob = 0.3;
+      const std::string label =
+          to_string(m) + " graph " + std::to_string(seed);
+      expect_matches_reference(csr, rumors, cfg, label + " csr");
+      expect_matches_reference(ef, rumors, cfg, label + " ef");
+    }
+  }
 }
 
 }  // namespace

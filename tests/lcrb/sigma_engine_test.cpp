@@ -3,7 +3,7 @@
 // sample with and without the protectors). Both share the per-sample seeds,
 // so every statistic must agree EXACTLY (not approximately): a replay is
 // the same realization, not a re-estimate.
-#include "lcrb/sigma_engine.h"
+#include "lcrb/sigma.h"
 
 #include <gtest/gtest.h>
 
@@ -16,15 +16,14 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
-#include "lcrb/sigma.h"
 #include "support/sigma_oracle.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace lcrb {
 namespace {
 
 using statcheck::oracle_sigma;
-using statcheck::sample_seeds;
 
 SigmaConfig engine_cfg(DiffusionModel model, std::size_t samples = 24,
                        std::uint64_t seed = 11) {
@@ -102,6 +101,20 @@ TEST(SigmaEngine, DoamMaterializesOneRealization) {
   const NodeId a[] = {2};
   EXPECT_DOUBLE_EQ(eight.sigma(a), 2.0);  // DOAM on a path: 2 blocks 3 and 4
   EXPECT_GT(eight.nodes_visited(), 0u);
+  // The one realization is replayed once per set, not once per sample, yet
+  // every sample counts as an evaluation.
+  EXPECT_DOUBLE_EQ(one.sigma(a), 2.0);
+  EXPECT_EQ(eight.nodes_visited(), one.nodes_visited());
+  EXPECT_EQ(eight.evaluations(), 8u);
+  const NodeId cands[] = {1, 2, 5};
+  const std::vector<SigmaEstimator::Score> batch = fifty.sigma_batch({}, cands);
+  EXPECT_EQ(fifty.evaluations(), 150u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    const NodeId with[] = {cands[j]};
+    EXPECT_EQ(batch[j].sigma, eight.sigma(with)) << cands[j];
+    EXPECT_EQ(batch[j].uninfected, 50 * one.score(with).uninfected)
+        << cands[j];
+  }
 
   // The replayed realization matches the forward kernel bit for bit.
   CommunityGraphConfig cg_cfg;
@@ -302,10 +315,10 @@ TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
   for (NodeId v = 3; v < 3 + kSigmaLanes; ++v) extras.push_back(v);
   for (DiffusionModel m : kCachedModels) {
     const SigmaConfig cfg = engine_cfg(m, 6);
-    const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg, nullptr);
+    const SigmaEstimator est(g, rumors, ends, cfg);
     // Only a lane kernel scores a full lane word for about the price of
     // one set.
-    EXPECT_EQ(engine.lanes_per_pass(),
+    EXPECT_EQ(est.lanes_per_pass(),
               m == DiffusionModel::kOpoao ? kSigmaLanes : 1u)
         << to_string(m);
     for (const std::vector<NodeId>& base :
@@ -314,11 +327,11 @@ TEST(SigmaEngine, LanesMatchPerSetEvaluate) {
            {std::size_t{1}, std::size_t{5}, std::size_t{kSigmaLanes}}) {
         const std::span<const NodeId> lane_extras(extras.data(), lanes);
         for (std::size_t i = 0; i < cfg.samples; ++i) {
-          std::vector<SigmaEngine::Outcome> out(lanes);
-          engine.evaluate_lanes(i, base, lane_extras, out);
+          std::vector<SigmaEstimator::Outcome> out(lanes);
+          est.evaluate_lanes(i, base, lane_extras, out);
           for (std::size_t l = 0; l < lanes; ++l) {
-            const SigmaEngine::Outcome o =
-                engine.evaluate(i, with_extra(base, lane_extras[l]));
+            const SigmaEstimator::Outcome o =
+                est.evaluate(i, with_extra(base, lane_extras[l]));
             EXPECT_EQ(out[l].saved, o.saved)
                 << to_string(m) << " sample " << i << " lane " << l;
             EXPECT_EQ(out[l].uninfected, o.uninfected)
@@ -353,6 +366,8 @@ void check_batch_sizes(const G& g, DiffusionModel m) {
           << to_string(m) << " size " << size << " lane " << j;
       EXPECT_EQ(scores[j].protected_fraction, est.protected_fraction(with))
           << to_string(m) << " size " << size << " lane " << j;
+      EXPECT_EQ(scores[j].uninfected, est.score(with).uninfected)
+          << to_string(m) << " size " << size << " lane " << j;
     }
   }
   EXPECT_TRUE(est.sigma_batch(base, {}).empty());
@@ -383,18 +398,16 @@ TEST(SigmaEngine, LaneSeedsRejectedLikeEvaluate) {
   const NodeId bad_extras[] = {21, 0, 500};  // duplicate, rumor, range
   for (DiffusionModel m : kCachedModels) {
     const SigmaConfig cfg = engine_cfg(m, 4);
-    const SigmaEngine engine(g, rumors, ends, sample_seeds(cfg), cfg,
-                             nullptr);
     const SigmaEstimator est(g, rumors, ends, cfg);
     for (NodeId bad : bad_extras) {
       const std::vector<NodeId> with = with_extra(base, bad);
       const NodeId extras[] = {30, bad, 31};
       for (std::size_t i = 0; i < cfg.samples; ++i) {
         const std::string expected =
-            error_of([&] { (void)engine.evaluate(i, with); });
+            error_of([&] { (void)est.evaluate(i, with); });
         EXPECT_NE(expected, "no error") << to_string(m) << " extra " << bad;
-        std::vector<SigmaEngine::Outcome> out(3);
-        EXPECT_EQ(error_of([&] { engine.evaluate_lanes(i, base, extras, out); }),
+        std::vector<SigmaEstimator::Outcome> out(3);
+        EXPECT_EQ(error_of([&] { est.evaluate_lanes(i, base, extras, out); }),
                   expected)
             << to_string(m) << " sample " << i << " extra " << bad;
       }
@@ -407,13 +420,25 @@ TEST(SigmaEngine, LaneSeedsRejectedLikeEvaluate) {
 
 TEST(SigmaEngine, SupportsAndSizing) {
   const DiGraph g = path_graph(100);
+  auto footprint = [&](DiffusionModel m, std::size_t samples) {
+    return SigmaEstimator::check_footprint(g, 2, engine_cfg(m, samples),
+                                           "sigma_samples");
+  };
   for (DiffusionModel m : kCachedModels) {
-    EXPECT_GT(SigmaEngine::estimated_bytes(g, engine_cfg(m)), 0u);
+    EXPECT_GT(footprint(m, 24), 0u) << to_string(m);
   }
-  // A deterministic model's estimate counts one realization.
+  // A deterministic model's estimate counts one realization: DOAM and IC
+  // share the live-edge bound for one sample, and past it DOAM's grows only
+  // by each sample's seed and baseline (bitset over the 2 targets and
+  // infected count).
   const DiffusionModel doam = DiffusionModel::kDoam;
-  EXPECT_EQ(SigmaEngine::estimated_bytes(g, engine_cfg(doam, 1)),
-            SigmaEngine::estimated_bytes(g, engine_cfg(doam, 50)));
+  const DiffusionModel ic = DiffusionModel::kIc;
+  EXPECT_EQ(footprint(doam, 1), footprint(ic, 1));
+  const std::size_t per_sample = sizeof(std::uint64_t) +
+                                 sizeof(DynamicBitset) +
+                                 sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  EXPECT_EQ(footprint(doam, 50) - footprint(doam, 1), 49 * per_sample);
+  EXPECT_GT(footprint(ic, 50) - footprint(ic, 1), 49 * per_sample);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 #include <limits>
 #include <string>
 
+#include "diffusion/model_traits.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "lcrb/sigma_engine.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -181,21 +181,43 @@ TEST(SigmaEstimator, RefusesAnOverBoundCacheBeforeBuildingIt) {
 }
 
 TEST(SigmaEstimator, CacheEstimateSaturatesInsteadOfWrapping) {
+  // A wrapped estimate would be small and pass the bound; a saturated one
+  // is refused and reported as SIZE_MAX bytes.
   const DiGraph g = path_graph(8);
-  constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::string saturated = "estimated " + std::to_string(kMax) + " bytes";
+  auto refusal = [&](const SigmaConfig& cfg) -> std::string {
+    try {
+      (void)SigmaEstimator::check_footprint(g, 3, cfg, "sigma_samples");
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // The per-sample seed and baseline term saturates on its own at 2^62
+  // samples, so the cache estimate is checked at the traits.
   for (DiffusionModel m :
        {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kLt,
         DiffusionModel::kWc}) {
     SigmaConfig cfg = small_cfg();
     cfg.model = m;
     cfg.samples = std::size_t{1} << 62;
-    EXPECT_EQ(SigmaEngine::estimated_bytes(g, cfg), kSaturated)
+    const std::size_t cache = dispatch_model(m, [&](auto t) {
+      using T = decltype(t);
+      return T::estimated_cache_bytes(g, cfg.samples, cfg.max_hops);
+    });
+    EXPECT_EQ(cache, kMax) << to_string(m);
+    EXPECT_NE(refusal(cfg).find(saturated), std::string::npos)
         << to_string(m);
   }
+  // Here the per-sample term stays far from SIZE_MAX: only OPOAO's pick
+  // table estimate (hops x rows per sample) saturates.
   SigmaConfig hops = small_cfg();
   hops.max_hops = 0xffffffff;
   hops.samples = std::size_t{1} << 40;
-  EXPECT_EQ(SigmaEngine::estimated_bytes(g, hops), kSaturated);
+  EXPECT_EQ(OpoaoTraits::estimated_cache_bytes(g, hops.samples, hops.max_hops),
+            kMax);
+  EXPECT_NE(refusal(hops).find(saturated), std::string::npos);
 }
 
 }  // namespace
