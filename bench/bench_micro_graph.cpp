@@ -6,9 +6,6 @@
 // behind the CSR BFS at the same size.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "build_guard.h"
 #include "community/louvain.h"
@@ -98,29 +95,6 @@ void BM_EfCompress(benchmark::State& state) {
       static_cast<double>(ef.memory_bytes()) / m;
 }
 BENCHMARK(BM_EfCompress)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-
-void BM_EfLoad(benchmark::State& state) {
-  const bool use_mmap = state.range(1) != 0;
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng rng(2);
-  const DiGraph csr = erdos_renyi_m(n, static_cast<EdgeId>(n) * 8, true, rng);
-  const EfGraph ef = EfGraph::from_csr(csr);
-  const std::string path = "bench_micro_graph_ef_tmp.bin";
-  ef.save(path);
-  const EfMapMode mode = use_mmap ? EfMapMode::kMmap : EfMapMode::kRead;
-  for (auto _ : state) {
-    EfGraph g = EfGraph::load(path, mode, EfVerify::kFull);
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-  std::remove(path.c_str());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ef.num_edges()));
-  state.counters["mmap"] = use_mmap ? 1 : 0;
-}
-BENCHMARK(BM_EfLoad)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Unit(benchmark::kMillisecond);
 
 // The diffusion kernel on each backend, identical topology and seeds. The
 // items_per_second ratio of the /0 (CSR) and /1 (EfGraph) rows is the

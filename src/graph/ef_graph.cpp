@@ -1,23 +1,10 @@
-// EfGraph core: storage, payload encoding/parsing, membership, validation.
-// File/mmap I/O lives in ef_io.cpp.
+// EfGraph core: payload encoding/parsing, membership, validation.
 #include "graph/ef_graph.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "graph/ef_storage.h"
 #include "graph/graph_view.h"
 #include "util/error.h"
 
 namespace lcrb {
-
-std::shared_ptr<EfGraph::Storage> EfGraph::make_storage() {
-  return std::make_shared<Storage>();
-}
-
-std::vector<std::uint64_t>& EfGraph::storage_buffer(Storage& s) {
-  return s.heap;
-}
 
 // ---------------------------------------------------------------------------
 // PayloadEncoder.
@@ -97,7 +84,7 @@ void PayloadEncoder::Sequence::finish() {
 }  // namespace ef
 
 // ---------------------------------------------------------------------------
-// Payload parsing (shared by the build, read and mmap paths).
+// Payload parsing: the one place views are built.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -162,13 +149,13 @@ ef::SequenceView parse_sequence(std::span<const std::uint64_t> payload,
 
 }  // namespace
 
-EfGraph EfGraph::from_storage(std::shared_ptr<const Storage> s, NodeId n,
-                              EdgeId m) {
-  std::span<const std::uint64_t> payload = s->payload();
+EfGraph EfGraph::from_words(std::shared_ptr<const Words> words, NodeId n,
+                            EdgeId m) {
+  const std::span<const std::uint64_t> payload = *words;
   EfGraph g;
   g.num_nodes_ = n;
   g.num_edges_ = m;
-  g.storage_ = std::move(s);
+  g.words_ = std::move(words);
   const std::uint64_t target_universe =
       static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
   std::size_t at = 0;
@@ -176,10 +163,8 @@ EfGraph EfGraph::from_storage(std::shared_ptr<const Storage> s, NodeId n,
     d->offsets = parse_sequence(payload, at,
                                 static_cast<std::uint64_t>(n) + 1, m + 1);
     d->targets = parse_sequence(payload, at, m, target_universe);
-    // Offsets must start at 0 and end at m; they are monotone iff the low
-    // bits agree with the (already verified) high-bit order — checked in the
-    // full decode below for untrusted input; the boundary values are cheap
-    // and always checked.
+    // Offsets must start at 0 and end at m; monotonicity is validate()'s
+    // per-row decode; the boundary values are cheap and always checked.
     LCRB_REQUIRE(d->offsets.value(0) == 0, "EF offsets must start at 0");
     LCRB_REQUIRE(d->offsets.value(n) == m,
                  "EF offsets must end at the arc count");
@@ -214,24 +199,18 @@ bool EfGraph::has_edge(NodeId u, NodeId v) const {
 }
 
 std::size_t EfGraph::memory_bytes() const {
-  if (storage_ == nullptr) return 0;
-  if (storage_->map_addr != nullptr) return storage_->map_len;
-  return storage_->heap.capacity() * sizeof(std::uint64_t);
-}
-
-bool EfGraph::mmap_backed() const {
-  return storage_ != nullptr && storage_->map_addr != nullptr;
+  return words_ == nullptr ? 0 : words_->capacity() * sizeof(std::uint64_t);
 }
 
 // ---------------------------------------------------------------------------
 // Validation.
 // ---------------------------------------------------------------------------
 
-void EfGraph::validate(EfVerify level) const {
+void EfGraph::validate() const {
   const std::uint64_t n = num_nodes_;
-  if (storage_ == nullptr) {
+  if (words_ == nullptr) {
     LCRB_REQUIRE(n == 0 && num_edges_ == 0,
-                 "non-empty EfGraph without storage");
+                 "non-empty EfGraph without a word buffer");
     return;
   }
   for (const ef::DirectionView* d : {&out_, &in_}) {
@@ -240,7 +219,6 @@ void EfGraph::validate(EfVerify level) const {
     LCRB_REQUIRE(d->offsets.value(0) == 0, "EF offsets must start at 0");
     LCRB_REQUIRE(d->offsets.value(n) == num_edges_,
                  "EF offsets must end at the arc count");
-    if (level != EfVerify::kFull) continue;
 
     // Full decode: offsets monotone; every row's lifted targets stay inside
     // [u*n, (u+1)*n) and decode in ascending order. One sequential pass over

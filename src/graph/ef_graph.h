@@ -24,19 +24,17 @@
 // ascending order CSR stores them, so every algorithm instantiated on
 // either backend produces identical results (pinned by the golden suite).
 //
-// Persistence: a versioned binary container (see ef_io.cpp) loaded either
-// by mmap (zero-copy: all views point into the mapping) or by read() into
-// one heap buffer (the NO_MMAP-style fallback; also the only option for
-// istream sources). Untrusted inputs are fully verified by default.
+// EfGraph lives in memory only: from_csr/from_rows encode both directions
+// into one word buffer that copies share, and every view points into it.
+// Graphs arrive as edge lists (graph/io.h) and are compressed after parsing;
+// there is no on-disk EF format.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <memory>
 #include <ranges>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,7 +93,7 @@ inline std::uint64_t select_in_word(std::uint64_t x, std::uint64_t r) {
 
 /// Read-only bitvector view with sampled select1 (samples[j] = position of
 /// the (j * kSelectSample)-th set bit). The words and samples live in the
-/// owning EfGraph's storage (heap buffer or mmap region).
+/// owning EfGraph's word buffer.
 class BitView {
  public:
   BitView() = default;
@@ -371,28 +369,8 @@ struct DirectionView {
 
 }  // namespace ef
 
-/// How EfGraph::load maps the file.
-enum class EfMapMode : std::uint8_t {
-  kAuto,  ///< mmap when available, read() otherwise
-  kMmap,  ///< mmap or fail
-  kRead,  ///< always read() into a heap buffer (the NO_MMAP path)
-};
-
-/// How much of a loaded file is verified before use.
-enum class EfVerify : std::uint8_t {
-  /// Full structural verification: counts, checksums-of-structure
-  /// (popcounts, sample tables), offsets shape, and a sequential decode of
-  /// every row proving values are in-range and ascending. O(n + m). The
-  /// default — required for untrusted input.
-  kFull,
-  /// Header + bitvector bookkeeping only (O(n + m/64), no per-element
-  /// decode). ONLY for files this process (or a trusted pipeline) wrote:
-  /// forged target values would read out of range downstream.
-  kTrusted,
-};
-
 /// Elias-Fano compressed immutable digraph; see file comment. Cheap to copy
-/// (shared storage).
+/// (shared word buffer).
 class EfGraph {
  public:
   EfGraph() = default;
@@ -433,8 +411,8 @@ class EfGraph {
                                  static_cast<double>(num_nodes_);
   }
 
-  /// Compressed footprint: every word of every sequence (or the mapped
-  /// payload), in bytes. The honest number ServiceConfig byte budgets see.
+  /// Compressed footprint: every word of every sequence, in bytes. The
+  /// honest number ServiceConfig byte budgets see.
   std::size_t memory_bytes() const;
 
   /// Compressed bits per arc (both directions, offsets included).
@@ -444,9 +422,6 @@ class EfGraph {
                : 8.0 * static_cast<double>(memory_bytes()) /
                      static_cast<double>(num_edges_);
   }
-
-  /// True when the underlying words live in an mmap'ed file region.
-  bool mmap_backed() const;
 
   /// Builds from an existing CSR graph (rows are already sorted).
   static EfGraph from_csr(const DiGraph& g);
@@ -459,37 +434,19 @@ class EfGraph {
   template <class OutFn, class InFn>
   static EfGraph from_rows(NodeId n, EdgeId m, OutFn&& out_row, InFn&& in_row);
 
-  /// Throws lcrb::Error unless the structure is well-formed; `full` adds the
-  /// O(m) per-row decode check (values in range, rows ascending, in == exact
-  /// transpose arc count). See EfVerify.
-  void validate(EfVerify level = EfVerify::kFull) const;
-
-  // --- Versioned on-disk container (ef_io.cpp) ---------------------------
-
-  void save(const std::string& path) const;
-  void save(std::ostream& out) const;
-
-  /// Loads a container file. kAuto/kMmap map the file read-only and point
-  /// every view into the mapping (zero copy); kRead streams it into one heap
-  /// buffer. Both paths verify per `verify`.
-  static EfGraph load(const std::string& path, EfMapMode mode = EfMapMode::kAuto,
-                      EfVerify verify = EfVerify::kFull);
-  /// Stream loader (always the read path). The fuzz harness drives this.
-  static EfGraph load(std::istream& in, EfVerify verify = EfVerify::kFull);
-
-  struct Storage;  ///< heap buffer or mmap region owning all words
+  /// Throws lcrb::Error unless the structure is well-formed: counts, the
+  /// offsets' shape, and a per-row decode proving every value is in range
+  /// and every row ascending. O(n + m); from_rows runs it under
+  /// LCRB_INVARIANT.
+  void validate() const;
 
  private:
-  friend struct EfGraphIo;
+  using Words = std::vector<std::uint64_t>;
 
-  /// Opaque storage factory + accessors so header templates (from_rows) can
-  /// build without a complete Storage type.
-  static std::shared_ptr<Storage> make_storage();
-  static std::vector<std::uint64_t>& storage_buffer(Storage& s);
-  /// Parses the storage's payload into views and cross-checks counts
-  /// against (n, m). Validates structurally (kTrusted level).
-  static EfGraph from_storage(std::shared_ptr<const Storage> s, NodeId n,
-                              EdgeId m);
+  /// Parses the encoded words into views and cross-checks their counts
+  /// against (n, m).
+  static EfGraph from_words(std::shared_ptr<const Words> words, NodeId n,
+                            EdgeId m);
 
   ef::Row row(const ef::DirectionView& d, NodeId u) const {
     const auto [lo, hi] = d.offsets.value_pair(u);
@@ -504,16 +461,14 @@ class EfGraph {
   NodeId num_nodes_ = 0;
   EdgeId num_edges_ = 0;
   ef::DirectionView out_, in_;
-  std::shared_ptr<const Storage> storage_;
+  std::shared_ptr<const Words> words_;
 };
 
 namespace ef {
 
-/// Encodes monotone sequences into the shared payload buffer; used by both
-/// the in-memory builders and the serializer. Layout per sequence (all
-/// 64-bit words): size, universe, low_bits, low words, high words, select
-/// samples. The payload is identical in memory and on disk, so loading is a
-/// single parse of either the heap buffer or the mapping.
+/// Encodes monotone sequences into one word buffer for from_rows. Layout
+/// per sequence (all 64-bit words): size, universe, low_bits, low words,
+/// high words, select samples.
 class PayloadEncoder {
  public:
   explicit PayloadEncoder(std::vector<std::uint64_t>& buf) : buf_(&buf) {}
@@ -545,8 +500,7 @@ class PayloadEncoder {
 
 template <class OutFn, class InFn>
 EfGraph EfGraph::from_rows(NodeId n, EdgeId m, OutFn&& out_row, InFn&& in_row) {
-  std::shared_ptr<Storage> storage = make_storage();
-  std::vector<std::uint64_t>& buf = storage_buffer(*storage);
+  Words buf;
   ef::PayloadEncoder enc(buf);
   const std::uint64_t target_universe =
       static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
@@ -573,12 +527,14 @@ EfGraph EfGraph::from_rows(NodeId n, EdgeId m, OutFn&& out_row, InFn&& in_row) {
   };
   encode_direction(out_row);
   encode_direction(in_row);
-  return from_storage(std::move(storage), n, m);
+  EfGraph g = from_words(std::make_shared<const Words>(std::move(buf)), n, m);
+  LCRB_INVARIANT(g.validate());
+  return g;
 }
 
 }  // namespace lcrb
 
-/// ef::Row is a view into the graph's storage — safe to use after the
+/// ef::Row is a view into the graph's word buffer — safe to use after the
 /// temporary returned by out_neighbors()/in_neighbors() is gone, as long as
 /// the EfGraph lives. Lets std::ranges::begin accept rvalue rows, matching
 /// std::span's borrowed-range behavior.

@@ -16,8 +16,8 @@ std::size_t graph_bytes(GraphRef g) {
     // arrays of m NodeIds.
     return 2 * ((n + 1) * sizeof(EdgeId) + m * sizeof(NodeId));
   }
-  // Compressed backend: the encoded footprint itself (mmap-backed pages
-  // count too — they are this session's resident working set).
+  // Compressed backend: the encoded footprint itself, every word of its
+  // buffer.
   return g.memory_bytes();
 }
 

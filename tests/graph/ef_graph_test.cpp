@@ -1,17 +1,13 @@
-// EfGraph backend: row equality against DiGraph, save/load round-trips in
-// mmap and read modes, structural rejection of forged files, compression
-// ratio, and the shared O(log d) has_edge probe bound (satellite: the
-// row-range binary search both backends route through).
+// EfGraph backend: row equality against DiGraph, from_rows' rejection of
+// malformed rows, compression ratio, concurrent decode of one shared graph,
+// and the shared O(log d) has_edge probe bound (the row-range binary search
+// both backends route through).
 #include "graph/ef_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,22 +52,6 @@ void expect_same_graph(const DiGraph& csr, const EfGraph& ef) {
   }
 }
 
-class TempFile {
- public:
-  TempFile() {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("lcrb_ef_test_" + std::to_string(::getpid()) + "_" +
-              std::to_string(counter_++)))
-                .string();
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  std::string path_;
-};
-
 TEST(EfGraph, EmptyGraph) {
   EfGraph g;
   EXPECT_TRUE(g.empty());
@@ -87,7 +67,7 @@ TEST(EfGraph, MatchesCsrOnDeterministicGraphs) {
         complete_graph(12), grid_graph(7, 5),
         make_graph(6, {{0, 5}, {0, 1}, {3, 2}, {5, 0}, {5, 4}, {2, 2}})}) {
     const EfGraph ef = EfGraph::from_csr(csr);
-    ef.validate(EfVerify::kFull);
+    ef.validate();
     expect_same_graph(csr, ef);
   }
 }
@@ -97,7 +77,7 @@ TEST(EfGraph, MatchesCsrOnRandomGraphs) {
   for (int trial = 0; trial < 8; ++trial) {
     const DiGraph csr = erdos_renyi(200, 0.03, /*directed=*/true, rng);
     const EfGraph ef = EfGraph::from_csr(csr);
-    ef.validate(EfVerify::kFull);
+    ef.validate();
     expect_same_graph(csr, ef);
   }
 }
@@ -156,47 +136,13 @@ TEST(EfGraph, CompressesCommunityGraphBelowSixBytesPerArc) {
             static_cast<double>(csr.memory_bytes()));
 }
 
-TEST(EfGraph, StreamRoundTrip) {
-  Rng rng(11);
-  const DiGraph csr = erdos_renyi(300, 0.02, /*directed=*/true, rng);
-  const EfGraph ef = EfGraph::from_csr(csr);
-
-  std::stringstream ss;
-  ef.save(ss);
-  const EfGraph back = EfGraph::load(ss);
-  back.validate(EfVerify::kFull);
-  expect_same_graph(csr, back);
-  EXPECT_FALSE(back.mmap_backed());
-}
-
-TEST(EfGraph, FileRoundTripMmapAndRead) {
-  Rng rng(13);
-  const DiGraph csr = erdos_renyi(500, 0.015, /*directed=*/true, rng);
-  const EfGraph ef = EfGraph::from_csr(csr);
-  TempFile file;
-  ef.save(file.path());
-
-  const EfGraph mapped = EfGraph::load(file.path(), EfMapMode::kMmap);
-  EXPECT_TRUE(mapped.mmap_backed());
-  expect_same_graph(csr, mapped);
-
-  const EfGraph read = EfGraph::load(file.path(), EfMapMode::kRead);
-  EXPECT_FALSE(read.mmap_backed());
-  expect_same_graph(csr, read);
-
-  const EfGraph autoloaded = EfGraph::load(file.path(), EfMapMode::kAuto);
-  expect_same_graph(csr, autoloaded);
-}
-
 TEST(EfGraph, ConcurrentReadersShareOneMapping) {
   // The registry serves one immutable EfGraph to many query threads; all
-  // views alias the same mmap'ed words. Decoding must be a pure read —
-  // this is the race-stress shape the TSan job runs.
+  // views alias the same word buffer. Decoding must be a pure read — this
+  // is the race-stress shape the TSan job runs.
   Rng rng(29);
   const DiGraph csr = erdos_renyi(300, 0.03, /*directed=*/true, rng);
-  TempFile file;
-  EfGraph::from_csr(csr).save(file.path());
-  const EfGraph ef = EfGraph::load(file.path(), EfMapMode::kAuto);
+  const EfGraph ef = EfGraph::from_csr(csr);
 
   std::vector<std::uint64_t> sums(4, 0);
   {
@@ -229,96 +175,58 @@ TEST(EfGraph, FromRowsStreamingBuild) {
       n, n,
       [&](NodeId u, auto&& sink) { sink((u + 1) % n); },
       [&](NodeId u, auto&& sink) { sink((u + n - 1) % n); });
-  ef.validate(EfVerify::kFull);
+  ef.validate();
   const DiGraph csr = cycle_graph(n);
   expect_same_graph(csr, ef);
 }
 
-std::string serialized(const EfGraph& g) {
-  std::stringstream ss;
-  g.save(ss);
-  return ss.str();
-}
-
-EfGraph load_bytes(const std::string& bytes) {
-  std::stringstream ss(bytes);
-  return EfGraph::load(ss);
-}
-
-TEST(EfGraph, RejectsTruncatedHeader) {
-  const std::string bytes = serialized(EfGraph::from_csr(path_graph(10)));
-  EXPECT_THROW(load_bytes(bytes.substr(0, 20)), Error);
-}
-
-TEST(EfGraph, RejectsBadMagicAndVersion) {
-  std::string bytes = serialized(EfGraph::from_csr(path_graph(10)));
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_THROW(load_bytes(bad_magic), Error);
-  std::string bad_version = bytes;
-  bad_version[8] = 99;
-  EXPECT_THROW(load_bytes(bad_version), Error);
-}
-
-TEST(EfGraph, RejectsTruncatedPayload) {
-  const std::string bytes = serialized(EfGraph::from_csr(complete_graph(9)));
-  EXPECT_THROW(load_bytes(bytes.substr(0, bytes.size() - 9)), Error);
-}
-
-TEST(EfGraph, RejectsCorruptedPayload) {
-  // Flip one payload byte: either the checksum or (with checksum patched
-  // out via flags) the structural validation must catch it.
-  std::string bytes = serialized(EfGraph::from_csr(complete_graph(9)));
-  ASSERT_GT(bytes.size(), 200u);
-  bytes[100] ^= 0x40;
-  EXPECT_THROW(load_bytes(bytes), Error);
-}
-
-TEST(EfGraph, RejectsForgedCounts) {
-  std::string bytes = serialized(EfGraph::from_csr(path_graph(10)));
-  // num_arcs lives at byte offset 24.
-  bytes[24] = static_cast<char>(bytes[24] + 1);
-  EXPECT_THROW(load_bytes(bytes), Error);
-}
-
-void patch_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
-  ASSERT_GE(bytes.size(), offset + sizeof value);
-  std::memcpy(bytes.data() + offset, &value, sizeof value);
-}
-
-TEST(EfGraph, RejectsOverflowingPayloadWordsOnAllLoadPaths) {
-  // payload_words lives at byte offset 32. 2^61 words * 8 bytes wraps to 0
-  // mod 2^64, so a multiplied truncation bound would pass; the divided bound
-  // must reject it before payload() can span past the mapping.
-  std::string bytes = serialized(EfGraph::from_csr(path_graph(10)));
-  patch_u64(bytes, 32, std::uint64_t{1} << 61);
-
-  TempFile file;
-  {
-    std::ofstream out(file.path(), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    ASSERT_TRUE(out.good());
+/// The lcrb::Error message `f` throws, or "no error".
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
   }
-  EXPECT_THROW(EfGraph::load(file.path(), EfMapMode::kMmap), Error);
-  EXPECT_THROW(EfGraph::load(file.path(), EfMapMode::kRead), Error);
-  EXPECT_THROW(load_bytes(bytes), Error);
+  return "no error";
 }
 
-TEST(EfGraph, RejectsNodeCountAboveNodeIdRange) {
-  // num_nodes lives at byte offset 16. Exactly 2^32 does not fit NodeId
-  // (uint32_t) and must be rejected by the header check itself, on the
-  // stream and mmap paths alike.
-  std::string bytes = serialized(EfGraph::from_csr(path_graph(10)));
-  patch_u64(bytes, 16, std::uint64_t{1} << 32);
-  EXPECT_THROW(load_bytes(bytes), Error);
+TEST(EfGraph, FromRowsRejectsMalformedRows) {
+  // from_rows builds every EfGraph, so its input checks are the backend's
+  // only guard against a malformed row source.
+  const NodeId n = 4;
+  const auto ring_in = [&](NodeId u, auto&& sink) { sink((u + n - 1) % n); };
+  const auto out_of_range = [&](NodeId u, auto&& sink) {
+    sink(u == 2 ? n : (u + 1) % n);
+  };
+  const auto short_direction = [&](NodeId u, auto&& sink) {
+    if (u != 0) sink((u + 1) % n);
+  };
+  const auto unsorted = [&](NodeId u, auto&& sink) {
+    if (u == 0) {
+      sink(3);
+      sink(1);
+    }
+  };
+  const auto unsorted_in = [&](NodeId u, auto&& sink) {
+    if (u == 1 || u == 3) sink(0);
+  };
 
-  TempFile file;
-  {
-    std::ofstream out(file.path(), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    ASSERT_TRUE(out.good());
-  }
-  EXPECT_THROW(EfGraph::load(file.path(), EfMapMode::kMmap), Error);
+  const auto throws = [](const std::string& message, const char* expected) {
+    return message.find(expected) != std::string::npos;
+  };
+  EXPECT_PRED2(throws, error_of([&] {
+                 EfGraph::from_rows(n, n, out_of_range, ring_in);
+               }),
+               "arc endpoint out of range");
+  EXPECT_PRED2(throws, error_of([&] {
+                 EfGraph::from_rows(n, n, short_direction, ring_in);
+               }),
+               "direction did not emit exactly m arcs");
+  EXPECT_PRED2(throws, error_of([&] {
+                 EfGraph::from_rows(n, 2, unsorted, unsorted_in);
+               }),
+               "Elias-Fano sequence must be monotone");
 }
 
 TEST(GraphBackend, ParseAndToString) {

@@ -20,7 +20,7 @@ namespace {
 
 constexpr std::size_t kThreads = 8;
 
-TEST(SigmaEngineConcurrencyTest, ConcurrentEvaluateMatchesSerial) {
+TEST(SigmaEstimatorConcurrencyTest, ConcurrentEvaluateMatchesSerial) {
   Rng rng(101);
   const DiGraph g = erdos_renyi(120, 0.05, /*directed=*/true, rng);
   const std::vector<NodeId> rumors = {0, 1};

@@ -116,7 +116,7 @@ TEST(SigmaEstimator, DiminishingReturnsOnFanGraph) {
   EXPECT_DOUBLE_EQ(gain_into_x, 0.0);  // 3 already saved by node 2
 }
 
-TEST(SigmaEstimator, ReportsServingPathAndFallbackReason) {
+TEST(SigmaEstimator, OpoaoAndDoamBlockThePathAndCountVisits) {
   const DiGraph g = path_graph(8);
   const std::vector<NodeId> rumors = {0};
   const std::vector<NodeId> ends = {5, 6, 7};

@@ -20,8 +20,8 @@ Rules enforced repo-wide by default (docs/development.md has examples):
                            outside src/util/rng.*, wall-clock reads,
                            pointer-keyed ordered containers, std::hash
   D4 unsynchronized-write  writes to captured state inside ThreadPool task
-                           lambdas with no lock/atomic and no per-index
-                           slot discipline (cheap pre-TSan pass)
+                           lambdas with no lock in scope, no atomic and no
+                           per-index slot discipline (cheap pre-TSan pass)
 
   W1 waiver-missing-justification   det-ok without a justification string
   W2 stale-waiver                   rule-scoped det-ok that suppresses

@@ -393,8 +393,52 @@ def build_model(path: str, text: str) -> FileModel:
                 ))
                 i = j + 1
                 continue
+            # `auto x = f(...);` — a local whose type the model does not
+            # track; recorded so writes to it read as task-private.
+            if j + 1 < n and tokens[j].kind == "ident" \
+                    and tokens[j].text not in NOT_A_DECL_NAME \
+                    and tokens[j + 1].text in ("=", "{"):
+                decls.append(Decl(
+                    name=tokens[j].text,
+                    category="other",
+                    tok=j,
+                    vis_end=_enclosing_brace_end(brace_stack, n),
+                    in_class=enclosing_class(i),
+                    type_text="auto",
+                ))
+                i = j + 1
+                continue
             i += 1
             continue
+
+        # Pointer and reference declarators with an initializer:
+        # `T* x = ...`, `T& x = ...` (also `T&& x`, `T* const x`).
+        if t.text not in NOT_A_DECL_NAME and i + 1 < n \
+                and tokens[i + 1].kind == "punct" \
+                and tokens[i + 1].text in ("&", "*", "&&"):
+            j = i + 1
+            while j < n and ((tokens[j].kind == "punct"
+                              and tokens[j].text in ("&", "*", "&&"))
+                             or tokens[j].text == "const"):
+                j += 1
+            prev = tokens[i - 1] if i > 0 else None
+            prev_ok = prev is None or (
+                prev.kind == "punct"
+                and prev.text in ("{", "}", ";", "(", "::")
+            ) or (prev.kind == "ident" and prev.text in TYPE_PRECEDING)
+            if prev_ok and j + 1 < n and tokens[j].kind == "ident" \
+                    and tokens[j].text not in NOT_A_DECL_NAME \
+                    and tokens[j + 1].text == "=":
+                decls.append(Decl(
+                    name=tokens[j].text,
+                    category="other",
+                    tok=j,
+                    vis_end=_enclosing_brace_end(brace_stack, n),
+                    in_class=enclosing_class(i),
+                    type_text=t.text,
+                ))
+                i = j + 1
+                continue
 
         # Generic declaration heuristic: IDENT IDENT <term>, used only to
         # know that a name is locally declared (never to assign a category).

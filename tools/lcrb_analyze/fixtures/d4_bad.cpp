@@ -1,4 +1,5 @@
 // Fixture: seeded D4 violations — unsynchronized writes from pool tasks.
+#include <mutex>
 #include <vector>
 
 struct ThreadPool {
@@ -29,6 +30,20 @@ int shared_counter(ThreadPool& pool, unsigned long n) {
   int total = 0;
   // expect-next-line[D4]
   pool.parallel_for(n, [&](unsigned long i) { total += static_cast<int>(i); });
+  return total;
+}
+
+int write_after_lock_scope(ThreadPool& pool, unsigned long n, std::mutex& mu) {
+  int total = 0;
+  pool.parallel_for(n, [&](unsigned long i) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      total += 1;
+    }
+    // The guard died with its block: this write is unsynchronized.
+    // expect-next-line[D4]
+    total += static_cast<int>(i);
+  });
   return total;
 }
 

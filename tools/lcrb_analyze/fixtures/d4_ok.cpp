@@ -10,6 +10,18 @@ struct ThreadPool {
 
 namespace fx {
 
+using Row = std::vector<int>;
+
+// Members named like the lambda locals below: a local the model failed to
+// recognise would resolve to these and read as a shared write.
+struct Totals {
+  Row out;
+  long cursor = 0;
+  long reached = 0;
+};
+
+long count_nonzero(const int* first, const int* last);
+
 void slots_atomics_locks_locals(ThreadPool& pool, unsigned long n) {
   // Per-index slot writes: each task owns its index.
   std::vector<double> out(n, 0.0);
@@ -35,6 +47,19 @@ void slots_atomics_locks_locals(ThreadPool& pool, unsigned long n) {
     int local = 0;
     local += static_cast<int>(i);
     (void)local;
+  });
+
+  // Pointer, reference and auto-from-call locals are task-private too.
+  std::vector<Row> rows(n);
+  std::vector<int> cells(n * 4, 0);
+  pool.parallel_for(n, [&](unsigned long i) {
+    int* cursor = cells.data() + i * 4;
+    ++cursor;
+    Row& out = rows[i];
+    out.push_back(*cursor);
+    auto reached = count_nonzero(cells.data(), cells.data() + n);
+    reached -= 1;
+    (void)reached;
   });
 }
 

@@ -175,11 +175,11 @@ def analyze_model(m: FileModel, repo: RepoIndex | None,
     for lam in m.lambdas:
         if not lam.parallel:
             continue
-        first_lock = None
-        for d in m.decls:
-            if d.category == "lock" and lam.body_open <= d.tok <= lam.body_close:
-                if first_lock is None or d.tok < first_lock:
-                    first_lock = d.tok
+        # A lock covers a write only while its declaration is visible: from
+        # the guard to the end of the block that declares it.
+        lock_spans = [(d.tok, d.vis_end) for d in m.decls
+                      if d.category == "lock"
+                      and lam.body_open <= d.tok <= lam.body_close]
 
         j = lam.body_open + 1
         while j < lam.body_close:
@@ -247,7 +247,7 @@ def analyze_model(m: FileModel, repo: RepoIndex | None,
                 j += 1
                 continue
 
-            locked = first_lock is not None and j > first_lock
+            locked = any(tok < j <= end for tok, end in lock_spans)
             if is_compound and op in ("+=", "-=") and cat == "fp":
                 # A lock serializes the adds but does not fix their ORDER —
                 # the sum is still scheduling-dependent, so D2 applies even
