@@ -2,8 +2,9 @@
 //
 // The EfGraph entries double as the compressed-backend regression gate:
 // tools/check_bench_graph.py reads the recorded BENCH_graph.json and fails
-// CI when ef_bytes_per_arc exceeds 6 or the EfGraph BFS falls more than 2x
-// behind the CSR BFS at the same size.
+// CI when ef_bytes_per_arc exceeds 6, or when the EfGraph rows of
+// BM_KernelTraversal or of BM_KernelOpoao's forward runs fall further
+// behind the CSR rows than their bounds allow.
 #include <benchmark/benchmark.h>
 
 
@@ -16,6 +17,8 @@
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "lcrb/bridge.h"
+#include "lcrb/pipeline.h"
+#include "lcrb/ris.h"
 #include "util/rng.h"
 
 namespace {
@@ -132,6 +135,85 @@ void BM_KernelTraversal(benchmark::State& state) {
 BENCHMARK(BM_KernelTraversal)
     ->Args({10000, 0})
     ->Args({10000, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// OPOAO on each backend over the Fig. 4 Hep analog (3 047 nodes at scale
+// 0.2, rumors at 5% of the planted medium community), identical draws on
+// both: rr:0 rows time forward runs from the rumor seeds (every active node
+// picks a row entry per step), rr:1 rows time RR sets (phase 1 replays the
+// rumor's picks, phase 2 probes in-neighbours' picks). A pick indexes a row
+// where BM_KernelTraversal walks one, so these rows bound EF's random
+// access; the checker gates the forward ef:1 / ef:0 ratio.
+struct OpoaoSetup {
+  OpoaoSetup() {
+    DatasetSubstitute ds = make_hep_like(/*seed=*/1, /*scale=*/0.2);
+    csr = std::move(ds.net.graph);
+    ef = EfGraph::from_csr(csr);
+    const Partition part(ds.net.membership);
+    const auto nr = static_cast<std::size_t>(
+        std::max<NodeId>(1, part.size_of(ds.planted_medium) / 20));
+    ExperimentSetup ex =
+        prepare_experiment(csr, part, ds.planted_medium, nr, /*seed=*/25);
+    rumors = std::move(ex.rumors);
+    bridge_ends = std::move(ex.bridges.bridge_ends);
+  }
+  OpoaoSetup(const OpoaoSetup&) = delete;
+  OpoaoSetup& operator=(const OpoaoSetup&) = delete;
+
+  DiGraph csr;
+  EfGraph ef;
+  std::vector<NodeId> rumors;
+  std::vector<NodeId> bridge_ends;
+};
+
+const OpoaoSetup& opoao_setup() {
+  static const OpoaoSetup setup;
+  return setup;
+}
+
+template <class G>
+void kernel_opoao(benchmark::State& state, const G& g, const OpoaoSetup& s,
+                  bool rr) {
+  constexpr std::uint64_t kDraws = 64;  // cycled, so both backends match
+  std::uint64_t i = 0;
+  if (rr) {
+    RisConfig cfg;
+    cfg.model = DiffusionModel::kOpoao;
+    RrSampler sampler(g, s.rumors, s.bridge_ends, cfg);
+    for (auto _ : state) {
+      const RrSampler::Draw d = sampler.draw(0, i++ % kDraws);
+      const std::vector<NodeId> set =
+          sampler.rr_set(d.root_idx, d.realization_seed);
+      benchmark::DoNotOptimize(set.data());
+    }
+  } else {
+    SeedSets seeds;
+    seeds.rumors = s.rumors;
+    const RealizationParams params;  // the paper's 31 hops
+    for (auto _ : state) {
+      const DiffusionResult r = simulate(g, seeds, 1000 + i++ % kDraws,
+                                         DiffusionModel::kOpoao, params);
+      benchmark::DoNotOptimize(r.steps);
+    }
+  }
+}
+
+void BM_KernelOpoao(benchmark::State& state) {
+  const bool rr = state.range(0) != 0;
+  const bool ef = state.range(1) != 0;
+  const OpoaoSetup& s = opoao_setup();
+  if (ef) {
+    kernel_opoao(state, s.ef, s, rr);
+  } else {
+    kernel_opoao(state, s.csr, s, rr);
+  }
+}
+BENCHMARK(BM_KernelOpoao)
+    ->ArgNames({"rr", "ef"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CommunityGenerator(benchmark::State& state) {

@@ -31,9 +31,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "diffusion/cascade.h"
+#include "graph/ef_graph.h"
 #include "graph/graph_view.h"
 #include "util/check.h"
 
@@ -197,6 +201,19 @@ struct EpochColorScratch {
   }
 };
 
+/// The row type backend G hands out for out_neighbors (std::span on CSR,
+/// ef::Row on Elias-Fano).
+template <class G>
+using OutRow = decltype(std::declval<const G&>().out_neighbors(NodeId{}));
+
+/// A node with its decoded out-row: what OPOAO keeps per active picker, so
+/// a pick indexes the row without decoding the node's offsets again.
+template <class Row>
+struct NodeRow {
+  NodeId v;
+  Row row;
+};
+
 /// Per-draw working memory for the reverse-reachability samplers, reused
 /// across RR sets via epoch stamping so a fresh draw costs O(touched), not
 /// O(n). Leased under a mutex by RrSampler; concurrent draws each hold one.
@@ -224,9 +241,21 @@ struct ReverseScratch {
   /// OPOAO reverse search: latest admissible claim step.
   std::vector<std::uint32_t> lat_epoch, lat;
   std::vector<std::uint32_t> done_epoch;
-  std::vector<NodeId> frontier, next, active;
+  std::vector<NodeId> frontier, next;
   /// OPOAO bucket queue over claim steps; always drained back to empty.
   std::vector<std::vector<NodeId>> buckets;
+
+  /// OPOAO phase 1: the rumor-active nodes with out-edges and their rows,
+  /// one list per backend (the sampler draws on either).
+  template <class G>
+  std::vector<NodeRow<OutRow<G>>>& active_rows() {
+    return std::get<std::vector<NodeRow<OutRow<G>>>>(active_);
+  }
+
+ private:
+  std::tuple<std::vector<NodeRow<std::span<const NodeId>>>,
+             std::vector<NodeRow<ef::Row>>>
+      active_;
 };
 
 }  // namespace lcrb

@@ -34,6 +34,16 @@ struct OpoaoTraits {
   // priority order (default: protectors first). The runner keeps per-node
   // counts of still-inactive out-neighbors so the simulation stops exactly
   // when nothing can ever activate again.
+  //
+  // Those counts also retire pickers. An untraced run skips a pooled node
+  // whose count is 0 and drops it from its pool (a stable compaction, so
+  // pool order is unchanged). This is exact: the count is taken at the start
+  // of the step and only falls, so such a node's pick lands on an active
+  // node now and at every later step, and a pick that claims nothing
+  // changes no state. A traced run still makes every pick, because the trace
+  // records them. Pools keep each node's decoded out-row next to it, taken
+  // from the walk activate() does anyway, so a pick decodes no offsets;
+  // nodes without out-edges never enter a pool.
   // -------------------------------------------------------------------------
   template <class G>
   class Forward {
@@ -63,20 +73,25 @@ struct OpoaoTraits {
       for (std::size_t i = 0; i < plan.size(); ++i) {
         const std::uint8_t k = plan.cascade_at(step, i);
         const NodeState s = plan.state_of(k);
-        for (NodeId u : pools_[k]) {
-          const auto nbrs = g_.out_neighbors(u);
-          if (nbrs.empty()) continue;
+        auto& pool = pools_[k];
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < pool.size(); ++j) {
+          const Picker p = pool[j];
+          // Saturated: no pick of p can claim again (see the class comment).
+          if (trace_ == nullptr && potential_[p.v] == 0) continue;
+          pool[kept++] = p;
           const NodeId target =
-              nbrs[opoao_pick_hash(seed_, u, step) % nbrs.size()];
+              p.row[opoao_pick_hash(seed_, p.v, step) % p.row.size()];
           const bool claimed = r.state[target] == NodeState::kInactive;
           if (claimed) {
             r.state[target] = s;  // claim immediately
             new_by_cascade_[k].push_back(target);
           }
           if (trace_ != nullptr) {
-            trace_->picks.push_back({step, u, target, s, claimed});
+            trace_->picks.push_back({step, p.v, target, s, claimed});
           }
         }
+        pool.resize(kept);
       }
 
       // Finalize activations (bookkeeping wants state transitions via
@@ -98,32 +113,38 @@ struct OpoaoTraits {
     }
 
    private:
+    using Picker = NodeRow<OutRow<G>>;
+
     void activate(NodeId v, std::uint8_t k, const CascadePlan& plan,
                   std::uint32_t step, DiffusionResult& r) {
       r.state[v] = plan.state_of(k);
       r.cascade[v] = k;
       r.activation_step[v] = step;
-      // Newly active node: count its inactive out-neighbors.
-      std::uint32_t cnt = 0;
-      for (NodeId w : g_.out_neighbors(v)) {
-        if (r.state[w] == NodeState::kInactive) ++cnt;
-      }
-      potential_[v] = cnt;
-      if (cnt > 0) ++active_with_potential_;
-      // Tell active in-neighbors they lost an inactive target.
+      // Tell active in-neighbors they lost an inactive target. v's own
+      // count is still 0 here, so a self-loop leaves it alone (the count
+      // below already skips v, which is no longer inactive).
       for (NodeId w : g_.in_neighbors(v)) {
         if (r.state[w] != NodeState::kInactive && potential_[w] > 0) {
           if (--potential_[w] == 0) --active_with_potential_;
         }
       }
-      pools_[k].push_back(v);
+      // Newly active node: count its inactive out-neighbors.
+      const auto row = g_.out_neighbors(v);
+      std::uint32_t cnt = 0;
+      for (NodeId w : row) {
+        if (r.state[w] == NodeState::kInactive) ++cnt;
+      }
+      potential_[v] = cnt;
+      if (cnt > 0) ++active_with_potential_;
+      if (!row.empty()) pools_[k].push_back({v, row});
     }
 
     const G& g_;
     std::uint64_t seed_;
     Trace* trace_;
-    /// Active nodes per cascade, in activation order.
-    std::vector<std::vector<NodeId>> pools_;
+    /// Active nodes with out-edges per cascade, in activation order, each
+    /// with its out-row; an untraced run drops saturated ones.
+    std::vector<std::vector<Picker>> pools_;
     /// `potential_[v]`: number of still-inactive out-neighbors of active
     /// node v. The simulation can stop exactly when the sum over active
     /// nodes is zero.
@@ -539,25 +560,29 @@ struct OpoaoTraits {
     // full replay would infect later stay epoch-stale, which phase 2 treats
     // identically to T0(u) > deadline. Null roots still replay all `hops`
     // steps (reachability can flip at any step: picks re-draw per step).
-    sc.active.clear();
+    // The active list keeps each node's out-row, decoded once on arrival.
+    auto& active = sc.active_rows<G>();
+    active.clear();
     for (NodeId v : rumors) {
       sc.t0_epoch[v] = sc.epoch;
       sc.t0[v] = 0;
-      if (g.out_degree(v) > 0) sc.active.push_back(v);
+      const auto row = g.out_neighbors(v);
+      if (!row.empty()) active.push_back({v, row});
     }
-    for (std::uint32_t step = 1; step <= hops && !sc.active.empty() &&
+    for (std::uint32_t step = 1; step <= hops && !active.empty() &&
                                  sc.t0_epoch[root] != sc.epoch;
          ++step) {
-      const std::size_t prev = sc.active.size();
+      const std::size_t prev = active.size();
       for (std::size_t i = 0; i < prev; ++i) {
-        const NodeId v = sc.active[i];
-        const auto nbrs = g.out_neighbors(v);
-        const NodeId w = nbrs[opoao_pick_hash(seed, v, step) % nbrs.size()];
+        const auto a = active[i];  // a copy: the pushes below may reallocate
+        const NodeId w =
+            a.row[opoao_pick_hash(seed, a.v, step) % a.row.size()];
         ++visits;
         if (sc.t0_epoch[w] != sc.epoch) {
           sc.t0_epoch[w] = sc.epoch;
           sc.t0[w] = step;
-          if (g.out_degree(w) > 0) sc.active.push_back(w);
+          const auto row = g.out_neighbors(w);
+          if (!row.empty()) active.push_back({w, row});
         }
       }
     }

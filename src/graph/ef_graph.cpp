@@ -118,15 +118,24 @@ ef::SequenceView parse_sequence(std::span<const std::uint64_t> payload,
   at += high_words;
   std::span<const std::uint64_t> sample_words = payload.subspan(at, samples);
   at += samples;
+  // The bit counts and select samples are PayloadEncoder's own fresh
+  // output; validate() re-derives them (check_high_bits).
+  return {size, universe, low_bits, low,
+          ef::BitView(high, sample_words, size)};
+}
 
-  // Bitvector bookkeeping: exactly `size` ones, and every select sample
-  // really points at the right set bit (monotone, in range) — the select
-  // scans are memory-safe only under these.
+/// Bitvector bookkeeping of one sequence: exactly size() ones, and every
+/// select sample points at the right set bit (monotone, in range) — the
+/// select scans are memory-safe only under these.
+void check_high_bits(const ef::SequenceView& seq) {
+  const std::span<const std::uint64_t> high = seq.high().words();
+  const std::span<const std::uint64_t> sample_words = seq.high().samples();
   std::uint64_t ones = 0;
   for (std::uint64_t w : high) {
     ones += static_cast<std::uint64_t>(__builtin_popcountll(w));
   }
-  LCRB_REQUIRE(ones == size, "EF high bitvector popcount mismatch");
+  LCRB_REQUIRE(ones == seq.size(), "EF high bitvector popcount mismatch");
+  const std::uint64_t samples = sample_words.size();
   std::uint64_t seen = 0, sample_idx = 0;
   for (std::uint64_t w = 0; w < high.size() && sample_idx < samples; ++w) {
     const auto cnt = static_cast<std::uint64_t>(__builtin_popcountll(high[w]));
@@ -142,9 +151,6 @@ ef::SequenceView parse_sequence(std::span<const std::uint64_t> payload,
     }
     seen += cnt;
   }
-
-  return {size, universe, low_bits, low,
-          ef::BitView(high, sample_words, size)};
 }
 
 }  // namespace
@@ -216,6 +222,8 @@ void EfGraph::validate() const {
   for (const ef::DirectionView* d : {&out_, &in_}) {
     LCRB_REQUIRE(d->offsets.size() == n + 1, "EF offsets size mismatch");
     LCRB_REQUIRE(d->targets.size() == num_edges_, "EF targets size mismatch");
+    check_high_bits(d->offsets);
+    check_high_bits(d->targets);
     LCRB_REQUIRE(d->offsets.value(0) == 0, "EF offsets must start at 0");
     LCRB_REQUIRE(d->offsets.value(n) == num_edges_,
                  "EF offsets must end at the arc count");

@@ -11,13 +11,17 @@
 // 2 + log2(n/d) bits/arc instead of CSR's 32, typically 3-6 bytes/arc for
 // BOTH directions against CSR's ~16.
 //
-// Access model (all O(1)-ish via sampled select1, one sample per
+// Access model (all O(1)-ish; sampled select1 keeps one sample per
 // kSelectSample set bits):
-//   * row u = positions [off(u), off(u+1)) of the target sequence; iterating
-//     a row is a sequential scan of the high bitvector (no select per
-//     element), so kernel traversal stays within ~2x of CSR.
-//   * row[i] is one select1 + one packed-low read — random access for
-//     OPOAO's pick indexing and the O(log d) select-based has_edge.
+//   * row u = positions [off(u), off(u+1)) of the target sequence, found by
+//     one select on the offsets sequence; iterating a row is a sequential
+//     scan of the high bitvector (no select per element), so kernel
+//     traversal stays within ~2x of CSR.
+//   * row[i] is a forward select from the row's first possible high bit
+//     (for i < kSelectSample; a sampled select1 beyond) plus one packed-low
+//     read — random access for OPOAO's pick indexing and the O(log d)
+//     select-based has_edge. A caller that keeps a decoded row (OPOAO's
+//     active pickers) pays no offsets select per pick.
 //
 // EfGraph satisfies the GraphView concept (graph/graph_view.h) and is
 // byte-for-byte output-compatible with DiGraph: rows decode in the same
@@ -106,18 +110,22 @@ class BitView {
   /// Position of the i-th set bit (0-based). i < num_ones().
   std::uint64_t select1(std::uint64_t i) const {
     LCRB_DCHECK(i < num_ones_, "select1 index out of range");
-    std::uint64_t pos = samples_[i / kSelectSample];
-    std::uint64_t remaining = i % kSelectSample;
+    return select_from(samples_[i / kSelectSample], i % kSelectSample);
+  }
+
+  /// Position of the r-th (0-based) set bit at or after `pos`, which must
+  /// exist: a forward popcount scan, one word per iteration.
+  std::uint64_t select_from(std::uint64_t pos, std::uint64_t r) const {
     std::uint64_t w = pos >> 6;
     std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (pos & 63));
     for (;;) {
       const std::uint64_t cnt =
           static_cast<std::uint64_t>(__builtin_popcountll(bits));
-      if (remaining < cnt) break;
-      remaining -= cnt;
+      if (r < cnt) break;
+      r -= cnt;
       bits = words_[++w];
     }
-    return (w << 6) + select_in_word(bits, remaining);
+    return (w << 6) + select_in_word(bits, r);
   }
 
   /// Position of the first set bit at or after `pos` (must exist).
@@ -273,8 +281,16 @@ class SequenceView {
 
 /// Forward-decoding view of one adjacency row: values
 /// targets[first + i] - base, i in [0, size). Satisfies the GraphView row
-/// contract: sized, indexable (select-based), forward-iterable (sequential
-/// high-bit scan — no select per element).
+/// contract: sized, indexable (a forward select from the row's start),
+/// forward-iterable (sequential high-bit scan — no select per element).
+///
+/// Row-partitioned start: rows lift element i of row u to u*n + v, so every
+/// element of this row is >= base_ while every earlier element is < base_.
+/// The high bit of element first_ therefore sits at or after
+/// start() = (base_ >> low_bits) + first_, and every earlier element's bit
+/// sits before it: the j-th set bit from start() is element first_ + j.
+/// The gap to the row's first bit is at most n >> low_bits bits, under twice
+/// the average degree.
 class Row {
  public:
   Row() = default;
@@ -285,9 +301,16 @@ class Row {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Element i: a forward select from start() for the first kSelectSample
+  /// elements (no sample-table read), the sampled select1 beyond them, so
+  /// indexing deep into a hub row never scans the whole row.
   NodeId operator[](std::size_t i) const {
     LCRB_DCHECK(i < size_, "row index out of range");
-    return static_cast<NodeId>(seq_->value(first_ + i) - base_);
+    const std::uint64_t idx = first_ + i;
+    const std::uint64_t high_pos = i < kSelectSample
+                                       ? seq_->high().select_from(start(), i)
+                                       : seq_->high().select1(idx);
+    return static_cast<NodeId>(seq_->value_at(idx, high_pos) - base_);
   }
 
   /// Caches the current high-bitvector word: advancing clears the lowest
@@ -339,21 +362,19 @@ class Row {
     std::uint64_t base_ = 0;
   };
 
+  /// The row's first high bit is one short forward scan from start(), not
+  /// a sampled select.
   iterator begin() const {
     if (size_ == 0) return end();
-    // Row-partitioned shortcut: rows lift element i of row u to u*n + v, so
-    // every element of this row is >= base_ while every earlier element is
-    // < base_. Bit first_ therefore sits at or after position
-    // (base_ >> low_bits) + first_ and no earlier set bit reaches it — the
-    // row's first high bit is one short forward scan (~n >> low_bits bits),
-    // not a sampled select.
-    const std::uint64_t pos0 =
-        (base_ >> seq_->low_bits()) + first_;
-    return {seq_, first_, first_ + size_, seq_->high().next_one(pos0), base_};
+    return {seq_, first_, first_ + size_, seq_->high().next_one(start()),
+            base_};
   }
   iterator end() const { return {seq_, first_ + size_, first_ + size_, 0, base_}; }
 
  private:
+  /// First position the row's high bits can occupy (see the class comment).
+  std::uint64_t start() const { return (base_ >> seq_->low_bits()) + first_; }
+
   const SequenceView* seq_ = nullptr;
   std::uint64_t first_ = 0;
   std::size_t size_ = 0;
@@ -434,10 +455,10 @@ class EfGraph {
   template <class OutFn, class InFn>
   static EfGraph from_rows(NodeId n, EdgeId m, OutFn&& out_row, InFn&& in_row);
 
-  /// Throws lcrb::Error unless the structure is well-formed: counts, the
-  /// offsets' shape, and a per-row decode proving every value is in range
-  /// and every row ascending. O(n + m); from_rows runs it under
-  /// LCRB_INVARIANT.
+  /// Throws lcrb::Error unless the structure is well-formed: counts, each
+  /// high bitvector's popcount and select samples, the offsets' shape, and
+  /// a per-row decode proving every value is in range and every row
+  /// ascending. O(n + m); from_rows runs it under LCRB_INVARIANT.
   void validate() const;
 
  private:

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "diffusion/montecarlo.h"
+#include "diffusion/opoao_traits.h"
 #include "graph/builder.h"
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -139,6 +141,77 @@ TEST(Opoao, SeedsValidated) {
   const DiGraph g = path_graph(4);
   EXPECT_THROW(simulate(g, {{0}, {0}}, 1, kOpoao, kOpoaoCap), Error);
   EXPECT_THROW(simulate(g, {{9}, {}}, 1, kOpoao, kOpoaoCap), Error);
+}
+
+// An untraced run retires saturated pickers (no inactive out-neighbor left)
+// while a traced run makes every pick; both must produce the same cascade,
+// step by step, on either backend.
+template <class G>
+void expect_untraced_matches_traced(const G& g, const SeedSets& seeds,
+                                    std::uint64_t seed,
+                                    const RealizationParams& params) {
+  OpoaoTrace trace;
+  const DiffusionResult traced =
+      run_cascade<OpoaoTraits>(g, seeds, seed, params, &trace);
+  const DiffusionResult plain = run_cascade<OpoaoTraits>(g, seeds, seed, params);
+  EXPECT_EQ(plain.activation_step, traced.activation_step) << "seed " << seed;
+  EXPECT_EQ(plain.cascade, traced.cascade) << "seed " << seed;
+  EXPECT_EQ(plain.state, traced.state) << "seed " << seed;
+  EXPECT_EQ(plain.newly_protected, traced.newly_protected) << "seed " << seed;
+  EXPECT_EQ(plain.newly_infected, traced.newly_infected) << "seed " << seed;
+  EXPECT_EQ(plain.newly_by_cascade, traced.newly_by_cascade)
+      << "seed " << seed;
+  EXPECT_EQ(plain.steps, traced.steps) << "seed " << seed;
+  // Under the far cap, the run stops because nothing can claim any more.
+  if (params.max_hops == kOpoaoCap.max_hops) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (traced.state[u] == NodeState::kInactive) continue;
+      for (NodeId v : g.out_neighbors(u)) {
+        EXPECT_NE(traced.state[v], NodeState::kInactive)
+            << "seed " << seed << ": active " << u
+            << " still has inactive neighbor " << v;
+      }
+    }
+  }
+}
+
+TEST(Opoao, UntracedRunMatchesTracedRun) {
+  // Dense small graphs saturate within a few steps; the self-loop graph
+  // gives every node an arc to itself, which must not count as a target.
+  Rng rng(17);
+  const DiGraph dense = erdos_renyi(40, 0.2, true, rng);
+  GraphBuilder b({.keep_self_loops = true});
+  for (NodeId v = 0; v < 30; ++v) {
+    b.add_edge(v, v);
+    for (int k = 0; k < 3; ++k) {
+      b.add_edge(v, static_cast<NodeId>(rng.next_below(30)));
+    }
+  }
+  const DiGraph loops = b.finalize();
+  std::size_t self_loops = 0;
+  for (NodeId v = 0; v < loops.num_nodes(); ++v) {
+    if (loops.has_edge(v, v)) ++self_loops;
+  }
+  ASSERT_EQ(self_loops, 30u);
+  const DiGraph star = star_graph(12);
+
+  std::size_t idle_picks = 0;
+  for (const DiGraph* g : {&dense, &loops, &star}) {
+    const EfGraph ef = EfGraph::from_csr(*g);
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const SeedSets seeds{{1, 2}, {0}};
+      for (const RealizationParams params :
+           {RealizationParams{.max_hops = 31}, kOpoaoCap}) {
+        expect_untraced_matches_traced(*g, seeds, seed, params);
+        expect_untraced_matches_traced(ef, seeds, seed, params);
+      }
+      OpoaoTrace trace;
+      run_cascade<OpoaoTraits>(*g, seeds, seed, kOpoaoCap, &trace);
+      for (const OpoaoPick& p : trace.picks) idle_picks += p.activated ? 0 : 1;
+    }
+  }
+  // The graphs really do saturate: most traced picks claim nothing.
+  EXPECT_GT(idle_picks, 1000u);
 }
 
 // Property: when the simulation stops before the hop cap, it stopped for the

@@ -82,6 +82,57 @@ TEST(EfGraph, MatchesCsrOnRandomGraphs) {
   }
 }
 
+// row[i] selects forward from the row's first possible high bit for
+// i < kSelectSample and through the sample table beyond; both must land on
+// the i-th iterated value. The graphs cover hub rows past kSelectSample,
+// rows whose first high bit sits in the last bits of a word (and in the word
+// after their start position), and a dense graph with no low bits.
+TEST(EfGraph, RowIndexMatchesIteration) {
+  Rng rng(11);
+  GraphBuilder hubs;
+  for (NodeId u = 0; u < 300; ++u) {
+    const NodeId degree = u % 50 == 0 ? 150 : u % 7;
+    for (NodeId k = 0; k < degree; ++k) {
+      hubs.add_edge(u, static_cast<NodeId>(rng.next_below(300)));
+    }
+  }
+  const DiGraph dense = erdos_renyi(40, 0.8, /*directed=*/true, rng);
+  ASSERT_EQ(ef::SequenceView::pick_low_bits(dense.num_edges(), 40u * 40u), 0u);
+
+  std::size_t long_rows = 0, late_starts = 0, next_word_starts = 0;
+  for (const DiGraph& csr :
+       {hubs.finalize(), dense, erdos_renyi(500, 0.01, true, rng),
+        erdos_renyi(64, 0.3, true, rng), star_graph(200)}) {
+    const EfGraph ef = EfGraph::from_csr(csr);
+    const std::uint64_t n = csr.num_nodes();
+    const std::uint32_t low_bits =
+        ef::SequenceView::pick_low_bits(csr.num_edges(), n * n);
+    std::uint64_t first = 0;  // the row's first index in the target sequence
+    for (NodeId u = 0; u < n; ++u) {
+      for (const ef::Row row : {ef.out_neighbors(u), ef.in_neighbors(u)}) {
+        const std::vector<NodeId> iterated = row_vec(row);
+        ASSERT_EQ(iterated.size(), row.size());
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          ASSERT_EQ(row[i], iterated[i]) << "node " << u << " index " << i;
+        }
+        if (row.size() > ef::kSelectSample) ++long_rows;
+      }
+      const auto out = ef.out_neighbors(u);
+      if (!out.empty()) {
+        // Where the out-row's first high bit lands, from the EF layout.
+        const std::uint64_t start = ((u * n) >> low_bits) + first;
+        const std::uint64_t pos = ((u * n + out[0]) >> low_bits) + first;
+        if (pos % 64 >= 60) ++late_starts;
+        if (pos / 64 != start / 64) ++next_word_starts;
+      }
+      first += out.size();
+    }
+  }
+  EXPECT_GT(long_rows, 0u);
+  EXPECT_GT(late_starts, 0u);
+  EXPECT_GT(next_word_starts, 0u);
+}
+
 TEST(EfGraph, HasEdgeAgreesWithCsr) {
   Rng rng(7);
   const DiGraph csr = erdos_renyi(120, 0.05, /*directed=*/true, rng);

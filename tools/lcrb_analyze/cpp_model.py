@@ -15,6 +15,8 @@ type-tracking token analyzer. What it actually resolves:
     whether the lambda is an argument of ThreadPool::parallel_for/submit
     (the "parallel region" property rules D2/D4 key on);
   * range-for targets and .begin()/.end() iterator walks;
+  * member-access roots (`block.words` starts from `block`), so a write
+    through a task-local object resolves to that object;
   * a repo-wide index of class members and file-scope globals, consulted
     when a name (conventionally `foo_`) has no in-file declaration.
 
@@ -108,6 +110,23 @@ class FileModel:
                 if best is None or d.tok > best.tok:
                     best = d
         return best
+
+    def member_root(self, idx: int) -> int | None:
+        """For a member access ending at ident tokens[idx] (`a.b.c`,
+        `a[i].b`), the token index of the object the chain starts from
+        (`a`); None when tokens[idx] is not a `.` access or the chain starts
+        from a call, `this` or a pointer (`p->b` writes the pointee, which
+        the model cannot place)."""
+        root = None
+        while idx >= 2 and self.tokens[idx - 1].text == ".":
+            k = idx - 2
+            while self.tokens[k].text == "]" and k in self.rmatch:
+                k = self.rmatch[k] - 1
+            if k < 0 or self.tokens[k].kind != "ident" \
+                    or self.tokens[k].text == "this":
+                return None
+            idx = root = k
+        return root
 
     def category_of(self, name: str, use_idx: int,
                     repo: "RepoIndex | None") -> str | None:
@@ -412,11 +431,16 @@ def build_model(path: str, text: str) -> FileModel:
             continue
 
         # Pointer and reference declarators with an initializer:
-        # `T* x = ...`, `T& x = ...` (also `T&& x`, `T* const x`).
-        if t.text not in NOT_A_DECL_NAME and i + 1 < n \
-                and tokens[i + 1].kind == "punct" \
-                and tokens[i + 1].text in ("&", "*", "&&"):
-            j = i + 1
+        # `T* x = ...`, `T& x = ...` (also `T&& x`, `T* const x`), and the
+        # same behind template arguments: `std::vector<int>& x = ...`.
+        decl_j = i + 1
+        if t.text not in NOT_A_DECL_NAME and decl_j < n \
+                and tokens[decl_j].text == "<":
+            decl_j = _skip_template_args(tokens, decl_j, match)
+        if t.text not in NOT_A_DECL_NAME and decl_j < n \
+                and tokens[decl_j].kind == "punct" \
+                and tokens[decl_j].text in ("&", "*", "&&"):
+            j = decl_j
             while j < n and ((tokens[j].kind == "punct"
                               and tokens[j].text in ("&", "*", "&&"))
                              or tokens[j].text == "const"):

@@ -9,6 +9,13 @@ struct ThreadPool {
 
 namespace fx {
 
+using Row = std::vector<int>;
+
+struct Block {
+  Row nodes;
+  Row words;
+};
+
 struct Collector {
   std::vector<int> results_;
   int hits_ = 0;
@@ -45,6 +52,20 @@ int write_after_lock_scope(ThreadPool& pool, unsigned long n, std::mutex& mu) {
     total += static_cast<int>(i);
   });
   return total;
+}
+
+// Declared outside the task, so shared by every task: a templated
+// reference and a member reached through an outer object.
+void shared_through_outer_objects(ThreadPool& pool, unsigned long n,
+                                  std::vector<Row>& lists) {
+  std::vector<int>& out = lists[0];
+  Block block;
+  pool.parallel_for(n, [&](unsigned long i) {
+    // expect-next-line[D4]
+    out.push_back(static_cast<int>(i));
+    // expect-next-line[D4]
+    block.words.push_back(static_cast<int>(i));
+  });
 }
 
 }  // namespace fx

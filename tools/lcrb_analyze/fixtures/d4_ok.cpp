@@ -16,8 +16,14 @@ using Row = std::vector<int>;
 // recognise would resolve to these and read as a shared write.
 struct Totals {
   Row out;
+  Row words;
   long cursor = 0;
   long reached = 0;
+};
+
+struct Block {
+  Row nodes;
+  Row words;
 };
 
 long count_nonzero(const int* first, const int* last);
@@ -60,6 +66,21 @@ void slots_atomics_locks_locals(ThreadPool& pool, unsigned long n) {
     auto reached = count_nonzero(cells.data(), cells.data() + n);
     reached -= 1;
     (void)reached;
+  });
+
+  // A templated reference declarator is a local as well.
+  std::vector<std::vector<int>> lists(n);
+  pool.parallel_for(n, [&](unsigned long i) {
+    std::vector<int>& out = lists[i];
+    out.push_back(static_cast<int>(i));
+  });
+
+  // A member reached through a lambda-local object writes that object.
+  std::vector<Block> blocks(n);
+  pool.parallel_for(n, [&](unsigned long i) {
+    Block block;
+    block.words.push_back(static_cast<int>(i));
+    blocks[i] = block;
   });
 }
 

@@ -226,6 +226,15 @@ def analyze_model(m: FileModel, repo: RepoIndex | None,
                 continue
             d = m.decl_for(name, j)
             declared_inside = d is not None and lam.body_open <= d.tok <= lam.body_close
+            # `obj.member` written through a task-local object (or a
+            # parameter) writes that object, whatever `member` names elsewhere.
+            root = m.member_root(j)
+            if root is not None:
+                root_name = tokens[root].text
+                rd = m.decl_for(root_name, root)
+                declared_inside = root_name in lam.params or (
+                    rd is not None
+                    and lam.body_open <= rd.tok <= lam.body_close)
             if declared_inside:
                 j += 1
                 continue
