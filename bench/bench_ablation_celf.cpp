@@ -7,8 +7,8 @@
 
 #include "common.h"
 
-#include "lcrb/greedy.h"
 #include "lcrb/options.h"
+#include "lcrb/pipeline.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
     opts.sigma_seed = ctx.seed + 7;
 
     Timer t;
-    const GreedyResult r = greedy_lcrbp_from_bridges(
-        ds.graph, setup.rumors, setup.bridges, opts.greedy_config(), &pool);
+    const Selection r = select(setup, opts, &pool);
     table.add_values(use_celf ? "CELF" : "plain", r.protectors.size(),
                      fixed(r.achieved_fraction, 3), r.sigma_evaluations,
                      fixed(t.seconds(), 2));

@@ -8,8 +8,8 @@
 #include "common.h"
 
 #include "diffusion/montecarlo.h"
-#include "lcrb/greedy.h"
 #include "lcrb/options.h"
+#include "lcrb/pipeline.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     opts.sigma_seed = ctx.seed + 7;
 
     Timer t;
-    const GreedyResult r = greedy_lcrbp_from_bridges(
-        ds.graph, setup.rumors, setup.bridges, opts.greedy_config(), &pool);
+    const Selection r = select(setup, opts, &pool);
     const double sel_time = t.seconds();
     const HopSeries s =
         evaluate_protectors(setup, r.protectors, precise, &pool);

@@ -7,8 +7,8 @@
 
 #include "common.h"
 
-#include "lcrb/greedy.h"
 #include "lcrb/options.h"
+#include "lcrb/pipeline.h"
 #include "lcrb/scbg.h"
 #include "util/table.h"
 
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
     opts.max_candidates = ctx.max_candidates;
     opts.sigma_samples = ctx.sigma_samples;
     opts.sigma_seed = ctx.seed + 7;
-    const GreedyResult r = greedy_lcrbp_from_bridges(
-        ds.graph, setup.rumors, setup.bridges, opts.greedy_config(), &pool);
+    const Selection r = select(setup, opts, &pool);
     table.add_values(fixed(alpha, 2), r.protectors.size(),
                      fixed(r.achieved_fraction, 3), r.sigma_evaluations);
   }

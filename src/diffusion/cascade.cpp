@@ -68,10 +68,6 @@ std::vector<NodeId> SeedSets::rumor_role_union() const {
   return role_union(*this, CascadeRole::kRumor);
 }
 
-std::vector<NodeId> SeedSets::protector_role_union() const {
-  return role_union(*this, CascadeRole::kProtector);
-}
-
 bool SeedSets::role_separable() const {
   const std::size_t kk = num_cascades();
   // Round-robin rotates the start position, so any rumor-role cascade
@@ -214,11 +210,6 @@ std::size_t DiffusionResult::protected_count() const {
       std::count(state.begin(), state.end(), NodeState::kProtected));
 }
 
-std::size_t DiffusionResult::cascade_count(std::uint8_t k) const {
-  return static_cast<std::size_t>(
-      std::count(cascade.begin(), cascade.end(), k));
-}
-
 namespace {
 
 std::size_t cumulative_at(const std::vector<std::uint32_t>& series,
@@ -240,12 +231,6 @@ std::size_t DiffusionResult::cumulative_infected_at(std::uint32_t hop) const {
 
 std::size_t DiffusionResult::cumulative_protected_at(std::uint32_t hop) const {
   return cumulative_at(newly_protected, hop);
-}
-
-std::size_t DiffusionResult::cumulative_cascade_at(std::uint8_t k,
-                                                   std::uint32_t hop) const {
-  LCRB_REQUIRE(k < newly_by_cascade.size(), "cascade id out of range");
-  return cumulative_at(newly_by_cascade[k], hop);
 }
 
 double DiffusionResult::saved_fraction(std::span<const NodeId> targets) const {

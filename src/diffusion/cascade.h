@@ -110,8 +110,6 @@ struct SeedSets {
   /// RIS engines consume under the role-separable collapse (see
   /// docs/algorithms.md "K cascades").
   std::vector<NodeId> rumor_role_union() const;
-  /// All protector-role seeds, ascending.
-  std::vector<NodeId> protector_role_union() const;
 
   /// True when every protector-role cascade precedes every rumor-role
   /// cascade in the priority order of EVERY step. Exactly then the K-way
@@ -159,14 +157,11 @@ struct DiffusionResult {
 
   std::size_t infected_count() const;
   std::size_t protected_count() const;
-  /// Number of nodes cascade k won.
-  std::size_t cascade_count(std::uint8_t k) const;
 
   /// Cumulative number of infected nodes at the end of `hop` (hops beyond
   /// the recorded series return the final count — the curve has flattened).
   std::size_t cumulative_infected_at(std::uint32_t hop) const;
   std::size_t cumulative_protected_at(std::uint32_t hop) const;
-  std::size_t cumulative_cascade_at(std::uint8_t k, std::uint32_t hop) const;
 
   /// Fraction of `targets` that finished uninfected (protected or inactive).
   /// This is the paper's notion of a bridge end being "protected".

@@ -41,8 +41,7 @@ namespace lcrb {
 template <class Traits, class G>
 class FrontierForward {
  public:
-  FrontierForward(const G& g, std::uint64_t seed, const RealizationParams& p,
-                  NoTrace* /*trace*/)
+  FrontierForward(const G& g, std::uint64_t seed, const RealizationParams& p)
       : g_(g), coin_(Traits::coin(seed, p)) {}
 
   void seed(const CascadePlan& plan, DiffusionResult& r) {
@@ -129,7 +128,6 @@ struct LiveEdgeReplayScratch {
 /// for the cached CSR; purely a perf knob).
 template <class Traits>
 struct LiveEdgeTraits {
-  using Trace = NoTrace;
   template <class G>
   using Forward = FrontierForward<Traits, G>;
 

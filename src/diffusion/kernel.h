@@ -50,9 +50,6 @@ struct StepDelta {
   bool any() const { return newly_protected > 0 || newly_infected > 0; }
 };
 
-/// Trace type for models that record nothing (every model except OPOAO).
-struct NoTrace {};
-
 /// Normalized view of a SeedSets the Forward runners iterate: K cascades
 /// (id = index), each with a role and a seed list, and the per-step priority
 /// order. Built once per run_cascade; cheap (no copies of the seed lists).
@@ -112,14 +109,12 @@ struct RealizationParams {
 };
 
 /// One forward simulation of `Traits`' model, at most `params.max_hops`
-/// steps. Deterministic in (g, seeds, seed); `trace` (model-specific,
-/// usually NoTrace) records the model's event log when non-null. This is
-/// the single cascade loop; simulate() dispatches a runtime model onto it.
+/// steps. Deterministic in (g, seeds, seed). This is the single cascade
+/// loop; simulate() dispatches a runtime model onto it.
 template <class Traits, GraphView G>
 DiffusionResult run_cascade(const G& g, const SeedSets& seeds,
                             std::uint64_t seed,
-                            const RealizationParams& params,
-                            typename Traits::Trace* trace = nullptr) {
+                            const RealizationParams& params) {
   validate_seeds(g, seeds);
 
   DiffusionResult r;
@@ -127,7 +122,7 @@ DiffusionResult run_cascade(const G& g, const SeedSets& seeds,
   r.activation_step.assign(g.num_nodes(), kUnreached);
   r.cascade.assign(g.num_nodes(), kNoCascade);
 
-  typename Traits::template Forward<G> fwd(g, seed, params, trace);
+  typename Traits::template Forward<G> fwd(g, seed, params);
   const CascadePlan plan(seeds);
 
   std::uint32_t seed_p = 0, seed_r = 0;

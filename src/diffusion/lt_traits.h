@@ -41,13 +41,10 @@ struct LtTraits {
   static constexpr bool kDeterministic = false;
   static constexpr bool kSupportsReverse = false;
 
-  using Trace = NoTrace;
-
   template <class G>
   class Forward {
    public:
-    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/,
-            Trace* /*trace*/)
+    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/)
         : g_(g), seed_(seed) {}
 
     void seed(const CascadePlan& plan, DiffusionResult& r) {

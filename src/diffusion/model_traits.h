@@ -7,7 +7,7 @@
 //   flags     kModel, kName, kDeterministic (one realization: Monte-Carlo
 //             runs once, SigmaEstimator replays one sample for all),
 //             kSupportsReverse (RIS)
-//   forward   Trace, Forward(g, seed, params, trace) with seed(plan, r) /
+//   forward   Forward(g, seed, params) with seed(plan, r) /
 //             active() / step(plan, step, r) over a CascadePlan (K cascades
 //             in priority order) — consumed by run_cascade<Traits>
 //             (kernel.h), which takes the one forward config every model

@@ -12,14 +12,15 @@
 // timestamped random graphs G_R/G_P (§V-A); under it, runs with different
 // protector sets are fully coupled, and the per-sample saved set |PB(S)| is
 // monotone and submodular (Lemma 4) — verified exhaustively in
-// tests/lcrb/lemma_test.cpp.
+// tests/lcrb/lemma_test.cpp. The timestamps themselves (Fig. 1: the pick at
+// step t by a node of cascade c stamps its edge "t_c") are never logged by
+// the library; tests/support/opoao_reference.h replays them as a pick log
+// for the proof-construction tests.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <unordered_map>
 
-#include "diffusion/cascade.h"
+#include "util/types.h"
 
 namespace lcrb {
 
@@ -43,40 +44,5 @@ inline std::uint64_t opoao_pick_hash(std::uint64_t seed, NodeId v,
   x ^= x >> 33;
   return x;
 }
-
-/// One activation attempt: active node `from` picked out-neighbor `to` at
-/// `step`; `activated` records whether the pick claimed the target. This is
-/// the paper's timestamp assignment (§V-A, Fig. 1): the pick at step t by a
-/// node of cascade c stamps edge (from, to) with "t_c".
-struct OpoaoPick {
-  std::uint32_t step;
-  NodeId from;
-  NodeId to;
-  NodeState cascade;  ///< color of the picking node
-  bool activated;     ///< target was inactive and adopted `cascade`
-};
-
-/// Full pick log of one simulation, in execution order (protector picks of a
-/// step precede rumor picks — exactly the priority rule). Captured by
-/// run_cascade<OpoaoTraits>(g, seeds, seed, params, &trace); costs memory
-/// proportional to active-nodes x steps.
-struct OpoaoTrace {
-  std::vector<OpoaoPick> picks;
-
-  /// Smallest step at which `color` picked edge (u, v) — the simplified
-  /// timestamp of Fig. 1(b); kUnreached if the edge was never picked by
-  /// that cascade. O(1) amortized: an edge index is built lazily on first
-  /// query and extended incrementally when `picks` grew since (append-only
-  /// log assumed; a shrink triggers a full rebuild). Not safe to call
-  /// concurrently with other first_pick_step calls (the lazy index is
-  /// shared).
-  std::uint32_t first_pick_step(NodeId u, NodeId v, NodeState color) const;
-
- private:
-  /// (from << 32 | to) -> first pick step per cascade color {P, R}.
-  mutable std::unordered_map<std::uint64_t, std::array<std::uint32_t, 2>>
-      first_pick_;
-  mutable std::size_t indexed_picks_ = 0;  ///< picks.size() at index build
-};
 
 }  // namespace lcrb

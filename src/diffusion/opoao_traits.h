@@ -23,8 +23,6 @@ struct OpoaoTraits {
   static constexpr bool kDeterministic = false;
   static constexpr bool kSupportsReverse = true;
 
-  using Trace = OpoaoTrace;
-
   // -------------------------------------------------------------------------
   // Forward runner (run_cascade<OpoaoTraits>).
   //
@@ -35,22 +33,21 @@ struct OpoaoTraits {
   // counts of still-inactive out-neighbors so the simulation stops exactly
   // when nothing can ever activate again.
   //
-  // Those counts also retire pickers. An untraced run skips a pooled node
-  // whose count is 0 and drops it from its pool (a stable compaction, so
-  // pool order is unchanged). This is exact: the count is taken at the start
-  // of the step and only falls, so such a node's pick lands on an active
-  // node now and at every later step, and a pick that claims nothing
-  // changes no state. A traced run still makes every pick, because the trace
-  // records them. Pools keep each node's decoded out-row next to it, taken
-  // from the walk activate() does anyway, so a pick decodes no offsets;
-  // nodes without out-edges never enter a pool.
+  // Those counts also retire pickers. A step skips a pooled node whose
+  // count is 0 and drops it from its pool (a stable compaction, so pool
+  // order is unchanged). This is exact: the count is taken at the start of
+  // the step and only falls, so such a node's pick lands on an active node
+  // now and at every later step, and a pick that claims nothing changes no
+  // state. tests/support/opoao_reference.h makes every pick instead and
+  // pins this runner against it. Pools keep each node's decoded out-row
+  // next to it, taken from the walk activate() does anyway, so a pick
+  // decodes no offsets; nodes without out-edges never enter a pool.
   // -------------------------------------------------------------------------
   template <class G>
   class Forward {
    public:
-    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/,
-            Trace* trace)
-        : g_(g), seed_(seed), trace_(trace), potential_(g.num_nodes(), 0) {}
+    Forward(const G& g, std::uint64_t seed, const RealizationParams& /*p*/)
+        : g_(g), seed_(seed), potential_(g.num_nodes(), 0) {}
 
     void seed(const CascadePlan& plan, DiffusionResult& r) {
       pools_.resize(plan.size());
@@ -78,17 +75,13 @@ struct OpoaoTraits {
         for (std::size_t j = 0; j < pool.size(); ++j) {
           const Picker p = pool[j];
           // Saturated: no pick of p can claim again (see the class comment).
-          if (trace_ == nullptr && potential_[p.v] == 0) continue;
+          if (potential_[p.v] == 0) continue;
           pool[kept++] = p;
           const NodeId target =
               p.row[opoao_pick_hash(seed_, p.v, step) % p.row.size()];
-          const bool claimed = r.state[target] == NodeState::kInactive;
-          if (claimed) {
+          if (r.state[target] == NodeState::kInactive) {
             r.state[target] = s;  // claim immediately
             new_by_cascade_[k].push_back(target);
-          }
-          if (trace_ != nullptr) {
-            trace_->picks.push_back({step, p.v, target, s, claimed});
           }
         }
         pool.resize(kept);
@@ -141,9 +134,8 @@ struct OpoaoTraits {
 
     const G& g_;
     std::uint64_t seed_;
-    Trace* trace_;
     /// Active nodes with out-edges per cascade, in activation order, each
-    /// with its out-row; an untraced run drops saturated ones.
+    /// with its out-row; saturated ones are dropped.
     std::vector<std::vector<Picker>> pools_;
     /// `potential_[v]`: number of still-inactive out-neighbors of active
     /// node v. The simulation can stop exactly when the sum over active
@@ -551,7 +543,7 @@ struct OpoaoTraits {
     const std::uint32_t hops = p.max_hops;
 
     // Phase 1: rumor-only forward baseline T0 under this realization,
-    // straight from the stateless pick hashes (no trace, no pick tables).
+    // straight from the stateless pick hashes (no pick tables).
     // Matches the Forward runner with empty protectors and the same
     // max_hops.
     // The replay stops at the end of the step that infects `root`: phase 2's

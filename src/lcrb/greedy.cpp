@@ -86,29 +86,6 @@ std::vector<NodeId> make_candidates(const G& g,
 }  // namespace
 
 template <GraphView G>
-GreedyResult greedy_lcrbp_from_bridges(const G& g,
-                                       std::span<const NodeId> rumors,
-                                       const BridgeEndResult& bridges,
-                                       const GreedyConfig& cfg,
-                                       ThreadPool* pool) {
-  LCRB_REQUIRE(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha must be in (0,1]");
-
-  GreedyResult out;
-  if (bridges.bridge_ends.empty()) {
-    out.achieved_fraction = 1.0;
-    return out;
-  }
-
-  SigmaEstimator estimator(g, {rumors.begin(), rumors.end()},
-                           bridges.bridge_ends, cfg.sigma, pool);
-  out = greedy_lcrbp_with_estimator(g, rumors, bridges, cfg, estimator, pool);
-  // With a private estimator the visit counter is race-free: report the
-  // estimator's internal work, not just call counts.
-  out.nodes_visited = estimator.nodes_visited();
-  return out;
-}
-
-template <GraphView G>
 GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          std::span<const NodeId> rumors,
                                          const BridgeEndResult& bridges,
@@ -289,7 +266,7 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
   out.achieved_fraction = current_fraction;
   out.sigma_evaluations = sigma_calls * cfg.sigma.samples;
   // nodes_visited stays 0 here: the shared estimator's visit counter mixes
-  // concurrent queries. greedy_lcrbp_from_bridges overwrites it.
+  // concurrent queries. select() overwrites it for an estimator it built.
   return out;
 }
 
@@ -364,41 +341,14 @@ MultiGreedyResult greedy_multi_with_estimator(
   return out;
 }
 
-template <GraphView G>
-MultiGreedyResult greedy_multi_from_bridges(
-    const G& g, std::span<const NodeId> rumors,
-    const BridgeEndResult& bridges, const GreedyConfig& cfg,
-    std::span<const std::size_t> budgets, MultiCascadeMode mode,
-    ThreadPool* pool) {
-  if (bridges.bridge_ends.empty()) {
-    MultiGreedyResult out;
-    out.groups.resize(budgets.size());
-    out.combined.achieved_fraction = 1.0;
-    return out;
-  }
-  SigmaEstimator estimator(g, {rumors.begin(), rumors.end()},
-                           bridges.bridge_ends, cfg.sigma, pool);
-  MultiGreedyResult out = greedy_multi_with_estimator(
-      g, rumors, bridges, cfg, budgets, mode, estimator, pool);
-  out.combined.nodes_visited = estimator.nodes_visited();
-  return out;
-}
-
 #define LCRB_INSTANTIATE_GREEDY(G)                                            \
-  template GreedyResult greedy_lcrbp_from_bridges<G>(                         \
-      const G&, std::span<const NodeId>, const BridgeEndResult&,              \
-      const GreedyConfig&, ThreadPool*);                                      \
   template GreedyResult greedy_lcrbp_with_estimator<G>(                       \
       const G&, std::span<const NodeId>, const BridgeEndResult&,              \
       const GreedyConfig&, const SigmaEstimator&, ThreadPool*);               \
   template MultiGreedyResult greedy_multi_with_estimator<G>(                  \
       const G&, std::span<const NodeId>, const BridgeEndResult&,              \
       const GreedyConfig&, std::span<const std::size_t>, MultiCascadeMode,    \
-      const SigmaEstimator&, ThreadPool*);                                    \
-  template MultiGreedyResult greedy_multi_from_bridges<G>(                    \
-      const G&, std::span<const NodeId>, const BridgeEndResult&,              \
-      const GreedyConfig&, std::span<const std::size_t>, MultiCascadeMode,    \
-      ThreadPool*);
+      const SigmaEstimator&, ThreadPool*);
 
 LCRB_INSTANTIATE_GREEDY(DiGraph)
 LCRB_INSTANTIATE_GREEDY(EfGraph)

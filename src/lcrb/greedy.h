@@ -56,15 +56,6 @@ struct GreedyResult {
   std::uint64_t nodes_visited = 0;
 };
 
-/// Runs the LCRB-P greedy with a private SigmaEstimator over precomputed
-/// bridge ends (find_bridge_ends).
-template <GraphView G>
-GreedyResult greedy_lcrbp_from_bridges(const G& g,
-                                       std::span<const NodeId> rumors,
-                                       const BridgeEndResult& bridges,
-                                       const GreedyConfig& cfg,
-                                       ThreadPool* pool = nullptr);
-
 /// How multiple protector campaigns (one per rumor group) pick their seeds.
 /// Both modes optimize the same role-level sigma — under the role-separable
 /// collapse every protector helps against the whole rumor union — so the
@@ -104,24 +95,18 @@ MultiGreedyResult greedy_multi_with_estimator(
     std::span<const std::size_t> budgets, MultiCascadeMode mode,
     const SigmaEstimator& estimator, ThreadPool* pool = nullptr);
 
-/// Convenience variant that builds its own estimator.
-template <GraphView G>
-MultiGreedyResult greedy_multi_from_bridges(
-    const G& g, std::span<const NodeId> rumors,
-    const BridgeEndResult& bridges, const GreedyConfig& cfg,
-    std::span<const std::size_t> budgets, MultiCascadeMode mode,
-    ThreadPool* pool = nullptr);
-
-/// Variant against a caller-owned estimator. The query service shares one
-/// warm SigmaEstimator — and its realization cache — across every query of
-/// a session; SigmaEstimator::sigma() is thread-safe, so concurrent callers
-/// are fine. The estimator must have been built for
-/// the same graph/rumors/bridge ends and with cfg.sigma, or results are
-/// meaningless. Because the shared counters mix concurrent queries,
-/// sigma_evaluations is derived from this call's own (serial) call count and
-/// nodes_visited is reported as 0. Gains are scored in batches of up to
-/// kSigmaLanes sets per replay pass (SigmaEstimator::sigma_batch), on the
-/// estimator's own pool; `pool` is not used.
+/// Runs the LCRB-P greedy over precomputed bridge ends (find_bridge_ends)
+/// against an estimator the caller owns, or one select() builds for the
+/// call. The query service shares one warm SigmaEstimator — and its
+/// realization cache — across every query of a session;
+/// SigmaEstimator::sigma() is thread-safe, so concurrent callers are fine.
+/// The estimator must have been built for the same graph/rumors/bridge ends
+/// and with cfg.sigma, or results are meaningless. Because the shared
+/// counters mix concurrent queries, sigma_evaluations is derived from this
+/// call's own (serial) call count and nodes_visited is reported as 0. Gains
+/// are scored in batches of up to kSigmaLanes sets per replay pass
+/// (SigmaEstimator::sigma_batch), on the estimator's own pool; `pool` is not
+/// used.
 template <GraphView G>
 GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          std::span<const NodeId> rumors,

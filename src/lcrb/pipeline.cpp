@@ -1,6 +1,7 @@
 #include "lcrb/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "graph/centrality.h"
 #include "lcrb/cldag.h"
@@ -10,8 +11,26 @@
 
 namespace lcrb {
 
-template <GraphView G>
-ExperimentSetup prepare_experiment(const G& g, const Partition& p,
+namespace {
+
+/// The tail both prepare forms share: `rumors` are sorted, distinct and
+/// inside `c`.
+ExperimentSetup finish_setup(GraphRef g, const Partition& p, CommunityId c,
+                             std::vector<NodeId> rumors) {
+  ExperimentSetup setup;
+  setup.graph = g;
+  setup.partition = &p;
+  setup.rumor_community = c;
+  setup.rumors = std::move(rumors);
+  setup.bridges = g.visit([&](const auto& gr) {
+    return find_bridge_ends(gr, p, c, setup.rumors);
+  });
+  return setup;
+}
+
+}  // namespace
+
+ExperimentSetup prepare_experiment(GraphRef g, const Partition& p,
                                    CommunityId rumor_community,
                                    std::size_t num_rumors,
                                    std::uint64_t seed) {
@@ -24,11 +43,6 @@ ExperimentSetup prepare_experiment(const G& g, const Partition& p,
   LCRB_REQUIRE(num_rumors <= members.size(),
                "more rumor originators than community members");
 
-  ExperimentSetup setup;
-  setup.graph = g;
-  setup.partition = &p;
-  setup.rumor_community = rumor_community;
-
   // Partial Fisher-Yates over a copy of the member list.
   std::vector<NodeId> pool = members;
   Rng rng(seed);
@@ -38,15 +52,10 @@ ExperimentSetup prepare_experiment(const G& g, const Partition& p,
   }
   pool.resize(num_rumors);
   std::sort(pool.begin(), pool.end());
-  setup.rumors = std::move(pool);
-
-  setup.bridges = find_bridge_ends(g, p, rumor_community, setup.rumors);
-  return setup;
+  return finish_setup(g, p, rumor_community, std::move(pool));
 }
 
-template <GraphView G>
-ExperimentSetup prepare_experiment_with_rumors(const G& g,
-                                               const Partition& p,
+ExperimentSetup prepare_experiment_with_rumors(GraphRef g, const Partition& p,
                                                std::vector<NodeId> rumors) {
   LCRB_REQUIRE(p.num_nodes() == g.num_nodes(),
                "partition does not cover the graph");
@@ -61,29 +70,7 @@ ExperimentSetup prepare_experiment_with_rumors(const G& g,
     LCRB_REQUIRE(p.community_of(r) == c,
                  "rumor originators must share one community");
   }
-  ExperimentSetup setup;
-  setup.graph = g;
-  setup.partition = &p;
-  setup.rumor_community = c;
-  setup.rumors = std::move(rumors);
-  setup.bridges = find_bridge_ends(g, p, c, setup.rumors);
-  return setup;
-}
-
-ExperimentSetup prepare_experiment(GraphRef g, const Partition& p,
-                                   CommunityId rumor_community,
-                                   std::size_t num_rumors,
-                                   std::uint64_t seed) {
-  return g.visit([&](const auto& gr) {
-    return prepare_experiment(gr, p, rumor_community, num_rumors, seed);
-  });
-}
-
-ExperimentSetup prepare_experiment_with_rumors(GraphRef g, const Partition& p,
-                                               std::vector<NodeId> rumors) {
-  return g.visit([&](const auto& gr) {
-    return prepare_experiment_with_rumors(gr, p, std::move(rumors));
-  });
+  return finish_setup(g, p, c, std::move(rumors));
 }
 
 namespace {
@@ -139,21 +126,45 @@ std::vector<NodeId> baseline_protectors(const G& g,
 }
 
 /// The LCRB-P greedy in every variant: RIS or Monte-Carlo sigma, one
-/// campaign or several, against lent warm state or a private one.
+/// campaign or several. Runs against the lent warm state, or builds a
+/// private one; a private one serves this call alone, so its work counts in
+/// nodes_visited.
 template <class G>
 Selection select_greedy(const G& g, const ExperimentSetup& setup,
                         const LcrbOptions& opts, std::size_t budget,
                         ThreadPool* pool, WarmSigma warm) {
+  const std::vector<NodeId>& ends = setup.bridges.bridge_ends;
+  const bool lent = opts.sigma_mode == SigmaMode::kRis
+                        ? warm.ris != nullptr
+                        : warm.estimator != nullptr;
+  if (ends.empty() && !lent) {
+    // Nothing to protect: every engine answers this before reading sigma,
+    // so no private state is built for it. Lent state still goes to its
+    // engine, which checks it against the query.
+    Selection out;
+    out.achieved_fraction = 1.0;
+    out.groups.resize(opts.multi_mode == MultiCascadeMode::kOff
+                          ? 0
+                          : opts.protector_budgets.size());
+    if (opts.sigma_mode == SigmaMode::kRis) {
+      out.ris = RisStopping{.guarantee_met = true};
+    }
+    return out;
+  }
   if (opts.sigma_mode == SigmaMode::kRis) {
     // No candidate restriction: only nodes in some RR set can ever have a
     // positive coverage gain.
+    const RisConfig cfg = opts.ris_config();
+    std::optional<RisContext> own;
+    if (warm.ris == nullptr) {
+      warm.ris = &own.emplace(setup.graph, setup.rumors, ends, cfg);
+    }
     RisGreedyResult r =
-        warm.ris != nullptr
-            ? ris_greedy_with_context(opts.alpha, budget, opts.ris_config(),
-                                      *warm.ris, pool)
-            : ris_greedy_from_bridges(g, setup.rumors, setup.bridges,
-                                      opts.alpha, budget, opts.ris_config(),
-                                      pool);
+        ris_greedy_with_context(opts.alpha, budget, cfg, *warm.ris, pool);
+    if (own) {
+      r.nodes_visited +=
+          own->selection.nodes_visited() + own->validation.nodes_visited();
+    }
     Selection out({.protectors = std::move(r.protectors),
                    .achieved_fraction = r.achieved_fraction,
                    .gain_history = std::move(r.gain_history),
@@ -164,30 +175,27 @@ Selection select_greedy(const G& g, const ExperimentSetup& setup,
                           r.guarantee_met, r.stop_reason};
     return out;
   }
-  if (opts.multi_mode != MultiCascadeMode::kOff) {
-    MultiGreedyResult r =
-        warm.estimator != nullptr
-            ? greedy_multi_with_estimator(
-                  g, setup.rumors, setup.bridges, opts.greedy_config(),
-                  opts.protector_budgets, opts.multi_mode, *warm.estimator,
-                  pool)
-            : greedy_multi_from_bridges(g, setup.rumors, setup.bridges,
-                                        opts.greedy_config(),
-                                        opts.protector_budgets,
-                                        opts.multi_mode, pool);
-    r.combined.protectors = std::move(r.deployed);
-    Selection out(std::move(r.combined));
-    out.groups = std::move(r.groups);
-    return out;
-  }
   GreedyConfig gc = opts.greedy_config();
-  gc.max_protectors = budget;
-  return Selection(
-      warm.estimator != nullptr
-          ? greedy_lcrbp_with_estimator(g, setup.rumors, setup.bridges, gc,
-                                        *warm.estimator, pool)
-          : greedy_lcrbp_from_bridges(g, setup.rumors, setup.bridges, gc,
-                                      pool));
+  std::optional<SigmaEstimator> own;
+  if (warm.estimator == nullptr) {
+    warm.estimator =
+        &own.emplace(setup.graph, setup.rumors, ends, gc.sigma, pool);
+  }
+  Selection out;
+  if (opts.multi_mode != MultiCascadeMode::kOff) {
+    MultiGreedyResult r = greedy_multi_with_estimator(
+        g, setup.rumors, setup.bridges, gc, opts.protector_budgets,
+        opts.multi_mode, *warm.estimator, pool);
+    r.combined.protectors = std::move(r.deployed);
+    out = Selection(std::move(r.combined));
+    out.groups = std::move(r.groups);
+  } else {
+    gc.max_protectors = budget;
+    out = Selection(greedy_lcrbp_with_estimator(
+        g, setup.rumors, setup.bridges, gc, *warm.estimator, pool));
+  }
+  if (own) out.nodes_visited = own->nodes_visited();
+  return out;
 }
 
 }  // namespace
@@ -242,16 +250,5 @@ HopSeries evaluate_protector_groups(
     return monte_carlo_series(g, seeds, mc, setup.bridges.bridge_ends, pool);
   });
 }
-
-#define LCRB_INSTANTIATE_PIPELINE(G)                                          \
-  template ExperimentSetup prepare_experiment<G>(                             \
-      const G&, const Partition&, CommunityId, std::size_t, std::uint64_t);   \
-  template ExperimentSetup prepare_experiment_with_rumors<G>(                 \
-      const G&, const Partition&, std::vector<NodeId>);
-
-LCRB_INSTANTIATE_PIPELINE(DiGraph)
-LCRB_INSTANTIATE_PIPELINE(EfGraph)
-
-#undef LCRB_INSTANTIATE_PIPELINE
 
 }  // namespace lcrb

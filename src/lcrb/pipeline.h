@@ -40,25 +40,14 @@ struct ExperimentSetup {
 };
 
 /// Samples `num_rumors` rumor originators uniformly from the community and
-/// computes the bridge ends. Deterministic in `seed`.
-template <GraphView G>
-ExperimentSetup prepare_experiment(const G& g, const Partition& p,
+/// computes the bridge ends. Deterministic in `seed`. Either backend binds
+/// `g` (GraphRef converts from both).
+ExperimentSetup prepare_experiment(GraphRef g, const Partition& p,
                                    CommunityId rumor_community,
                                    std::size_t num_rumors, std::uint64_t seed);
 
 /// Variant with explicit rumor originators (they must share one community);
 /// used by the CLI's --rumor-ids and the query service's rumor_ids field.
-template <GraphView G>
-ExperimentSetup prepare_experiment_with_rumors(const G& g,
-                                               const Partition& p,
-                                               std::vector<NodeId> rumors);
-
-/// Runtime-dispatch overloads for GraphRef holders (the service layer).
-/// GraphRef does not satisfy GraphView, so these never collide with the
-/// templates above; concrete graphs still bind the template directly.
-ExperimentSetup prepare_experiment(GraphRef g, const Partition& p,
-                                   CommunityId rumor_community,
-                                   std::size_t num_rumors, std::uint64_t seed);
 ExperimentSetup prepare_experiment_with_rumors(GraphRef g, const Partition& p,
                                                std::vector<NodeId> rumors);
 

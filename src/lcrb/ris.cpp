@@ -343,29 +343,6 @@ void warn_guarantee_not_met(std::size_t theta, double epsilon, double delta) {
 
 }  // namespace
 
-RisGreedyResult ris_greedy_from_bridges(GraphRef g,
-                                        std::span<const NodeId> rumors,
-                                        const BridgeEndResult& bridges,
-                                        double alpha,
-                                        std::size_t max_protectors,
-                                        const RisConfig& cfg,
-                                        ThreadPool* pool) {
-  LCRB_REQUIRE(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-  RisGreedyResult out;
-  if (bridges.bridge_ends.empty()) {
-    out.achieved_fraction = 1.0;
-    out.guarantee_met = true;  // nothing to certify
-    return out;
-  }
-  RisContext ctx(g, {rumors.begin(), rumors.end()}, bridges.bridge_ends, cfg);
-  out = ris_greedy_with_context(alpha, max_protectors, cfg, ctx, pool);
-  // Private pools: fold their generation work back into the legacy metric
-  // (ris_greedy_with_context reports only the greedy ops).
-  out.nodes_visited +=
-      ctx.selection.nodes_visited() + ctx.validation.nodes_visited();
-  return out;
-}
-
 RisGreedyResult ris_greedy_with_context(double alpha,
                                         std::size_t max_protectors,
                                         const RisConfig& cfg, RisContext& ctx,

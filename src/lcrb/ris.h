@@ -272,24 +272,15 @@ struct RisGreedyResult {
   double sigma_lower = 0.0;
   double sigma_upper = 0.0;
   std::size_t distinct_candidates = 0;  ///< nodes seen in any RR set
-  std::uint64_t nodes_visited = 0;      ///< generation + greedy node ops
+  /// Greedy node ops; select() adds the pools' generation work when it
+  /// built the context itself.
+  std::uint64_t nodes_visited = 0;
   /// Why sampling stopped, and whether the (epsilon, delta) guarantee was
   /// met (false when the max_sets cap ended sampling first — also surfaced
   /// as a one-time process warning).
   RisStopReason stop_reason = RisStopReason::kNone;
   bool guarantee_met = false;
 };
-
-/// RIS protector selection: adaptive sample doubling (OPIM-style two-pool
-/// rule) + max-coverage greedy until the estimated protected fraction
-/// reaches `alpha` or `max_protectors` (0 = unlimited) is hit.
-RisGreedyResult ris_greedy_from_bridges(GraphRef g,
-                                        std::span<const NodeId> rumors,
-                                        const BridgeEndResult& bridges,
-                                        double alpha,
-                                        std::size_t max_protectors,
-                                        const RisConfig& cfg,
-                                        ThreadPool* pool = nullptr);
 
 /// Warm RIS state a GraphSession keeps between queries: the sampler plus the
 /// selection/validation pools it has grown so far. Queries that need theta
@@ -312,11 +303,14 @@ struct RisContext {
   }
 };
 
-/// ris_greedy_from_bridges against a caller-owned warm context. The context
-/// must have been built for the same graph/rumors/bridge ends, and the knobs
-/// that shape RR draws (seed, max_hops, model, ic_edge_prob) must match
-/// ctx.sampler.config() — enforced with lcrb::Error. The accuracy knobs
-/// (epsilon/delta/initial_sets/max_sets) may differ per query.
+/// RIS protector selection: adaptive sample doubling (OPIM-style two-pool
+/// rule) + max-coverage greedy until the estimated protected fraction
+/// reaches `alpha` or `max_protectors` (0 = unlimited) is hit. Runs against
+/// a warm context, caller-owned or one select() builds for the call. The
+/// context must have been built for the same graph/rumors/bridge ends, and
+/// the knobs that shape RR draws (seed, max_hops, model, ic_edge_prob) must
+/// match ctx.sampler.config() — enforced with lcrb::Error. The accuracy
+/// knobs (epsilon/delta/initial_sets/max_sets) may differ per query.
 /// RisGreedyResult::nodes_visited reports only this call's greedy ops: the
 /// shared pools' generation counters mix queries.
 RisGreedyResult ris_greedy_with_context(double alpha,

@@ -8,19 +8,6 @@ namespace lcrb::service {
 
 namespace {
 
-std::size_t graph_bytes(GraphRef g) {
-  if (const DiGraph* csr = g.csr_or_null()) {
-    const std::size_t n = csr->num_nodes();
-    const std::size_t m = static_cast<std::size_t>(csr->num_edges());
-    // Both CSR directions: two offset arrays of n+1 EdgeIds, two endpoint
-    // arrays of m NodeIds.
-    return 2 * ((n + 1) * sizeof(EdgeId) + m * sizeof(NodeId));
-  }
-  // Compressed backend: the encoded footprint itself, every word of its
-  // buffer.
-  return g.memory_bytes();
-}
-
 std::size_t partition_bytes(const Partition& p) {
   // membership_ (n CommunityIds) + members_ lists (n NodeIds total across
   // communities, plus one vector header per community).
@@ -52,7 +39,7 @@ GraphSession::GraphSession(std::string dataset, GraphAny graph,
       partition_(std::move(partition)) {
   LCRB_REQUIRE(partition_.num_nodes() == graph_.num_nodes(),
                "session partition does not cover the graph");
-  base_bytes_ = graph_bytes(graph_.ref()) + partition_bytes(partition_);
+  base_bytes_ = graph_.memory_bytes() + partition_bytes(partition_);
 }
 
 std::shared_ptr<const ExperimentSetup> GraphSession::find_setup(

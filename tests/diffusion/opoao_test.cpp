@@ -7,6 +7,7 @@
 #include "graph/builder.h"
 #include "graph/ef_graph.h"
 #include "graph/generators.h"
+#include "support/opoao_reference.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -143,41 +144,13 @@ TEST(Opoao, SeedsValidated) {
   EXPECT_THROW(simulate(g, {{9}, {}}, 1, kOpoao, kOpoaoCap), Error);
 }
 
-// An untraced run retires saturated pickers (no inactive out-neighbor left)
-// while a traced run makes every pick; both must produce the same cascade,
-// step by step, on either backend.
-template <class G>
-void expect_untraced_matches_traced(const G& g, const SeedSets& seeds,
-                                    std::uint64_t seed,
-                                    const RealizationParams& params) {
-  OpoaoTrace trace;
-  const DiffusionResult traced =
-      run_cascade<OpoaoTraits>(g, seeds, seed, params, &trace);
-  const DiffusionResult plain = run_cascade<OpoaoTraits>(g, seeds, seed, params);
-  EXPECT_EQ(plain.activation_step, traced.activation_step) << "seed " << seed;
-  EXPECT_EQ(plain.cascade, traced.cascade) << "seed " << seed;
-  EXPECT_EQ(plain.state, traced.state) << "seed " << seed;
-  EXPECT_EQ(plain.newly_protected, traced.newly_protected) << "seed " << seed;
-  EXPECT_EQ(plain.newly_infected, traced.newly_infected) << "seed " << seed;
-  EXPECT_EQ(plain.newly_by_cascade, traced.newly_by_cascade)
-      << "seed " << seed;
-  EXPECT_EQ(plain.steps, traced.steps) << "seed " << seed;
-  // Under the far cap, the run stops because nothing can claim any more.
-  if (params.max_hops == kOpoaoCap.max_hops) {
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (traced.state[u] == NodeState::kInactive) continue;
-      for (NodeId v : g.out_neighbors(u)) {
-        EXPECT_NE(traced.state[v], NodeState::kInactive)
-            << "seed " << seed << ": active " << u
-            << " still has inactive neighbor " << v;
-      }
-    }
-  }
-}
-
-TEST(Opoao, UntracedRunMatchesTracedRun) {
-  // Dense small graphs saturate within a few steps; the self-loop graph
-  // gives every node an arc to itself, which must not count as a target.
+TEST(Opoao, RunMatchesReference) {
+  // The runner retires saturated pickers (no inactive out-neighbor left) and
+  // stops on incremental counts; the reference makes every pick and stops
+  // on a brute-force scan. Both must produce the same cascade, step by step,
+  // on either backend. Dense small graphs saturate within a few steps; the
+  // self-loop graph gives every node an arc to itself, which must not count
+  // as a target.
   Rng rng(17);
   const DiGraph dense = erdos_renyi(40, 0.2, true, rng);
   GraphBuilder b({.keep_self_loops = true});
@@ -202,15 +175,25 @@ TEST(Opoao, UntracedRunMatchesTracedRun) {
       const SeedSets seeds{{1, 2}, {0}};
       for (const RealizationParams params :
            {RealizationParams{.max_hops = 31}, kOpoaoCap}) {
-        expect_untraced_matches_traced(*g, seeds, seed, params);
-        expect_untraced_matches_traced(ef, seeds, seed, params);
+        const reference::OpoaoRun ref =
+            reference::opoao_reference(*g, seeds, seed, params.max_hops);
+        EXPECT_TRUE(reference::same_outcome(
+            run_cascade<OpoaoTraits>(*g, seeds, seed, params), ref.result))
+            << "CSR, seed " << seed << ", cap " << params.max_hops;
+        EXPECT_TRUE(reference::same_outcome(
+            run_cascade<OpoaoTraits>(ef, seeds, seed, params), ref.result))
+            << "EF, seed " << seed << ", cap " << params.max_hops;
+        if (params.max_hops == kOpoaoCap.max_hops) {
+          // Under the far cap the run stopped because nothing can claim.
+          EXPECT_FALSE(reference::opoao_can_claim(*g, ref.result.state));
+          for (const reference::OpoaoPick& p : ref.picks) {
+            idle_picks += p.activated ? 0 : 1;
+          }
+        }
       }
-      OpoaoTrace trace;
-      run_cascade<OpoaoTraits>(*g, seeds, seed, kOpoaoCap, &trace);
-      for (const OpoaoPick& p : trace.picks) idle_picks += p.activated ? 0 : 1;
     }
   }
-  // The graphs really do saturate: most traced picks claim nothing.
+  // The graphs really do saturate: most reference picks claim nothing.
   EXPECT_GT(idle_picks, 1000u);
 }
 

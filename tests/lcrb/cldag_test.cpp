@@ -12,6 +12,7 @@
 #include "lcrb/bridge.h"
 #include "lcrb/cldag.h"
 #include "lcrb/greedy.h"
+#include "support/own_sigma.h"
 #include "util/rng.h"
 
 namespace lcrb {
@@ -135,7 +136,7 @@ TEST(CldagTest, BlockingQualityTracksTheMonteCarloGreedy) {
   cfg.sigma.samples = 30;
   cfg.sigma.seed = 3;
   const GreedyResult greedy =
-      greedy_lcrbp_from_bridges(g, rumors, bridges, cfg, nullptr);
+      testutil::greedy_own(g, rumors, bridges, cfg, nullptr);
 
   const double q_none = lt_quality(g, rumors, {}, ends);
   const double q_cldag = lt_quality(g, rumors, cldag.protectors, ends);

@@ -1,6 +1,7 @@
 // Golden determinism pins: byte-level hashes of the library's headline
 // outputs — greedy/SCBG protector sequences (all sigma modes), gain
-// histories, and the OPOAO pick trace — for fixed seeds, checked against
+// histories, and the OPOAO pick log of the test reference (which the
+// library's run must match) — for fixed seeds, checked against
 // values recorded in golden_hashes.inc. Every case is run serially, on a
 // 1-thread pool and on a 4-thread pool, and all three runs must match the
 // pinned hash.
@@ -30,6 +31,8 @@
 #include "lcrb/greedy.h"
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
+#include "support/opoao_reference.h"
+#include "support/own_sigma.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -169,13 +172,13 @@ class GoldenDeterminismTest : public ::testing::Test {
   /// Returns the serial run's sigma_evaluations, which every run must share.
   std::size_t check_greedy(const std::string& name, const GreedyConfig& cfg) {
     const GreedyResult serial =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, nullptr);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, nullptr);
     ThreadPool one(1);
     const GreedyResult t1 =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &one);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, &one);
     ThreadPool four(4);
     const GreedyResult t4 =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &four);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, &four);
     EXPECT_EQ(hash_greedy(serial), hash_greedy(t1))
         << name << ": 1-thread run drifted from serial";
     EXPECT_EQ(hash_greedy(serial), hash_greedy(t4))
@@ -189,13 +192,13 @@ class GoldenDeterminismTest : public ::testing::Test {
   /// check_greedy for the RIS engine (RR-set max coverage, no cap).
   void check_ris(const std::string& name, double alpha, const RisConfig& cfg) {
     const RisGreedyResult serial =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
     ThreadPool one(1);
     const RisGreedyResult t1 =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &one);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, &one);
     ThreadPool four(4);
     const RisGreedyResult t4 =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &four);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, &four);
     EXPECT_EQ(hash_greedy(serial), hash_greedy(t1))
         << name << ": 1-thread run drifted from serial";
     EXPECT_EQ(hash_greedy(serial), hash_greedy(t4))
@@ -339,15 +342,15 @@ TYPED_TEST(GoldenDeterminismTest, MultiGreedyCoordinated) {
   cfg.sigma.seed = 9;
   cfg.sigma.model = DiffusionModel::kOpoao;
   const std::vector<std::size_t> budgets{2, 2};
-  const std::uint64_t serial = hash_multi(greedy_multi_from_bridges(
+  const std::uint64_t serial = hash_multi(testutil::greedy_multi_own(
       this->g_, this->rumors_, this->bridges_, cfg, budgets, MultiCascadeMode::kCoordinated,
       nullptr));
   ThreadPool one(1);
-  const std::uint64_t t1 = hash_multi(greedy_multi_from_bridges(
+  const std::uint64_t t1 = hash_multi(testutil::greedy_multi_own(
       this->g_, this->rumors_, this->bridges_, cfg, budgets, MultiCascadeMode::kCoordinated,
       &one));
   ThreadPool four(4);
-  const std::uint64_t t4 = hash_multi(greedy_multi_from_bridges(
+  const std::uint64_t t4 = hash_multi(testutil::greedy_multi_own(
       this->g_, this->rumors_, this->bridges_, cfg, budgets, MultiCascadeMode::kCoordinated,
       &four));
   EXPECT_EQ(serial, t1) << "1-thread multi-greedy drifted from serial";
@@ -362,11 +365,11 @@ TYPED_TEST(GoldenDeterminismTest, MultiGreedyUncoordinated) {
   cfg.sigma.seed = 9;
   cfg.sigma.model = DiffusionModel::kOpoao;
   const std::vector<std::size_t> budgets{2, 2};
-  const std::uint64_t serial = hash_multi(greedy_multi_from_bridges(
+  const std::uint64_t serial = hash_multi(testutil::greedy_multi_own(
       this->g_, this->rumors_, this->bridges_, cfg, budgets, MultiCascadeMode::kUncoordinated,
       nullptr));
   ThreadPool four(4);
-  const std::uint64_t t4 = hash_multi(greedy_multi_from_bridges(
+  const std::uint64_t t4 = hash_multi(testutil::greedy_multi_own(
       this->g_, this->rumors_, this->bridges_, cfg, budgets, MultiCascadeMode::kUncoordinated,
       &four));
   EXPECT_EQ(serial, t4) << "4-thread multi-greedy drifted from serial";
@@ -391,12 +394,17 @@ TYPED_TEST(GoldenDeterminismTest, OpoaoTracePins) {
   SeedSets seeds;
   seeds.rumors = this->rumors_;
   seeds.protectors = {50, 51};
-  OpoaoTrace trace;
-  const DiffusionResult r = run_cascade<OpoaoTraits>(
-      this->g_, seeds, 777, {.max_hops = 31}, &trace);
+  // The pick log comes from the test reference; the library's run of the
+  // same draw must reach the reference's outcome.
+  const reference::OpoaoRun run =
+      reference::opoao_reference(this->g_, seeds, 777, 31);
+  EXPECT_TRUE(reference::same_outcome(
+      run_cascade<OpoaoTraits>(this->g_, seeds, 777, {.max_hops = 31}),
+      run.result));
+  const DiffusionResult& r = run.result;
   Fnv h;
-  h.u64(trace.picks.size());
-  for (const OpoaoPick& p : trace.picks) {
+  h.u64(run.picks.size());
+  for (const reference::OpoaoPick& p : run.picks) {
     h.u32(p.step);
     h.u32(p.from);
     h.u32(p.to);

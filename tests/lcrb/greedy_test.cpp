@@ -10,6 +10,7 @@
 #include "lcrb/bridge.h"
 #include "lcrb/scbg.h"
 #include "lcrb/sigma.h"
+#include "support/own_sigma.h"
 
 namespace lcrb {
 namespace {
@@ -36,7 +37,7 @@ GreedyConfig fast_cfg(double alpha = 0.99) {
 TEST(GreedyLcrbp, ProtectsBothBranches) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg());
+      testutil::greedy_own(f.g, f.rumors, f.bridges, fast_cfg());
   // Bridge ends are 1 and 4 (direct out-neighbors of the rumor). The only
   // way to save them is to seed protectors exactly there.
   EXPECT_GE(r.achieved_fraction, 0.99);
@@ -48,7 +49,7 @@ TEST(GreedyLcrbp, ProtectsBothBranches) {
 TEST(GreedyLcrbp, AlphaHalfNeedsOnlyOneProtector) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg(0.5));
+      testutil::greedy_own(f.g, f.rumors, f.bridges, fast_cfg(0.5));
   EXPECT_EQ(r.protectors.size(), 1u);
   EXPECT_GE(r.achieved_fraction, 0.5);
 }
@@ -58,7 +59,7 @@ TEST(GreedyLcrbp, MaxProtectorsCapRespected) {
   GreedyConfig cfg = fast_cfg(1.0);
   cfg.max_protectors = 1;
   const GreedyResult r =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, cfg);
   EXPECT_EQ(r.protectors.size(), 1u);
 }
 
@@ -67,7 +68,7 @@ TEST(GreedyLcrbp, NoBridgeEndsIsTriviallyDone) {
   const DiGraph g = make_graph(3, {{0, 1}});
   const Partition p(std::vector<CommunityId>{0, 0, 1});
   const std::vector<NodeId> rumors{0};
-  const GreedyResult r = greedy_lcrbp_from_bridges(
+  const GreedyResult r = testutil::greedy_own(
       g, rumors, find_bridge_ends(g, p, 0, rumors), fast_cfg());
   EXPECT_TRUE(r.protectors.empty());
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
@@ -80,9 +81,9 @@ TEST(GreedyLcrbp, CelfMatchesPlainGreedy) {
   GreedyConfig plain = fast_cfg();
   plain.use_celf = false;
   const GreedyResult a =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, celf);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, celf);
   const GreedyResult b =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, plain);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, plain);
   std::vector<NodeId> sa = a.protectors, sb = b.protectors;
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
@@ -94,7 +95,7 @@ TEST(GreedyLcrbp, CelfMatchesPlainGreedy) {
 TEST(GreedyLcrbp, GainHistoryNonIncreasingOnDeterministicGraph) {
   TwoPathFixture f;
   const GreedyResult r =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, fast_cfg());
+      testutil::greedy_own(f.g, f.rumors, f.bridges, fast_cfg());
   for (std::size_t i = 1; i < r.gain_history.size(); ++i) {
     EXPECT_LE(r.gain_history[i], r.gain_history[i - 1] + 1e-9);
   }
@@ -108,7 +109,7 @@ TEST(GreedyLcrbp, CandidateStrategies) {
     GreedyConfig cfg = fast_cfg();
     cfg.candidates = strat;
     const GreedyResult r =
-        greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
+        testutil::greedy_own(f.g, f.rumors, f.bridges, cfg);
     EXPECT_GE(r.achieved_fraction, 0.99) << to_string(strat);
     EXPECT_GT(r.candidate_count, 0u);
   }
@@ -121,9 +122,9 @@ TEST(GreedyLcrbp, BbstUnionSmallerThanAllNodes) {
   GreedyConfig all = fast_cfg();
   all.candidates = CandidateStrategy::kAllNodes;
   const GreedyResult a =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, un);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, un);
   const GreedyResult b =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, all);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, all);
   EXPECT_LT(a.candidate_count, b.candidate_count);
 }
 
@@ -131,9 +132,9 @@ TEST(GreedyLcrbp, InvalidAlphaThrows) {
   TwoPathFixture f;
   GreedyConfig cfg = fast_cfg();
   cfg.alpha = 0.0;
-  EXPECT_THROW(greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg), Error);
+  EXPECT_THROW(testutil::greedy_own(f.g, f.rumors, f.bridges, cfg), Error);
   cfg.alpha = 1.5;
-  EXPECT_THROW(greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg), Error);
+  EXPECT_THROW(testutil::greedy_own(f.g, f.rumors, f.bridges, cfg), Error);
 }
 
 TEST(GreedyLcrbp, DoamSigmaReachesFullProtectionLikeScbg) {
@@ -154,7 +155,7 @@ TEST(GreedyLcrbp, DoamSigmaReachesFullProtectionLikeScbg) {
   cfg.sigma.samples = 1;
   cfg.max_protectors = 200;
   const BridgeEndResult b = find_bridge_ends(cg.graph, p, 0, rumors);
-  const GreedyResult r = greedy_lcrbp_from_bridges(cg.graph, rumors, b, cfg);
+  const GreedyResult r = testutil::greedy_own(cg.graph, rumors, b, cfg);
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
 
   // Sanity against SCBG on the same instance: both fully protect; the
@@ -171,7 +172,7 @@ TEST(GreedyLcrbp, MaxCandidatesCapsPoolButKeepsQuality) {
   GreedyConfig cfg = fast_cfg();
   cfg.max_candidates = 2;
   const GreedyResult r =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, cfg);
   EXPECT_LE(r.candidate_count, 2u);
   // Nodes 1 and 4 sit in the most BBSTs... each sits in exactly one; the
   // rank-by-membership truncation must still leave a pool that can make
@@ -184,10 +185,10 @@ TEST(GreedyLcrbp, MaxCandidatesZeroMeansUnlimited) {
   GreedyConfig cfg = fast_cfg();
   cfg.max_candidates = 0;
   const GreedyResult a =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, cfg);
   cfg.max_candidates = 1000000;
   const GreedyResult b =
-      greedy_lcrbp_from_bridges(f.g, f.rumors, f.bridges, cfg);
+      testutil::greedy_own(f.g, f.rumors, f.bridges, cfg);
   EXPECT_EQ(a.candidate_count, b.candidate_count);
 }
 
@@ -219,7 +220,7 @@ TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
     EXPECT_EQ(shared.sigma_evaluations, 1560u);
     EXPECT_GT(est.evaluations(), 0u);
     const GreedyResult priv =
-        greedy_lcrbp_from_bridges(cg.graph, rumors, bridges, cfg);
+        testutil::greedy_own(cg.graph, rumors, bridges, cfg);
     EXPECT_EQ(priv.sigma_evaluations, shared.sigma_evaluations);
   }
   for (MultiCascadeMode mode :
@@ -230,7 +231,7 @@ TEST(GreedyLcrbp, SigmaEvaluationsAgreeForSharedAndPrivateEstimators) {
     EXPECT_EQ(shared.combined.sigma_evaluations,
               mode == MultiCascadeMode::kCoordinated ? 1560u : 1775u)
         << to_string(mode);
-    const MultiGreedyResult priv = greedy_multi_from_bridges(
+    const MultiGreedyResult priv = testutil::greedy_multi_own(
         cg.graph, rumors, bridges, cfg, budgets, mode);
     EXPECT_EQ(priv.combined.sigma_evaluations,
               shared.combined.sigma_evaluations)

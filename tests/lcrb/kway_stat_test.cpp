@@ -23,6 +23,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "support/own_sigma.h"
 #include "support/statcheck.h"
 #include "util/rng.h"
 
@@ -90,7 +91,7 @@ TEST(KWayStatTest, IcOutcomeFrequenciesMatchEnumerationAtK3) {
   ASSERT_EQ(seeds.num_cascades(), 3u);
 
   const auto probs = enumerate_outcome_probs(
-      g, seeds.rumor_role_union(), seeds.protector_role_union(), edge_prob,
+      g, seeds.rumor_role_union(), protector_groups[0], edge_prob,
       /*max_hops=*/31);
 
   const RealizationParams cfg{.max_hops = 31, .ic_edge_prob = edge_prob};
@@ -193,10 +194,10 @@ TEST(KWayStatTest, UncoordinatedCampaignsAchieveHalfOfCoordinated) {
   MultiCampaignFixture f;
   ASSERT_FALSE(f.bridges.bridge_ends.empty());
   const std::vector<std::size_t> budgets{2, 2};
-  const MultiGreedyResult unc = greedy_multi_from_bridges(
+  const MultiGreedyResult unc = testutil::greedy_multi_own(
       f.g, f.rumors, f.bridges, f.cfg(), budgets,
       MultiCascadeMode::kUncoordinated, nullptr);
-  const MultiGreedyResult coord = greedy_multi_from_bridges(
+  const MultiGreedyResult coord = testutil::greedy_multi_own(
       f.g, f.rumors, f.bridges, f.cfg(), budgets,
       MultiCascadeMode::kCoordinated, nullptr);
   EXPECT_GE(unc.combined.achieved_fraction,
@@ -211,10 +212,10 @@ TEST(KWayStatTest, CoordinationNeverLosesToBlindCampaigns) {
   // replicate the uncoordinated union.
   MultiCampaignFixture f;
   const std::vector<std::size_t> budgets{2, 2};
-  const MultiGreedyResult unc = greedy_multi_from_bridges(
+  const MultiGreedyResult unc = testutil::greedy_multi_own(
       f.g, f.rumors, f.bridges, f.cfg(), budgets,
       MultiCascadeMode::kUncoordinated, nullptr);
-  const MultiGreedyResult coord = greedy_multi_from_bridges(
+  const MultiGreedyResult coord = testutil::greedy_multi_own(
       f.g, f.rumors, f.bridges, f.cfg(), budgets,
       MultiCascadeMode::kCoordinated, nullptr);
   EXPECT_GE(coord.combined.achieved_fraction,

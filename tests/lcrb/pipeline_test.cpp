@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 
 namespace lcrb {
@@ -120,53 +122,92 @@ TEST_F(PipelineFixture, GreedySelectorImprovesOverNoBlocking) {
 }
 
 TEST_F(PipelineFixture, SelectAnswersAlikeWithAndWithoutLentWarmState) {
-  // select() serves the Monte-Carlo greedy, its multi-campaign variant and
-  // the RIS greedy; lending a caller's warm estimator or RIS context must
-  // not change any reported figure (only nodes_visited is the call's own).
-  const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 3, 17);
-  ASSERT_FALSE(s.bridges.bridge_ends.empty());
+  // select() serves the Monte-Carlo greedy, both multi-campaign modes and
+  // the RIS greedy on either backend. Lending a caller's warm estimator or
+  // RIS context must not change any reported figure; only nodes_visited is
+  // the call's own. Without lent state select() builds it, and its whole
+  // work (the estimator's counter; greedy ops plus both pools' generation
+  // under RIS) is pinned per backend and option set.
   LcrbOptions mc;
   mc.alpha = 0.9;
   mc.sigma_samples = 5;
   mc.max_candidates = 40;
-  LcrbOptions multi = mc;
-  multi.multi_mode = MultiCascadeMode::kUncoordinated;
-  multi.protector_budgets = {2, 1};
+  LcrbOptions uncoordinated = mc;
+  uncoordinated.multi_mode = MultiCascadeMode::kUncoordinated;
+  uncoordinated.protector_budgets = {2, 1};
+  LcrbOptions coordinated = uncoordinated;
+  coordinated.multi_mode = MultiCascadeMode::kCoordinated;
   LcrbOptions ris = mc;
   ris.sigma_mode = SigmaMode::kRis;
   ris.ris_initial_sets = 64;
   ris.ris_max_sets = 4096;
+  const std::vector<LcrbOptions> all{mc, uncoordinated, coordinated, ris};
 
-  const SigmaEstimator estimator(cg.graph, s.rumors, s.bridges.bridge_ends,
-                                 mc.sigma_config());
-  RisContext ctx(cg.graph, s.rumors, s.bridges.bridge_ends,
-                 ris.ris_config());
-  for (const LcrbOptions& opts : {mc, multi, ris}) {
-    const Selection own = select(s, opts);
-    const Selection lent =
-        select(s, opts, nullptr, WarmSigma{&estimator, &ctx});
-    const std::string label = to_string(opts.sigma_mode) + "/" +
-                              to_string(opts.multi_mode);
-    EXPECT_FALSE(own.protectors.empty()) << label;
-    EXPECT_EQ(own.protectors, lent.protectors) << label;
-    EXPECT_EQ(own.groups, lent.groups) << label;
-    EXPECT_EQ(own.gain_history, lent.gain_history) << label;
-    EXPECT_EQ(own.achieved_fraction, lent.achieved_fraction) << label;
-    EXPECT_EQ(own.candidate_count, lent.candidate_count) << label;
-    EXPECT_EQ(own.sigma_evaluations, lent.sigma_evaluations) << label;
-    EXPECT_EQ(own.ris.has_value(), opts.sigma_mode == SigmaMode::kRis)
-        << label;
-    if (own.ris && lent.ris) {
-      EXPECT_EQ(own.ris->rounds, lent.ris->rounds);
-      EXPECT_EQ(own.ris->sigma_lower, lent.ris->sigma_lower);
-      EXPECT_EQ(own.ris->sigma_upper, lent.ris->sigma_upper);
-      EXPECT_EQ(own.ris->guarantee_met, lent.ris->guarantee_met);
-      EXPECT_EQ(own.ris->stop_reason, lent.ris->stop_reason);
+  const EfGraph ef = EfGraph::from_csr(cg.graph);
+  const Partition whole(
+      std::vector<CommunityId>(cg.graph.num_nodes(), CommunityId{0}));
+  std::vector<std::uint64_t> visited;
+  for (const GraphRef g : {GraphRef(cg.graph), GraphRef(ef)}) {
+    for (const Partition* part :
+         std::initializer_list<const Partition*>{&p, &whole}) {
+      const ExperimentSetup s = prepare_experiment(g, *part, 0, 3, 17);
+      const bool no_ends = part == &whole;
+      ASSERT_EQ(s.bridges.bridge_ends.empty(), no_ends);
+      const SigmaEstimator estimator(g, s.rumors, s.bridges.bridge_ends,
+                                     mc.sigma_config());
+      RisContext ctx(g, s.rumors, s.bridges.bridge_ends, ris.ris_config());
+      for (const LcrbOptions& opts : all) {
+        const Selection own = select(s, opts);
+        const Selection lent =
+            select(s, opts, nullptr, WarmSigma{&estimator, &ctx});
+        const std::string label =
+            std::string(g.csr_or_null() != nullptr ? "csr/" : "ef/") +
+            (no_ends ? "no-ends/" : "") + to_string(opts.sigma_mode) + "/" +
+            to_string(opts.multi_mode);
+        EXPECT_EQ(own.protectors.empty(), no_ends) << label;
+        EXPECT_EQ(own.protectors, lent.protectors) << label;
+        EXPECT_EQ(own.groups, lent.groups) << label;
+        EXPECT_EQ(own.groups.size(), opts.protector_budgets.size()) << label;
+        EXPECT_EQ(own.gain_history, lent.gain_history) << label;
+        EXPECT_EQ(own.achieved_fraction, lent.achieved_fraction) << label;
+        EXPECT_EQ(own.candidate_count, lent.candidate_count) << label;
+        EXPECT_EQ(own.sigma_evaluations, lent.sigma_evaluations) << label;
+        ASSERT_EQ(own.ris.has_value(), opts.sigma_mode == SigmaMode::kRis)
+            << label;
+        ASSERT_EQ(lent.ris.has_value(), own.ris.has_value()) << label;
+        if (own.ris) {
+          EXPECT_EQ(own.ris->rounds, lent.ris->rounds) << label;
+          EXPECT_EQ(own.ris->sigma_lower, lent.ris->sigma_lower) << label;
+          EXPECT_EQ(own.ris->sigma_upper, lent.ris->sigma_upper) << label;
+          EXPECT_EQ(own.ris->guarantee_met, lent.ris->guarantee_met)
+              << label;
+          EXPECT_EQ(own.ris->stop_reason, lent.ris->stop_reason) << label;
+        }
+        EXPECT_EQ(select_protectors(s, opts), own.protectors) << label;
+        if (no_ends) {
+          // Nothing to protect: every variant answers alike, having done
+          // no work.
+          EXPECT_EQ(own.achieved_fraction, 1.0) << label;
+          EXPECT_EQ(own.sigma_evaluations, 0u) << label;
+          EXPECT_EQ(own.candidate_count, 0u) << label;
+          EXPECT_EQ(own.nodes_visited, 0u) << label;
+          if (own.ris) {
+            EXPECT_TRUE(own.ris->guarantee_met) << label;
+            EXPECT_EQ(own.ris->stop_reason, RisStopReason::kNone) << label;
+          }
+        } else {
+          visited.push_back(own.nodes_visited);
+        }
+      }
     }
-    EXPECT_EQ(select_protectors(s, opts), own.protectors) << label;
   }
+  // mc, uncoordinated, coordinated, ris; CSR then EF.
+  EXPECT_EQ(visited, (std::vector<std::uint64_t>{72342, 92601, 72342, 188209,
+                                                 72342, 92601, 72342, 188209}));
+
   // The multi-campaign record carries the groups and their deployed union.
-  const Selection m = select(s, multi);
+  const ExperimentSetup s = prepare_experiment(cg.graph, p, 0, 3, 17);
+  const Selection m = select(s, uncoordinated);
   ASSERT_EQ(m.groups.size(), 2u);
   std::set<NodeId> deployed;
   for (const std::vector<NodeId>& g : m.groups) {

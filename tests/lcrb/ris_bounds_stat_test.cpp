@@ -22,6 +22,7 @@
 #include "graph/builder.h"
 #include "graph/traversal.h"
 #include "lcrb/ris.h"
+#include "support/own_sigma.h"
 #include "support/statcheck.h"
 #include "util/rng.h"
 
@@ -133,7 +134,7 @@ void check_bounds(const char* name, DiffusionModel model, std::uint64_t seed,
     cfg.delta = kDelta;
     cfg.initial_sets = 256;
     cfg.seed = seed * 1000 + i;
-    const RisGreedyResult r = ris_greedy_from_bridges(
+    const RisGreedyResult r = testutil::ris_greedy_own(
         t.g, t.rumors, t.bridges, 1.0, t.max_protectors, cfg);
     const auto sigma = [&](std::span<const NodeId> a) { return exact(t, a); };
     const double tol = 1e-9;

@@ -15,6 +15,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/ris.h"
+#include "support/own_sigma.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -135,8 +136,9 @@ TEST(RisPropertiesTest, GreedyIsBitIdenticalAcrossThreadCounts) {
   cfg.initial_sets = 128;
 
   ThreadPool tp4(4);
-  const auto serial = ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, cfg);
-  const auto par = ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, cfg, &tp4);
+  const auto serial = testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, cfg);
+  const auto par =
+      testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, cfg, &tp4);
   EXPECT_EQ(serial.protectors, par.protectors);
   EXPECT_DOUBLE_EQ(serial.achieved_fraction, par.achieved_fraction);
   EXPECT_EQ(serial.rr_sets, par.rr_sets);

@@ -15,6 +15,7 @@
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
 #include "lcrb/pipeline.h"
+#include "support/own_sigma.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -164,7 +165,7 @@ TEST(RrSamplerTest, RejectsRumorSeedBridgeEnds) {
     cfg.model = m;
     cfg.ic_edge_prob = 1.0;
     EXPECT_THROW(RrSampler(g, rumors, {1, 0}, cfg), Error) << to_string(m);
-    EXPECT_THROW((void)ris_greedy_from_bridges(
+    EXPECT_THROW((void)testutil::ris_greedy_own(
                      g, rumors, bridges_on(g, rumors, {0}), 0.5, 0, cfg),
                  Error)
         << to_string(m);
@@ -271,7 +272,7 @@ TEST(RrPoolTest, ExtendAppendsWithoutDisturbingExistingSets) {
   }
 }
 
-// --- ris_greedy_from_bridges ---
+// --- ris_greedy_with_context on a context built for the call ---
 
 TEST(RisGreedyTest, TwoPathGraphPicksBothGatewayNodes) {
   // Same fixture as greedy_test: rumor 0 feeds two disjoint paths through 1
@@ -283,8 +284,8 @@ TEST(RisGreedyTest, TwoPathGraphPicksBothGatewayNodes) {
   cfg.model = DiffusionModel::kOpoao;
   cfg.initial_sets = 256;
   const RisGreedyResult r =
-      ris_greedy_from_bridges(g, std::vector<NodeId>{0}, bridges,
-                              /*alpha=*/0.99, /*max_protectors=*/0, cfg);
+      testutil::ris_greedy_own(g, std::vector<NodeId>{0}, bridges,
+                               /*alpha=*/0.99, /*max_protectors=*/0, cfg);
   std::vector<NodeId> picks = r.protectors;
   std::sort(picks.begin(), picks.end());
   EXPECT_EQ(picks, (std::vector<NodeId>{1, 4}));
@@ -301,7 +302,7 @@ TEST(RisGreedyTest, EmptyBridgeEndsTriviallyDone) {
   BridgeEndResult bridges;
   bridges.rumor_dist.assign(3, kUnreached);
   RisConfig cfg;
-  const RisGreedyResult r = ris_greedy_from_bridges(
+  const RisGreedyResult r = testutil::ris_greedy_own(
       g, std::vector<NodeId>{0}, bridges, 0.9, 0, cfg);
   EXPECT_TRUE(r.protectors.empty());
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
@@ -316,7 +317,7 @@ TEST(RisGreedyTest, MaxProtectorsCapRespected) {
   RisConfig cfg;
   cfg.model = DiffusionModel::kIc;
   cfg.ic_edge_prob = 0.3;
-  const RisGreedyResult r = ris_greedy_from_bridges(
+  const RisGreedyResult r = testutil::ris_greedy_own(
       g, std::vector<NodeId>{0, 1}, bridges, 0.999, /*max_protectors=*/2, cfg);
   EXPECT_LE(r.protectors.size(), 2u);
 }
@@ -332,9 +333,9 @@ TEST(RisGreedyTest, RerunsAreDeterministic) {
   cfg.initial_sets = 128;
   const std::vector<NodeId> rumors = {0, 1, 2};
   const RisGreedyResult a =
-      ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, cfg);
+      testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, cfg);
   const RisGreedyResult b =
-      ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, cfg);
+      testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, cfg);
   EXPECT_EQ(a.protectors, b.protectors);
   EXPECT_DOUBLE_EQ(a.achieved_fraction, b.achieved_fraction);
   EXPECT_EQ(a.rr_sets, b.rr_sets);
@@ -356,8 +357,10 @@ TEST(RisGreedyTest, TighterEpsilonNeverUsesFewerSets) {
   loose.initial_sets = 64;
   RisConfig tight = loose;
   tight.epsilon = 0.02;
-  const auto r_loose = ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, loose);
-  const auto r_tight = ris_greedy_from_bridges(g, rumors, bridges, 0.8, 0, tight);
+  const auto r_loose =
+      testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, loose);
+  const auto r_tight =
+      testutil::ris_greedy_own(g, rumors, bridges, 0.8, 0, tight);
   EXPECT_LE(r_loose.rr_sets, r_tight.rr_sets);
 }
 
@@ -372,8 +375,8 @@ TEST(RisGreedyTest, MaxSetsCapBoundsTheDoubling) {
   cfg.epsilon = 1e-4;  // unreachable accuracy: must stop on the cap
   cfg.initial_sets = 32;
   cfg.max_sets = 256;
-  const auto r = ris_greedy_from_bridges(g, std::vector<NodeId>{0}, bridges,
-                                         0.8, 0, cfg);
+  const auto r = testutil::ris_greedy_own(g, std::vector<NodeId>{0},
+                                          bridges, 0.8, 0, cfg);
   EXPECT_LE(r.rr_sets, 256u);
   // Exhausting the cap without certifying must be flagged, not silent.
   EXPECT_FALSE(r.guarantee_met);
@@ -389,8 +392,8 @@ TEST(RisGreedyTest, CertifiedStopReportsGuaranteeMet) {
   RisConfig cfg;
   cfg.model = DiffusionModel::kOpoao;
   cfg.initial_sets = 128;  // default epsilon/delta certify well before 2^18
-  const auto r = ris_greedy_from_bridges(g, std::vector<NodeId>{0}, bridges,
-                                         0.8, 0, cfg);
+  const auto r = testutil::ris_greedy_own(g, std::vector<NodeId>{0},
+                                          bridges, 0.8, 0, cfg);
   EXPECT_TRUE(r.guarantee_met);
   EXPECT_TRUE(r.stop_reason == RisStopReason::kCertified ||
               r.stop_reason == RisStopReason::kNegligible);
@@ -416,8 +419,9 @@ TEST(RisGreedyTest, GreedyDispatchMatchesDirectRisCall) {
   opts.ris_initial_sets = 256;
   const Selection via_select = select(setup, opts);
 
-  const RisGreedyResult direct = ris_greedy_from_bridges(
-      g, rumors, setup.bridges, opts.alpha, opts.budget, opts.ris_config());
+  RisContext ctx(g, rumors, setup.bridges.bridge_ends, opts.ris_config());
+  const RisGreedyResult direct = ris_greedy_with_context(
+      opts.alpha, opts.budget, opts.ris_config(), ctx);
 
   EXPECT_EQ(via_select.protectors, direct.protectors);
   EXPECT_DOUBLE_EQ(via_select.achieved_fraction, direct.achieved_fraction);
@@ -426,7 +430,11 @@ TEST(RisGreedyTest, GreedyDispatchMatchesDirectRisCall) {
   EXPECT_EQ(via_select.ris->rounds, direct.rounds);
   EXPECT_DOUBLE_EQ(via_select.ris->sigma_lower, direct.sigma_lower);
   EXPECT_DOUBLE_EQ(via_select.ris->sigma_upper, direct.sigma_upper);
-  EXPECT_EQ(via_select.nodes_visited, direct.nodes_visited);
+  // The context select() builds serves that call alone, so its generation
+  // work counts too.
+  EXPECT_EQ(via_select.nodes_visited,
+            direct.nodes_visited + ctx.selection.nodes_visited() +
+                ctx.validation.nodes_visited());
 }
 
 TEST(RisGreedyTest, BothModesAgreeOnTheForcedAnswer) {
@@ -448,9 +456,9 @@ TEST(RisGreedyTest, BothModesAgreeOnTheForcedAnswer) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const auto r_mc = greedy_lcrbp_from_bridges(g, rumors, bridges, mc);
+  const auto r_mc = testutil::greedy_own(g, rumors, bridges, mc);
   const auto r_ris =
-      ris_greedy_from_bridges(g, rumors, bridges, mc.alpha, 0, ris);
+      testutil::ris_greedy_own(g, rumors, bridges, mc.alpha, 0, ris);
   EXPECT_EQ(sorted(r_mc.protectors), sorted(r_ris.protectors));
   EXPECT_GT(r_ris.nodes_visited, 0u);
 }

@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
+#include "support/own_sigma.h"
 #include "support/sigma_oracle.h"
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -274,7 +275,7 @@ TEST(SigmaReplay, GreedyPrefixesMatchOracle) {
       gc.use_celf = celf;
       gc.sigma = engine_cfg(m, 12);
       const GreedyResult r =
-          greedy_lcrbp_from_bridges(cg.graph, rumors, bridges, gc);
+          testutil::greedy_own(cg.graph, rumors, bridges, gc);
       const SigmaEstimator est(cg.graph, rumors, ends, gc.sigma);
       const std::string label = to_string(m) + (celf ? " celf" : " plain");
       picks += r.protectors.size();

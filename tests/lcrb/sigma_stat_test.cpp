@@ -22,6 +22,7 @@
 #include "lcrb/pipeline.h"
 #include "lcrb/ris.h"
 #include "lcrb/sigma.h"
+#include "support/own_sigma.h"
 #include "support/statcheck.h"
 
 namespace lcrb {
@@ -303,9 +304,9 @@ void run_quality_comparison(DiffusionModel model, std::size_t mc_samples) {
   ris_cfg.initial_sets = 512;
   ris_cfg.max_sets = std::size_t{1} << 13;
 
-  const GreedyResult r_mc = greedy_lcrbp_from_bridges(
+  const GreedyResult r_mc = testutil::greedy_own(
       ds.net.graph, setup.rumors, setup.bridges, base);
-  const RisGreedyResult r_ris = ris_greedy_from_bridges(
+  const RisGreedyResult r_ris = testutil::ris_greedy_own(
       ds.net.graph, setup.rumors, setup.bridges, base.alpha,
       base.max_protectors, ris_cfg);
   ASSERT_FALSE(r_mc.protectors.empty());

@@ -18,6 +18,7 @@
 #include "lcrb/ris.h"
 #include "lcrb/scbg.h"
 #include "lcrb/sigma.h"
+#include "support/own_sigma.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -73,13 +74,13 @@ class ThreadDeterminismTest : public ::testing::Test {
   // must agree byte for byte.
   void check(const GreedyConfig& cfg) {
     const GreedyResult serial =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, nullptr);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, nullptr);
     ThreadPool one(1);
     const GreedyResult t1 =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &one);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, &one);
     ThreadPool four(4);
     const GreedyResult t4 =
-        greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &four);
+        testutil::greedy_own(g_, rumors_, bridges_, cfg, &four);
 
     for (const GreedyResult* r : {&t1, &t4}) {
       EXPECT_EQ(serial.protectors, r->protectors);
@@ -95,13 +96,13 @@ class ThreadDeterminismTest : public ::testing::Test {
   // check() for the RIS engine.
   void check_ris(double alpha, const RisConfig& cfg) {
     const RisGreedyResult serial =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, nullptr);
     ThreadPool one(1);
     const RisGreedyResult t1 =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &one);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, &one);
     ThreadPool four(4);
     const RisGreedyResult t4 =
-        ris_greedy_from_bridges(g_, rumors_, bridges_, alpha, 0, cfg, &four);
+        testutil::ris_greedy_own(g_, rumors_, bridges_, alpha, 0, cfg, &four);
 
     for (const RisGreedyResult* r : {&t1, &t4}) {
       EXPECT_EQ(serial.protectors, r->protectors);
@@ -204,10 +205,10 @@ TEST_F(ThreadDeterminismTest, RisGreedyIcBoundsAreThreadCountInvariant) {
   cfg.max_sets = 4096;
 
   const RisGreedyResult serial =
-      ris_greedy_from_bridges(g_, rumors_, bridges_, 0.7, 0, cfg, nullptr);
+      testutil::ris_greedy_own(g_, rumors_, bridges_, 0.7, 0, cfg, nullptr);
   ThreadPool four(4);
   const RisGreedyResult t4 =
-      ris_greedy_from_bridges(g_, rumors_, bridges_, 0.7, 0, cfg, &four);
+      testutil::ris_greedy_own(g_, rumors_, bridges_, 0.7, 0, cfg, &four);
   EXPECT_EQ(serial.protectors, t4.protectors);
   EXPECT_EQ(serial.rounds, t4.rounds);
   // The certified bounds are sums over preassigned RR-set slots — also
@@ -312,13 +313,13 @@ TEST_F(ThreadDeterminismTest, KWayMultiGreedyIsThreadCountInvariant) {
   const std::vector<std::size_t> budgets{2, 1};
   for (const MultiCascadeMode mode :
        {MultiCascadeMode::kCoordinated, MultiCascadeMode::kUncoordinated}) {
-    const MultiGreedyResult serial = greedy_multi_from_bridges(
+    const MultiGreedyResult serial = testutil::greedy_multi_own(
         g_, rumors_, bridges_, cfg, budgets, mode, nullptr);
     ThreadPool one(1);
-    const MultiGreedyResult t1 = greedy_multi_from_bridges(
+    const MultiGreedyResult t1 = testutil::greedy_multi_own(
         g_, rumors_, bridges_, cfg, budgets, mode, &one);
     ThreadPool four(4);
-    const MultiGreedyResult t4 = greedy_multi_from_bridges(
+    const MultiGreedyResult t4 = testutil::greedy_multi_own(
         g_, rumors_, bridges_, cfg, budgets, mode, &four);
     for (const MultiGreedyResult* r : {&t1, &t4}) {
       EXPECT_EQ(serial.groups, r->groups) << to_string(mode);
@@ -342,9 +343,9 @@ TEST_F(ThreadDeterminismTest, RepeatedPooledRunsAreIdentical) {
   cfg.sigma.seed = 5;
   ThreadPool pool(4);
   const GreedyResult a =
-      greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &pool);
+      testutil::greedy_own(g_, rumors_, bridges_, cfg, &pool);
   const GreedyResult b =
-      greedy_lcrbp_from_bridges(g_, rumors_, bridges_, cfg, &pool);
+      testutil::greedy_own(g_, rumors_, bridges_, cfg, &pool);
   EXPECT_EQ(a.protectors, b.protectors);
   expect_bitwise_equal(a.gain_history, b.gain_history, "gain_history");
   EXPECT_EQ(a.achieved_fraction, b.achieved_fraction);

@@ -25,12 +25,27 @@ lane-fusion bound:
               pass), at every recorded graph size. A ratio of two timings
               from the same run, so it does not depend on the hardware.
 
+RIS record (--ris): reads bench_micro_ris's JSON and enforces the bar
+docs/benchmarks.md sets for shipping RIS selection next to Monte-Carlo:
+
+  * agree   — both BM_McVsRis rows report agreement_ok == 1: the RIS
+              protector set scores within the stopping rule's tolerance of
+              the MC set under one reference estimator;
+  * visits  — BM_McVsRis_Fig7Doam's visit_ratio (MC over RIS sampling
+              visits per seed) is at least MIN_RIS_VISIT_RATIO. The OPOAO
+              row's ratio (about 1.7) is printed but not gated: lane-batched
+              MC sigma selects within 2x of RIS there, a known open gap.
+
+Both counts come from select() building its own sigma state, so they also
+pin that path's nodes_visited.
+
 Median aggregates are used when the run recorded repetitions; raw rows
 otherwise. Exits non-zero with a per-bound report on any violation, so CI
 fails when a change regresses past the budget.
 
 Usage: check_bench_graph.py [path/to/BENCH_graph.json]
        check_bench_graph.py --sigma [path/to/BENCH_sigma.json]
+       check_bench_graph.py --ris [path/to/BENCH_ris.json]
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ MAX_KERNEL_SLOWDOWN = 2.0
 MAX_OPOAO_SLOWDOWN = 2.5
 MIN_LANE_SPEEDUP = 3.0
 LANES = 64  # gains per BM_SigmaLanes_Opoao iteration
+MIN_RIS_VISIT_RATIO = 5.0
 
 
 def load_rows(path: str) -> list[dict]:
@@ -162,12 +178,42 @@ def check_sigma_lanes(rows: list[dict], failures: list[str]) -> None:
                 f"(required {MIN_LANE_SPEEDUP}x)")
 
 
+def check_ris(rows: list[dict], failures: list[str]) -> None:
+    for bench, gated in (("BM_McVsRis_Fig4Opoao", False),
+                         ("BM_McVsRis_Fig7Doam", True)):
+        # run_name carries the fixed-iteration suffix of the benchmark.
+        names = sorted({
+            r.get("run_name", r["name"])
+            for r in rows
+            if r["name"].startswith(bench + "/")
+        })
+        row = pick(rows, names[0]) if names else None
+        if row is None:
+            failures.append(f"{bench} rows missing from the record")
+            continue
+        ratio = row["visit_ratio"]
+        note = (f"(gated >= {MIN_RIS_VISIT_RATIO})" if gated
+                else "(not gated: known to fall short of the bar)")
+        print(f"ris/{bench}: agreement_ok={row['agreement_ok']:.0f} "
+              f"visit_ratio={ratio:.2f} {note}")
+        if row["agreement_ok"] != 1:
+            failures.append(f"{bench}: RIS protector set disagrees with MC "
+                            f"beyond agreement_tol")
+        if gated and ratio < MIN_RIS_VISIT_RATIO:
+            failures.append(f"{bench}: visit_ratio {ratio:.2f} below "
+                            f"required {MIN_RIS_VISIT_RATIO}")
+
+
 def main(argv: list[str]) -> int:
     args = argv[1:]
     if args and args[0] == "--sigma":
         path = args[1] if len(args) > 1 else "bench/BENCH_sigma.json"
         checks = [check_sigma_lanes]
         ok = "ok: lane-fusion bound holds"
+    elif args and args[0] == "--ris":
+        path = args[1] if len(args) > 1 else "bench/BENCH_ris.json"
+        checks = [check_ris]
+        ok = "ok: RIS agreement and DOAM visit-ratio bounds hold"
     else:
         path = args[0] if args else "bench/BENCH_graph.json"
         checks = [check_space, check_kernel, check_opoao]
