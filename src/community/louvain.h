@@ -17,8 +17,11 @@ struct LouvainConfig {
 };
 
 /// Runs multi-level Louvain on the undirected weighted view of `g`
-/// (arc (u,v) and (v,u) each contribute weight 1 to the undirected edge).
-/// Deterministic in (graph, cfg.seed).
+/// (arc (u,v) and (v,u) each contribute weight 1 to the undirected edge;
+/// self-loops are ignored). Each level is a flat CSR with integer weights
+/// and degrees computed once, so every modularity gain is an exact
+/// function of integer totals. Deterministic in (graph, cfg.seed). Throws
+/// lcrb::Error on a graph of 2^32 arcs or more.
 template <GraphView G>
 Partition louvain(const G& g, const LouvainConfig& cfg = {});
 

@@ -26,36 +26,59 @@ void GraphBuilder::reserve_nodes(NodeId n) {
 void GraphBuilder::reserve_edges(std::size_t m) { edges_.reserve(m); }
 
 DiGraph GraphBuilder::finalize() {
-  std::sort(edges_.begin(), edges_.end());
-  if (opts_.dedup) {
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  }
-
   DiGraph g;
   g.num_nodes_ = num_nodes_;
-  const std::size_t m = edges_.size();
 
-  // Forward CSR: edges_ already sorted by (source, target).
+  // Forward CSR: counting sort on source, then sort each (short) row and,
+  // under dedup, drop its repeated targets. Rows end up exactly as sorting
+  // the whole (source, target) list would leave them.
   g.out_offsets_.assign(num_nodes_ + 1, 0);
-  g.out_targets_.resize(m);
+  g.out_targets_.resize(edges_.size());
   for (const auto& [u, v] : edges_) ++g.out_offsets_[u + 1];
   for (NodeId i = 0; i < num_nodes_; ++i)
     g.out_offsets_[i + 1] += g.out_offsets_[i];
-  for (std::size_t e = 0; e < m; ++e) g.out_targets_[e] = edges_[e].second;
+  {
+    std::vector<EdgeId> cursor(g.out_offsets_.begin(),
+                               g.out_offsets_.end() - 1);
+    for (const auto& [u, v] : edges_) g.out_targets_[cursor[u]++] = v;
+  }
+  edges_.clear();
+  edges_.shrink_to_fit();
 
-  // Backward CSR via counting sort on target.
+  const auto targets = g.out_targets_.begin();
+  EdgeId kept = 0;
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    const auto first = targets + static_cast<std::ptrdiff_t>(g.out_offsets_[u]);
+    const auto last =
+        targets + static_cast<std::ptrdiff_t>(g.out_offsets_[u + 1]);
+    std::sort(first, last);
+    const auto end = opts_.dedup ? std::unique(first, last) : last;
+    const auto out = targets + static_cast<std::ptrdiff_t>(kept);
+    if (out != first) std::copy(first, end, out);
+    g.out_offsets_[u] = kept;
+    kept += static_cast<EdgeId>(end - first);
+  }
+  g.out_offsets_[num_nodes_] = kept;
+  const std::size_t m = kept;
+  if (m != g.out_targets_.size()) {
+    g.out_targets_.resize(m);
+    g.out_targets_.shrink_to_fit();
+  }
+
+  // Backward CSR via counting sort on target. Sources arrive in ascending
+  // order because the out-rows are walked by source, so each in-neighbor
+  // list is already sorted.
   g.in_offsets_.assign(num_nodes_ + 1, 0);
   g.in_sources_.resize(m);
-  for (const auto& [u, v] : edges_) ++g.in_offsets_[v + 1];
+  for (const NodeId v : g.out_targets_) ++g.in_offsets_[v + 1];
   for (NodeId i = 0; i < num_nodes_; ++i)
     g.in_offsets_[i + 1] += g.in_offsets_[i];
   std::vector<EdgeId> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-  for (const auto& [u, v] : edges_) g.in_sources_[cursor[v]++] = u;
-  // Sources arrive in ascending order because edges_ is sorted by source,
-  // so each in-neighbor list is already sorted.
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    for (EdgeId e = g.out_offsets_[u]; e < g.out_offsets_[u + 1]; ++e)
+      g.in_sources_[cursor[g.out_targets_[e]]++] = u;
+  }
 
-  edges_.clear();
-  edges_.shrink_to_fit();
   num_nodes_ = 0;
   LCRB_INVARIANT(g.validate());
   return g;

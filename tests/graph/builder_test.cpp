@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -116,6 +118,45 @@ TEST_P(BuilderPropertyTest, InAdjacencyIsTransposeOfOut) {
   }
   EXPECT_EQ(out_arcs, g.num_edges());
   EXPECT_EQ(in_arcs, g.num_edges());
+}
+
+// Property: under every option pair, each row is what sorting (and, under
+// dedup, uniquing) the whole arc list gives, and the arrays hold no slack.
+TEST_P(BuilderPropertyTest, RowsMatchSortedArcList) {
+  for (const bool dedup : {true, false}) {
+    for (const bool loops : {true, false}) {
+      Rng rng(GetParam());
+      GraphBuilder b({.dedup = dedup, .keep_self_loops = loops});
+      const NodeId n = 40;
+      b.reserve_nodes(n + 3);  // three isolated nodes at the end
+      std::vector<std::pair<NodeId, NodeId>> arcs;
+      for (int e = 0; e < 300; ++e) {
+        const auto u = static_cast<NodeId>(rng.next_below(n));
+        const auto v = static_cast<NodeId>(rng.next_below(n / 4));
+        b.add_edge(u, v);
+        if (u != v || loops) arcs.emplace_back(u, v);
+      }
+      std::sort(arcs.begin(), arcs.end());
+      if (dedup) arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+      const DiGraph g = b.finalize();
+
+      ASSERT_EQ(g.num_nodes(), n + 3);
+      ASSERT_EQ(g.num_edges(), arcs.size());
+      std::vector<std::vector<NodeId>> outs(n + 3), ins(n + 3);
+      for (const auto& [u, v] : arcs) {
+        outs[u].push_back(v);
+        ins[v].push_back(u);
+      }
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const auto out = g.out_neighbors(u);
+        const auto in = g.in_neighbors(u);
+        EXPECT_EQ(std::vector<NodeId>(out.begin(), out.end()), outs[u]) << u;
+        EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()), ins[u]) << u;
+      }
+      EXPECT_EQ(g.memory_bytes(), 2 * (n + 4) * sizeof(EdgeId) +
+                                      2 * arcs.size() * sizeof(NodeId));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuilderPropertyTest,
